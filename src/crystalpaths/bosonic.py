@@ -7,13 +7,19 @@ paths b whose content is congruent, modulo the all-ones vector, to
 
     -Lambda - rho + tau^{-1}(Lambda' - (l + n) beta + rho).
 
-The beta sum is truncated to a finite box certified a priori: outside it the
-content fiber is provably empty because the translation summand spreads the
-target weight further than any content vector of the tensor product can
-reach.  Degenerate levels give closed evaluations: at level one with column
-factors the sum collapses to the single restricted path's monomial, and the
-formal level-zero sum vanishes unless the tensor product is empty, which is
-witnessed by an explicit sign-reversing pairing of the summands.
+Every alternating sum here walks one grid, :func:`_weyl_grid`, and looks up
+its own content fiber at each point.  A content vector has as many boxes as
+the tensor product, and the coordinate sum of the target weight above does
+not depend on (tau, beta) because beta sums to zero; so either every grid
+point lifts to a content vector or none does, and the divisibility test is
+made once per sum.  The beta sum is truncated to a finite box certified a
+priori: outside it the content fiber is provably empty because the
+translation summand spreads the target weight further than any content
+vector of the tensor product can reach.  Degenerate levels give closed
+evaluations: at level one with column factors the sum collapses to the
+single restricted path's monomial, and the formal level-zero sum vanishes
+unless the tensor product is empty, which is witnessed by an explicit
+sign-reversing pairing of the summands.
 """
 
 from __future__ import annotations
@@ -27,14 +33,13 @@ from . import straighten, tableaux
 from .energy import get_local_table, phi_matching_element
 from .kostka import CrystalSpec, Grading, grade_path, weight_energy_table
 from .laurent import LaurentPoly
-from .paths import Path, enumerate_paths, is_level_restricted, weight_out
+from .paths import Path, enumerate_paths, level_restricted_paths
 from .signature import raising_index
 from .tableaux import RectShape
 from .weights import (
     AffineWeylElement,
     LevelWeight,
     dot,
-    equal_mod_ones,
     norm2,
     perm_apply,
     perm_inverse,
@@ -80,6 +85,27 @@ def lattice_box(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _weyl_grid(n: int, m: int, lam_rho, lamp_rho, boxes: int, bound: int):
+    """Yield (tau, sign, beta, content, exponent) for every grid point of the
+    alternating sum at level m - n, beta in the box of radius bound.
+
+    content is the content vector of the fiber the point reads, and exponent
+    is (lamp_rho | beta) - m |beta|^2 / 2, which is integral since a sum-zero
+    vector has even square norm.  Nothing is yielded when the box count
+    cannot be shared out into a content vector congruent to the target."""
+    shift, rest = divmod(boxes - sum(lamp_rho) + sum(lam_rho), n)
+    if rest:
+        return
+    lam_shifted = tuple(x - shift for x in lam_rho)
+    perms = [(tau, perm_sign(tau), perm_inverse(tau))
+             for tau in itertools.permutations(range(1, n + 1))]
+    for beta in lattice_box(n, bound):
+        nu = vsub(lamp_rho, vscale(m, beta))
+        exponent = dot(lamp_rho, beta) - m * norm2(beta) // 2
+        for tau, sign, tau_inv in perms:
+            yield tau, sign, beta, vsub(perm_apply(tau_inv, nu), lam_shifted), exponent
+
+
 def alternating_sum(
     n: int,
     shapes: Sequence[RectShape],
@@ -92,29 +118,18 @@ def alternating_sum(
     jobs: int = 1,
 ) -> AlternatingSumResult:
     """Evaluate the alternating Weyl sum with the given energy grading."""
-    m = ell + n
     rho = rho_vector(n)
     table = weight_energy_table((n, tuple(shapes)), grading, cache_dir, jobs)
     boxes = sum(s[0] * s[1] for s in shapes)
     bound = truncation_bound(n, ell, lam.finite, lam_prime.finite, shapes, widen)
-    lam_rho = vadd(lam.finite, rho)
-    lamp_rho = vadd(lam_prime.finite, rho)
+    grid = _weyl_grid(
+        n, ell + n, vadd(lam.finite, rho), vadd(lam_prime.finite, rho), boxes, bound
+    )
     total = LaurentPoly.zero()
     count = 0
-    for tau in itertools.permutations(range(1, n + 1)):
-        sign = perm_sign(tau)
-        tau_inv = perm_inverse(tau)
-        for beta in lattice_box(n, bound):
-            nu = vsub(lamp_rho, vscale(m, beta))
-            mu = vsub(perm_apply(tau_inv, nu), lam_rho)
-            shift = boxes - sum(mu)
-            if shift % n:
-                continue
-            content = tuple(x + shift // n for x in mu)
-            fiber = table.get(content)
-            if fiber is None:
-                continue
-            exponent = dot(lamp_rho, beta) - m * norm2(beta) // 2
+    for _, sign, _, content, exponent in grid:
+        fiber = table.get(content)
+        if fiber is not None:
             total = total + LaurentPoly.q_power(exponent, sign) * fiber
             count += fiber(1)
     return AlternatingSumResult(total, count, bound)
@@ -139,7 +154,7 @@ def bosonic_report(
     spec.validate()
     if spec.lam is None:
         raise ValueError("alternating sum needs a restriction weight Lambda")
-    result = alternating_sum(
+    return alternating_sum(
         spec.n,
         spec.shapes,
         spec.level,
@@ -150,54 +165,6 @@ def bosonic_report(
         cache_dir,
         jobs,
     )
-    if spec.is_vacuum() and spec.lam.same_classical_weight(spec.resolved_lam_prime()):
-        explicit = vacuum_alternating_sum(spec, widen, cache_dir, jobs)
-        assert explicit == result.polynomial, (
-            "the coordinate exponent form of the vacuum sum disagrees with the general form"
-        )
-    return result
-
-
-def vacuum_alternating_sum(
-    spec: CrystalSpec,
-    widen: int = 0,
-    cache_dir: Optional[str] = None,
-    jobs: int = 1,
-) -> LaurentPoly:
-    """Vacuum-weight sum with the exponent written in coordinates,
-    -(sum_i (l+n) beta_i^2 / 2 + i beta_i); agreement with the general
-    pairing form is asserted by :func:`bosonic_report`."""
-    spec.validate()
-    if not spec.is_vacuum():
-        raise ValueError("coordinate exponent form only applies to the vacuum weight")
-    n, ell = spec.n, spec.level
-    m = ell + n
-    rho = rho_vector(n)
-    table = weight_energy_table((n, spec.shapes), ("plain", None), cache_dir, jobs)
-    boxes = spec.total_boxes()
-    zero = (0,) * n
-    bound = truncation_bound(n, ell, zero, zero, spec.shapes, widen)
-    total = LaurentPoly.zero()
-    for tau in itertools.permutations(range(1, n + 1)):
-        sign = perm_sign(tau)
-        tau_inv = perm_inverse(tau)
-        for beta in lattice_box(n, bound):
-            nu = vsub(rho, vscale(m, beta))
-            mu = vsub(perm_apply(tau_inv, nu), rho)
-            shift = boxes - sum(mu)
-            if shift % n:
-                continue
-            content = tuple(x + shift // n for x in mu)
-            fiber = table.get(content)
-            if fiber is None:
-                continue
-            # each summand m*b_i^2/2 may be half-integral; only the total is
-            # integral, since a sum-zero vector has even square norm
-            exponent = -(m * norm2(beta) // 2) - sum(
-                (i + 1) * b for i, b in enumerate(beta)
-            )
-            total = total + LaurentPoly.q_power(exponent, sign) * fiber
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +185,7 @@ def level_one_identity(
         raise ValueError("level-one identity needs a restriction weight Lambda")
     lam_prime = spec.resolved_lam_prime()
     grading = spec.grading()
-    restricted = []
-    for p in enumerate_paths(spec.n, spec.shapes):
-        if is_level_restricted(p, spec.lam) and equal_mod_ones(
-            weight_out(p, spec.lam).finite, lam_prime.finite
-        ):
-            restricted.append(p)
+    restricted = list(level_restricted_paths(spec.n, spec.shapes, spec.lam, lam_prime))
     if len(restricted) > 1:
         raise AssertionError(
             "level-one restricted path set has %d elements" % len(restricted)
@@ -312,7 +274,6 @@ def level_zero_pairing(
     shapes, zero = _level_zero_spec(n, shapes)
     if not shapes:
         raise ValueError("pairing needs a nonempty tensor product")
-    m = n
     rho = rho_vector(n)
     boxes = sum(s.rows for s in shapes)
     bound = truncation_bound(n, 0, zero.finite, zero.finite, shapes, 0)
@@ -324,18 +285,9 @@ def level_zero_pairing(
         )
 
     summands: dict[Summand, int] = {}
-    for tau in itertools.permutations(range(1, n + 1)):
-        tau_inv = perm_inverse(tau)
-        for beta in lattice_box(n, bound):
-            nu = vsub(rho, vscale(m, beta))
-            mu = vsub(perm_apply(tau_inv, nu), rho)
-            shift = boxes - sum(mu)
-            if shift % n:
-                continue
-            content = tuple(x + shift // n for x in mu)
-            for p, energy in by_content.get(content, ()):
-                exponent = energy + dot(rho, beta) - m * norm2(beta) // 2
-                summands[Summand(beta, tau, p)] = exponent
+    for tau, _, beta, content, exponent in _weyl_grid(n, n, rho, rho, boxes, bound):
+        for p, energy in by_content.get(content, ()):
+            summands[Summand(beta, tau, p)] = energy + exponent
 
     pairs = []
     seen = set()
@@ -344,7 +296,8 @@ def level_zero_pairing(
             continue
         i = _min_raisable_index(s.path)
         raised = s.path.e(i)
-        assert raised is not None, "tensor statistics dominate the rightmost factor"
+        if raised is None:
+            raise AssertionError("tensor statistics dominate the rightmost factor at %s" % (s,))
         image_path = raised.reflect(i)
         w = AffineWeylElement(s.beta, s.tau).compose_reflection(i)
         image = Summand(w.beta, w.tau, image_path)
@@ -371,7 +324,8 @@ def level_zero_pairing(
     total = LaurentPoly(
         [(exponent, s.sign()) for s, exponent in summands.items()]
     )
-    assert total == LaurentPoly.zero(), "paired summands must cancel exactly"
+    if total != LaurentPoly.zero():
+        raise AssertionError("paired summands must cancel exactly")
     return {
         "summand_count": len(summands),
         "pairing_size": len(pairs),

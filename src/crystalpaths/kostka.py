@@ -22,15 +22,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .energy import augmented_energy, path_energy
 from .laurent import LaurentPoly
-from .paths import (
-    Path,
-    is_classically_restricted,
-    is_level_restricted,
-    normalize_content,
-    weight_out,
-)
+from .paths import Path, is_classically_restricted, normalize_content, produces
 from .tableaux import RectShape, enumerate_tableaux
-from .weights import LevelWeight, equal_mod_ones
+from .weights import LevelWeight
 
 Grading = tuple[str, Optional[tuple[LevelWeight, RectShape]]]
 
@@ -160,10 +154,7 @@ def _scan_chunk(payload):
             key = target
         elif mode == "level":
             lam, lam_prime = args
-            if not is_level_restricted(p, lam):
-                continue
-            produced = weight_out(p, lam)
-            if not equal_mod_ones(produced.finite, lam_prime.finite):
+            if not produces(p, lam, lam_prime):
                 continue
             key = ()
         elif mode == "table":

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import tableaux
 from .signature import fold_stats, lowering_index, raising_index
 from .tableaux import RectShape, Tableau
-from .weights import LevelWeight, equal_mod_ones, vadd
+from .weights import LevelWeight, vadd
 
 
 @dataclass(frozen=True)
@@ -185,14 +185,17 @@ def classically_restricted_paths(
             yield p
 
 
+def produces(p: Path, lam: LevelWeight, lam_out: LevelWeight) -> bool:
+    """True when p tensored with the highest vector of lam is a highest
+    weight vector of weight lam_out, disregarding the delta coefficient."""
+    return is_level_restricted(p, lam) and weight_out(p, lam).same_classical_weight(lam_out)
+
+
 def level_restricted_paths(
     n: int, shapes: Sequence[RectShape], lam: LevelWeight, lam_out: LevelWeight
 ) -> Iterator[Path]:
     """Stream the paths whose tensor with the highest vector of lam is a
     highest weight vector of weight lam_out."""
     for p in enumerate_paths(n, shapes):
-        if not is_level_restricted(p, lam):
-            continue
-        produced = weight_out(p, lam)
-        if produced.level == lam_out.level and equal_mod_ones(produced.finite, lam_out.finite):
+        if produces(p, lam, lam_out):
             yield p

@@ -132,11 +132,6 @@ def transposition(n: int, a: int, b: int) -> Permutation:
     return tuple(p)
 
 
-def all_permutations(n: int):
-    for images in itertools.permutations(range(1, n + 1)):
-        yield images
-
-
 # ---------------------------------------------------------------------------
 # affine weights
 

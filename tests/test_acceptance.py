@@ -52,7 +52,8 @@ def criterion_one_grid():
 def test_criterion_1_alternating_sum_equals_path_count():
     grid = criterion_one_grid()
     for spec in grid:
-        # bosonic_K internally cross-checks the coordinate exponent form
+        # the vacuum coordinate exponent form is checked against bosonic_K
+        # in test_bosonic
         assert bosonic_K(spec) == kostka_level(spec), spec
     print("criterion 1 PASS: alternating sum = restricted generating "
           "polynomial on %d specs" % len(grid))

@@ -1,18 +1,33 @@
-import pytest
+import itertools
 
+import pytest
+from test_acceptance import criterion_one_grid
+
+from crystalpaths import kostka
 from crystalpaths.bosonic import (
     bosonic_K,
     bosonic_report,
     bosonic_via_straightening,
     commutation_hypothesis_warnings,
+    lattice_box,
     level_one_identity,
     level_zero_identity,
     level_zero_pairing,
+    truncation_bound,
 )
-from crystalpaths.kostka import CrystalSpec, kostka_level
+from crystalpaths.kostka import CrystalSpec, kostka_level, weight_energy_table
 from crystalpaths.laurent import LaurentPoly
 from crystalpaths.tableaux import RectShape
-from crystalpaths.weights import LevelWeight
+from crystalpaths.weights import (
+    LevelWeight,
+    norm2,
+    perm_apply,
+    perm_inverse,
+    perm_sign,
+    rho_vector,
+    vscale,
+    vsub,
+)
 
 S11 = RectShape(1, 1)
 
@@ -135,3 +150,61 @@ def test_summand_count_reported():
     report = bosonic_report(vacuum_spec(2, (S11, S11), 1))
     assert report.summand_count >= report.polynomial(1)
     assert report.truncation_bound >= 1
+
+
+def vacuum_coordinate_sum(spec, widen=0):
+    """Reference: the vacuum alternating sum over the literal (tau, beta)
+    grid, with the exponent written in coordinates,
+    -(sum_i (l+n) beta_i^2 / 2 + i beta_i), and the divisibility test made
+    at every point."""
+    n, ell = spec.n, spec.level
+    m = ell + n
+    rho = rho_vector(n)
+    table = weight_energy_table((n, spec.shapes), ("plain", None))
+    boxes = spec.total_boxes()
+    zero = (0,) * n
+    bound = truncation_bound(n, ell, zero, zero, spec.shapes, widen)
+    total = LaurentPoly.zero()
+    for tau in itertools.permutations(range(1, n + 1)):
+        sign = perm_sign(tau)
+        tau_inv = perm_inverse(tau)
+        for beta in lattice_box(n, bound):
+            nu = vsub(rho, vscale(m, beta))
+            mu = vsub(perm_apply(tau_inv, nu), rho)
+            shift = boxes - sum(mu)
+            if shift % n:
+                continue
+            content = tuple(x + shift // n for x in mu)
+            fiber = table.get(content)
+            if fiber is None:
+                continue
+            # each summand m*b_i^2/2 may be half-integral; only the total is
+            # integral, since a sum-zero vector has even square norm
+            exponent = -(m * norm2(beta) // 2) - sum(
+                (i + 1) * b for i, b in enumerate(beta)
+            )
+            total = total + LaurentPoly.q_power(exponent, sign) * fiber
+    return total
+
+
+def test_vacuum_coordinate_form_matches_grid():
+    vacuum = [spec for spec in criterion_one_grid() if spec.is_vacuum()]
+    assert vacuum
+    for spec in vacuum:
+        for widen in (0, 2):
+            assert vacuum_coordinate_sum(spec, widen) == bosonic_K(spec, widen), (spec, widen)
+
+
+def test_vacuum_report_scans_once(monkeypatch):
+    calls = []
+    scan = kostka.scan_paths
+
+    def counting_scan(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(kostka, "scan_paths", counting_scan)
+    spec = vacuum_spec(3, (S11,) * 3, 2)
+    report = bosonic_report(spec)
+    assert len(calls) == 1
+    assert report.polynomial == kostka_level(spec)

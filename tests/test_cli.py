@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_output(case, capsys, monkeypatch):
+    """Stdout and exit code match, byte for byte, the recorded output of the
+    vacuum, non-vacuum and level-zero commands, including summand_count and
+    truncation_bound; the last level-zero product has a box count that the
+    rank does not divide."""
+    monkeypatch.delenv("CRYSTAL_CACHE_DIR", raising=False)
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["exit_code"], case["stdout"])
 
 
 def test_weight_selector_parsing():
