@@ -7,31 +7,31 @@ paths b whose content is congruent, modulo the all-ones vector, to
 
     -Lambda - rho + tau^{-1}(Lambda' - (l + n) beta + rho).
 
-Every alternating sum here walks one grid, :func:`_weyl_grid`, and looks up
-its own content fiber at each point.  A content vector has as many boxes as
-the tensor product, and the coordinate sum of the target weight above does
-not depend on (tau, beta) because beta sums to zero; so either every grid
-point lifts to a content vector or none does, and the divisibility test is
-made once per sum.  The beta sum is truncated to a finite box certified a
-priori: outside it the content fiber is provably empty because the
-translation summand spreads the target weight further than any content
-vector of the tensor product can reach.  Degenerate levels give closed
-evaluations: at level one with column factors the sum collapses to the
-single restricted path's monomial, and the formal level-zero sum vanishes
-unless the tensor product is empty, which is witnessed by an explicit
-sign-reversing pairing of the summands.
+Every alternating sum here walks the content fibers that occur, through
+:func:`_fiber_points`, instead of the n! times box-sized (tau, beta) grid.
+A grid point reads at most one content vector, and a content vector is read
+by at most one grid point: the entries of Lambda' + rho strictly decrease
+and span less than l + n, so they are pairwise distinct modulo l + n, and
+the residues of the target fix tau and then beta.  Since beta sums to zero,
+either every grid point lifts to a content vector of the tensor product's
+box count or none does, and that test is made before any path is scanned.
+The beta sum is truncated to a box certified a priori: outside it the
+content fiber is provably empty because the translation summand spreads the
+target weight further than any content vector can reach.  Degenerate
+levels give closed evaluations: at level one with column factors the sum
+collapses to the single restricted path's monomial, and the formal
+level-zero sum vanishes unless the tensor product is empty, which is
+witnessed by an explicit sign-reversing pairing of the summands.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import straighten, tableaux
-from .energy import get_local_table, phi_matching_element
-from .kostka import CrystalSpec, Grading, grade_path, weight_energy_table
+from .energy import get_local_table, path_energy, phi_matching_element
+from .kostka import CrystalSpec, Grading, path_grader, weight_energy_table
 from .laurent import LaurentPoly
 from .paths import Path, enumerate_paths, level_restricted_paths
 from .signature import raising_index
@@ -41,14 +41,10 @@ from .weights import (
     LevelWeight,
     dot,
     norm2,
-    perm_apply,
-    perm_inverse,
     perm_sign,
     rho_vector,
     spread,
     vadd,
-    vscale,
-    vsub,
 )
 
 
@@ -74,36 +70,35 @@ def truncation_bound(
     return -(-reach // m) + widen
 
 
-@functools.lru_cache(maxsize=None)
-def lattice_box(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """Sum-zero integer vectors with every coordinate in [-bound, bound]."""
-    out = []
-    for head in itertools.product(range(-bound, bound + 1), repeat=n - 1):
-        last = -sum(head)
-        if -bound <= last <= bound:
-            out.append(head + (last,))
-    return tuple(out)
-
-
-def _weyl_grid(n: int, m: int, lam_rho, lamp_rho, boxes: int, bound: int):
-    """Yield (tau, sign, beta, content, exponent) for every grid point of the
-    alternating sum at level m - n, beta in the box of radius bound.
-
-    content is the content vector of the fiber the point reads, and exponent
-    is (lamp_rho | beta) - m |beta|^2 / 2, which is integral since a sum-zero
-    vector has even square norm.  Nothing is yielded when the box count
-    cannot be shared out into a content vector congruent to the target."""
+def _content_shift(n: int, lam_rho, lamp_rho, boxes: int) -> Optional[int]:
+    """The s with content = tau^{-1}(lamp_rho - m beta) - lam_rho + s at every
+    grid point, or None when no content vector is congruent to the target."""
     shift, rest = divmod(boxes - sum(lamp_rho) + sum(lam_rho), n)
-    if rest:
-        return
-    lam_shifted = tuple(x - shift for x in lam_rho)
-    perms = [(tau, perm_sign(tau), perm_inverse(tau))
-             for tau in itertools.permutations(range(1, n + 1))]
-    for beta in lattice_box(n, bound):
-        nu = vsub(lamp_rho, vscale(m, beta))
-        exponent = dot(lamp_rho, beta) - m * norm2(beta) // 2
-        for tau, sign, tau_inv in perms:
-            yield tau, sign, beta, vsub(perm_apply(tau_inv, nu), lam_shifted), exponent
+    return None if rest else shift
+
+
+def _fiber_points(n: int, m: int, lam_rho, lamp_rho, shift: int, bound: int, contents):
+    """Yield (tau, sign, beta, content, exponent) for the one grid point of
+    the alternating sum at level m - n that reads each given content vector,
+    when it lies in the box of radius bound.
+
+    The point reads c when v = c + lam_rho - shift has v_i = lamp_rho_tau(i)
+    - m beta_tau(i); the entries of lamp_rho are distinct modulo m, so the
+    residues of v fix tau and then beta.  exponent is (lamp_rho | beta) -
+    m |beta|^2 / 2, integral since a sum-zero vector has even square norm."""
+    slot = {x % m: j + 1 for j, x in enumerate(lamp_rho)}
+    for content in contents:
+        v = [c + x - shift for c, x in zip(content, lam_rho)]
+        tau = tuple(slot.get(x % m, 0) for x in v)
+        if 0 in tau or len(set(tau)) < n:
+            continue
+        beta = [0] * n
+        for x, j in zip(v, tau):
+            beta[j - 1] = (lamp_rho[j - 1] - x) // m
+        if max(map(abs, beta)) > bound:
+            continue
+        beta = tuple(beta)
+        yield tau, perm_sign(tau), beta, content, dot(lamp_rho, beta) - m * norm2(beta) // 2
 
 
 def alternating_sum(
@@ -118,20 +113,23 @@ def alternating_sum(
     jobs: int = 1,
 ) -> AlternatingSumResult:
     """Evaluate the alternating Weyl sum with the given energy grading."""
+    m = ell + n
     rho = rho_vector(n)
-    table = weight_energy_table((n, tuple(shapes)), grading, cache_dir, jobs)
-    boxes = sum(s[0] * s[1] for s in shapes)
+    lam_rho, lamp_rho = vadd(lam.finite, rho), vadd(lam_prime.finite, rho)
+    if len({x % m for x in lamp_rho}) < n:
+        raise ValueError("LambdaPrime + rho = %s has entries congruent mod %d" % (lamp_rho, m))
     bound = truncation_bound(n, ell, lam.finite, lam_prime.finite, shapes, widen)
-    grid = _weyl_grid(
-        n, ell + n, vadd(lam.finite, rho), vadd(lam_prime.finite, rho), boxes, bound
-    )
+    shift = _content_shift(n, lam_rho, lamp_rho, sum(s[0] * s[1] for s in shapes))
+    if shift is None:  # every fiber is empty, and no path needs to be scanned
+        return AlternatingSumResult(LaurentPoly.zero(), 0, bound)
+    table = weight_energy_table((n, tuple(shapes)), grading, cache_dir, jobs)
     total = LaurentPoly.zero()
     count = 0
-    for _, sign, _, content, exponent in grid:
-        fiber = table.get(content)
-        if fiber is not None:
-            total = total + LaurentPoly.q_power(exponent, sign) * fiber
-            count += fiber(1)
+    points = _fiber_points(n, m, lam_rho, lamp_rho, shift, bound, table)
+    for _, sign, _, content, exponent in points:
+        fiber = table[content]
+        total = total + LaurentPoly.q_power(exponent, sign) * fiber
+        count += fiber(1)
     return AlternatingSumResult(total, count, bound)
 
 
@@ -191,7 +189,7 @@ def level_one_identity(
             "level-one restricted path set has %d elements" % len(restricted)
         )
     rhs = (
-        LaurentPoly.q_power(grade_path(restricted[0], grading, cache_dir))
+        LaurentPoly.q_power(path_grader(spec.n, grading, cache_dir)(restricted[0]))
         if restricted
         else LaurentPoly.zero()
     )
@@ -275,18 +273,19 @@ def level_zero_pairing(
     if not shapes:
         raise ValueError("pairing needs a nonempty tensor product")
     rho = rho_vector(n)
-    boxes = sum(s.rows for s in shapes)
     bound = truncation_bound(n, 0, zero.finite, zero.finite, shapes, 0)
+    shift = _content_shift(n, rho, rho, sum(s.rows for s in shapes))
 
+    # with no shift every fiber is empty and the certificate holds vacuously
     by_content: dict[tuple, list[tuple[Path, int]]] = {}
-    for p in enumerate_paths(n, shapes):
-        by_content.setdefault(p.weight(), []).append(
-            (p, grade_path(p, ("plain", None), cache_dir))
-        )
+    if shift is not None:
+        for p in enumerate_paths(n, shapes):
+            by_content.setdefault(p.weight(), []).append((p, path_energy(p, cache_dir)))
 
     summands: dict[Summand, int] = {}
-    for tau, _, beta, content, exponent in _weyl_grid(n, n, rho, rho, boxes, bound):
-        for p, energy in by_content.get(content, ()):
+    points = _fiber_points(n, n, rho, rho, shift, bound, by_content)
+    for tau, _, beta, content, exponent in points:
+        for p, energy in by_content[content]:
             summands[Summand(beta, tau, p)] = energy + exponent
 
     pairs = []
@@ -342,7 +341,7 @@ def bosonic_via_straightening(
     spec: CrystalSpec, cache_dir: Optional[str] = None, jobs: int = 1
 ) -> LaurentPoly:
     """Re-derive the alternating sum by normalizing one Schur symbol per
-    content fiber instead of scanning the Weyl group grid."""
+    content fiber, independently of the residue walk of :func:`_fiber_points`."""
     spec.validate()
     if spec.lam is None:
         raise ValueError("straightening bridge needs a restriction weight Lambda")

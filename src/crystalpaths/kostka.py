@@ -18,9 +18,9 @@ import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .energy import augmented_energy, path_energy
+from .energy import path_energy, phi_matching_element
 from .laurent import LaurentPoly
 from .paths import Path, is_classically_restricted, normalize_content, produces
 from .tableaux import RectShape, enumerate_tableaux
@@ -117,12 +117,18 @@ class CrystalSpec:
         return ("augmented", (self.lam, self.resolved_b0_shape()))
 
 
-def grade_path(p: Path, grading: Grading, cache_dir: Optional[str] = None) -> int:
+def path_grader(
+    n: int, grading: Grading, cache_dir: Optional[str] = None
+) -> Callable[[Path], int]:
+    """The energy of a rank-n path under the grading.  The augmented grading
+    resolves its element b0 once here, not once per graded path as
+    :func:`augmented_energy` does."""
     kind, args = grading
     if kind == "plain":
-        return path_energy(p, cache_dir)
+        return lambda p: path_energy(p, cache_dir)
     lam, b0_shape = args
-    return augmented_energy(p, lam, b0_shape, cache_dir)
+    b0 = phi_matching_element(n, b0_shape, lam)
+    return lambda p: path_energy(Path(n, p.factors + (b0,)), cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +152,7 @@ def _enumerate_chunk(n: int, shapes, chunk: int, nchunks: int) -> Iterator[Path]
 def _scan_chunk(payload):
     n, shapes, mode, args, grading, cache_dir, chunk, nchunks = payload
     buckets: dict[tuple, dict[int, int]] = {}
+    grade = path_grader(n, grading, cache_dir)
     for p in _enumerate_chunk(n, shapes, chunk, nchunks):
         if mode == "classical":
             (target,) = args
@@ -161,7 +168,7 @@ def _scan_chunk(payload):
             key = p.weight()
         else:
             raise ValueError("unknown scan mode %r" % mode)
-        exp = grade_path(p, grading, cache_dir)
+        exp = grade(p)
         bucket = buckets.setdefault(key, {})
         bucket[exp] = bucket.get(exp, 0) + 1
     return [(key, sorted(d.items())) for key, d in sorted(buckets.items())]

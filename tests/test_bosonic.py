@@ -1,15 +1,19 @@
+import collections
+import functools
 import itertools
 
 import pytest
 from test_acceptance import criterion_one_grid
 
-from crystalpaths import kostka
+from crystalpaths import bosonic, kostka
 from crystalpaths.bosonic import (
+    _content_shift,
+    _fiber_points,
+    alternating_sum,
     bosonic_K,
     bosonic_report,
     bosonic_via_straightening,
     commutation_hypothesis_warnings,
-    lattice_box,
     level_one_identity,
     level_zero_identity,
     level_zero_pairing,
@@ -17,14 +21,17 @@ from crystalpaths.bosonic import (
 )
 from crystalpaths.kostka import CrystalSpec, kostka_level, weight_energy_table
 from crystalpaths.laurent import LaurentPoly
+from crystalpaths.paths import enumerate_paths
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import (
     LevelWeight,
+    dot,
     norm2,
     perm_apply,
     perm_inverse,
     perm_sign,
     rho_vector,
+    vadd,
     vscale,
     vsub,
 )
@@ -150,6 +157,117 @@ def test_summand_count_reported():
     report = bosonic_report(vacuum_spec(2, (S11, S11), 1))
     assert report.summand_count >= report.polynomial(1)
     assert report.truncation_bound >= 1
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_box(n, bound):
+    """Sum-zero integer vectors with every coordinate in [-bound, bound]."""
+    out = []
+    for head in itertools.product(range(-bound, bound + 1), repeat=n - 1):
+        last = -sum(head)
+        if -bound <= last <= bound:
+            out.append(head + (last,))
+    return tuple(out)
+
+
+def weyl_grid(n, m, lam_rho, lamp_rho, boxes, bound):
+    """Reference: yield (tau, sign, beta, content, exponent) for every point
+    of the literal (tau, beta) grid of the alternating sum at level m - n,
+    beta in the box of radius bound, or nothing when n does not divide the
+    box count shift."""
+    shift, rest = divmod(boxes - sum(lamp_rho) + sum(lam_rho), n)
+    if rest:
+        return
+    lam_shifted = tuple(x - shift for x in lam_rho)
+    perms = [(tau, perm_sign(tau), perm_inverse(tau))
+             for tau in itertools.permutations(range(1, n + 1))]
+    for beta in lattice_box(n, bound):
+        nu = vsub(lamp_rho, vscale(m, beta))
+        exponent = dot(lamp_rho, beta) - m * norm2(beta) // 2
+        for tau, sign, tau_inv in perms:
+            yield tau, sign, beta, vsub(perm_apply(tau_inv, nu), lam_shifted), exponent
+
+
+def dominant_weights(n, ell):
+    """Every dominant level-ell weight, with finite part normalized to end in 0."""
+    for head in itertools.product(range(ell + 1), repeat=n - 1):
+        finite = head + (0,)
+        if all(finite[i] >= finite[i + 1] for i in range(n - 1)):
+            yield LevelWeight(ell, finite, 0)
+
+
+def assert_walk_matches_grid(n, ell, lam, lam_prime, shapes, widen, contents):
+    """The fiber walk over the contents present yields exactly the grid
+    points that read them; over every content the grid one step wider
+    reads, it yields exactly the grid points inside the radius."""
+    m = ell + n
+    rho = rho_vector(n)
+    lam_rho, lamp_rho = vadd(lam.finite, rho), vadd(lam_prime.finite, rho)
+    boxes = sum(s[0] * s[1] for s in shapes)
+    bound = truncation_bound(n, ell, lam.finite, lam_prime.finite, shapes, widen)
+    grid = list(weyl_grid(n, m, lam_rho, lamp_rho, boxes, bound))
+    shift = _content_shift(n, lam_rho, lamp_rho, boxes)
+    if shift is None:
+        assert grid == []
+        return 0
+    wider = {point[3] for point in weyl_grid(n, m, lam_rho, lamp_rho, boxes, bound + 1)}
+
+    def walk(contents):
+        return collections.Counter(_fiber_points(n, m, lam_rho, lamp_rho, shift, bound, contents))
+
+    case = (n, ell, lam, lam_prime, shapes, widen)
+    assert walk(contents) == collections.Counter(p for p in grid if p[3] in contents), case
+    assert walk(wider) == collections.Counter(grid), case
+    return sum(1 for p in grid if p[3] in contents)
+
+
+def test_fiber_walk_matches_grid():
+    read = 0
+    for spec in criterion_one_grid():
+        n, ell, shapes = spec.n, spec.level, spec.shapes
+        contents = {p.weight() for p in enumerate_paths(n, shapes)}
+        for lam, lam_prime in itertools.product(dominant_weights(n, ell), repeat=2):
+            for widen in (0, 2):
+                read += assert_walk_matches_grid(n, ell, lam, lam_prime, shapes, widen, contents)
+    for n in (2, 3):
+        zero = LevelWeight.vacuum(n, 0)
+        for length in range(1, 5):
+            for heights in itertools.product(range(1, n), repeat=length):
+                shapes = tuple(RectShape(k, 1) for k in heights)
+                contents = {p.weight() for p in enumerate_paths(n, shapes)}
+                read += assert_walk_matches_grid(n, 0, zero, zero, shapes, 0, contents)
+    assert read > 0
+
+
+def test_alternating_sum_rejects_congruent_lambda_prime():
+    # LambdaPrime is not dominant: (0, 1) + rho = (1, 1) at rank two
+    lam = LevelWeight.vacuum(2, 1)
+    with pytest.raises(ValueError):
+        alternating_sum(2, (S11, S11), 1, lam, LevelWeight(1, (0, 1), 0), ("plain", None))
+    # at rank three and level one, (0, 0, 2) + rho = (2, 1, 2)
+    lam3 = LevelWeight.vacuum(3, 1)
+    with pytest.raises(ValueError):
+        alternating_sum(3, (S11,) * 3, 1, lam3, LevelWeight(1, (0, 0, 2), 0), ("plain", None))
+
+
+def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kostka, "scan_paths", counting(kostka.scan_paths))
+    monkeypatch.setattr(bosonic, "enumerate_paths", counting(bosonic.enumerate_paths))
+    shapes = (S11, S11)
+    report = level_zero_identity(3, shapes)
+    assert report["equal"] and report["summand_count"] == 0
+    cert = level_zero_pairing(3, shapes)
+    assert cert["cancels"] and cert["summand_count"] == 0
+    assert report["truncation_bound"] == cert["truncation_bound"] > 0
+    assert calls == []
 
 
 def vacuum_coordinate_sum(spec, widen=0):

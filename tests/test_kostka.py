@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from crystalpaths import energy, kostka
 from crystalpaths.kostka import (
     CrystalSpec,
     classical_dimension,
@@ -155,3 +156,22 @@ def test_parallel_scan_matches_serial():
 
 def test_polynomial_type():
     assert isinstance(kostka_classical(CrystalSpec(2, (S11,)), (1, 0)), LaurentPoly)
+
+
+def test_level_scan_resolves_b0_once(monkeypatch):
+    calls = []
+    resolve = energy.phi_matching_element
+
+    def counting_resolve(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(energy, "phi_matching_element", counting_resolve)
+    monkeypatch.setattr(kostka, "phi_matching_element", counting_resolve)
+    lam = LevelWeight(2, (1, 0, 0), 0)
+    spec = CrystalSpec(3, (S11,) * 3, level=2, lam=lam)
+    assert spec.grading()[0] == "augmented"
+    poly = kostka_level(spec)
+    # one chunk, so one resolution for all of its restricted paths
+    assert poly(1) > 1
+    assert len(calls) == 1
