@@ -3,8 +3,7 @@ generating polynomials of restricted paths and their alternating Weyl-sum
 evaluations, all in exact integer arithmetic."""
 
 from .bosonic import (
-    AlternatingSumResult,
-    bosonic_K,
+    alternating_sum,
     bosonic_report,
     bosonic_via_straightening,
     commutation_hypothesis_warnings,
@@ -12,97 +11,40 @@ from .bosonic import (
     level_zero_identity,
     level_zero_pairing,
 )
-from .energy import (
-    LocalIsoTable,
-    augmented_energy,
-    build_local_table,
-    get_local_table,
-    local_energy,
-    local_iso,
-    path_energy,
-    phi_matching_element,
-)
 from .kostka import (
     CrystalSpec,
-    classical_dimension,
     kostka_classical,
     kostka_level,
     multiplicity_oracle,
+    weight_energy_table,
 )
 from .laurent import LaurentPoly
-from .paths import (
-    FormalHighestVector,
-    Path,
-    classically_restricted_paths,
-    enumerate_paths,
-    format_path,
-    is_classically_restricted,
-    is_level_restricted,
-    level_restricted_paths,
-    parse_path,
-    weight_out,
-)
-from .straighten import SchurSymbol, normalize, pi_on_character, straighten_step
-from .tableaux import (
-    RectShape,
-    Tableau,
-    enumerate_tableaux,
-    format_tableau,
-    highest_weight_tableau,
-    parse_tableau,
-    promotion,
-    promotion_inverse,
-)
-from .weights import AffineWeylElement, LevelWeight, dot
+from .paths import Path, format_path, parse_path
+from .tableaux import RectShape, Tableau, format_tableau, parse_tableau
+from .weights import LevelWeight
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineWeylElement",
-    "AlternatingSumResult",
     "CrystalSpec",
-    "FormalHighestVector",
     "LaurentPoly",
     "LevelWeight",
-    "LocalIsoTable",
     "Path",
     "RectShape",
-    "SchurSymbol",
     "Tableau",
-    "augmented_energy",
-    "bosonic_K",
+    "alternating_sum",
     "bosonic_report",
     "bosonic_via_straightening",
-    "build_local_table",
-    "classical_dimension",
-    "classically_restricted_paths",
     "commutation_hypothesis_warnings",
-    "dot",
-    "enumerate_paths",
-    "enumerate_tableaux",
     "format_path",
     "format_tableau",
-    "get_local_table",
-    "highest_weight_tableau",
-    "is_classically_restricted",
-    "is_level_restricted",
     "kostka_classical",
     "kostka_level",
     "level_one_identity",
-    "level_restricted_paths",
     "level_zero_identity",
     "level_zero_pairing",
-    "local_energy",
-    "local_iso",
     "multiplicity_oracle",
-    "normalize",
     "parse_path",
     "parse_tableau",
-    "path_energy",
-    "phi_matching_element",
-    "pi_on_character",
-    "promotion",
-    "promotion_inverse",
-    "straighten_step",
-    "weight_out",
+    "weight_energy_table",
 ]

@@ -14,10 +14,14 @@ by at most one grid point: the entries of Lambda' + rho strictly decrease
 and span less than l + n, so they are pairwise distinct modulo l + n, and
 the residues of the target fix tau and then beta.  Since beta sums to zero,
 either every grid point lifts to a content vector of the tensor product's
-box count or none does, and that test is made before any path is scanned.
-The beta sum is truncated to a box certified a priori: outside it the
-content fiber is provably empty because the translation summand spreads the
-target weight further than any content vector can reach.  Degenerate
+box count or none does.  They do exactly when the identity point's content
+exists, the content c at which the level polynomial is read
+(:func:`paths.target_content`), and that test is made before any path is
+scanned.  A sum reads the content table of the tensor product
+(:func:`kostka.weight_energy_table`), so one table serves every truncation
+radius.  The beta sum is truncated to a box certified a priori: outside it
+the content fiber is provably empty because the translation summand spreads
+the target weight further than any content vector can reach.  Degenerate
 levels give closed evaluations: at level one with column factors the sum
 collapses to the single restricted path's monomial, and the formal
 level-zero sum vanishes unless the tensor product is empty, which is
@@ -30,10 +34,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import straighten, tableaux
-from .energy import get_local_table, path_energy, phi_matching_element
-from .kostka import CrystalSpec, Grading, path_grader, weight_energy_table
+from .energy import get_local_table, path_energy
+from .kostka import CrystalSpec, weight_energy_table
 from .laurent import LaurentPoly
-from .paths import Path, enumerate_paths, level_restricted_paths
+from .paths import Path, enumerate_paths, level_restricted_paths, target_content
 from .signature import raising_index
 from .tableaux import RectShape
 from .weights import (
@@ -70,25 +74,20 @@ def truncation_bound(
     return -(-reach // m) + widen
 
 
-def _content_shift(n: int, lam_rho, lamp_rho, boxes: int) -> Optional[int]:
-    """The s with content = tau^{-1}(lamp_rho - m beta) - lam_rho + s at every
-    grid point, or None when no content vector is congruent to the target."""
-    shift, rest = divmod(boxes - sum(lamp_rho) + sum(lam_rho), n)
-    return None if rest else shift
-
-
-def _fiber_points(n: int, m: int, lam_rho, lamp_rho, shift: int, bound: int, contents):
+def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
     """Yield (tau, sign, beta, content, exponent) for the one grid point of
     the alternating sum at level m - n that reads each given content vector,
-    when it lies in the box of radius bound.
+    when it lies in the box of radius bound.  target is the content read at
+    the identity point, tau = id and beta = 0.
 
-    The point reads c when v = c + lam_rho - shift has v_i = lamp_rho_tau(i)
+    The point reads c when v = c - target + lamp_rho has v_i = lamp_rho_tau(i)
     - m beta_tau(i); the entries of lamp_rho are distinct modulo m, so the
     residues of v fix tau and then beta.  exponent is (lamp_rho | beta) -
     m |beta|^2 / 2, integral since a sum-zero vector has even square norm."""
+    n = len(lamp_rho)
     slot = {x % m: j + 1 for j, x in enumerate(lamp_rho)}
     for content in contents:
-        v = [c + x - shift for c, x in zip(content, lam_rho)]
+        v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
         tau = tuple(slot.get(x % m, 0) for x in v)
         if 0 in tau or len(set(tau)) < n:
             continue
@@ -107,40 +106,26 @@ def alternating_sum(
     ell: int,
     lam: LevelWeight,
     lam_prime: LevelWeight,
-    grading: Grading,
+    table: dict[tuple, LaurentPoly],
     widen: int = 0,
-    cache_dir: Optional[str] = None,
-    jobs: int = 1,
 ) -> AlternatingSumResult:
-    """Evaluate the alternating Weyl sum with the given energy grading."""
+    """Evaluate the alternating Weyl sum over a content table of the tensor
+    product (see :func:`kostka.weight_energy_table`)."""
     m = ell + n
-    rho = rho_vector(n)
-    lam_rho, lamp_rho = vadd(lam.finite, rho), vadd(lam_prime.finite, rho)
+    lamp_rho = vadd(lam_prime.finite, rho_vector(n))
     if len({x % m for x in lamp_rho}) < n:
         raise ValueError("LambdaPrime + rho = %s has entries congruent mod %d" % (lamp_rho, m))
     bound = truncation_bound(n, ell, lam.finite, lam_prime.finite, shapes, widen)
-    shift = _content_shift(n, lam_rho, lamp_rho, sum(s[0] * s[1] for s in shapes))
-    if shift is None:  # every fiber is empty, and no path needs to be scanned
+    target = target_content(lam, lam_prime, sum(s[0] * s[1] for s in shapes))
+    if target is None:  # every fiber is empty
         return AlternatingSumResult(LaurentPoly.zero(), 0, bound)
-    table = weight_energy_table((n, tuple(shapes)), grading, cache_dir, jobs)
     total = LaurentPoly.zero()
     count = 0
-    points = _fiber_points(n, m, lam_rho, lamp_rho, shift, bound, table)
-    for _, sign, _, content, exponent in points:
+    for _, sign, _, content, exponent in _fiber_points(m, lamp_rho, target, bound, table):
         fiber = table[content]
         total = total + LaurentPoly.q_power(exponent, sign) * fiber
         count += fiber(1)
     return AlternatingSumResult(total, count, bound)
-
-
-def bosonic_K(
-    spec: CrystalSpec,
-    widen: int = 0,
-    cache_dir: Optional[str] = None,
-    jobs: int = 1,
-) -> LaurentPoly:
-    """Alternating-sum value of the level polynomial of the spec."""
-    return bosonic_report(spec, widen, cache_dir, jobs).polynomial
 
 
 def bosonic_report(
@@ -149,6 +134,7 @@ def bosonic_report(
     cache_dir: Optional[str] = None,
     jobs: int = 1,
 ) -> AlternatingSumResult:
+    """Alternating-sum value of the level polynomial of the spec."""
     spec.validate()
     if spec.lam is None:
         raise ValueError("alternating sum needs a restriction weight Lambda")
@@ -158,10 +144,8 @@ def bosonic_report(
         spec.level,
         spec.lam,
         spec.resolved_lam_prime(),
-        spec.grading(),
+        weight_energy_table(spec, cache_dir, jobs),
         widen,
-        cache_dir,
-        jobs,
     )
 
 
@@ -182,20 +166,20 @@ def level_one_identity(
     if spec.lam is None:
         raise ValueError("level-one identity needs a restriction weight Lambda")
     lam_prime = spec.resolved_lam_prime()
-    grading = spec.grading()
     restricted = list(level_restricted_paths(spec.n, spec.shapes, spec.lam, lam_prime))
     if len(restricted) > 1:
         raise AssertionError(
             "level-one restricted path set has %d elements" % len(restricted)
         )
     rhs = (
-        LaurentPoly.q_power(path_grader(spec.n, grading, cache_dir)(restricted[0]))
+        LaurentPoly.q_power(
+            path_energy(Path(spec.n, restricted[0].factors + spec.b0_tail()), cache_dir)
+        )
         if restricted
         else LaurentPoly.zero()
     )
-    result = alternating_sum(
-        spec.n, spec.shapes, 1, spec.lam, lam_prime, grading, 0, cache_dir, jobs
-    )
+    table = weight_energy_table(spec, cache_dir, jobs)
+    result = alternating_sum(spec.n, spec.shapes, 1, spec.lam, lam_prime, table)
     return {
         "path_exists": bool(restricted),
         "path": str(restricted[0]) if restricted else None,
@@ -208,15 +192,16 @@ def level_one_identity(
     }
 
 
-def _level_zero_spec(n: int, shapes: Sequence[RectShape]):
+def _level_zero_spec(n: int, shapes: Sequence[RectShape]) -> CrystalSpec:
+    """The tensor product of column factors with Lambda = LambdaPrime = 0 at
+    the formal level 0, which :meth:`CrystalSpec.validate` refuses."""
     shapes = tuple(RectShape(*s) for s in shapes)
     for s in shapes:
         if not 1 <= s.rows <= n - 1:
             raise ValueError("factor height %d must be below the rank %d" % (s.rows, n))
         if s.cols != 1:
             raise ValueError("level-zero identity needs column factors")
-    zero = LevelWeight(0, (0,) * n, 0)
-    return shapes, zero
+    return CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
 
 
 def level_zero_identity(
@@ -224,11 +209,10 @@ def level_zero_identity(
 ) -> dict:
     """Formal level-zero alternating sum; 1 on the empty tensor product and
     0 otherwise."""
-    shapes, zero = _level_zero_spec(n, shapes)
-    result = alternating_sum(
-        n, shapes, 0, zero, zero, ("plain", None), 0, cache_dir, jobs
-    )
-    expected = LaurentPoly.one() if not shapes else LaurentPoly.zero()
+    spec = _level_zero_spec(n, shapes)
+    table = weight_energy_table(spec, cache_dir, jobs)
+    result = alternating_sum(n, spec.shapes, 0, spec.lam, spec.lam, table)
+    expected = LaurentPoly.one() if not spec.shapes else LaurentPoly.zero()
     return {
         "lhs_polynomial": list(result.polynomial.pairs()),
         "rhs_polynomial": list(expected.pairs()),
@@ -269,21 +253,21 @@ def level_zero_pairing(
     checks that the image is again a summand, that the pairing is a
     fixed-point-free involution matching opposite signs and equal exponents,
     and that the choice index is constant on each pair."""
-    shapes, zero = _level_zero_spec(n, shapes)
-    if not shapes:
+    spec = _level_zero_spec(n, shapes)
+    if not spec.shapes:
         raise ValueError("pairing needs a nonempty tensor product")
-    rho = rho_vector(n)
-    bound = truncation_bound(n, 0, zero.finite, zero.finite, shapes, 0)
-    shift = _content_shift(n, rho, rho, sum(s.rows for s in shapes))
+    zero = spec.lam.finite
+    bound = truncation_bound(n, 0, zero, zero, spec.shapes, 0)
+    target = target_content(spec.lam, spec.lam, spec.total_boxes())
 
-    # with no shift every fiber is empty and the certificate holds vacuously
+    # with no target content every fiber is empty and the certificate holds vacuously
     by_content: dict[tuple, list[tuple[Path, int]]] = {}
-    if shift is not None:
-        for p in enumerate_paths(n, shapes):
+    if target is not None:
+        for p in enumerate_paths(n, spec.shapes):
             by_content.setdefault(p.weight(), []).append((p, path_energy(p, cache_dir)))
 
     summands: dict[Summand, int] = {}
-    points = _fiber_points(n, n, rho, rho, shift, bound, by_content)
+    points = _fiber_points(n, rho_vector(n), target, bound, by_content)
     for tau, _, beta, content, exponent in points:
         for p, energy in by_content[content]:
             summands[Summand(beta, tau, p)] = energy + exponent
@@ -346,7 +330,7 @@ def bosonic_via_straightening(
     if spec.lam is None:
         raise ValueError("straightening bridge needs a restriction weight Lambda")
     lam_prime = spec.resolved_lam_prime()
-    table = weight_energy_table((spec.n, spec.shapes), spec.grading(), cache_dir, jobs)
+    table = weight_energy_table(spec, cache_dir, jobs)
     total = LaurentPoly.zero()
     for content, fiber in table.items():
         image = straighten.pi_on_character(spec.level, vadd(spec.lam.finite, content))
@@ -366,10 +350,11 @@ def commutation_hypothesis_warnings(
     Needed only for non-vacuum restriction weights; violations are reported,
     not assumed absent."""
     spec.validate()
-    if spec.lam is None or spec.is_vacuum():
+    tail = spec.b0_tail()
+    if not tail:
         return []
+    (b0,) = tail
     b0_shape = spec.resolved_b0_shape()
-    b0 = phi_matching_element(spec.n, b0_shape, spec.lam)
     warnings = []
     for shape in sorted(set(spec.shapes)):
         table = get_local_table(spec.n, shape, b0_shape, cache_dir)

@@ -24,12 +24,12 @@ from typing import Optional
 
 from . import energy
 from .bosonic import (
-    bosonic_report,
+    alternating_sum,
     commutation_hypothesis_warnings,
     level_zero_identity,
     level_zero_pairing,
 )
-from .kostka import CrystalSpec, kostka_classical, kostka_level
+from .kostka import CrystalSpec, kostka_classical, kostka_level, weight_energy_table
 from .laurent import LaurentPoly
 from .tableaux import RectShape
 from .weights import LevelWeight, fundamental_vector, vadd
@@ -176,7 +176,10 @@ def cmd_kostka(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _build_spec(args, need_level=True)
-    report = bosonic_report(spec, cache_dir=args.cache_dir, jobs=args.jobs)
+    # one content table serves the base and the widened truncation radius
+    table = weight_energy_table(spec, cache_dir=args.cache_dir, jobs=args.jobs)
+    lam_prime = spec.resolved_lam_prime()
+    report = alternating_sum(spec.n, spec.shapes, spec.level, spec.lam, lam_prime, table)
     rhs = kostka_level(spec, cache_dir=args.cache_dir, jobs=args.jobs)
     warnings = commutation_hypothesis_warnings(spec, cache_dir=args.cache_dir)
     payload = {
@@ -191,7 +194,9 @@ def cmd_verify(args) -> int:
         "warnings": warnings,
     }
     if args.widen_check:
-        widened = bosonic_report(spec, widen=2, cache_dir=args.cache_dir, jobs=args.jobs)
+        widened = alternating_sum(
+            spec.n, spec.shapes, spec.level, spec.lam, lam_prime, table, widen=2
+        )
         payload["widen_certificate"] = {
             "widened_bound": widened.truncation_bound,
             "stable": widened.polynomial == report.polynomial,

@@ -1,12 +1,19 @@
 """Energy-graded generating polynomials of restricted paths.
 
-The classical polynomial counts paths killed by every classical raising
-operator, graded by path energy.  The level polynomial counts paths whose
-tensor against a formal highest weight vector of a dominant level-l weight
-is again highest, graded either by plain path energy (when the restriction
-weight is a multiple of the affine fundamental weight at node 0, where the
-extra grading factor is unnecessary) or by the energy of the path extended
-by the matching element of a perfect level-l crystal.
+Every polynomial here reads one scan of the tensor product
+(:func:`scan_paths`), which adds q^(energy) per path into a table keyed by
+content.  A scan may target one content, tested first, and may then apply a
+restriction predicate.  The classical polynomial is the entry at the content
+lam of the scan restricted to paths killed by every classical raising
+operator.  The level polynomial is the entry at the one content c with
+Lambda + c equal to LambdaPrime modulo the all-ones vector, of the scan
+restricted to paths whose tensor against a formal highest weight vector of
+Lambda is again highest; when no such content exists nothing is scanned.
+The unrestricted scan is the content table that the alternating sums read.
+Paths are graded by plain path energy when Lambda is a multiple of the
+affine fundamental weight at node 0, where the extra grading factor is
+unnecessary, and otherwise by the energy of the path extended by the
+matching element b0 of a perfect level-l crystal, resolved once per scan.
 
 An independent q=1 oracle expands the product of Schur polynomials by brute
 force and peels off leading terms, never touching crystal operators.
@@ -22,11 +29,15 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .energy import path_energy, phi_matching_element
 from .laurent import LaurentPoly
-from .paths import Path, is_classically_restricted, normalize_content, produces
-from .tableaux import RectShape, enumerate_tableaux
+from .paths import (
+    Path,
+    is_classically_restricted,
+    is_level_restricted,
+    normalize_content,
+    target_content,
+)
+from .tableaux import RectShape, Tableau, enumerate_tableaux
 from .weights import LevelWeight
-
-Grading = tuple[str, Optional[tuple[LevelWeight, RectShape]]]
 
 
 @dataclass(frozen=True)
@@ -111,24 +122,13 @@ class CrystalSpec:
             and self.lam.same_classical_weight(LevelWeight.vacuum(self.n, self.level))
         )
 
-    def grading(self) -> Grading:
+    def b0_tail(self) -> tuple[Tableau, ...]:
+        """The factors appended on the right of every path before it is
+        graded: none for a vacuum (or absent) restriction weight, else the
+        element b0 of the grading crystal with phi(b0) = Lambda."""
         if self.lam is None or self.is_vacuum():
-            return ("plain", None)
-        return ("augmented", (self.lam, self.resolved_b0_shape()))
-
-
-def path_grader(
-    n: int, grading: Grading, cache_dir: Optional[str] = None
-) -> Callable[[Path], int]:
-    """The energy of a rank-n path under the grading.  The augmented grading
-    resolves its element b0 once here, not once per graded path as
-    :func:`augmented_energy` does."""
-    kind, args = grading
-    if kind == "plain":
-        return lambda p: path_energy(p, cache_dir)
-    lam, b0_shape = args
-    b0 = phi_matching_element(n, b0_shape, lam)
-    return lambda p: path_energy(Path(n, p.factors + (b0,)), cache_dir)
+            return ()
+        return (phi_matching_element(self.n, self.resolved_b0_shape(), self.lam),)
 
 
 # ---------------------------------------------------------------------------
@@ -150,26 +150,16 @@ def _enumerate_chunk(n: int, shapes, chunk: int, nchunks: int) -> Iterator[Path]
 
 
 def _scan_chunk(payload):
-    n, shapes, mode, args, grading, cache_dir, chunk, nchunks = payload
+    n, shapes, target, restricted, b0_tail, cache_dir, chunk, nchunks = payload
     buckets: dict[tuple, dict[int, int]] = {}
-    grade = path_grader(n, grading, cache_dir)
     for p in _enumerate_chunk(n, shapes, chunk, nchunks):
-        if mode == "classical":
-            (target,) = args
-            if p.weight() != target or not is_classically_restricted(p):
-                continue
-            key = target
-        elif mode == "level":
-            lam, lam_prime = args
-            if not produces(p, lam, lam_prime):
-                continue
-            key = ()
-        elif mode == "table":
-            key = p.weight()
-        else:
-            raise ValueError("unknown scan mode %r" % mode)
-        exp = grade(p)
-        bucket = buckets.setdefault(key, {})
+        content = p.weight()
+        if target is not None and content != target:
+            continue
+        if restricted is not None and not restricted(p):
+            continue
+        exp = path_energy(Path(n, p.factors + b0_tail), cache_dir)
+        bucket = buckets.setdefault(content, {})
         bucket[exp] = bucket.get(exp, 0) + 1
     return [(key, sorted(d.items())) for key, d in sorted(buckets.items())]
 
@@ -177,17 +167,23 @@ def _scan_chunk(payload):
 def scan_paths(
     n: int,
     shapes: Sequence[RectShape],
-    mode: str,
-    args: tuple,
-    grading: Grading,
+    target: Optional[tuple[int, ...]] = None,
+    restricted: Optional[Callable[[Path], bool]] = None,
+    b0_tail: tuple[Tableau, ...] = (),
     cache_dir: Optional[str] = None,
     jobs: int = 1,
 ) -> dict[tuple, LaurentPoly]:
-    """Accumulate q^(energy) over filtered paths, keyed per the scan mode."""
+    """content -> sum of q^(energy of the path followed by b0_tail) over the
+    paths of content target (all paths when target is None) that pass the
+    restriction predicate (when given).  The content is tested first since
+    it is far cheaper; with jobs > 1 the predicate is pickled to the
+    workers, so it must be a module-level function or a functools.partial
+    of one."""
     shapes = tuple(RectShape(*s) for s in shapes)
     nchunks = max(1, min(jobs, len(enumerate_tableaux(shapes[0], n)) if shapes else 1))
     payloads = [
-        (n, shapes, mode, args, grading, cache_dir, chunk, nchunks) for chunk in range(nchunks)
+        (n, shapes, target, restricted, b0_tail, cache_dir, chunk, nchunks)
+        for chunk in range(nchunks)
     ]
     if nchunks == 1:
         chunks = [_scan_chunk(payloads[0])]
@@ -211,7 +207,7 @@ def kostka_classical(
     spec.validate()
     target = normalize_content(lam, spec.n)
     table = scan_paths(
-        spec.n, spec.shapes, "classical", (target,), ("plain", None), cache_dir, jobs
+        spec.n, spec.shapes, target, is_classically_restricted, (), cache_dir, jobs
     )
     return table.get(target, LaurentPoly.zero())
 
@@ -219,32 +215,36 @@ def kostka_classical(
 def kostka_level(
     spec: CrystalSpec, cache_dir: Optional[str] = None, jobs: int = 1
 ) -> LaurentPoly:
-    """Sum of q^(energy) over level-restricted paths producing LambdaPrime."""
+    """Sum of q^(energy) over level-restricted paths producing LambdaPrime:
+    the restricted paths of the one content c with Lambda + c equal to
+    LambdaPrime modulo the all-ones vector."""
     spec.validate()
     if spec.lam is None:
         raise ValueError("level polynomial needs a restriction weight Lambda")
-    lam_prime = spec.resolved_lam_prime()
+    target = target_content(spec.lam, spec.resolved_lam_prime(), spec.total_boxes())
+    if target is None:  # no path has a content that produces LambdaPrime
+        return LaurentPoly.zero()
+    restricted = functools.partial(is_level_restricted, lam=spec.lam)
     table = scan_paths(
-        spec.n,
-        spec.shapes,
-        "level",
-        (spec.lam, lam_prime),
-        spec.grading(),
-        cache_dir,
-        jobs,
+        spec.n, spec.shapes, target, restricted, spec.b0_tail(), cache_dir, jobs
     )
-    return table.get((), LaurentPoly.zero())
+    return table.get(target, LaurentPoly.zero())
 
 
 def weight_energy_table(
-    spec_like,
-    grading: Grading,
-    cache_dir: Optional[str] = None,
-    jobs: int = 1,
+    spec: CrystalSpec, cache_dir: Optional[str] = None, jobs: int = 1
 ) -> dict[tuple, LaurentPoly]:
-    """content -> sum of q^(energy) over the whole tensor product."""
-    n, shapes = spec_like
-    return scan_paths(n, shapes, "table", (), grading, cache_dir, jobs)
+    """content -> sum of q^(energy) over the whole tensor product, graded
+    with the spec's b0 tail.  When the spec has a restriction weight and no
+    content produces LambdaPrime, no sum of the spec reads the table, and
+    it is {} without a scan."""
+    if spec.lam is not None and target_content(
+        spec.lam, spec.resolved_lam_prime(), spec.total_boxes()
+    ) is None:
+        return {}
+    return scan_paths(
+        spec.n, spec.shapes, b0_tail=spec.b0_tail(), cache_dir=cache_dir, jobs=jobs
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -185,17 +185,22 @@ def classically_restricted_paths(
             yield p
 
 
-def produces(p: Path, lam: LevelWeight, lam_out: LevelWeight) -> bool:
-    """True when p tensored with the highest vector of lam is a highest
-    weight vector of weight lam_out, disregarding the delta coefficient."""
-    return is_level_restricted(p, lam) and weight_out(p, lam).same_classical_weight(lam_out)
+def target_content(lam: LevelWeight, lam_out: LevelWeight, boxes: int) -> Optional[tuple[int, ...]]:
+    """The one content c of a path with the given box count for which lam + c
+    is lam_out modulo the all-ones vector, or None when n does not divide
+    boxes - |lam_out| + |lam|, so that no path of that box count has it."""
+    shift, rest = divmod(boxes - sum(lam_out.finite) + sum(lam.finite), lam.rank)
+    if rest:
+        return None
+    return tuple(b - a + shift for a, b in zip(lam.finite, lam_out.finite))
 
 
 def level_restricted_paths(
     n: int, shapes: Sequence[RectShape], lam: LevelWeight, lam_out: LevelWeight
 ) -> Iterator[Path]:
     """Stream the paths whose tensor with the highest vector of lam is a
-    highest weight vector of weight lam_out."""
+    highest weight vector of weight lam_out, disregarding the delta
+    coefficient."""
     for p in enumerate_paths(n, shapes):
-        if produces(p, lam, lam_out):
+        if is_level_restricted(p, lam) and weight_out(p, lam).same_classical_weight(lam_out):
             yield p

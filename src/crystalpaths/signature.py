@@ -14,6 +14,7 @@ scanning from the right against the statistics of the folded prefix.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Optional, Sequence
 
 Stats = tuple[int, int]  # (eps, phi) of one factor for a fixed operator index
@@ -33,22 +34,12 @@ def fold_stats(stats: Sequence[Stats]) -> Stats:
     return acc
 
 
-def prefix_stats(stats: Sequence[Stats]) -> list[Stats]:
-    """prefixes[k] = statistics of the first k factors."""
-    out = [(0, 0)]
-    acc = (0, 0)
-    for s in stats:
-        acc = combine(acc, s)
-        out.append(acc)
-    return out
-
-
 def raising_index(stats: Sequence[Stats]) -> Optional[int]:
     """Index of the factor a raising operator acts on, or None if it is undefined."""
     eps, _ = fold_stats(stats)
     if eps == 0:
         return None
-    prefixes = prefix_stats(stats)
+    prefixes = list(accumulate(stats, combine, initial=(0, 0)))  # [k]: first k factors
     for j in range(len(stats) - 1, 0, -1):
         if stats[j][1] >= prefixes[j][0]:
             return j
@@ -60,7 +51,7 @@ def lowering_index(stats: Sequence[Stats]) -> Optional[int]:
     _, phi = fold_stats(stats)
     if phi == 0:
         return None
-    prefixes = prefix_stats(stats)
+    prefixes = list(accumulate(stats, combine, initial=(0, 0)))  # [k]: first k factors
     for j in range(len(stats) - 1, 0, -1):
         if stats[j][1] > prefixes[j][0]:
             return j

@@ -85,10 +85,6 @@ def equal_mod_ones(a: Vector, b: Vector) -> bool:
     return all(x - y == d for x, y in zip(a, b))
 
 
-def in_translation_lattice(beta: Vector) -> bool:
-    return sum(beta) == 0
-
-
 # ---------------------------------------------------------------------------
 # permutations, stored as images: p[j] is the image of j+1 (values 1..n)
 
@@ -123,13 +119,6 @@ def perm_sign(p: Permutation) -> int:
         if p[a] > p[b]:
             sign = -sign
     return sign
-
-
-def transposition(n: int, a: int, b: int) -> Permutation:
-    """The transposition (a b) on {1..n}."""
-    p = list(range(1, n + 1))
-    p[a - 1], p[b - 1] = b, a
-    return tuple(p)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +214,7 @@ class AffineWeylElement:
     def __post_init__(self):
         if len(self.beta) != len(self.tau):
             raise ValueError("translation and permutation rank mismatch")
-        if not in_translation_lattice(self.beta):
+        if sum(self.beta) != 0:
             raise ValueError("translation %s has nonzero coordinate sum" % (self.beta,))
         if sorted(self.tau) != list(range(1, len(self.tau) + 1)):
             raise ValueError("invalid permutation %s" % (self.tau,))
@@ -263,9 +252,11 @@ class AffineWeylElement:
         """
         n = self.rank
         if i == 0:
-            new_beta = vadd(self.beta, perm_apply(self.tau, theta_vector(n)))
-            new_tau = perm_compose(self.tau, transposition(n, 1, n))
-            return AffineWeylElement(new_beta, new_tau)
-        if not 1 <= i <= n - 1:
+            beta, a, b = vadd(self.beta, perm_apply(self.tau, theta_vector(n))), 1, n
+        elif 1 <= i <= n - 1:
+            beta, a, b = self.beta, i, i + 1
+        else:
             raise ValueError("reflection index out of range: %d" % i)
-        return AffineWeylElement(self.beta, perm_compose(self.tau, transposition(n, i, i + 1)))
+        swap = list(range(1, n + 1))
+        swap[a - 1], swap[b - 1] = b, a
+        return AffineWeylElement(beta, perm_compose(self.tau, tuple(swap)))

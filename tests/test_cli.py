@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from crystalpaths import energy
+from crystalpaths import energy, kostka
 from crystalpaths.cli import main, parse_weight_selector
 from crystalpaths.weights import LevelWeight
 
@@ -78,6 +78,27 @@ def test_verify_command(capsys):
     assert payload["equal"] is True
     assert payload["widen_certificate"]["stable"] is True
     assert payload["warnings"] == []
+
+
+def test_verify_widen_check_scans_twice(capsys, monkeypatch):
+    """One content table serves the base and the widened alternating sum; the
+    direct count is the other scan."""
+    calls = []
+    scan = kostka.scan_paths
+
+    def counting_scan(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(kostka, "scan_paths", counting_scan)
+    code, out, _ = run(
+        capsys, "verify", "--n", "3", "--level", "2", "--shapes", "1x1,1x1,1x1",
+        "--Lambda", "L0+L1", "--widen-check",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["equal"] and payload["widen_certificate"]["stable"]
+    assert len(calls) == 2
 
 
 def test_verify_zero_command(capsys):

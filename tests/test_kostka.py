@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from test_acceptance import criterion_one_grid
+from test_bosonic import dominant_weights as dominant_level_weights
 
-from crystalpaths import energy, kostka
+from crystalpaths import energy, kostka, paths
 from crystalpaths.kostka import (
     CrystalSpec,
     classical_dimension,
@@ -13,6 +15,11 @@ from crystalpaths.kostka import (
     schur_monomials,
 )
 from crystalpaths.laurent import LaurentPoly
+from crystalpaths.paths import (
+    classically_restricted_paths,
+    enumerate_paths,
+    level_restricted_paths,
+)
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import LevelWeight
 
@@ -139,10 +146,12 @@ def test_validation_errors():
 
 def test_grading_selection():
     vac = vacuum_spec(2, (S11,), 1)
-    assert vac.grading() == ("plain", None)
+    assert vac.b0_tail() == ()
+    assert CrystalSpec(2, (S11,)).b0_tail() == ()
     other = CrystalSpec(2, (S11,), level=1, lam=LevelWeight.fundamental(1, 2))
-    kind, args = other.grading()
-    assert kind == "augmented" and args[1] == RectShape(1, 1)
+    (b0,) = other.b0_tail()
+    assert b0.shape == RectShape(1, 1)
+    assert b0 == energy.phi_matching_element(2, RectShape(1, 1), other.lam)
 
 
 def test_parallel_scan_matches_serial():
@@ -170,8 +179,78 @@ def test_level_scan_resolves_b0_once(monkeypatch):
     monkeypatch.setattr(kostka, "phi_matching_element", counting_resolve)
     lam = LevelWeight(2, (1, 0, 0), 0)
     spec = CrystalSpec(3, (S11,) * 3, level=2, lam=lam)
-    assert spec.grading()[0] == "augmented"
+    assert not spec.is_vacuum()
+    # once per scan: not once per restricted path, nor once per worker chunk
+    for jobs in (1, 2):
+        calls.clear()
+        poly = kostka_level(spec, jobs=jobs)
+        assert poly(1) > 1
+        assert len(calls) == 1, jobs
+
+
+def counting(fn, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_level_scan_skipped_when_n_does_not_divide(monkeypatch):
+    calls = []
+    monkeypatch.setattr(kostka, "scan_paths", counting(kostka.scan_paths, calls))
+    # 2 boxes at rank 3: no content c has Lambda + c = Lambda modulo (1, 1, 1)
+    assert kostka_level(vacuum_spec(3, (S11, S11), 2)) == 0
+    lam = LevelWeight(2, (1, 0, 0), 0)
+    assert kostka_level(CrystalSpec(3, (S11,) * 4, level=2, lam=lam)) == 0
+    assert calls == []
+
+
+def test_level_scan_tests_restriction_only_at_target_content(monkeypatch):
+    checked = []
+    restricted = paths.is_level_restricted
+
+    def recording(p, lam):
+        checked.append(p.weight())
+        return restricted(p, lam)
+
+    monkeypatch.setattr(paths, "is_level_restricted", recording)
+    monkeypatch.setattr(kostka, "is_level_restricted", recording, raising=False)
+    lam = LevelWeight(2, (1, 0, 0), 0)  # L0 + L1
+    spec = CrystalSpec(3, (S11,) * 6, level=2, lam=lam)
     poly = kostka_level(spec)
-    # one chunk, so one resolution for all of its restricted paths
-    assert poly(1) > 1
-    assert len(calls) == 1
+    # Lambda' = Lambda, so the target content is (2, 2, 2): 6!/(2!)^3 paths
+    assert checked == [(2, 2, 2)] * 90
+    assert poly(1) == sum(1 for _ in level_restricted_paths(3, spec.shapes, lam, lam))
+
+
+def graded_stream(stream, spec):
+    """The literal sum of q^(energy) over a stream of paths, grading each
+    with the public per-path energy functions."""
+    total = LaurentPoly.zero()
+    for p in stream:
+        if spec.lam is None or spec.is_vacuum():
+            exp = energy.path_energy(p)
+        else:
+            exp = energy.augmented_energy(p, spec.lam, spec.resolved_b0_shape())
+        total = total + LaurentPoly.q_power(exp)
+    return total
+
+
+def test_scan_matches_literal_streams():
+    """kostka_level and kostka_classical equal the literal restricted path
+    streams on the criterion-1 products, at every pair of dominant level
+    weights (vacuum and not) and at every dominant content."""
+    nonzero = 0
+    for base in criterion_one_grid():
+        n, ell, shapes = base.n, base.level, base.shapes
+        classical = CrystalSpec(n, shapes)
+        for lam in dominant_weights(n, classical.total_boxes()):
+            want = graded_stream(classically_restricted_paths(n, shapes, lam), classical)
+            assert kostka_classical(classical, lam) == want, (n, shapes, lam)
+        weights = list(dominant_level_weights(n, ell))
+        for lam, lam_prime in itertools.product(weights, repeat=2):
+            spec = CrystalSpec(n, shapes, level=ell, lam=lam, lam_prime=lam_prime)
+            want = graded_stream(level_restricted_paths(n, shapes, lam, lam_prime), spec)
+            assert kostka_level(spec) == want, spec
+            nonzero += bool(want)
+    assert nonzero > 0
