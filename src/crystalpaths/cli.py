@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=os.environ.get("CRYSTAL_CACHE_DIR") or None,
             help="directory for persisted tables (default: CRYSTAL_CACHE_DIR)",
         )
-        p.add_argument("--jobs", type=int, default=1, help="worker process bound")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker process bound; small scans run in-process")
 
     k = sub.add_parser("kostka", help="generating polynomial of restricted paths")
     common(k)

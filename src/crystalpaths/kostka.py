@@ -2,18 +2,30 @@
 
 Every polynomial here reads one scan of the tensor product
 (:func:`scan_paths`), which adds q^(energy) per path into a table keyed by
-content.  A scan may target one content, tested first, and may then apply a
-restriction predicate.  The classical polynomial is the entry at the content
-lam of the scan restricted to paths killed by every classical raising
-operator.  The level polynomial is the entry at the one content c with
-Lambda + c equal to LambdaPrime modulo the all-ones vector, of the scan
-restricted to paths whose tensor against a formal highest weight vector of
-Lambda is again highest; when no such content exists nothing is scanned.
-The unrestricted scan is the content table that the alternating sums read.
-Paths are graded by plain path energy when Lambda is a multiple of the
-affine fundamental weight at node 0, where the extra grading factor is
-unnecessary, and otherwise by the energy of the path extended by the
-matching element b0 of a perfect level-l crystal, resolved once per scan.
+content.  A scan may target one content and may restrict the paths.  The
+classical polynomial is the entry at the content lam of the scan restricted
+to paths killed by every classical raising operator.  The level polynomial
+is the entry at the one content c with Lambda + c equal to LambdaPrime
+modulo the all-ones vector, of the scan restricted to paths whose tensor
+against a formal highest weight vector of Lambda is again highest; when no
+such content exists nothing is scanned.  The unrestricted scan is the
+content table that the alternating sums read.  Paths are graded by plain
+path energy when Lambda is a multiple of the affine fundamental weight at
+node 0, where the extra grading factor is unnecessary, and otherwise by the
+energy of the path extended by the matching element b0 of a perfect
+level-l crystal, resolved once per scan.
+
+A scan walks the suffixes b_k (x) ... (x) b_1 (x) b0 depth first, placing
+factors right to left from the b0 tail.  A suffix carries its energy, its
+content (b0 excluded; compared with the target only at full length) and,
+when restricted, phi_i of the suffix tensored with the highest vector u,
+from <h_i, Lambda> for every affine index i or from 0 for the classical
+ones.  Placing x left of y_k (x) ... (x) y_1 adds H(x (x) y_k) + H(x' (x)
+y_(k-1)) + ..., x' being x carried past y_k by the local isomorphism, as in
+path_energy: O(k) lookups per suffix, not O(L^2) per path.  By the
+signature rule a suffix S with eps_i(S) = 0 keeps it under x exactly when
+eps_i(x) <= phi_i(S), and then phi_i becomes phi_i(S) - eps_i(x) +
+phi_i(x); otherwise the walk cuts S and every path that ends in it.
 
 An independent q=1 oracle expands the product of Schur polynomials by brute
 force and peels off leading terms, never touching crystal operators.
@@ -23,19 +35,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
-from .energy import path_energy, phi_matching_element
+from . import tableaux
+from .energy import get_local_table, phi_matching_element
 from .laurent import LaurentPoly
-from .paths import (
-    Path,
-    is_classically_restricted,
-    is_level_restricted,
-    normalize_content,
-    target_content,
-)
+from .paths import normalize_content, target_content
 from .tableaux import RectShape, Tableau, enumerate_tableaux
 from .weights import LevelWeight
 
@@ -132,69 +139,130 @@ class CrystalSpec:
 
 
 # ---------------------------------------------------------------------------
-# path scans, optionally split across processes by the leftmost factor
+# the suffix walk, optionally shared out among worker processes
+
+CLASSICAL = "classical"
+
+# On a shared 2-core x86_64 VM (Python 3.11) a 2-worker pool, its import
+# included, lost at 65536 paths (n=4, eight 1x1 factors: 0.150 s in-process,
+# 0.248 s) and won at 262144 (nine: 0.718 s, 0.504 s); "pool_threshold" in
+# BENCH_suffix_walk.json has every figure.
+MIN_PATHS_PER_WORKER = 50000
 
 
-def _enumerate_chunk(n: int, shapes, chunk: int, nchunks: int) -> Iterator[Path]:
-    if not shapes:
-        if chunk == 0:
-            yield Path(n, ())
-        return
-    first_pool = enumerate_tableaux(RectShape(*shapes[0]), n)
-    rest_pools = [enumerate_tableaux(RectShape(*s), n) for s in shapes[1:]]
-    for idx, first in enumerate(first_pool):
-        if idx % nchunks != chunk:
-            continue
-        for rest in itertools.product(*rest_pools):
-            yield Path(n, (first,) + rest)
+def _int_tables(n: int, shape2: RectShape, shape1: RectShape, cache_dir) -> tuple:
+    """The flat integer tables the walk reads: (energy, carry, |B1|) with
+    energy[a*|B1| + b] = H(a (x) b) and carry[a*|B1| + b] the index of b2' in
+    R(a (x) b) = b1' (x) b2', in the order of enumerate_tableaux."""
+    table = get_local_table(n, shape2, shape1, cache_dir)
+    right = enumerate_tableaux(shape1, n)
+    index = {t: k for k, t in enumerate(enumerate_tableaux(shape2, n))}
+    pairs = [(a, b) for a in index for b in right]
+    return [table.energy[p] for p in pairs], [index[table.iso[p][1]] for p in pairs], len(right)
 
 
 def _scan_chunk(payload):
-    n, shapes, target, restricted, b0_tail, cache_dir, chunk, nchunks = payload
-    buckets: dict[tuple, dict[int, int]] = {}
-    for p in _enumerate_chunk(n, shapes, chunk, nchunks):
-        content = p.weight()
-        if target is not None and content != target:
-            continue
-        if restricted is not None and not restricted(p):
-            continue
-        exp = path_energy(Path(n, p.factors + b0_tail), cache_dir)
-        bucket = buckets.setdefault(content, {})
-        bucket[exp] = bucket.get(exp, 0) + 1
-    return [(key, sorted(d.items())) for key, d in sorted(buckets.items())]
+    """Walk this chunk's share of the suffix tree laid out by scan_paths and
+    count its leaves by (encoded content, energy)."""
+    levels, tail, target, phi0, split, chunk, nchunks = payload
+    last = len(levels) - 1
+    counts: dict[tuple[int, int], int] = {}
+    ordinal = itertools.count()
+
+    def walk(depth, suffix, energy, code, phi):
+        elements, meets = levels[depth]
+        for x, (content, eps, delta) in enumerate(elements):
+            if depth == last and target is not None and code + content != target:
+                continue
+            grown = phi
+            if phi is not None:
+                if not all(map(operator.le, eps, phi)):
+                    continue
+                grown = tuple(map(operator.add, phi, delta))
+            if depth == split and next(ordinal) % nchunks != chunk:
+                continue
+            h, b = energy, x
+            for (heights, carry, width), y in zip(meets, suffix):
+                k = b * width + y
+                h += heights[k]
+                b = carry[k]
+            if depth == last:
+                key = (code + content, h)
+                counts[key] = counts.get(key, 0) + 1
+            else:
+                walk(depth + 1, (x,) + suffix, h, code + content, grown)
+
+    if levels:
+        walk(0, tail, 0, 0, phi0)
+    else:  # the empty path, in the one chunk there is
+        counts[(0, 0)] = 1
+    return sorted(counts.items())
 
 
 def scan_paths(
     n: int,
     shapes: Sequence[RectShape],
     target: Optional[tuple[int, ...]] = None,
-    restricted: Optional[Callable[[Path], bool]] = None,
+    restricted: Union[None, str, LevelWeight] = None,
     b0_tail: tuple[Tableau, ...] = (),
     cache_dir: Optional[str] = None,
     jobs: int = 1,
 ) -> dict[tuple, LaurentPoly]:
-    """content -> sum of q^(energy of the path followed by b0_tail) over the
-    paths of content target (all paths when target is None) that pass the
-    restriction predicate (when given).  The content is tested first since
-    it is far cheaper; with jobs > 1 the predicate is pickled to the
-    workers, so it must be a module-level function or a functools.partial
-    of one."""
+    """content -> sum of q^(energy of the path followed by b0_tail, at most
+    one factor) over the paths of content target (all when None) that are
+    restricted: classically highest for CLASSICAL, highest against the
+    highest vector of Lambda for a LevelWeight Lambda.  The local tables are
+    read in this process; a pool of at most jobs workers starts only when
+    each gets at least MIN_PATHS_PER_WORKER paths of the full product."""
     shapes = tuple(RectShape(*s) for s in shapes)
-    nchunks = max(1, min(jobs, len(enumerate_tableaux(shapes[0], n)) if shapes else 1))
-    payloads = [
-        (n, shapes, target, restricted, b0_tail, cache_dir, chunk, nchunks)
-        for chunk in range(nchunks)
-    ]
+    if len(b0_tail) > 1:
+        raise ValueError("the walk grows from at most one tail factor")
+    boxes = sum(s.rows * s.cols for s in shapes)
+    if target is not None and (min(target) < 0 or sum(target) != boxes):
+        return {}  # no path has this content
+    base = boxes + 1  # a content's coordinates are its digits in this base
+
+    def encode(content):
+        return sum(c * base**i for i, c in enumerate(content))
+
+    if restricted is None:
+        indices, phi0 = (), None
+    elif restricted == CLASSICAL:
+        indices, phi0 = range(1, n), (0,) * (n - 1)
+    else:
+        indices = range(n)
+        phi0 = tuple(map(restricted.pairing, indices))
+    table = functools.cache(lambda left, right: _int_tables(n, left, right, cache_dir))
+    met = [t.shape for t in b0_tail]  # shapes right of the factor placed next
+    levels = []
+    for shape in reversed(shapes):
+        elements = [(encode(t.content()), tuple(tableaux.eps(t, i) for i in indices),
+                     tuple(tableaux.phi(t, i) - tableaux.eps(t, i) for i in indices))
+                    for t in enumerate_tableaux(shape, n)]
+        levels.append((elements, [table(shape, other) for other in reversed(met)]))
+        met.append(shape)
+    tail = tuple(enumerate_tableaux(t.shape, n).index(t) for t in b0_tail)
+    code = None if target is None else encode(target)
+
+    sizes = list(itertools.accumulate((len(e) for e, _ in levels), operator.mul)) or [1]
+    nchunks = max(1, min(jobs, sizes[-1] // MIN_PATHS_PER_WORKER))
+    # workers share out the suffixes that survive at the first depth offering
+    # 64 per worker, and each walks the short stretch above that depth
+    split = next((d for d, size in enumerate(sizes) if size >= 64 * nchunks), len(sizes) - 1)
+    payloads = [(levels, tail, code, phi0, split, chunk, nchunks) for chunk in range(nchunks)]
     if nchunks == 1:
         chunks = [_scan_chunk(payloads[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nchunks) as pool:
             chunks = list(pool.map(_scan_chunk, payloads))
-    merged: dict[tuple, LaurentPoly] = {}
+    merged: dict[tuple, dict[int, int]] = {}
     for chunk in chunks:
-        for key, pairs in chunk:
-            merged[key] = merged.get(key, LaurentPoly.zero()) + LaurentPoly(pairs)
-    return merged
+        for (key, exp), count in chunk:
+            bucket = merged.setdefault(tuple(key // base**i % base for i in range(n)), {})
+            bucket[exp] = bucket.get(exp, 0) + count
+    return {key: LaurentPoly(bucket) for key, bucket in sorted(merged.items())}
 
 
 def kostka_classical(
@@ -206,9 +274,7 @@ def kostka_classical(
     """Sum of q^(path energy) over classically restricted paths of content lam."""
     spec.validate()
     target = normalize_content(lam, spec.n)
-    table = scan_paths(
-        spec.n, spec.shapes, target, is_classically_restricted, (), cache_dir, jobs
-    )
+    table = scan_paths(spec.n, spec.shapes, target, CLASSICAL, (), cache_dir, jobs)
     return table.get(target, LaurentPoly.zero())
 
 
@@ -224,9 +290,8 @@ def kostka_level(
     target = target_content(spec.lam, spec.resolved_lam_prime(), spec.total_boxes())
     if target is None:  # no path has a content that produces LambdaPrime
         return LaurentPoly.zero()
-    restricted = functools.partial(is_level_restricted, lam=spec.lam)
     table = scan_paths(
-        spec.n, spec.shapes, target, restricted, spec.b0_tail(), cache_dir, jobs
+        spec.n, spec.shapes, target, spec.lam, spec.b0_tail(), cache_dir, jobs
     )
     return table.get(target, LaurentPoly.zero())
 

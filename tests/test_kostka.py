@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from concurrent import futures
 
 import pytest
 from test_acceptance import criterion_one_grid
@@ -13,6 +17,7 @@ from crystalpaths.kostka import (
     multiplicity_oracle,
     schur_expand,
     schur_monomials,
+    weight_energy_table,
 )
 from crystalpaths.laurent import LaurentPoly
 from crystalpaths.paths import (
@@ -154,20 +159,96 @@ def test_grading_selection():
     assert b0 == energy.phi_matching_element(2, RectShape(1, 1), other.lam)
 
 
-def test_parallel_scan_matches_serial():
+@pytest.fixture
+def pools(monkeypatch):
+    """Lets every scan with jobs > 1 start a worker pool; lists the pools
+    started."""
+    started = []
+    pool_class = futures.ProcessPoolExecutor
+
+    def recording_pool(*args, **kwargs):
+        started.append(kwargs.get("max_workers"))
+        return pool_class(*args, **kwargs)
+
+    monkeypatch.setattr(kostka, "MIN_PATHS_PER_WORKER", 1)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", recording_pool)
+    return started
+
+
+def test_parallel_scan_matches_serial(pools):
     spec = vacuum_spec(2, (S11,) * 4, 2)
     assert kostka_level(spec, jobs=2) == kostka_level(spec)
     classical = CrystalSpec(3, (S11,) * 3)
     assert kostka_classical(classical, (2, 1, 0), jobs=2) == kostka_classical(
         classical, (2, 1, 0)
     )
+    mixed = CrystalSpec(3, (RectShape(2, 1), S11, RectShape(1, 2), S11), level=2,
+                        lam=LevelWeight(2, (1, 0, 0), 0))
+    table = weight_energy_table(mixed)
+    assert table and weight_energy_table(mixed, jobs=2) == table
+    assert pools == [2, 2, 2]
+
+
+def test_small_scan_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
+    spec = vacuum_spec(3, (S11,) * 6, 2)  # 729 paths
+    assert kostka_level(spec, jobs=2) == kostka_level(spec)
+    assert weight_energy_table(spec, jobs=2) == weight_energy_table(spec)
+
+
+def test_import_leaves_the_pool_unloaded():
+    code = "import sys, crystalpaths; print('concurrent.futures.process' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(kostka.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+def test_pool_scan_reads_tables_in_the_parent_once_per_pair(tmp_path, monkeypatch, pools):
+    """Workers get the tables in their payload: every build and load happens
+    in the calling process, once per pair of shapes a path meets."""
+    log = tmp_path / "calls"
+
+    def logging(fn):
+        def wrapper(n, shape2, shape1, *args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("%d %s %s %s\n" % (os.getpid(), fn.__name__, shape2, shape1))
+            return fn(n, shape2, shape1, *args)
+        return wrapper
+
+    monkeypatch.setattr(energy, "build_local_table", logging(energy.build_local_table))
+    monkeypatch.setattr(energy, "load_table", logging(energy.load_table))
+    s21, s12 = RectShape(2, 1), RectShape(1, 2)
+    spec = CrystalSpec(3, (s21, S11, s12, S11), level=2, lam=LevelWeight(2, (1, 0, 0), 0))
+    # left of right, then each factor against b0 (1x2)
+    pairs = {(s21, S11), (s21, s12), (S11, s12), (S11, S11), (s12, S11)}
+    pairs |= {(s, s12) for s in spec.shapes}
+    cache = str(tmp_path / "cache")
+    for round_ in ("build", "load"):
+        energy.clear_memory_tables()
+        log.write_text("")
+        kostka_level(spec, cache_dir=cache, jobs=2)
+        weight_energy_table(spec, cache_dir=cache, jobs=2)
+        calls = [line.split(" ", 2) for line in log.read_text().splitlines()]
+        assert {pid for pid, _, _ in calls} == {str(os.getpid())}
+        loads = sorted(key for _, name, key in calls if name == "load_table")
+        builds = sorted(key for _, name, key in calls if name == "build_local_table")
+        assert loads == sorted("%s %s" % pair for pair in pairs)
+        assert builds == (loads if round_ == "build" else [])
+    assert pools == [2] * 4
+    energy.clear_memory_tables()
 
 
 def test_polynomial_type():
     assert isinstance(kostka_classical(CrystalSpec(2, (S11,)), (1, 0)), LaurentPoly)
 
 
-def test_level_scan_resolves_b0_once(monkeypatch):
+def test_level_scan_resolves_b0_once(monkeypatch, pools):
     calls = []
     resolve = energy.phi_matching_element
 
@@ -186,6 +267,7 @@ def test_level_scan_resolves_b0_once(monkeypatch):
         poly = kostka_level(spec, jobs=jobs)
         assert poly(1) > 1
         assert len(calls) == 1, jobs
+    assert pools == [2]
 
 
 def counting(fn, calls):
@@ -205,22 +287,31 @@ def test_level_scan_skipped_when_n_does_not_divide(monkeypatch):
     assert calls == []
 
 
-def test_level_scan_tests_restriction_only_at_target_content(monkeypatch):
-    checked = []
-    restricted = paths.is_level_restricted
-
-    def recording(p, lam):
-        checked.append(p.weight())
-        return restricted(p, lam)
-
-    monkeypatch.setattr(paths, "is_level_restricted", recording)
-    monkeypatch.setattr(kostka, "is_level_restricted", recording, raising=False)
+def test_walk_leaves_are_the_literal_restricted_paths(monkeypatch):
+    """The walk's restricted leaves of every content are the paths that
+    is_level_restricted accepts, and the ones of the target content are
+    level_restricted_paths; the walk itself calls neither the restriction
+    test nor path_energy."""
     lam = LevelWeight(2, (1, 0, 0), 0)  # L0 + L1
     spec = CrystalSpec(3, (S11,) * 6, level=2, lam=lam)
+    literal = {}
+    for p in enumerate_paths(3, spec.shapes):
+        if paths.is_level_restricted(p, lam):
+            literal[p.weight()] = literal.get(p.weight(), LaurentPoly.zero()) + graded_stream(
+                [p], spec)
+    target = list(level_restricted_paths(3, spec.shapes, lam, lam))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the walk called a per-path reference")
+
+    for module in (paths, energy, kostka):
+        monkeypatch.setattr(module, "is_level_restricted", forbidden, raising=False)
+        monkeypatch.setattr(module, "path_energy", forbidden, raising=False)
+    walked = kostka.scan_paths(3, spec.shapes, None, lam, spec.b0_tail())
     poly = kostka_level(spec)
-    # Lambda' = Lambda, so the target content is (2, 2, 2): 6!/(2!)^3 paths
-    assert checked == [(2, 2, 2)] * 90
-    assert poly(1) == sum(1 for _ in level_restricted_paths(3, spec.shapes, lam, lam))
+    monkeypatch.undo()
+    assert walked == literal
+    assert poly == graded_stream(target, spec) == literal[(2, 2, 2)]
 
 
 def graded_stream(stream, spec):
@@ -254,3 +345,43 @@ def test_scan_matches_literal_streams():
             assert kostka_level(spec) == want, spec
             nonzero += bool(want)
     assert nonzero > 0
+
+
+def literal_content_table(spec, lam_prime=None):
+    """content -> sum of q^path_energy(p (x) b0 tail) over every path, or,
+    given lam_prime, over level_restricted_paths only."""
+    stream = (enumerate_paths(spec.n, spec.shapes) if lam_prime is None else
+              level_restricted_paths(spec.n, spec.shapes, spec.lam, lam_prime))
+    table = {}
+    for p in stream:
+        exp = energy.path_energy(paths.Path(spec.n, p.factors + spec.b0_tail()))
+        table[p.weight()] = table.get(p.weight(), LaurentPoly.zero()) + LaurentPoly.q_power(exp)
+    return table
+
+
+def test_walk_carry_matches_literal_grading():
+    """On products of three or more unequal factors the walk's energy carries
+    each new factor through the suffix by the local isomorphism; compare
+    with the literal grading in several orders, vacuum and not."""
+    s21, s12 = RectShape(2, 1), RectShape(1, 2)
+    products = [
+        (3, 2, (s21, S11, s12, S11)),
+        (3, 2, (s12, S11, S11, s21)),
+        (3, 2, (S11, s21, s12)),
+        (4, 2, (s21, S11, S11, s21, S11)),
+        (4, 2, (S11, s21, S11, s21)),
+    ]
+    seen = set()
+    for n, ell, shapes in products:
+        weights = list(dominant_level_weights(n, ell))
+        boxes = sum(s.rows * s.cols for s in shapes)
+        for lam in weights[:3]:  # the vacuum weight first
+            lam_primes = [w for w in weights if paths.target_content(lam, w, boxes)]
+            for k, lam_prime in enumerate(lam_primes[:2]):
+                spec = CrystalSpec(n, shapes, level=ell, lam=lam, lam_prime=lam_prime)
+                if k == 0:  # the content table does not depend on LambdaPrime
+                    assert weight_energy_table(spec) == literal_content_table(spec), spec
+                want = sum(literal_content_table(spec, lam_prime).values(), LaurentPoly.zero())
+                assert kostka_level(spec) == want, spec
+                seen.add((n, spec.is_vacuum(), bool(want)))
+    assert {(3, True, True), (3, False, True), (4, True, True), (4, False, True)} <= seen
