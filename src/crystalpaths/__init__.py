@@ -20,12 +20,14 @@ from .kostka import (
 )
 from .laurent import LaurentPoly
 from .paths import Path, format_path, parse_path
+from .signature import CertificateError
 from .tableaux import RectShape, Tableau, format_tableau, parse_tableau
 from .weights import LevelWeight
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "CertificateError",
     "CrystalSpec",
     "LaurentPoly",
     "LevelWeight",

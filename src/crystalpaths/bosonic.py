@@ -25,20 +25,25 @@ the target weight further than any content vector can reach.  Degenerate
 levels give closed evaluations: at level one with column factors the sum
 collapses to the single restricted path's monomial, and the formal
 level-zero sum vanishes unless the tensor product is empty, which is
-witnessed by an explicit sign-reversing pairing of the summands.
+witnessed by an explicit sign-reversing pairing of the summands.  The
+pairing holds a path as a tuple of element indices into the integer
+crystals (tableaux.RectCrystal), grades only the paths of the contents that
+_fiber_points reads, from the flat local tables of the path scan, and
+reflects a path in one signature pass (signature.reflection_steps).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import straighten, tableaux
 from .energy import get_local_table, path_energy
-from .kostka import CrystalSpec, weight_energy_table
+from .kostka import CrystalSpec, _int_tables, weight_energy_table
 from .laurent import LaurentPoly
-from .paths import Path, enumerate_paths, level_restricted_paths, target_content
-from .signature import raising_index
+from .paths import Path, format_path, level_restricted_paths, target_content
+from .signature import CertificateError, raising_index, reflection_steps
 from .tableaux import RectShape
 from .weights import (
     AffineWeylElement,
@@ -168,7 +173,7 @@ def level_one_identity(
     lam_prime = spec.resolved_lam_prime()
     restricted = list(level_restricted_paths(spec.n, spec.shapes, spec.lam, lam_prime))
     if len(restricted) > 1:
-        raise AssertionError(
+        raise CertificateError(
             "level-one restricted path set has %d elements" % len(restricted)
         )
     rhs = (
@@ -222,25 +227,108 @@ def level_zero_identity(
     }
 
 
-@dataclass(frozen=True)
-class Summand:
-    """One term of the alternating sum: group element (beta, tau) and path."""
+def _paths_by_content(crystals) -> dict[tuple, list[tuple[int, ...]]]:
+    """content -> every path of element indices of that content, one
+    index per factor crystal, leftmost first."""
+    by_content: dict[tuple, list[tuple[int, ...]]] = {(0,) * crystals[0].n: [()]}
+    for crystal in crystals:
+        grown: dict[tuple, list[tuple[int, ...]]] = {}
+        for content, paths in by_content.items():
+            for x, add in enumerate(crystal.content):
+                grown.setdefault(vadd(content, add), []).extend(p + (x,) for p in paths)
+        by_content = grown
+    return by_content
 
-    beta: tuple[int, ...]
-    tau: tuple[int, ...]
-    path: Path
 
-    def sign(self) -> int:
-        return perm_sign(self.tau)
+def _raise_and_reflect(crystals, path: tuple[int, ...], i: int) -> Optional[tuple[int, ...]]:
+    """s_i e_i of a path of element indices, or None when e_i kills it."""
+    stats = [(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, path)]
+    pos = raising_index(stats)
+    if pos is None:
+        return None
+    raised = list(path)
+    raised[pos] = crystals[pos].move(path[pos], i, -1)
+    stats = [(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, raised)]
+    return tuple(c.move(x, i, k) if k else x for c, x, k in zip(crystals, raised, reflection_steps(stats)))
 
 
-def _min_raisable_index(p: Path) -> int:
-    """Least operator index applicable to the rightmost factor."""
-    rightmost = p.factors[-1]
-    for i in range(p.n):
-        if tableaux.eps(rightmost, i) > 0:
+def _choice_index(crystal, x: int) -> int:
+    """Least operator index raising element x: the pairing's choice for a
+    path whose rightmost factor is x."""
+    for i in range(crystal.n):
+        if crystal.eps[i][x] > 0:
             return i
-    raise AssertionError("finite affine crystals admit some raising operator")
+    raise CertificateError("finite affine crystals admit some raising operator")
+
+
+def _level_zero_certificate(spec: CrystalSpec, cache_dir: Optional[str] = None):
+    """(crystals, truncation bound, summands, pairs) of the level-zero
+    pairing.  A summand is (beta, tau, path) with path a tuple of element
+    indices into crystals, mapped to its q-exponent; pairs lists each
+    certified pair (summand, image) once."""
+    n, shapes = spec.n, spec.shapes
+    zero = spec.lam.finite
+    bound = truncation_bound(n, 0, zero, zero, shapes, 0)
+    target = target_content(spec.lam, spec.lam, spec.total_boxes())
+    crystals = [tableaux.RectCrystal(n, s) for s in shapes]
+
+    summands: dict[tuple, int] = {}
+    # with no target content every fiber is empty and the certificate holds vacuously
+    if target is not None:
+        by_content = _paths_by_content(crystals)
+        meet = functools.cache(lambda left, right: _int_tables(n, left, right, cache_dir))
+        meets = [[meet(a, b) for b in shapes[j + 1:]] for j, a in enumerate(shapes)]
+        for tau, _, beta, content, exponent in _fiber_points(n, rho_vector(n), target, bound, by_content):
+            for path in by_content[content]:
+                energy = exponent  # as in path_energy, each factor is carried past the later ones
+                for j, x in enumerate(path):
+                    for (heights, carry, width), y in zip(meets[j], path[j + 1:]):
+                        energy += heights[x * width + y]
+                        x = carry[x * width + y]
+                summands[beta, tau, path] = energy
+
+    def described(summand) -> str:
+        beta, tau, path = summand
+        factors = tuple(c.elements[x] for c, x in zip(crystals, path))
+        return "beta=%s tau=%s path=%s" % (beta, tau, format_path(Path(n, factors)))
+
+    @functools.cache
+    def times_r(beta, tau, i):
+        w = AffineWeylElement(beta, tau).compose_reflection(i)
+        return w.beta, w.tau
+
+    sign = functools.cache(perm_sign)
+    pairs = []
+    seen = set()
+    for s, exponent in summands.items():
+        if s in seen:
+            continue
+        beta, tau, path = s
+        i = _choice_index(crystals[-1], path[-1])
+        image_path = _raise_and_reflect(crystals, path, i)
+        if image_path is None:
+            raise CertificateError("tensor statistics dominate the rightmost factor at %s" % described(s))
+        image = (*times_r(beta, tau, i), image_path)
+        if image not in summands:
+            raise CertificateError("pairing image of %s violates the weight condition" % described(s))
+        if summands[image] != exponent:
+            raise CertificateError("pairing does not preserve the q-exponent at %s" % described(s))
+        if image == s:
+            raise CertificateError("pairing has a fixed point at %s" % described(s))
+        if sign(image[1]) != -sign(tau):
+            raise CertificateError("pairing does not reverse the sign at %s" % described(s))
+        if _choice_index(crystals[-1], image_path[-1]) != i:
+            raise CertificateError("choice index is not constant on the pair at %s" % described(s))
+        if (*times_r(*image[:2], i), _raise_and_reflect(crystals, image_path, i)) != s:
+            raise CertificateError("pairing is not an involution at %s" % described(s))
+        seen.add(s)
+        seen.add(image)
+        pairs.append((s, image))
+
+    total = LaurentPoly([(exponent, sign(tau)) for (_, tau, _), exponent in summands.items()])
+    if total != LaurentPoly.zero():
+        raise CertificateError("paired summands must cancel exactly")
+    return crystals, bound, summands, pairs
 
 
 def level_zero_pairing(
@@ -252,63 +340,12 @@ def level_zero_pairing(
     is the least index raising the rightmost factor of b.  The certificate
     checks that the image is again a summand, that the pairing is a
     fixed-point-free involution matching opposite signs and equal exponents,
-    and that the choice index is constant on each pair."""
+    and that the choice index is constant on each pair; a failed check
+    raises CertificateError."""
     spec = _level_zero_spec(n, shapes)
     if not spec.shapes:
         raise ValueError("pairing needs a nonempty tensor product")
-    zero = spec.lam.finite
-    bound = truncation_bound(n, 0, zero, zero, spec.shapes, 0)
-    target = target_content(spec.lam, spec.lam, spec.total_boxes())
-
-    # with no target content every fiber is empty and the certificate holds vacuously
-    by_content: dict[tuple, list[tuple[Path, int]]] = {}
-    if target is not None:
-        for p in enumerate_paths(n, spec.shapes):
-            by_content.setdefault(p.weight(), []).append((p, path_energy(p, cache_dir)))
-
-    summands: dict[Summand, int] = {}
-    points = _fiber_points(n, rho_vector(n), target, bound, by_content)
-    for tau, _, beta, content, exponent in points:
-        for p, energy in by_content[content]:
-            summands[Summand(beta, tau, p)] = energy + exponent
-
-    pairs = []
-    seen = set()
-    for s, exponent in summands.items():
-        if s in seen:
-            continue
-        i = _min_raisable_index(s.path)
-        raised = s.path.e(i)
-        if raised is None:
-            raise AssertionError("tensor statistics dominate the rightmost factor at %s" % (s,))
-        image_path = raised.reflect(i)
-        w = AffineWeylElement(s.beta, s.tau).compose_reflection(i)
-        image = Summand(w.beta, w.tau, image_path)
-        if image not in summands:
-            raise AssertionError(
-                "pairing image violates the weight condition: %s -> %s" % (s, image)
-            )
-        if summands[image] != exponent:
-            raise AssertionError("pairing does not preserve the q-exponent")
-        if image == s:
-            raise AssertionError("pairing has a fixed point at %s" % (s,))
-        if image.sign() != -s.sign():
-            raise AssertionError("pairing does not reverse the sign")
-        if _min_raisable_index(image.path) != i:
-            raise AssertionError("choice index is not constant on the pair")
-        w_back = AffineWeylElement(image.beta, image.tau).compose_reflection(i)
-        back = Summand(w_back.beta, w_back.tau, image_path.e(i).reflect(i))
-        if back != s:
-            raise AssertionError("pairing is not an involution at %s" % (s,))
-        seen.add(s)
-        seen.add(image)
-        pairs.append((s, image))
-
-    total = LaurentPoly(
-        [(exponent, s.sign()) for s, exponent in summands.items()]
-    )
-    if total != LaurentPoly.zero():
-        raise AssertionError("paired summands must cancel exactly")
+    _, bound, summands, pairs = _level_zero_certificate(spec, cache_dir)
     return {
         "summand_count": len(summands),
         "pairing_size": len(pairs),

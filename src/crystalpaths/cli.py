@@ -31,6 +31,7 @@ from .bosonic import (
 )
 from .kostka import CrystalSpec, kostka_classical, kostka_level, weight_energy_table
 from .laurent import LaurentPoly
+from .signature import CertificateError
 from .tableaux import RectShape
 from .weights import LevelWeight, fundamental_vector, vadd
 
@@ -384,6 +385,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         sys.stderr.write("validation error: %s\n" % exc)
         return 2
+    except CertificateError as exc:
+        sys.stderr.write("certificate failed: %s\n" % exc)
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import tableaux
 from .paths import Path
-from .signature import raising_index
+from .signature import CertificateError, raising_index
 from .tableaux import RectShape, Tableau
 from .weights import LevelWeight
 
@@ -128,12 +128,13 @@ def build_local_table(n: int, shape2: RectShape, shape1: RectShape) -> LocalIsoT
             for i in range(1, n):
                 fx = _pair_f(n, x, i)
                 fy = _pair_f(n, y, i)
-                assert (fx is None) == (fy is None), "components of equal weight disagree"
+                if (fx is None) != (fy is None):
+                    raise CertificateError("components of equal weight disagree")
                 if fx is not None and fx not in iso:
                     iso[fx] = fy
                     stack.append(fx)
-    assert len(iso) == size, "transport missed part of the tensor product"
-    assert len(set(iso.values())) == size, "transport image is not a bijection"
+    if len(iso) != size or len(set(iso.values())) != size:
+        raise CertificateError("transport is not a bijection of the tensor product")
 
     energy: dict[Pair, int] = {}
     start = (
@@ -145,7 +146,8 @@ def build_local_table(n: int, shape2: RectShape, shape1: RectShape) -> LocalIsoT
         """Increment of H along the 0-edge raising x, judged on both sides
         of the local isomorphism."""
         side_src = _raising_side(n, x)
-        assert side_src is not None
+        if side_src is None:
+            raise CertificateError("a 0-edge raises %s, which e_0 kills" % (x,))
         side_img = _raising_side(n, iso[x])
         if side_src == 0 and side_img == 0:
             return -1
@@ -161,19 +163,19 @@ def build_local_table(n: int, shape2: RectShape, shape1: RectShape) -> LocalIsoT
             up = _pair_e(n, x, i)
             if up is not None:
                 value = energy[x] + (zero_step(x) if i == 0 else 0)
-                if up in energy:
-                    assert energy[up] == value, "local energy recursion is inconsistent"
-                else:
+                if up not in energy:
                     energy[up] = value
                     queue.append(up)
+                elif energy[up] != value:
+                    raise CertificateError("local energy recursion is inconsistent")
             down = _pair_f(n, x, i)
             if down is not None:
                 value = energy[x] - (zero_step(down) if i == 0 else 0)
-                if down in energy:
-                    assert energy[down] == value, "local energy recursion is inconsistent"
-                else:
+                if down not in energy:
                     energy[down] = value
                     queue.append(down)
+                elif energy[down] != value:
+                    raise CertificateError("local energy recursion is inconsistent")
     if len(energy) != size:
         raise ValueError(
             "tensor product %s(x)%s is not connected; local energy undefined"
@@ -296,8 +298,8 @@ def get_local_table(
             save_table(table, cache_dir)
     with _LOCK:
         winner = _TABLES.setdefault(key, table)
-        if winner is not table:
-            assert winner.iso == table.iso and winner.energy == table.energy
+        if winner is not table and (winner.iso != table.iso or winner.energy != table.energy):
+            raise CertificateError("racing builds of the table %s disagree" % (key,))
     return _TABLES[key]
 
 

@@ -43,7 +43,7 @@ from . import tableaux
 from .energy import get_local_table, phi_matching_element
 from .laurent import LaurentPoly
 from .paths import normalize_content, target_content
-from .tableaux import RectShape, Tableau, enumerate_tableaux
+from .tableaux import RectShape, Tableau
 from .weights import LevelWeight
 
 
@@ -153,12 +153,11 @@ MIN_PATHS_PER_WORKER = 50000
 def _int_tables(n: int, shape2: RectShape, shape1: RectShape, cache_dir) -> tuple:
     """The flat integer tables the walk reads: (energy, carry, |B1|) with
     energy[a*|B1| + b] = H(a (x) b) and carry[a*|B1| + b] the index of b2' in
-    R(a (x) b) = b1' (x) b2', in the order of enumerate_tableaux."""
+    R(a (x) b) = b1' (x) b2', elements indexed as in tableaux.RectCrystal."""
     table = get_local_table(n, shape2, shape1, cache_dir)
-    right = enumerate_tableaux(shape1, n)
-    index = {t: k for k, t in enumerate(enumerate_tableaux(shape2, n))}
-    pairs = [(a, b) for a in index for b in right]
-    return [table.energy[p] for p in pairs], [index[table.iso[p][1]] for p in pairs], len(right)
+    left, right = tableaux.RectCrystal(n, shape2), tableaux.RectCrystal(n, shape1)
+    pairs = [(a, b) for a in left.elements for b in right.elements]
+    return [table.energy[p] for p in pairs], [left.index[table.iso[p][1]] for p in pairs], len(right.elements)
 
 
 def _scan_chunk(payload):
@@ -236,12 +235,13 @@ def scan_paths(
     met = [t.shape for t in b0_tail]  # shapes right of the factor placed next
     levels = []
     for shape in reversed(shapes):
-        elements = [(encode(t.content()), tuple(tableaux.eps(t, i) for i in indices),
-                     tuple(tableaux.phi(t, i) - tableaux.eps(t, i) for i in indices))
-                    for t in enumerate_tableaux(shape, n)]
+        crystal = tableaux.RectCrystal(n, shape)
+        elements = [(encode(content), tuple(crystal.eps[i][x] for i in indices),
+                     tuple(crystal.phi[i][x] - crystal.eps[i][x] for i in indices))
+                    for x, content in enumerate(crystal.content)]
         levels.append((elements, [table(shape, other) for other in reversed(met)]))
         met.append(shape)
-    tail = tuple(enumerate_tableaux(t.shape, n).index(t) for t in b0_tail)
+    tail = tuple(tableaux.RectCrystal(n, t.shape).index[t] for t in b0_tail)
     code = None if target is None else encode(target)
 
     sizes = list(itertools.accumulate((len(e) for e, _ in levels), operator.mul)) or [1]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import tableaux
-from .signature import fold_stats, lowering_index, raising_index
+from .signature import CertificateError, fold_stats, lowering_index, raising_index
 from .tableaux import RectShape, Tableau
 from .weights import LevelWeight, vadd
 
@@ -59,7 +59,8 @@ class Path:
         if pos is None:
             return None
         moved = tableaux.e(self.factors[pos], i)
-        assert moved is not None, "signature rule pointed at an exhausted factor"
+        if moved is None:
+            raise CertificateError("signature rule pointed at an exhausted factor")
         return self._with_factor(pos, moved)
 
     def f(self, i: int) -> Optional["Path"]:
@@ -67,7 +68,8 @@ class Path:
         if pos is None:
             return None
         moved = tableaux.f(self.factors[pos], i)
-        assert moved is not None, "signature rule pointed at an exhausted factor"
+        if moved is None:
+            raise CertificateError("signature rule pointed at an exhausted factor")
         return self._with_factor(pos, moved)
 
     def reflect(self, i: int) -> "Path":
@@ -77,7 +79,8 @@ class Path:
             out = out.f(i)
         for _ in range(-gap):
             out = out.e(i)
-        assert out is not None
+        if out is None:
+            raise CertificateError("the %d-string of %s ends before its mirror point" % (i, self))
         return out
 
     def _with_factor(self, pos: int, t: Tableau) -> "Path":

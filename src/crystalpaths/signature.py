@@ -20,6 +20,11 @@ from typing import Optional, Sequence
 Stats = tuple[int, int]  # (eps, phi) of one factor for a fixed operator index
 
 
+class CertificateError(AssertionError):
+    """A mathematical certificate failed: the computation contradicts a
+    theorem it relies on.  Raised explicitly, so ``python -O`` keeps it."""
+
+
 def combine(left: Stats, right: Stats) -> Stats:
     le, lp = left
     re, rp = right
@@ -36,10 +41,9 @@ def fold_stats(stats: Sequence[Stats]) -> Stats:
 
 def raising_index(stats: Sequence[Stats]) -> Optional[int]:
     """Index of the factor a raising operator acts on, or None if it is undefined."""
-    eps, _ = fold_stats(stats)
-    if eps == 0:
-        return None
     prefixes = list(accumulate(stats, combine, initial=(0, 0)))  # [k]: first k factors
+    if prefixes[-1][0] == 0:
+        return None
     for j in range(len(stats) - 1, 0, -1):
         if stats[j][1] >= prefixes[j][0]:
             return j
@@ -48,11 +52,27 @@ def raising_index(stats: Sequence[Stats]) -> Optional[int]:
 
 def lowering_index(stats: Sequence[Stats]) -> Optional[int]:
     """Index of the factor a lowering operator acts on, or None if it is undefined."""
-    _, phi = fold_stats(stats)
-    if phi == 0:
-        return None
     prefixes = list(accumulate(stats, combine, initial=(0, 0)))  # [k]: first k factors
+    if prefixes[-1][1] == 0:
+        return None
     for j in range(len(stats) - 1, 0, -1):
         if stats[j][1] > prefixes[j][0]:
             return j
     return 0
+
+
+def reflection_steps(stats: Sequence[Stats]) -> list[int]:
+    """Per factor, the steps of the crystal reflection s_i in one pass: k > 0
+    for k lowerings, -k for k raisings.  Each factor reads +^phi -^eps and a
+    - cancels a free + to its right, so the product reduces to +^phi -^eps.
+    s_i turns that into +^eps -^phi: it lowers the phi - eps rightmost free
+    + signs, or raises the eps - phi leftmost free - signs."""
+    prefixes = list(accumulate(stats, combine, initial=(0, 0)))  # [k]: first k factors
+    eps, phi = prefixes[-1]
+    if eps > phi:  # reversing the factors and swapping eps with phi mirrors the rule
+        return [-k for k in reversed(reflection_steps([(p, e) for e, p in reversed(stats)]))]
+    steps, left = [0] * len(stats), phi - eps
+    for j in range(len(stats) - 1, -1, -1):
+        steps[j] = min(left, max(0, stats[j][1] - prefixes[j][0]))  # free + signs of factor j
+        left -= steps[j]
+    return steps

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .signature import CertificateError
 from .weights import (
     LevelWeight,
     Vector,
@@ -93,14 +94,15 @@ def normalize(sym: SchurSymbol) -> Optional[NormalForm]:
         return None
     ascending = sorted(residues)
     shift_total = sum(mu) - sum(residues)
-    assert shift_total % m == 0
+    if shift_total % m:
+        raise CertificateError("residues of %s do not sum to its total modulo %d" % (mu, m))
     blocks, extra = divmod(shift_total // m, n)
     bumped = set(ascending[:extra])
     nu = tuple(
         sorted((r + m * blocks + (m if r in bumped else 0) for r in residues), reverse=True)
     )
-    assert sum(nu) == sum(mu)
-    assert all(nu[i] > nu[i + 1] for i in range(n - 1)) and nu[0] - nu[-1] < m
+    if sum(nu) != sum(mu) or any(nu[i] <= nu[i + 1] for i in range(n - 1)) or nu[0] - nu[-1] >= m:
+        raise CertificateError("%s is not the window representative of %s" % (nu, mu))
 
     by_residue = {x % m: j for j, x in enumerate(mu)}
     perm = [0] * n
@@ -109,7 +111,8 @@ def normalize(sym: SchurSymbol) -> Optional[NormalForm]:
         j = by_residue[value % m]
         perm[j] = i + 1
         beta[i] = (value - mu[j]) // m
-    assert sum(beta) == 0
+    if sum(beta):
+        raise CertificateError("translation %s does not sum to zero" % (beta,))
     tau_mu = vsub(nu, tuple(m * b for b in beta))
     qpow = dot(tau_mu, tuple(beta)) + m * norm2(tuple(beta)) // 2
     return (

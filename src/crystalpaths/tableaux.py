@@ -3,7 +3,11 @@
 A tableau with entries in {1..n} carries raising and lowering operators
 e_i, f_i for 1 <= i <= n-1 through the signature rule on its cells, and the
 index-0 operators through conjugation by promotion, the cyclic symmetry of
-the rank-n alphabet.  Undefined operator results are returned as None.
+the rank-n alphabet.  Each crystal B(shape) at rank n is built once, as
+integer arrays over its elements (RectCrystal); eps, phi, e, f, promotion
+and promotion_inverse answer from those arrays, and the signature rule and
+promotion themselves run only while a crystal is built.  Undefined operator
+results are returned as None.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .signature import fold_stats, lowering_index, raising_index
+from .signature import CertificateError, fold_stats, lowering_index, raising_index
 
 
 class RectShape(NamedTuple):
@@ -65,7 +69,7 @@ class Tableau:
             if any(a >= b for a, b in zip(up, down)):
                 raise ValueError("column not strictly increasing")
 
-    @property
+    @functools.cached_property
     def shape(self) -> RectShape:
         return RectShape(len(self.rows), len(self.rows[0]))
 
@@ -134,11 +138,7 @@ def enumerate_tableaux(shape: RectShape, n: int) -> tuple[Tableau, ...]:
 
 
 # ---------------------------------------------------------------------------
-# classical operators via the signature rule on the cell word
-
-
-def _cell_stats(x: int, i: int) -> tuple[int, int]:
-    return (1 if x == i + 1 else 0, 1 if x == i else 0)
+# the literal rules, run only while a RectCrystal is built
 
 
 def _replace_cell(t: Tableau, index: int, value: int) -> Tableau:
@@ -150,44 +150,8 @@ def _replace_cell(t: Tableau, index: int, value: int) -> Tableau:
     return Tableau(t.n, tuple(tuple(row) for row in rows))
 
 
-def _check_classical(i: int, n: int):
-    if not 1 <= i <= n - 1:
-        raise ValueError("classical operator index out of range: %d" % i)
-
-
-@functools.lru_cache(maxsize=None)
-def _classical_eps_phi(t: Tableau, i: int) -> tuple[int, int]:
-    return fold_stats([_cell_stats(x, i) for x in t.cells()])
-
-
-@functools.lru_cache(maxsize=None)
-def _classical_e(t: Tableau, i: int) -> Optional[Tableau]:
-    stats = [_cell_stats(x, i) for x in t.cells()]
-    pos = raising_index(stats)
-    if pos is None:
-        return None
-    assert t.cells()[pos] == i + 1
-    return _replace_cell(t, pos, i)
-
-
-@functools.lru_cache(maxsize=None)
-def _classical_f(t: Tableau, i: int) -> Optional[Tableau]:
-    stats = [_cell_stats(x, i) for x in t.cells()]
-    pos = lowering_index(stats)
-    if pos is None:
-        return None
-    assert t.cells()[pos] == i
-    return _replace_cell(t, pos, i + 1)
-
-
-# ---------------------------------------------------------------------------
-# promotion: remove the largest letter, slide, increment, refill with 1
-
-
-@functools.lru_cache(maxsize=None)
-def promotion(t: Tableau) -> Tableau:
-    """Cyclic shift of the crystal: content rotates one step and
-    promotion o f_i = f_{i+1 mod n} o promotion.
+def _promote(t: Tableau) -> Tableau:
+    """Promotion: remove the largest letter, slide, increment, refill with 1.
 
     The maximal letters sit at the bottom of their columns in a suffix of
     the last row.  Each vacated cell slides toward the top-left corner,
@@ -200,9 +164,8 @@ def promotion(t: Tableau) -> Tableau:
     k, l = t.shape
     grid: list[list[Optional[int]]] = [list(row) for row in t.rows]
     holes = [c for c in range(l) if grid[k - 1][c] == n]
-    assert all(
-        grid[r][c] != n for r in range(k - 1) for c in range(l)
-    ), "maximal letters must lie in the bottom row of a rectangle"
+    if any(grid[r][c] == n for r in range(k - 1) for c in range(l)):
+        raise CertificateError("maximal letters must lie in the bottom row of a rectangle")
     for c in holes:
         grid[k - 1][c] = None
     for c in holes:
@@ -220,67 +183,118 @@ def promotion(t: Tableau) -> Tableau:
                 col -= 1
             grid[r][col] = None
     parked = sum(1 for c in range(l) if grid[0][c] is None)
-    assert parked == len(holes) and all(
-        grid[0][c] is None for c in range(len(holes))
-    ), "holes must park as a prefix of the first row"
+    if parked != len(holes) or any(grid[0][c] is not None for c in range(len(holes))):
+        raise CertificateError("holes must park as a prefix of the first row")
     rows = tuple(
         tuple(1 if x is None else x + 1 for x in row) for row in grid
     )
     return Tableau(n, rows)
 
 
-@functools.lru_cache(maxsize=None)
-def promotion_inverse(t: Tableau) -> Tableau:
-    """Inverse cyclic shift; promotion has order n on rectangles."""
-    out = t
-    for _ in range(t.n - 1):
-        out = promotion(out)
-    return out
+@functools.cache
+class RectCrystal:
+    """The affine crystal B(shape) at rank n as integer arrays, built once
+    per (n, shape).
+
+    Element x is the tableau ``elements[x]``, in enumerate_tableaux order,
+    and ``index`` inverts that.  For every i in I = {0, 1, ..., n-1},
+    ``eps[i][x]`` and ``phi[i][x]`` are the string lengths and ``e[i][x]``
+    and ``f[i][x]`` the operator images, -1 where undefined.  The classical
+    operators come from the signature rule on the cell word, the index-0
+    operators from e_1 and f_1 conjugated by promotion, which rotates the
+    alphabet: promotion o f_i = f_(i+1 mod n) o promotion, and promotion has
+    order n.  ``promotion`` and ``promotion_inverse`` are index permutations.
+    """
+
+    def __init__(self, n: int, shape: RectShape):
+        self.n, self.shape = n, RectShape(*shape)
+        self.elements = enumerate_tableaux(self.shape, n)
+        self.index = {t: x for x, t in enumerate(self.elements)}
+        self.content = tuple(t.content() for t in self.elements)
+        self.promotion = tuple(self.index[_promote(t)] for t in self.elements)
+        inverse = [0] * len(self.elements)
+        for x, y in enumerate(self.promotion):
+            inverse[y] = x
+        self.promotion_inverse = tuple(inverse)
+        self.eps, self.phi, self.e, self.f = ([None] * n for _ in range(4))
+        for i in range(1, n):
+            self.eps[i], self.phi[i], self.e[i], self.f[i] = zip(
+                *(self._signature_rule(t, i) for t in self.elements))
+        self.eps[0], self.phi[0] = (tuple(s[y] for y in self.promotion) for s in (self.eps[1], self.phi[1]))
+        self.e[0], self.f[0] = (
+            tuple(-1 if op[y] < 0 else self.promotion_inverse[op[y]] for y in self.promotion)
+            for op in (self.e[1], self.f[1]))
+
+    def move(self, x: int, i: int, steps: int) -> int:
+        """Element x moved by f_i^steps, or by e_i^-steps when steps < 0,
+        where the string is known to be long enough."""
+        table = self.f[i] if steps > 0 else self.e[i]
+        for _ in range(abs(steps)):
+            if table[x] < 0:
+                raise CertificateError("the %d-string of %s ends early" % (i, self.elements[x]))
+            x = table[x]
+        return x
+
+    def _signature_rule(self, t: Tableau, i: int) -> tuple[int, int, int, int]:
+        """(eps_i, phi_i, e_i, f_i) of t, e_i changing the cell that the
+        signature rule points at from i+1 to i and f_i from i to i+1."""
+        cells = t.cells()
+        stats = [(int(x == i + 1), int(x == i)) for x in cells]
+        moved = []
+        for pos, old, new in ((raising_index(stats), i + 1, i), (lowering_index(stats), i, i + 1)):
+            if pos is not None and cells[pos] != old:
+                raise CertificateError("signature rule pointed at cell %d of %s, not a %d" % (pos, t, old))
+            moved.append(-1 if pos is None else self.index[_replace_cell(t, pos, new)])
+        return (*fold_stats(stats), *moved)
 
 
 # ---------------------------------------------------------------------------
-# full operator family over I = {0, 1, ..., n-1}
+# full operator family over I = {0, 1, ..., n-1}, answered from the arrays
+
+
+def _element(t: Tableau, i: int) -> tuple[RectCrystal, int]:
+    if not 0 <= i < t.n:
+        raise ValueError("operator index out of range: %d" % i)
+    crystal = RectCrystal(t.n, t.shape)
+    return crystal, crystal.index[t]
 
 
 def eps(t: Tableau, i: int) -> int:
-    if i == 0:
-        return _classical_eps_phi(promotion(t), 1)[0]
-    _check_classical(i, t.n)
-    return _classical_eps_phi(t, i)[0]
+    crystal, x = _element(t, i)
+    return crystal.eps[i][x]
 
 
 def phi(t: Tableau, i: int) -> int:
-    if i == 0:
-        return _classical_eps_phi(promotion(t), 1)[1]
-    _check_classical(i, t.n)
-    return _classical_eps_phi(t, i)[1]
+    crystal, x = _element(t, i)
+    return crystal.phi[i][x]
 
 
 def e(t: Tableau, i: int) -> Optional[Tableau]:
-    if i == 0:
-        up = _classical_e(promotion(t), 1)
-        return None if up is None else promotion_inverse(up)
-    _check_classical(i, t.n)
-    return _classical_e(t, i)
+    crystal, x = _element(t, i)
+    y = crystal.e[i][x]
+    return None if y < 0 else crystal.elements[y]
 
 
 def f(t: Tableau, i: int) -> Optional[Tableau]:
-    if i == 0:
-        down = _classical_f(promotion(t), 1)
-        return None if down is None else promotion_inverse(down)
-    _check_classical(i, t.n)
-    return _classical_f(t, i)
+    crystal, x = _element(t, i)
+    y = crystal.f[i][x]
+    return None if y < 0 else crystal.elements[y]
+
+
+def promotion(t: Tableau) -> Tableau:
+    """Cyclic shift of the crystal: content rotates one step and
+    promotion o f_i = f_{i+1 mod n} o promotion."""
+    crystal, x = _element(t, 0)
+    return crystal.elements[crystal.promotion[x]]
+
+
+def promotion_inverse(t: Tableau) -> Tableau:
+    """Inverse cyclic shift; promotion has order n on rectangles."""
+    crystal, x = _element(t, 0)
+    return crystal.elements[crystal.promotion_inverse[x]]
 
 
 def reflect(t: Tableau, i: int) -> Tableau:
     """Crystal reflection: move to the mirror position on the i-string."""
-    gap = phi(t, i) - eps(t, i)
-    out: Optional[Tableau] = t
-    if gap > 0:
-        for _ in range(gap):
-            out = f(out, i)
-    elif gap < 0:
-        for _ in range(-gap):
-            out = e(out, i)
-    assert out is not None
-    return out
+    crystal, x = _element(t, i)
+    return crystal.elements[crystal.move(x, i, crystal.phi[i][x] - crystal.eps[i][x])]

@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .signature import CertificateError
+
 Vector = tuple[int, ...]
 Permutation = tuple[int, ...]
 
@@ -238,7 +240,8 @@ class AffineWeylElement:
         f = perm_apply(self.tau, w.finite)
         level = w.level
         sq = norm2(self.beta)
-        assert sq % 2 == 0, "sum-zero vectors have even square norm"
+        if sq % 2:
+            raise CertificateError("sum-zero vectors have even square norm")
         shift = dot(f, self.beta) + level * sq // 2
         return LevelWeight(level, vadd(f, vscale(level, self.beta)), w.delta - shift)
 

@@ -1,11 +1,12 @@
 import collections
 import functools
 import itertools
+from dataclasses import dataclass
 
 import pytest
 from test_acceptance import criterion_one_grid
 
-from crystalpaths import bosonic, kostka
+from crystalpaths import bosonic, energy, kostka, tableaux
 from crystalpaths.bosonic import (
     _fiber_points,
     alternating_sum,
@@ -17,11 +18,15 @@ from crystalpaths.bosonic import (
     level_zero_pairing,
     truncation_bound,
 )
+from crystalpaths.cli import main
+from crystalpaths.energy import path_energy
 from crystalpaths.kostka import CrystalSpec, kostka_level, weight_energy_table
 from crystalpaths.laurent import LaurentPoly
-from crystalpaths.paths import enumerate_paths, target_content
+from crystalpaths.paths import Path, enumerate_paths, target_content
+from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import (
+    AffineWeylElement,
     LevelWeight,
     dot,
     norm2,
@@ -258,7 +263,7 @@ def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(kostka, "scan_paths", counting(kostka.scan_paths))
-    monkeypatch.setattr(bosonic, "enumerate_paths", counting(bosonic.enumerate_paths))
+    monkeypatch.setattr(bosonic, "_paths_by_content", counting(bosonic._paths_by_content))
     shapes = (S11, S11)
     report = level_zero_identity(3, shapes)
     assert report["equal"] and report["summand_count"] == 0
@@ -324,3 +329,149 @@ def test_vacuum_report_scans_once(monkeypatch):
     report = bosonic_report(spec)
     assert len(calls) == 1
     assert report.polynomial == kostka_level(spec)
+
+
+@dataclass(frozen=True)
+class Summand:
+    """One term of the alternating sum: group element (beta, tau) and path."""
+
+    beta: tuple[int, ...]
+    tau: tuple[int, ...]
+    path: Path
+
+    def sign(self) -> int:
+        return perm_sign(self.tau)
+
+
+def _min_raisable_index(p):
+    """Least operator index applicable to the rightmost factor."""
+    rightmost = p.factors[-1]
+    for i in range(p.n):
+        if tableaux.eps(rightmost, i) > 0:
+            return i
+    raise AssertionError("finite affine crystals admit some raising operator")
+
+
+def reference_pairing(n, shapes):
+    """Reference: the level-zero pairing on Tableau paths, graded with
+    path_energy and moved with Path.e and the stepwise Path.reflect; returns
+    (summand -> exponent, list of (summand, image) pairs)."""
+    spec = bosonic._level_zero_spec(n, shapes)
+    zero = spec.lam.finite
+    bound = truncation_bound(n, 0, zero, zero, spec.shapes, 0)
+    target = target_content(spec.lam, spec.lam, spec.total_boxes())
+
+    by_content = {}
+    if target is not None:
+        for p in enumerate_paths(n, spec.shapes):
+            by_content.setdefault(p.weight(), []).append((p, path_energy(p)))
+
+    summands = {}
+    points = _fiber_points(n, rho_vector(n), target, bound, by_content)
+    for tau, _, beta, content, exponent in points:
+        for p, energy_ in by_content[content]:
+            summands[Summand(beta, tau, p)] = energy_ + exponent
+
+    pairs = []
+    seen = set()
+    for s, exponent in summands.items():
+        if s in seen:
+            continue
+        i = _min_raisable_index(s.path)
+        raised = s.path.e(i)
+        if raised is None:
+            raise AssertionError("tensor statistics dominate the rightmost factor at %s" % (s,))
+        image_path = raised.reflect(i)
+        w = AffineWeylElement(s.beta, s.tau).compose_reflection(i)
+        image = Summand(w.beta, w.tau, image_path)
+        if image not in summands:
+            raise AssertionError(
+                "pairing image violates the weight condition: %s -> %s" % (s, image)
+            )
+        if summands[image] != exponent:
+            raise AssertionError("pairing does not preserve the q-exponent")
+        if image == s:
+            raise AssertionError("pairing has a fixed point at %s" % (s,))
+        if image.sign() != -s.sign():
+            raise AssertionError("pairing does not reverse the sign")
+        if _min_raisable_index(image.path) != i:
+            raise AssertionError("choice index is not constant on the pair")
+        w_back = AffineWeylElement(image.beta, image.tau).compose_reflection(i)
+        back = Summand(w_back.beta, w_back.tau, image_path.e(i).reflect(i))
+        if back != s:
+            raise AssertionError("pairing is not an involution at %s" % (s,))
+        seen.add(s)
+        seen.add(image)
+        pairs.append((s, image))
+
+    total = LaurentPoly(
+        [(exponent, s.sign()) for s, exponent in summands.items()]
+    )
+    if total != LaurentPoly.zero():
+        raise AssertionError("paired summands must cancel exactly")
+    return summands, pairs
+
+
+# criterion 3's grid, and every variant of the level_zero strata of bench/pools.json
+PAIRING_GRID = [
+    (n, tuple(RectShape(k, 1) for k in heights))
+    for n in (2, 3, 4)
+    for length in range(1, 5)
+    for heights in itertools.product(range(1, n), repeat=length)
+] + [
+    (n, tuple(RectShape(k, 1) for k in heights))
+    for n, heights in (
+        (5, (2, 3)), (5, (3, 2)),
+        (5, (3, 1, 1)), (5, (1, 3, 1)), (5, (1, 1, 3)),
+        (4, (3, 3, 2)), (4, (3, 2, 3)), (4, (2, 3, 3)),
+        (4, (2, 2, 2, 2)),
+    )
+]
+
+
+def test_pairing_matches_reference():
+    """The pairing on element indices yields the reference's summands, with
+    their exponents, and the reference's pairs."""
+    for n, shapes in PAIRING_GRID:
+        crystals, _, summands, pairs = bosonic._level_zero_certificate(
+            bosonic._level_zero_spec(n, shapes))
+
+        def as_tableaux(summand):
+            beta, tau, path = summand
+            return Summand(beta, tau, Path(n, tuple(c.elements[x] for c, x in zip(crystals, path))))
+
+        want_summands, want_pairs = reference_pairing(n, shapes)
+        assert {as_tableaux(s): e for s, e in summands.items()} == want_summands, (n, shapes)
+        assert {frozenset(map(as_tableaux, pair)) for pair in pairs} == {
+            frozenset(pair) for pair in want_pairs}, (n, shapes)
+        assert len(pairs) == len(want_pairs)
+
+
+def test_pairing_calls_no_per_path_reference(monkeypatch):
+    """level_zero_pairing grades and moves index paths itself: it calls
+    neither path_energy nor Path.e nor Path.reflect."""
+    shapes = (S11, RectShape(2, 1), S11, RectShape(2, 1))
+    want = level_zero_pairing(3, shapes)  # also builds the local tables, which uses Path.e
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pairing called a per-path reference")
+
+    for module in (bosonic, energy):
+        monkeypatch.setattr(module, "path_energy", forbidden)
+    monkeypatch.setattr(Path, "e", forbidden)
+    monkeypatch.setattr(Path, "reflect", forbidden)
+    got = level_zero_pairing(3, shapes)
+    monkeypatch.undo()
+    assert got == want and got["summand_count"] > 0
+
+
+def test_corrupted_crystal_fails_the_certificate(monkeypatch, capsys):
+    """A wrong operator array makes the pairing raise CertificateError, also
+    under python -O, and verify-zero exit 1 with a message."""
+    level_zero_pairing(2, (S11, S11))  # the local tables are built from the true arrays
+    crystal = tableaux.RectCrystal(2, S11)
+    monkeypatch.setattr(crystal, "e", [(-1, -1), (-1, -1)])  # no element can be raised
+    with pytest.raises(CertificateError):
+        level_zero_pairing(2, (S11, S11))
+    assert main(["verify-zero", "--n", "2", "--shapes", "1x1,1x1"]) == 1
+    assert "certificate failed: " in capsys.readouterr().err

@@ -13,6 +13,7 @@ from crystalpaths.tableaux import (
     promotion,
     promotion_inverse,
 )
+from crystalpaths.signature import fold_stats, lowering_index, raising_index
 from crystalpaths.weights import simple_root, theta_vector, vsub
 
 SMALL_GRID = [
@@ -151,6 +152,55 @@ def test_partial_bijection_and_string_lengths():
             while (walk := tx.f(walk, i)) is not None:
                 count += 1
             assert count == tx.phi(t, i)
+
+
+def literal_signature_rule(t, i):
+    """Reference: (eps_i, phi_i, e_i t, f_i t) for a classical index i by the
+    signature rule on the cell word, recomputed on every call."""
+    k, l = t.shape
+    cells = t.cells()
+    stats = [(int(x == i + 1), int(x == i)) for x in cells]
+
+    def changed(pos, value):
+        if pos is None:
+            return None
+        word = list(cells)
+        word[pos] = value
+        return Tableau(t.n, [word[(k - 1 - r) * l:(k - r) * l] for r in range(k)])
+
+    return (*fold_stats(stats), changed(raising_index(stats), i), changed(lowering_index(stats), i + 1))
+
+
+def test_rect_crystal_matches_literal_rules():
+    """Every array of the integer crystal equals the literal signature rule
+    and promotion, elementwise, on every shape with k*l <= 6 and n <= 5;
+    the inverse promotion inverts promotion and equals n-1 promotions."""
+    for n in range(2, 6):
+        for shape in (RectShape(k, l) for k in range(1, n) for l in range(1, 7) if k * l <= 6):
+            crystal = tx.RectCrystal(n, shape)
+            assert crystal is tx.RectCrystal(n, tuple(shape))
+            assert crystal.elements == enumerate_tableaux(shape, n)
+
+            def tableau(x):
+                return None if x < 0 else crystal.elements[x]
+
+            def unpromoted(t):
+                for _ in range(n - 1):
+                    t = t if t is None else tx._promote(t)
+                return t
+
+            for x, t in enumerate(crystal.elements):
+                assert crystal.index[t] == x and crystal.content[x] == t.content()
+                promoted = tx._promote(t)
+                assert tableau(crystal.promotion[x]) == promoted
+                assert tableau(crystal.promotion_inverse[x]) == unpromoted(t)
+                assert crystal.promotion_inverse[crystal.promotion[x]] == x
+                arrays = [(crystal.eps[i][x], crystal.phi[i][x], tableau(crystal.e[i][x]),
+                           tableau(crystal.f[i][x])) for i in range(n)]
+                eps0, phi0, up, down = literal_signature_rule(promoted, 1)
+                assert arrays[0] == (eps0, phi0, unpromoted(up), unpromoted(down)), (t, 0)
+                for i in range(1, n):
+                    assert arrays[i] == literal_signature_rule(t, i), (t, i)
 
 
 def test_reflection():
