@@ -28,8 +28,9 @@ level-zero sum vanishes unless the tensor product is empty, which is
 witnessed by an explicit sign-reversing pairing of the summands.  The
 pairing holds a path as a tuple of element indices into the integer
 crystals (tableaux.RectCrystal), grades only the paths of the contents that
-_fiber_points reads, from the flat local tables of the path scan, and
-reflects a path in one signature pass (signature.reflection_steps).
+_fiber_points reads, from the flat lists of energy.LocalIsoTable that the
+path scan reads too, and reflects a path in one signature pass
+(signature.reflection_steps).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 
 from . import straighten, tableaux
 from .energy import get_local_table, path_energy
-from .kostka import CrystalSpec, _int_tables, weight_energy_table
+from .kostka import CrystalSpec, weight_energy_table
 from .laurent import LaurentPoly
 from .paths import Path, format_path, level_restricted_paths, target_content
 from .signature import CertificateError, raising_index, reflection_steps
@@ -276,15 +277,15 @@ def _level_zero_certificate(spec: CrystalSpec, cache_dir: Optional[str] = None):
     # with no target content every fiber is empty and the certificate holds vacuously
     if target is not None:
         by_content = _paths_by_content(crystals)
-        meet = functools.cache(lambda left, right: _int_tables(n, left, right, cache_dir))
-        meets = [[meet(a, b) for b in shapes[j + 1:]] for j, a in enumerate(shapes)]
+        meets = [[get_local_table(n, a, b, cache_dir) for b in shapes[j + 1:]] for j, a in enumerate(shapes)]
         for tau, _, beta, content, exponent in _fiber_points(n, rho_vector(n), target, bound, by_content):
             for path in by_content[content]:
                 energy = exponent  # as in path_energy, each factor is carried past the later ones
                 for j, x in enumerate(path):
-                    for (heights, carry, width), y in zip(meets[j], path[j + 1:]):
-                        energy += heights[x * width + y]
-                        x = carry[x * width + y]
+                    for table, y in zip(meets[j], path[j + 1:]):
+                        k = x * table.width + y
+                        energy += table.energy[k]
+                        x = table.image2[k]
                 summands[beta, tau, path] = energy
 
     def described(summand) -> str:
@@ -391,22 +392,17 @@ def commutation_hypothesis_warnings(
     if not tail:
         return []
     (b0,) = tail
-    b0_shape = spec.resolved_b0_shape()
+    tail_crystal = tableaux.RectCrystal(spec.n, spec.resolved_b0_shape())
+    z = tail_crystal.index[b0]
     warnings = []
     for shape in sorted(set(spec.shapes)):
-        table = get_local_table(spec.n, shape, b0_shape, cache_dir)
-        for b in tableaux.enumerate_tableaux(shape, spec.n):
-            stats = [
-                (tableaux.eps(b, 0), tableaux.phi(b, 0)),
-                (tableaux.eps(b0, 0), tableaux.phi(b0, 0)),
-            ]
-            if raising_index(stats) != 0:
+        table = get_local_table(spec.n, shape, tail_crystal.shape, cache_dir)
+        crystal = tableaux.RectCrystal(spec.n, shape)
+        for x, b in enumerate(crystal.elements):
+            if raising_index([crystal.stats(0, x), tail_crystal.stats(0, z)]) != 0:
                 continue
-            image = table.apply(b, b0)
-            image_stats = [
-                (tableaux.eps(image[0], 0), tableaux.phi(image[0], 0)),
-                (tableaux.eps(image[1], 0), tableaux.phi(image[1], 0)),
-            ]
+            k = x * table.width + z
+            image_stats = [tail_crystal.stats(0, table.image1[k]), crystal.stats(0, table.image2[k])]
             if raising_index(image_stats) != 0:
                 warnings.append(
                     "0-raising side is not preserved through the local isomorphism "

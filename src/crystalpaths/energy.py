@@ -16,11 +16,17 @@ here by H = 0 on the pair of classical highest weight tableaux.
 The energy of a longer path accumulates H over all factor pairs, carrying
 the left member of each pair rightward through the intermediate factors by
 local isomorphisms before it meets the right member.
+
+A table is held once, as flat integer lists over the elements of the two
+factor crystals indexed as in tableaux.RectCrystal, and built from their
+operator arrays; tableaux appear only in the on-disk file.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -30,165 +36,144 @@ from typing import Optional
 
 from . import tableaux
 from .paths import Path
-from .signature import CertificateError, raising_index
-from .tableaux import RectShape, Tableau
-from .weights import LevelWeight
+from .signature import CertificateError, lowering_index, raising_index
+from .tableaux import RectCrystal, RectShape, Tableau
+from .weights import LevelWeight, vadd
 
 log = logging.getLogger(__name__)
 
 CACHE_FORMAT_VERSION = 1
 
-TableKey = tuple[int, RectShape, RectShape]
-Pair = tuple[Tableau, Tableau]
-
 
 @dataclass(frozen=True)
 class LocalIsoTable:
-    """Bijection B2 (x) B1 -> B1 (x) B2 together with the local energy values.
+    """The isomorphism R: B2 (x) B1 -> B1 (x) B2 and the local energy H as
+    flat integer lists, elements indexed as in tableaux.RectCrystal.
 
-    ``iso[(b2, b1)]`` is the image pair ``(b1', b2')`` with b1' in B1 and
-    b2' in B2; ``energy[(b2, b1)]`` is H(b2 (x) b1).
+    Entry a*width + b, with width = |B1|, describes a (x) b: ``energy``
+    holds H(a (x) b), and R(a (x) b) = b1' (x) b2' with b1' = ``image1``
+    in B1 and b2' = ``image2`` in B2.
     """
 
     n: int
     shape2: RectShape
     shape1: RectShape
-    iso: dict[Pair, Pair]
-    energy: dict[Pair, int]
+    energy: tuple[int, ...]
+    image1: tuple[int, ...]
+    image2: tuple[int, ...]
 
-    def apply(self, b2: Tableau, b1: Tableau) -> Pair:
-        return self.iso[(b2, b1)]
-
-    def local_energy(self, b2: Tableau, b1: Tableau) -> int:
-        return self.energy[(b2, b1)]
-
-
-def _pair_path(n: int, left: Tableau, right: Tableau) -> Path:
-    return Path(n, (left, right))
+    @functools.cached_property
+    def width(self) -> int:
+        return len(RectCrystal(self.n, self.shape1).elements)
 
 
-def _classical_highest_pairs(n: int, shape2: RectShape, shape1: RectShape) -> dict:
-    """Map content -> unique classically highest pair of B2 (x) B1."""
-    found: dict[tuple[int, ...], Pair] = {}
-    for t2 in tableaux.enumerate_tableaux(shape2, n):
-        for t1 in tableaux.enumerate_tableaux(shape1, n):
-            p = _pair_path(n, t2, t1)
-            if all(p.eps(i) == 0 for i in range(1, n)):
-                w = p.weight()
-                if w in found:
-                    raise ValueError(
-                        "component matching ambiguous for shapes %s, %s" % (shape2, shape1)
-                    )
-                found[w] = (t2, t1)
+def _product_operators(left: RectCrystal, right: RectCrystal, i: int) -> tuple[list, list, list]:
+    """Operator index i on left (x) right, over the flat index a*|right| + b:
+    the factor e_i acts on (0 left, 1 right, None where e_i kills the
+    element) and the images under e_i and f_i, -1 where undefined."""
+    width = len(right.elements)
+    sides, ups, downs = [], [], []
+
+    def moved(a, b, pos, ops):
+        if pos is None:
+            return -1
+        a, b = (ops[0][a], b) if pos == 0 else (a, ops[1][b])
+        if a < 0 or b < 0:
+            raise CertificateError("signature rule pointed at an exhausted factor")
+        return a * width + b
+
+    for a, b in itertools.product(range(len(left.elements)), range(width)):
+        stats = (left.stats(i, a), right.stats(i, b))
+        sides.append(raising_index(stats))
+        ups.append(moved(a, b, sides[-1], (left.e[i], right.e[i])))
+        downs.append(moved(a, b, lowering_index(stats), (left.f[i], right.f[i])))
+    return sides, ups, downs
+
+
+def _classical_highest(left: RectCrystal, right: RectCrystal, operators) -> dict:
+    """Map content -> flat index of the unique classically highest element
+    of left (x) right."""
+    width = len(right.elements)
+    found: dict[tuple[int, ...], int] = {}
+    for x in range(len(left.elements) * width):
+        if all(ups[x] < 0 for _, ups, _ in operators[1:]):
+            w = vadd(left.content[x // width], right.content[x % width])
+            if w in found:
+                raise ValueError("component matching ambiguous for shapes %s, %s" % (left.shape, right.shape))
+            found[w] = x
     return found
-
-
-def _raising_side(n: int, pair: Pair) -> Optional[int]:
-    """0 if e_0 acts on the left factor of the pair, 1 if on the right,
-    None when undefined."""
-    stats = [
-        (tableaux.eps(pair[0], 0), tableaux.phi(pair[0], 0)),
-        (tableaux.eps(pair[1], 0), tableaux.phi(pair[1], 0)),
-    ]
-    return raising_index(stats)
-
-
-def _pair_e(n: int, pair: Pair, i: int) -> Optional[Pair]:
-    moved = _pair_path(n, *pair).e(i)
-    return None if moved is None else moved.factors
-
-
-def _pair_f(n: int, pair: Pair, i: int) -> Optional[Pair]:
-    moved = _pair_path(n, *pair).f(i)
-    return None if moved is None else moved.factors
 
 
 def build_local_table(n: int, shape2: RectShape, shape1: RectShape) -> LocalIsoTable:
     shape2, shape1 = RectShape(*shape2), RectShape(*shape1)
-    b2 = tableaux.enumerate_tableaux(shape2, n)
-    b1 = tableaux.enumerate_tableaux(shape1, n)
-    size = len(b2) * len(b1)
+    b2, b1 = RectCrystal(n, shape2), RectCrystal(n, shape1)
+    width, size = len(b1.elements), len(b2.elements) * len(b1.elements)
+    source = [_product_operators(b2, b1, i) for i in range(n)]  # on B2 (x) B1
+    target = [_product_operators(b1, b2, i) for i in range(n)]  # on B1 (x) B2
 
-    source_hw = _classical_highest_pairs(n, shape2, shape1)
-    target_hw = _classical_highest_pairs(n, shape1, shape2)
+    source_hw = _classical_highest(b2, b1, source)
+    target_hw = _classical_highest(b1, b2, target)
     if set(source_hw) != set(target_hw):
-        raise ValueError(
-            "classical decompositions of %s(x)%s and %s(x)%s disagree"
-            % (shape2, shape1, shape1, shape2)
-        )
+        raise ValueError("classical decompositions of %s(x)%s and %s(x)%s disagree"
+                         % (shape2, shape1, shape1, shape2))
 
-    iso: dict[Pair, Pair] = {}
+    iso = [-1] * size  # flat index of R(x) in B1 (x) B2
     for w, u in source_hw.items():
-        v = target_hw[w]
-        iso[u] = v
+        iso[u] = target_hw[w]
         stack = [u]
         while stack:
             x = stack.pop()
             y = iso[x]
             for i in range(1, n):
-                fx = _pair_f(n, x, i)
-                fy = _pair_f(n, y, i)
-                if (fx is None) != (fy is None):
+                fx, fy = source[i][2][x], target[i][2][y]
+                if (fx < 0) != (fy < 0):
                     raise CertificateError("components of equal weight disagree")
-                if fx is not None and fx not in iso:
+                if fx >= 0 and iso[fx] < 0:
                     iso[fx] = fy
                     stack.append(fx)
-    if len(iso) != size or len(set(iso.values())) != size:
+    if min(iso) < 0 or len(set(iso)) != size:
         raise CertificateError("transport is not a bijection of the tensor product")
 
-    energy: dict[Pair, int] = {}
-    start = (
-        tableaux.highest_weight_tableau(shape2, n),
-        tableaux.highest_weight_tableau(shape1, n),
-    )
-
-    def zero_step(x: Pair) -> int:
+    def zero_step(x: int) -> int:
         """Increment of H along the 0-edge raising x, judged on both sides
         of the local isomorphism."""
-        side_src = _raising_side(n, x)
+        side_src = source[0][0][x]
         if side_src is None:
-            raise CertificateError("a 0-edge raises %s, which e_0 kills" % (x,))
-        side_img = _raising_side(n, iso[x])
-        if side_src == 0 and side_img == 0:
-            return -1
-        if side_src == 1 and side_img == 1:
-            return 1
-        return 0
+            raise CertificateError("a 0-edge raises %s (x) %s, which e_0 kills"
+                                   % (b2.elements[x // width], b1.elements[x % width]))
+        return {(0, 0): -1, (1, 1): 1}.get((side_src, target[0][0][iso[x]]), 0)
 
+    energy: list[Optional[int]] = [None] * size
+
+    def reach(y: int, value: int):
+        if energy[y] is None:
+            energy[y] = value
+            queue.append(y)
+        elif energy[y] != value:
+            raise CertificateError("local energy recursion is inconsistent")
+
+    start = b2.index[tableaux.highest_weight_tableau(shape2, n)] * width + b1.index[
+        tableaux.highest_weight_tableau(shape1, n)]
     energy[start] = 0
     queue = [start]
     while queue:
         x = queue.pop()
-        for i in range(n):
-            up = _pair_e(n, x, i)
-            if up is not None:
-                value = energy[x] + (zero_step(x) if i == 0 else 0)
-                if up not in energy:
-                    energy[up] = value
-                    queue.append(up)
-                elif energy[up] != value:
-                    raise CertificateError("local energy recursion is inconsistent")
-            down = _pair_f(n, x, i)
-            if down is not None:
-                value = energy[x] - (zero_step(down) if i == 0 else 0)
-                if down not in energy:
-                    energy[down] = value
-                    queue.append(down)
-                elif energy[down] != value:
-                    raise CertificateError("local energy recursion is inconsistent")
-    if len(energy) != size:
-        raise ValueError(
-            "tensor product %s(x)%s is not connected; local energy undefined"
-            % (shape2, shape1)
-        )
-
-    return LocalIsoTable(n, shape2, shape1, iso, energy)
+        for i, (_, ups, downs) in enumerate(source):
+            if ups[x] >= 0:
+                reach(ups[x], energy[x] + (zero_step(x) if i == 0 else 0))
+            if downs[x] >= 0:
+                reach(downs[x], energy[x] - (zero_step(downs[x]) if i == 0 else 0))
+    if None in energy:
+        raise ValueError("tensor product %s(x)%s is not connected; local energy undefined"
+                         % (shape2, shape1))
+    image1, image2 = zip(*(divmod(y, len(b2.elements)) for y in iso))
+    return LocalIsoTable(n, shape2, shape1, tuple(energy), image1, image2)
 
 
 # ---------------------------------------------------------------------------
 # table registry with optional on-disk persistence
 
-_TABLES: dict[TableKey, LocalIsoTable] = {}
+_TABLES: dict[tuple[int, RectShape, RectShape], LocalIsoTable] = {}
 _LOCK = threading.Lock()
 
 
@@ -196,27 +181,22 @@ def cache_file_name(n: int, shape2: RectShape, shape1: RectShape) -> str:
     return "R_n%d_%dx%d_%dx%d.json" % (n, shape2[0], shape2[1], shape1[0], shape1[1])
 
 
+def _names(n: int, shape: RectShape) -> list[str]:
+    """The on-disk text of each element of B(shape), by index."""
+    return [tableaux.format_tableau(t) for t in RectCrystal(n, shape).elements]
+
+
 def _table_payload(table: LocalIsoTable) -> dict:
-    iso_rows = sorted(
-        [
-            tableaux.format_tableau(k[0]),
-            tableaux.format_tableau(k[1]),
-            tableaux.format_tableau(v[0]),
-            tableaux.format_tableau(v[1]),
-        ]
-        for k, v in table.iso.items()
-    )
-    energy_rows = sorted(
-        [tableaux.format_tableau(k[0]), tableaux.format_tableau(k[1]), h]
-        for k, h in table.energy.items()
-    )
+    left, right = _names(table.n, table.shape2), _names(table.n, table.shape1)
+    pairs = list(itertools.product(left, right))
     return {
         "version": CACHE_FORMAT_VERSION,
         "n": table.n,
         "shape2": list(table.shape2),
         "shape1": list(table.shape1),
-        "iso": iso_rows,
-        "energy": energy_rows,
+        "iso": sorted([a, b, right[v1], left[v2]]
+                      for (a, b), v1, v2 in zip(pairs, table.image1, table.image2)),
+        "energy": sorted([a, b, h] for (a, b), h in zip(pairs, table.energy)),
     }
 
 
@@ -239,6 +219,9 @@ def save_table(table: LocalIsoTable, cache_dir: str) -> str:
 
 
 def load_table(n: int, shape2: RectShape, shape1: RectShape, cache_dir: str) -> Optional[LocalIsoTable]:
+    """The table stored in cache_dir, or None (with a logged reason) when
+    the file is missing, unreadable, of another version or key, fails its
+    checksum, or does not hold a content-preserving bijection."""
     path = os.path.join(cache_dir, cache_file_name(n, shape2, shape1))
     if not os.path.exists(path):
         return None
@@ -253,27 +236,28 @@ def load_table(n: int, shape2: RectShape, shape1: RectShape, cache_dir: str) -> 
         if stored != _payload_checksum(payload):
             log.warning("cache %s failed its checksum; rebuilding", path)
             return None
-        if payload["n"] != n or tuple(payload["shape2"]) != tuple(shape2) or tuple(
-            payload["shape1"]
-        ) != tuple(shape1):
+        if [payload["n"], payload["shape2"], payload["shape1"]] != [n, list(shape2), list(shape1)]:
             log.warning("cache %s does not match its key; rebuilding", path)
             return None
-        iso = {}
+        b2, b1 = RectCrystal(n, RectShape(*shape2)), RectCrystal(n, RectShape(*shape1))
+        index2, index1 = ({name: x for x, name in enumerate(_names(n, c.shape))} for c in (b2, b1))
+        width, size = len(b1.elements), len(b2.elements) * len(b1.elements)
+        image, energy = [None] * size, [None] * size
         for t2, t1, v1, v2 in payload["iso"]:
-            iso[(tableaux.parse_tableau(t2, n), tableaux.parse_tableau(t1, n))] = (
-                tableaux.parse_tableau(v1, n),
-                tableaux.parse_tableau(v2, n),
-            )
-        energy = {}
+            image[index2[t2] * width + index1[t1]] = (index1[v1], index2[v2])
         for t2, t1, h in payload["energy"]:
-            energy[(tableaux.parse_tableau(t2, n), tableaux.parse_tableau(t1, n))] = int(h)
-        expected = len(tableaux.enumerate_tableaux(RectShape(*shape2), n)) * len(
-            tableaux.enumerate_tableaux(RectShape(*shape1), n)
-        )
-        if len(iso) != expected or len(energy) != expected:
+            energy[index2[t2] * width + index1[t1]] = int(h)
+        if len(payload["iso"]) != size or len(payload["energy"]) != size or None in image or None in energy:
             log.warning("cache %s has wrong cardinality; rebuilding", path)
             return None
-        return LocalIsoTable(n, RectShape(*shape2), RectShape(*shape1), iso, energy)
+        if len(set(image)) != size:
+            log.warning("cache %s holds a local isomorphism that is not a bijection; rebuilding", path)
+            return None
+        if any(vadd(b2.content[x // width], b1.content[x % width]) != vadd(b1.content[v1], b2.content[v2])
+               for x, (v1, v2) in enumerate(image)):
+            log.warning("cache %s holds a local isomorphism that changes content; rebuilding", path)
+            return None
+        return LocalIsoTable(n, b2.shape, b1.shape, tuple(energy), *zip(*image))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         log.warning("cache %s is unreadable (%s); rebuilding", path, exc)
         return None
@@ -289,16 +273,14 @@ def get_local_table(
     cached = _TABLES.get(key)  # atomic read; published tables never change
     if cached is not None:
         return cached
-    table = None
-    if cache_dir:
-        table = load_table(n, key[1], key[2], cache_dir)
+    table = load_table(n, key[1], key[2], cache_dir) if cache_dir else None
     if table is None:
         table = build_local_table(n, key[1], key[2])
         if cache_dir:
             save_table(table, cache_dir)
     with _LOCK:
         winner = _TABLES.setdefault(key, table)
-        if winner is not table and (winner.iso != table.iso or winner.energy != table.energy):
+        if winner != table:
             raise CertificateError("racing builds of the table %s disagree" % (key,))
     return _TABLES[key]
 
@@ -312,16 +294,6 @@ def clear_memory_tables():
 # path energy
 
 
-def local_iso(b2: Tableau, b1: Tableau, cache_dir: Optional[str] = None) -> Pair:
-    table = get_local_table(b2.n, b2.shape, b1.shape, cache_dir)
-    return table.apply(b2, b1)
-
-
-def local_energy(b2: Tableau, b1: Tableau, cache_dir: Optional[str] = None) -> int:
-    table = get_local_table(b2.n, b2.shape, b1.shape, cache_dir)
-    return table.local_energy(b2, b1)
-
-
 def path_energy(p: Path, cache_dir: Optional[str] = None) -> int:
     """Sum of local energies over all factor pairs.
 
@@ -331,16 +303,16 @@ def path_energy(p: Path, cache_dir: Optional[str] = None) -> int:
     the right, so ``fs[len-j]`` is the j-th factor.
     """
     fs = p.factors
+    xs = [RectCrystal(p.n, t.shape).index[t] for t in fs]
     length = len(fs)
     total = 0
     for j in range(2, length + 1):
-        x = fs[length - j]
+        x = xs[length - j]
         for i in range(j - 1, 0, -1):
-            y = fs[length - i]
-            table = get_local_table(p.n, x.shape, y.shape, cache_dir)
-            total += table.local_energy(x, y)
-            if i > 1:
-                x = table.apply(x, y)[1]
+            table = get_local_table(p.n, fs[length - j].shape, fs[length - i].shape, cache_dir)
+            k = x * table.width + xs[length - i]
+            total += table.energy[k]
+            x = table.image2[k]
     return total
 
 
@@ -349,28 +321,17 @@ def phi_matching_element(n: int, shape: RectShape, lam: LevelWeight) -> Tableau:
 
     Existence and uniqueness hold when the crystal is perfect of the weight's
     level; both are checked by enumeration."""
+    crystal = RectCrystal(n, RectShape(*shape))
     matches = [
         t
-        for t in tableaux.enumerate_tableaux(RectShape(*shape), n)
-        if all(tableaux.phi(t, i) == lam.pairing(i) for i in range(n))
+        for x, t in enumerate(crystal.elements)
+        if all(crystal.phi[i][x] == lam.pairing(i) for i in range(n))
     ]
     if not matches:
-        raise ValueError("no element of B^%s has phi equal to %s" % (RectShape(*shape), lam))
+        raise ValueError("no element of B^%s has phi equal to %s" % (crystal.shape, lam))
     if len(matches) > 1:
         raise ValueError(
             "phi = %s is matched by %d elements of B^%s; crystal is not perfect"
-            % (lam, len(matches), RectShape(*shape))
+            % (lam, len(matches), crystal.shape)
         )
     return matches[0]
-
-
-def augmented_energy(
-    p: Path,
-    lam: LevelWeight,
-    b0_shape: RectShape,
-    cache_dir: Optional[str] = None,
-) -> int:
-    """Energy of the path extended on the right by the element b0 with
-    phi(b0) = lam."""
-    b0 = phi_matching_element(p.n, b0_shape, lam)
-    return path_energy(Path(p.n, p.factors + (b0,)), cache_dir)

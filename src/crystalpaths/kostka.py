@@ -22,10 +22,14 @@ when restricted, phi_i of the suffix tensored with the highest vector u,
 from <h_i, Lambda> for every affine index i or from 0 for the classical
 ones.  Placing x left of y_k (x) ... (x) y_1 adds H(x (x) y_k) + H(x' (x)
 y_(k-1)) + ..., x' being x carried past y_k by the local isomorphism, as in
-path_energy: O(k) lookups per suffix, not O(L^2) per path.  By the
-signature rule a suffix S with eps_i(S) = 0 keeps it under x exactly when
-eps_i(x) <= phi_i(S), and then phi_i becomes phi_i(S) - eps_i(x) +
-phi_i(x); otherwise the walk cuts S and every path that ends in it.
+path_energy: O(k) lookups per suffix, not O(L^2) per path, each read
+straight from the flat lists of an energy.LocalIsoTable (H, and the b2'
+list as the carry).  By the signature rule a suffix S with eps_i(S) = 0
+keeps it under x exactly when eps_i(x) <= phi_i(S), and then phi_i becomes
+phi_i(S) - eps_i(x) + phi_i(x); otherwise the walk cuts S and every path
+that ends in it.  A restricted walk is pruned far below |B|^L paths and
+runs in the calling process; an unrestricted one may be shared out among
+worker processes.
 
 An independent q=1 oracle expands the product of Schur polynomials by brute
 force and peels off leading terms, never touching crystal operators.
@@ -150,16 +154,6 @@ CLASSICAL = "classical"
 MIN_PATHS_PER_WORKER = 50000
 
 
-def _int_tables(n: int, shape2: RectShape, shape1: RectShape, cache_dir) -> tuple:
-    """The flat integer tables the walk reads: (energy, carry, |B1|) with
-    energy[a*|B1| + b] = H(a (x) b) and carry[a*|B1| + b] the index of b2' in
-    R(a (x) b) = b1' (x) b2', elements indexed as in tableaux.RectCrystal."""
-    table = get_local_table(n, shape2, shape1, cache_dir)
-    left, right = tableaux.RectCrystal(n, shape2), tableaux.RectCrystal(n, shape1)
-    pairs = [(a, b) for a in left.elements for b in right.elements]
-    return [table.energy[p] for p in pairs], [left.index[table.iso[p][1]] for p in pairs], len(right.elements)
-
-
 def _scan_chunk(payload):
     """Walk this chunk's share of the suffix tree laid out by scan_paths and
     count its leaves by (encoded content, energy)."""
@@ -211,8 +205,9 @@ def scan_paths(
     one factor) over the paths of content target (all when None) that are
     restricted: classically highest for CLASSICAL, highest against the
     highest vector of Lambda for a LevelWeight Lambda.  The local tables are
-    read in this process; a pool of at most jobs workers starts only when
-    each gets at least MIN_PATHS_PER_WORKER paths of the full product."""
+    read in this process.  A restricted scan runs in this process too; an
+    unrestricted one starts a pool of at most jobs workers when each gets at
+    least MIN_PATHS_PER_WORKER paths."""
     shapes = tuple(RectShape(*s) for s in shapes)
     if len(b0_tail) > 1:
         raise ValueError("the walk grows from at most one tail factor")
@@ -231,7 +226,6 @@ def scan_paths(
     else:
         indices = range(n)
         phi0 = tuple(map(restricted.pairing, indices))
-    table = functools.cache(lambda left, right: _int_tables(n, left, right, cache_dir))
     met = [t.shape for t in b0_tail]  # shapes right of the factor placed next
     levels = []
     for shape in reversed(shapes):
@@ -239,13 +233,15 @@ def scan_paths(
         elements = [(encode(content), tuple(crystal.eps[i][x] for i in indices),
                      tuple(crystal.phi[i][x] - crystal.eps[i][x] for i in indices))
                     for x, content in enumerate(crystal.content)]
-        levels.append((elements, [table(shape, other) for other in reversed(met)]))
+        tables = [get_local_table(n, shape, other, cache_dir) for other in reversed(met)]
+        levels.append((elements, [(t.energy, t.image2, t.width) for t in tables]))
         met.append(shape)
     tail = tuple(tableaux.RectCrystal(n, t.shape).index[t] for t in b0_tail)
     code = None if target is None else encode(target)
 
     sizes = list(itertools.accumulate((len(e) for e, _ in levels), operator.mul)) or [1]
-    nchunks = max(1, min(jobs, sizes[-1] // MIN_PATHS_PER_WORKER))
+    # a restricted scan is pruned far below the full product: it runs here
+    nchunks = 1 if restricted is not None else max(1, min(jobs, sizes[-1] // MIN_PATHS_PER_WORKER))
     # workers share out the suffixes that survive at the first depth offering
     # 64 per worker, and each walks the short stretch above that depth
     split = next((d for d, size in enumerate(sizes) if size >= 64 * nchunks), len(sizes) - 1)

@@ -451,7 +451,7 @@ def test_pairing_calls_no_per_path_reference(monkeypatch):
     """level_zero_pairing grades and moves index paths itself: it calls
     neither path_energy nor Path.e nor Path.reflect."""
     shapes = (S11, RectShape(2, 1), S11, RectShape(2, 1))
-    want = level_zero_pairing(3, shapes)  # also builds the local tables, which uses Path.e
+    want = level_zero_pairing(3, shapes)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the pairing called a per-path reference")

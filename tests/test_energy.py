@@ -1,17 +1,22 @@
 import itertools
 import json
 import logging
+import os
 import random
 
 import pytest
+from reference_energy import (
+    as_dicts,
+    augmented_energy,
+    literal_local_table,
+    local_energy,
+    local_iso,
+)
 
 from crystalpaths import energy as en
 from crystalpaths.energy import (
-    augmented_energy,
     build_local_table,
     get_local_table,
-    local_energy,
-    local_iso,
     path_energy,
     phi_matching_element,
 )
@@ -31,13 +36,13 @@ def shapes_for(n):
 def test_equal_shapes_give_identity():
     for n in (2, 3):
         for shape in shapes_for(n):
-            table = build_local_table(n, shape, shape)
-            for key, value in table.iso.items():
+            iso, _ = as_dicts(build_local_table(n, shape, shape))
+            for key, value in iso.items():
                 assert key == value
 
 
 def test_mixed_shape_bijection_n2():
-    table = build_local_table(2, S12, S11)
+    iso, _ = as_dicts(build_local_table(2, S12, S11))
     expected = {
         ("1,1", "1"): ("1", "1,1"),
         ("1,1", "2"): ("1", "1,2"),
@@ -47,7 +52,7 @@ def test_mixed_shape_bijection_n2():
         ("2,2", "2"): ("2", "2,2"),
     }
     got = {
-        (str(k[0]), str(k[1])): (str(v[0]), str(v[1])) for k, v in table.iso.items()
+        (str(k[0]), str(k[1])): (str(v[0]), str(v[1])) for k, v in iso.items()
     }
     assert got == expected
 
@@ -55,8 +60,8 @@ def test_mixed_shape_bijection_n2():
 def test_iso_commutes_with_all_operators():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            table = get_local_table(n, s2, s1)
-            for (a, b), (c, d) in table.iso.items():
+            iso, _ = as_dicts(get_local_table(n, s2, s1))
+            for (a, b), (c, d) in iso.items():
                 src = Path(n, (a, b))
                 img = Path(n, (c, d))
                 for i in range(n):
@@ -64,21 +69,21 @@ def test_iso_commutes_with_all_operators():
                     up_img = img.e(i)
                     assert (up_src is None) == (up_img is None)
                     if up_src is not None:
-                        assert table.apply(*up_src.factors) == up_img.factors
+                        assert iso[up_src.factors] == up_img.factors
                     down_src = src.f(i)
                     down_img = img.f(i)
                     assert (down_src is None) == (down_img is None)
                     if down_src is not None:
-                        assert table.apply(*down_src.factors) == down_img.factors
+                        assert iso[down_src.factors] == down_img.factors
 
 
 def test_iso_reverse_is_identity():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            forward = get_local_table(n, s2, s1)
-            backward = get_local_table(n, s1, s2)
-            for key, value in forward.iso.items():
-                assert backward.apply(*value) == key
+            forward, _ = as_dicts(get_local_table(n, s2, s1))
+            backward, _ = as_dicts(get_local_table(n, s1, s2))
+            for key, value in forward.items():
+                assert backward[value] == key
 
 
 def _swap_at(n, triple, pos):
@@ -103,12 +108,12 @@ def test_yang_baxter():
 def test_local_energy_normalization_and_values():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            table = get_local_table(n, s2, s1)
+            _, energy = as_dicts(get_local_table(n, s2, s1))
             u = (highest_weight_tableau(s2, n), highest_weight_tableau(s1, n))
-            assert table.energy[u] == 0
+            assert energy[u] == 0
     # two-value example: H is 0 on the highest component and -1 on the other
-    table = get_local_table(2, S11, S11)
-    values = {(str(k[0]), str(k[1])): v for k, v in table.energy.items()}
+    _, energy = as_dicts(get_local_table(2, S11, S11))
+    values = {(str(k[0]), str(k[1])): v for k, v in energy.items()}
     assert values == {("1", "1"): 0, ("1", "2"): 0, ("2", "2"): 0, ("2", "1"): -1}
     assert set(values.values()) == {0, -1}
 
@@ -116,21 +121,21 @@ def test_local_energy_normalization_and_values():
 def test_local_energy_constant_along_classical_strings():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            table = get_local_table(n, s2, s1)
-            for (a, b), h in table.energy.items():
+            _, energy = as_dicts(get_local_table(n, s2, s1))
+            for (a, b), h in energy.items():
                 src = Path(n, (a, b))
                 for i in range(1, n):
                     up = src.e(i)
                     if up is not None:
-                        assert table.energy[up.factors] == h
+                        assert energy[up.factors] == h
 
 
 def test_zero_string_steps_change_energy_by_one():
-    table = get_local_table(2, S11, S11)
+    _, energy = as_dicts(get_local_table(2, S11, S11))
     x = (Tableau(2, ((2,),)), Tableau(2, ((1,),)))
     up = Path(2, x).e(0)
     assert up is not None
-    assert abs(table.energy[up.factors] - table.energy[x]) == 1
+    assert abs(energy[up.factors] - energy[x]) == 1
 
 
 def test_path_energy_examples():
@@ -146,12 +151,12 @@ def test_homogeneous_energy_closed_form():
     # for equal factors the sweep reduces to sum (L - i) H(b_{i+1}, b_i)
     for n in (2, 3):
         for length in (2, 3, 4):
-            table = get_local_table(n, S11, S11)
+            _, energy = as_dicts(get_local_table(n, S11, S11))
             for p in enumerate_paths(n, (S11,) * length):
                 fs = p.factors
                 expected = 0
                 for idx in range(length - 1):
-                    expected += (idx + 1) * table.energy[(fs[idx], fs[idx + 1])]
+                    expected += (idx + 1) * energy[(fs[idx], fs[idx + 1])]
                 assert path_energy(p) == expected
 
 
@@ -246,10 +251,10 @@ def test_cache_round_trip_and_determinism(tmp_path):
     rebuilt = get_local_table(2, S12, S11, cache_dir=cache)
     blob2 = (tmp_path / name).read_bytes()
     assert blob1 == blob2
-    assert rebuilt.iso == table.iso and rebuilt.energy == table.energy
+    assert rebuilt == table
     en.clear_memory_tables()
     loaded = get_local_table(2, S12, S11, cache_dir=cache)
-    assert loaded.iso == table.iso and loaded.energy == table.energy
+    assert loaded == table
 
 
 def test_cache_corruption_triggers_rebuild(tmp_path, caplog):
@@ -264,7 +269,7 @@ def test_cache_corruption_triggers_rebuild(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
         table = get_local_table(2, S11, S11, cache_dir=cache)
     assert any("rebuilding" in rec.message for rec in caplog.records)
-    assert len(table.iso) == 4
+    assert len(table.energy) == 4
     # the rebuilt file is valid again
     en.clear_memory_tables()
     with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
@@ -285,3 +290,65 @@ def test_cache_version_mismatch_rejected(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
         get_local_table(2, S11, S11, cache_dir=cache)
     assert any("format version" in rec.message for rec in caplog.records)
+
+
+def _rewrite_with_checksum(path, payload):
+    payload = {k: v for k, v in payload.items() if k != "checksum"}
+    payload["checksum"] = en._payload_checksum(payload)
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _merge_two_images(rows):
+    """The second source takes the image of the first."""
+    rows[1][2:] = rows[0][2:]
+
+
+def _swap_two_images(rows):
+    """1 (x) 1 and 2 (x) 2 swap images: still a bijection, but it moves content."""
+    rows[0][2:], rows[3][2:] = rows[3][2:], rows[0][2:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, reason", [(_merge_two_images, "not a bijection"), (_swap_two_images, "changes content")]
+)
+def test_cache_with_wrong_image_triggers_rebuild(tmp_path, caplog, corrupt, reason):
+    """A file whose checksum was recomputed is still rejected when its
+    image is not a content-preserving bijection, and the table is rebuilt."""
+    cache = str(tmp_path)
+    en.clear_memory_tables()
+    want = get_local_table(2, S11, S11, cache_dir=cache)
+    name = tmp_path / en.cache_file_name(2, S11, S11)
+    payload = json.loads(name.read_text())
+    corrupt(payload["iso"])
+    _rewrite_with_checksum(name, payload)
+    en.clear_memory_tables()
+    with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
+        assert en.load_table(2, S11, S11, cache) is None
+        assert get_local_table(2, S11, S11, cache_dir=cache) == want
+    assert any(reason in rec.message and "rebuilding" in rec.message for rec in caplog.records)
+    assert en.load_table(2, S11, S11, cache) == want
+    en.clear_memory_tables()
+
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "R_n3_1x2_1x1.json")
+
+
+def test_cache_format_is_unchanged(tmp_path):
+    """save_table writes the committed file byte for byte, and load_table
+    reads it back as the built table."""
+    table = build_local_table(3, S12, S11)
+    with open(FIXTURE, "rb") as fh:
+        fixture = fh.read()
+    with open(en.save_table(table, str(tmp_path)), "rb") as fh:
+        assert fh.read() == fixture
+    assert en.load_table(3, S12, S11, os.path.dirname(FIXTURE)) == table
+
+
+def test_local_table_matches_literal_builder():
+    """The flat tables equal the literal Tableau/Path construction in H and
+    both image components, on every shape pair of height below n <= 4 and
+    width at most 2."""
+    for n in (2, 3, 4):
+        shapes = [RectShape(k, l) for k in range(1, n) for l in (1, 2)]
+        for s2, s1 in itertools.product(shapes, repeat=2):
+            assert as_dicts(build_local_table(n, s2, s1)) == literal_local_table(n, s2, s1), (n, s2, s1)

@@ -5,6 +5,7 @@ import sys
 from concurrent import futures
 
 import pytest
+from reference_energy import augmented_energy
 from test_acceptance import criterion_one_grid
 from test_bosonic import dominant_weights as dominant_level_weights
 
@@ -160,9 +161,8 @@ def test_grading_selection():
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Lets every scan with jobs > 1 start a worker pool; lists the pools
-    started."""
+def started_pools(monkeypatch):
+    """Lists the worker pools that scans start, by their worker count."""
     started = []
     pool_class = futures.ProcessPoolExecutor
 
@@ -170,23 +170,38 @@ def pools(monkeypatch):
         started.append(kwargs.get("max_workers"))
         return pool_class(*args, **kwargs)
 
-    monkeypatch.setattr(kostka, "MIN_PATHS_PER_WORKER", 1)
     monkeypatch.setattr(futures, "ProcessPoolExecutor", recording_pool)
     return started
 
 
+@pytest.fixture
+def pools(monkeypatch, started_pools):
+    """Lets every unrestricted scan with jobs > 1 start a worker pool; lists
+    the pools started."""
+    monkeypatch.setattr(kostka, "MIN_PATHS_PER_WORKER", 1)
+    return started_pools
+
+
 def test_parallel_scan_matches_serial(pools):
     spec = vacuum_spec(2, (S11,) * 4, 2)
-    assert kostka_level(spec, jobs=2) == kostka_level(spec)
-    classical = CrystalSpec(3, (S11,) * 3)
-    assert kostka_classical(classical, (2, 1, 0), jobs=2) == kostka_classical(
-        classical, (2, 1, 0)
-    )
+    assert weight_energy_table(spec, jobs=2) == weight_energy_table(spec)
     mixed = CrystalSpec(3, (RectShape(2, 1), S11, RectShape(1, 2), S11), level=2,
                         lam=LevelWeight(2, (1, 0, 0), 0))
     table = weight_energy_table(mixed)
     assert table and weight_energy_table(mixed, jobs=2) == table
-    assert pools == [2, 2, 2]
+    assert pools == [2, 2]
+
+
+def test_restricted_scan_starts_no_pool(started_pools):
+    """A restricted scan runs in-process whatever the size of the product:
+    on 4^9 paths the level polynomial starts no pool, while the content
+    table of the same spec still shares its scan out."""
+    spec = CrystalSpec(4, (S11,) * 9, level=1, lam=LevelWeight.vacuum(4, 1),
+                       lam_prime=LevelWeight.fundamental(1, 4))
+    assert kostka_level(spec, jobs=2)(1) > 0
+    assert started_pools == []
+    assert weight_energy_table(spec, jobs=2)
+    assert started_pools == [2]
 
 
 def test_small_scan_starts_no_pool(monkeypatch):
@@ -232,7 +247,6 @@ def test_pool_scan_reads_tables_in_the_parent_once_per_pair(tmp_path, monkeypatc
     for round_ in ("build", "load"):
         energy.clear_memory_tables()
         log.write_text("")
-        kostka_level(spec, cache_dir=cache, jobs=2)
         weight_energy_table(spec, cache_dir=cache, jobs=2)
         calls = [line.split(" ", 2) for line in log.read_text().splitlines()]
         assert {pid for pid, _, _ in calls} == {str(os.getpid())}
@@ -240,7 +254,7 @@ def test_pool_scan_reads_tables_in_the_parent_once_per_pair(tmp_path, monkeypatc
         builds = sorted(key for _, name, key in calls if name == "build_local_table")
         assert loads == sorted("%s %s" % pair for pair in pairs)
         assert builds == (loads if round_ == "build" else [])
-    assert pools == [2] * 4
+    assert pools == [2] * 2
     energy.clear_memory_tables()
 
 
@@ -262,11 +276,11 @@ def test_level_scan_resolves_b0_once(monkeypatch, pools):
     spec = CrystalSpec(3, (S11,) * 3, level=2, lam=lam)
     assert not spec.is_vacuum()
     # once per scan: not once per restricted path, nor once per worker chunk
-    for jobs in (1, 2):
-        calls.clear()
-        poly = kostka_level(spec, jobs=jobs)
-        assert poly(1) > 1
-        assert len(calls) == 1, jobs
+    assert kostka_level(spec)(1) > 1
+    assert len(calls) == 1
+    calls.clear()
+    assert weight_energy_table(spec, jobs=2)
+    assert len(calls) == 1
     assert pools == [2]
 
 
@@ -322,7 +336,7 @@ def graded_stream(stream, spec):
         if spec.lam is None or spec.is_vacuum():
             exp = energy.path_energy(p)
         else:
-            exp = energy.augmented_energy(p, spec.lam, spec.resolved_b0_shape())
+            exp = augmented_energy(p, spec.lam, spec.resolved_b0_shape())
         total = total + LaurentPoly.q_power(exp)
     return total
 
