@@ -138,7 +138,6 @@ def bosonic_report(
     spec: CrystalSpec,
     widen: int = 0,
     cache_dir: Optional[str] = None,
-    jobs: int = 1,
 ) -> AlternatingSumResult:
     """Alternating-sum value of the level polynomial of the spec."""
     spec.validate()
@@ -150,7 +149,7 @@ def bosonic_report(
         spec.level,
         spec.lam,
         spec.resolved_lam_prime(),
-        weight_energy_table(spec, cache_dir, jobs),
+        weight_energy_table(spec, cache_dir),
         widen,
     )
 
@@ -159,9 +158,7 @@ def bosonic_report(
 # closed evaluations at level one and level zero
 
 
-def level_one_identity(
-    spec: CrystalSpec, cache_dir: Optional[str] = None, jobs: int = 1
-) -> dict:
+def level_one_identity(spec: CrystalSpec, cache_dir: Optional[str] = None) -> dict:
     """At level one with column factors the restricted path set has at most
     one element; the alternating sum must equal its single monomial."""
     spec.validate()
@@ -184,7 +181,7 @@ def level_one_identity(
         if restricted
         else LaurentPoly.zero()
     )
-    table = weight_energy_table(spec, cache_dir, jobs)
+    table = weight_energy_table(spec, cache_dir)
     result = alternating_sum(spec.n, spec.shapes, 1, spec.lam, lam_prime, table)
     return {
         "path_exists": bool(restricted),
@@ -211,12 +208,12 @@ def _level_zero_spec(n: int, shapes: Sequence[RectShape]) -> CrystalSpec:
 
 
 def level_zero_identity(
-    n: int, shapes: Sequence[RectShape], cache_dir: Optional[str] = None, jobs: int = 1
+    n: int, shapes: Sequence[RectShape], cache_dir: Optional[str] = None
 ) -> dict:
     """Formal level-zero alternating sum; 1 on the empty tensor product and
     0 otherwise."""
     spec = _level_zero_spec(n, shapes)
-    table = weight_energy_table(spec, cache_dir, jobs)
+    table = weight_energy_table(spec, cache_dir)
     result = alternating_sum(n, spec.shapes, 0, spec.lam, spec.lam, table)
     expected = LaurentPoly.one() if not spec.shapes else LaurentPoly.zero()
     return {
@@ -360,7 +357,7 @@ def level_zero_pairing(
 
 
 def bosonic_via_straightening(
-    spec: CrystalSpec, cache_dir: Optional[str] = None, jobs: int = 1
+    spec: CrystalSpec, cache_dir: Optional[str] = None
 ) -> LaurentPoly:
     """Re-derive the alternating sum by normalizing one Schur symbol per
     content fiber, independently of the residue walk of :func:`_fiber_points`."""
@@ -368,7 +365,7 @@ def bosonic_via_straightening(
     if spec.lam is None:
         raise ValueError("straightening bridge needs a restriction weight Lambda")
     lam_prime = spec.resolved_lam_prime()
-    table = weight_energy_table(spec, cache_dir, jobs)
+    table = weight_energy_table(spec, cache_dir)
     total = LaurentPoly.zero()
     for content, fiber in table.items():
         image = straighten.pi_on_character(spec.level, vadd(spec.lam.finite, content))

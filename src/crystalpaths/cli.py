@@ -147,7 +147,7 @@ def _build_spec(args, need_level: bool) -> CrystalSpec:
 def cmd_kostka(args) -> int:
     if args.Lambda:
         spec = _build_spec(args, need_level=True)
-        poly = kostka_level(spec, cache_dir=args.cache_dir, jobs=args.jobs)
+        poly = kostka_level(spec, cache_dir=args.cache_dir)
         payload = {
             "schema": SCHEMA_VERSION,
             "command": "kostka",
@@ -161,7 +161,7 @@ def cmd_kostka(args) -> int:
             raise ValueError("kostka needs either --lambda or --level with --Lambda")
         spec = _build_spec(args, need_level=False)
         target = parse_partition(args.lam)
-        poly = kostka_classical(spec, target, cache_dir=args.cache_dir, jobs=args.jobs)
+        poly = kostka_classical(spec, target, cache_dir=args.cache_dir)
         payload = {
             "schema": SCHEMA_VERSION,
             "command": "kostka",
@@ -178,10 +178,10 @@ def cmd_kostka(args) -> int:
 def cmd_verify(args) -> int:
     spec = _build_spec(args, need_level=True)
     # one content table serves the base and the widened truncation radius
-    table = weight_energy_table(spec, cache_dir=args.cache_dir, jobs=args.jobs)
+    table = weight_energy_table(spec, cache_dir=args.cache_dir)
     lam_prime = spec.resolved_lam_prime()
     report = alternating_sum(spec.n, spec.shapes, spec.level, spec.lam, lam_prime, table)
-    rhs = kostka_level(spec, cache_dir=args.cache_dir, jobs=args.jobs)
+    rhs = kostka_level(spec, cache_dir=args.cache_dir)
     warnings = commutation_hypothesis_warnings(spec, cache_dir=args.cache_dir)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -210,7 +210,7 @@ def cmd_verify(args) -> int:
 
 def cmd_verify_zero(args) -> int:
     shapes = parse_shapes(args.shapes)
-    report = level_zero_identity(args.n, shapes, cache_dir=args.cache_dir, jobs=args.jobs)
+    report = level_zero_identity(args.n, shapes, cache_dir=args.cache_dir)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "verify-zero",
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="directory for persisted tables (default: CRYSTAL_CACHE_DIR)",
         )
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker process bound; small scans run in-process")
+                       help="accepted for compatibility and ignored: every scan runs in-process")
 
     k = sub.add_parser("kostka", help="generating polynomial of restricted paths")
     common(k)

@@ -15,21 +15,20 @@ node 0, where the extra grading factor is unnecessary, and otherwise by the
 energy of the path extended by the matching element b0 of a perfect
 level-l crystal, resolved once per scan.
 
-A scan walks the suffixes b_k (x) ... (x) b_1 (x) b0 depth first, placing
-factors right to left from the b0 tail.  A suffix carries its energy, its
-content (b0 excluded; compared with the target only at full length) and,
-when restricted, phi_i of the suffix tensored with the highest vector u,
-from <h_i, Lambda> for every affine index i or from 0 for the classical
-ones.  Placing x left of y_k (x) ... (x) y_1 adds H(x (x) y_k) + H(x' (x)
-y_(k-1)) + ..., x' being x carried past y_k by the local isomorphism, as in
-path_energy: O(k) lookups per suffix, not O(L^2) per path, each read
-straight from the flat lists of an energy.LocalIsoTable (H, and the b2'
-list as the carry).  By the signature rule a suffix S with eps_i(S) = 0
-keeps it under x exactly when eps_i(x) <= phi_i(S), and then phi_i becomes
-phi_i(S) - eps_i(x) + phi_i(x); otherwise the walk cuts S and every path
-that ends in it.  A restricted walk is pruned far below |B|^L paths and
-runs in the calling process; an unrestricted one may be shared out among
-worker processes.
+A scan places the factors leftmost first and appends the b0 tail last.  A
+path's energy sums H over every pair of factors, the left one carried right
+past the factors between them by the local isomorphism, as in path_energy.
+On B_s (x) B_s that isomorphism is the identity, so every earlier factor of
+shape s reaches the right end as one element c_s.  Appending z adds
+sum_s k_s H(c_s (x) z), k_s counting the factors of shape s placed so far,
+then carries each c_s past z by the image2 list of an energy.LocalIsoTable.
+A state is (c_s for each shape, prefix content) -> {energy: count}: at most
+prod_s |B_s| times the number of contents.  A restricted scan needs its
+target content, which fixes the content right of each factor x; phi_i of
+that suffix tensored with the highest vector u of Lambda is then <h_i,
+Lambda> (0 for classical i) plus a linear function of that content, and by
+the signature rule the path is highest exactly when eps_i(x) <= phi_i at
+every x.
 
 An independent q=1 oracle expands the product of Schur polynomials by brute
 force and peels off leading terms, never touching crystal operators.
@@ -38,7 +37,6 @@ force and peels off leading terms, never touching crystal operators.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -143,53 +141,9 @@ class CrystalSpec:
 
 
 # ---------------------------------------------------------------------------
-# the suffix walk, optionally shared out among worker processes
+# the transfer-matrix scan
 
 CLASSICAL = "classical"
-
-# On a shared 2-core x86_64 VM (Python 3.11) a 2-worker pool, its import
-# included, lost at 65536 paths (n=4, eight 1x1 factors: 0.150 s in-process,
-# 0.248 s) and won at 262144 (nine: 0.718 s, 0.504 s); "pool_threshold" in
-# BENCH_suffix_walk.json has every figure.
-MIN_PATHS_PER_WORKER = 50000
-
-
-def _scan_chunk(payload):
-    """Walk this chunk's share of the suffix tree laid out by scan_paths and
-    count its leaves by (encoded content, energy)."""
-    levels, tail, target, phi0, split, chunk, nchunks = payload
-    last = len(levels) - 1
-    counts: dict[tuple[int, int], int] = {}
-    ordinal = itertools.count()
-
-    def walk(depth, suffix, energy, code, phi):
-        elements, meets = levels[depth]
-        for x, (content, eps, delta) in enumerate(elements):
-            if depth == last and target is not None and code + content != target:
-                continue
-            grown = phi
-            if phi is not None:
-                if not all(map(operator.le, eps, phi)):
-                    continue
-                grown = tuple(map(operator.add, phi, delta))
-            if depth == split and next(ordinal) % nchunks != chunk:
-                continue
-            h, b = energy, x
-            for (heights, carry, width), y in zip(meets, suffix):
-                k = b * width + y
-                h += heights[k]
-                b = carry[k]
-            if depth == last:
-                key = (code + content, h)
-                counts[key] = counts.get(key, 0) + 1
-            else:
-                walk(depth + 1, (x,) + suffix, h, code + content, grown)
-
-    if levels:
-        walk(0, tail, 0, 0, phi0)
-    else:  # the empty path, in the one chunk there is
-        counts[(0, 0)] = 1
-    return sorted(counts.items())
 
 
 def scan_paths(
@@ -199,84 +153,83 @@ def scan_paths(
     restricted: Union[None, str, LevelWeight] = None,
     b0_tail: tuple[Tableau, ...] = (),
     cache_dir: Optional[str] = None,
-    jobs: int = 1,
 ) -> dict[tuple, LaurentPoly]:
     """content -> sum of q^(energy of the path followed by b0_tail, at most
     one factor) over the paths of content target (all when None) that are
     restricted: classically highest for CLASSICAL, highest against the
-    highest vector of Lambda for a LevelWeight Lambda.  The local tables are
-    read in this process.  A restricted scan runs in this process too; an
-    unrestricted one starts a pool of at most jobs workers when each gets at
-    least MIN_PATHS_PER_WORKER paths."""
+    highest vector of Lambda for a LevelWeight Lambda.  A restricted scan
+    needs its target content."""
     shapes = tuple(RectShape(*s) for s in shapes)
     if len(b0_tail) > 1:
-        raise ValueError("the walk grows from at most one tail factor")
-    boxes = sum(s.rows * s.cols for s in shapes)
-    if target is not None and (min(target) < 0 or sum(target) != boxes):
+        raise ValueError("the scan appends at most one tail factor")
+    if restricted is not None and target is None:
+        raise ValueError("a restricted scan needs its target content")
+    if target is not None and (min(target) < 0 or sum(target) != sum(s.rows * s.cols for s in shapes)):
         return {}  # no path has this content
-    base = boxes + 1  # a content's coordinates are its digits in this base
-
-    def encode(content):
-        return sum(c * base**i for i, c in enumerate(content))
-
     if restricted is None:
-        indices, phi0 = (), None
+        indices, phi0 = (), ()
     elif restricted == CLASSICAL:
         indices, phi0 = range(1, n), (0,) * (n - 1)
     else:
         indices = range(n)
         phi0 = tuple(map(restricted.pairing, indices))
-    met = [t.shape for t in b0_tail]  # shapes right of the factor placed next
-    levels = []
-    for shape in reversed(shapes):
+    steps = []  # (shape, [(element, content, eps_i for the restricted i)])
+    for shape in shapes:
         crystal = tableaux.RectCrystal(n, shape)
-        elements = [(encode(content), tuple(crystal.eps[i][x] for i in indices),
-                     tuple(crystal.phi[i][x] - crystal.eps[i][x] for i in indices))
-                    for x, content in enumerate(crystal.content)]
-        tables = [get_local_table(n, shape, other, cache_dir) for other in reversed(met)]
-        levels.append((elements, [(t.energy, t.image2, t.width) for t in tables]))
-        met.append(shape)
-    tail = tuple(tableaux.RectCrystal(n, t.shape).index[t] for t in b0_tail)
-    code = None if target is None else encode(target)
-
-    sizes = list(itertools.accumulate((len(e) for e, _ in levels), operator.mul)) or [1]
-    # a restricted scan is pruned far below the full product: it runs here
-    nchunks = 1 if restricted is not None else max(1, min(jobs, sizes[-1] // MIN_PATHS_PER_WORKER))
-    # workers share out the suffixes that survive at the first depth offering
-    # 64 per worker, and each walks the short stretch above that depth
-    split = next((d for d, size in enumerate(sizes) if size >= 64 * nchunks), len(sizes) - 1)
-    payloads = [(levels, tail, code, phi0, split, chunk, nchunks) for chunk in range(nchunks)]
-    if nchunks == 1:
-        chunks = [_scan_chunk(payloads[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=nchunks) as pool:
-            chunks = list(pool.map(_scan_chunk, payloads))
-    merged: dict[tuple, dict[int, int]] = {}
-    for chunk in chunks:
-        for (key, exp), count in chunk:
-            bucket = merged.setdefault(tuple(key // base**i % base for i in range(n)), {})
-            bucket[exp] = bucket.get(exp, 0) + count
-    return {key: LaurentPoly(bucket) for key, bucket in sorted(merged.items())}
+        steps.append((shape, [(x, content, tuple(crystal.eps[i][x] for i in indices))
+                              for x, content in enumerate(crystal.content)]))
+    for b0 in b0_tail:  # graded against, but neither counted nor restricted
+        steps.append((b0.shape, [(tableaux.RectCrystal(n, b0.shape).index[b0], (0,) * n, ())]))
+    kinds = list(dict.fromkeys(shape for shape, _ in steps))
+    placed: dict[RectShape, int] = {}  # shape -> factors of that shape placed so far
+    # (carried, prefix content) -> {energy: count}; carried[s] is the latest
+    # factor of kind s carried right past every later factor, -1 before the first
+    states = {((-1,) * len(kinds), (0,) * n): {0: 1}}
+    for shape, elements in steps:
+        kind = kinds.index(shape)
+        meets = [(kinds.index(s), k, get_local_table(n, s, shape, cache_dir))
+                 for s, k in placed.items()]
+        grown: dict[tuple, dict[int, int]] = {}
+        for (carried, prefix), energies in states.items():
+            for x, content, eps in elements:
+                total = tuple(map(operator.add, prefix, content))
+                if target is not None:
+                    # a highest suffix of content rest has phi_i = <h_i, Lambda + rest>
+                    rest = tuple(map(operator.sub, target, total))
+                    if min(rest) < 0 or any(
+                        e > p + rest[i - 1] - rest[i] for i, e, p in zip(indices, eps, phi0)
+                    ):
+                        continue
+                h, moved = 0, list(carried)
+                for s, k, table in meets:
+                    j = carried[s] * table.width + x
+                    h += k * table.energy[j]
+                    moved[s] = table.image2[j]
+                moved[kind] = x
+                bucket = grown.setdefault((tuple(moved), total), {})
+                for e, count in energies.items():
+                    bucket[e + h] = bucket.get(e + h, 0) + count
+        states = grown
+        placed[shape] = placed.get(shape, 0) + 1
+    table: dict[tuple, list[tuple[int, int]]] = {}  # content -> (energy, count) pairs
+    for (_, content), energies in states.items():
+        table.setdefault(content, []).extend(energies.items())
+    return {content: LaurentPoly(pairs) for content, pairs in sorted(table.items())}
 
 
 def kostka_classical(
     spec: CrystalSpec,
     lam: Iterable[int],
     cache_dir: Optional[str] = None,
-    jobs: int = 1,
 ) -> LaurentPoly:
     """Sum of q^(path energy) over classically restricted paths of content lam."""
     spec.validate()
     target = normalize_content(lam, spec.n)
-    table = scan_paths(spec.n, spec.shapes, target, CLASSICAL, (), cache_dir, jobs)
+    table = scan_paths(spec.n, spec.shapes, target, CLASSICAL, (), cache_dir)
     return table.get(target, LaurentPoly.zero())
 
 
-def kostka_level(
-    spec: CrystalSpec, cache_dir: Optional[str] = None, jobs: int = 1
-) -> LaurentPoly:
+def kostka_level(spec: CrystalSpec, cache_dir: Optional[str] = None) -> LaurentPoly:
     """Sum of q^(energy) over level-restricted paths producing LambdaPrime:
     the restricted paths of the one content c with Lambda + c equal to
     LambdaPrime modulo the all-ones vector."""
@@ -286,14 +239,12 @@ def kostka_level(
     target = target_content(spec.lam, spec.resolved_lam_prime(), spec.total_boxes())
     if target is None:  # no path has a content that produces LambdaPrime
         return LaurentPoly.zero()
-    table = scan_paths(
-        spec.n, spec.shapes, target, spec.lam, spec.b0_tail(), cache_dir, jobs
-    )
+    table = scan_paths(spec.n, spec.shapes, target, spec.lam, spec.b0_tail(), cache_dir)
     return table.get(target, LaurentPoly.zero())
 
 
 def weight_energy_table(
-    spec: CrystalSpec, cache_dir: Optional[str] = None, jobs: int = 1
+    spec: CrystalSpec, cache_dir: Optional[str] = None
 ) -> dict[tuple, LaurentPoly]:
     """content -> sum of q^(energy) over the whole tensor product, graded
     with the spec's b0 tail.  When the spec has a restriction weight and no
@@ -303,9 +254,7 @@ def weight_energy_table(
         spec.lam, spec.resolved_lam_prime(), spec.total_boxes()
     ) is None:
         return {}
-    return scan_paths(
-        spec.n, spec.shapes, b0_tail=spec.b0_tail(), cache_dir=cache_dir, jobs=jobs
-    )
+    return scan_paths(spec.n, spec.shapes, b0_tail=spec.b0_tail(), cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -72,17 +72,6 @@ class Path:
             raise CertificateError("signature rule pointed at an exhausted factor")
         return self._with_factor(pos, moved)
 
-    def reflect(self, i: int) -> "Path":
-        gap = self.phi(i) - self.eps(i)
-        out: Optional[Path] = self
-        for _ in range(gap):
-            out = out.f(i)
-        for _ in range(-gap):
-            out = out.e(i)
-        if out is None:
-            raise CertificateError("the %d-string of %s ends before its mirror point" % (i, self))
-        return out
-
     def _with_factor(self, pos: int, t: Tableau) -> "Path":
         factors = list(self.factors)
         factors[pos] = t

@@ -4,10 +4,10 @@ A tableau with entries in {1..n} carries raising and lowering operators
 e_i, f_i for 1 <= i <= n-1 through the signature rule on its cells, and the
 index-0 operators through conjugation by promotion, the cyclic symmetry of
 the rank-n alphabet.  Each crystal B(shape) at rank n is built once, as
-integer arrays over its elements (RectCrystal); eps, phi, e, f, promotion
-and promotion_inverse answer from those arrays, and the signature rule and
-promotion themselves run only while a crystal is built.  Undefined operator
-results are returned as None.
+integer arrays over its elements (RectCrystal), promotion and its inverse
+included; eps, phi, e and f answer from those arrays, and the signature rule
+and promotion themselves run only while a crystal is built.  Undefined
+operator results are returned as None.
 """
 
 from __future__ import annotations
@@ -283,22 +283,3 @@ def f(t: Tableau, i: int) -> Optional[Tableau]:
     crystal, x = _element(t, i)
     y = crystal.f[i][x]
     return None if y < 0 else crystal.elements[y]
-
-
-def promotion(t: Tableau) -> Tableau:
-    """Cyclic shift of the crystal: content rotates one step and
-    promotion o f_i = f_{i+1 mod n} o promotion."""
-    crystal, x = _element(t, 0)
-    return crystal.elements[crystal.promotion[x]]
-
-
-def promotion_inverse(t: Tableau) -> Tableau:
-    """Inverse cyclic shift; promotion has order n on rectangles."""
-    crystal, x = _element(t, 0)
-    return crystal.elements[crystal.promotion_inverse[x]]
-
-
-def reflect(t: Tableau, i: int) -> Tableau:
-    """Crystal reflection: move to the mirror position on the i-string."""
-    crystal, x = _element(t, i)
-    return crystal.elements[crystal.move(x, i, crystal.phi[i][x] - crystal.eps[i][x])]

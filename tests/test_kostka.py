@@ -2,14 +2,15 @@ import itertools
 import os
 import subprocess
 import sys
-from concurrent import futures
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from reference_energy import augmented_energy
 from test_acceptance import criterion_one_grid
 from test_bosonic import dominant_weights as dominant_level_weights
 
-from crystalpaths import energy, kostka, paths
+from crystalpaths import energy, kostka, paths, tableaux
 from crystalpaths.kostka import (
     CrystalSpec,
     classical_dimension,
@@ -160,60 +161,6 @@ def test_grading_selection():
     assert b0 == energy.phi_matching_element(2, RectShape(1, 1), other.lam)
 
 
-@pytest.fixture
-def started_pools(monkeypatch):
-    """Lists the worker pools that scans start, by their worker count."""
-    started = []
-    pool_class = futures.ProcessPoolExecutor
-
-    def recording_pool(*args, **kwargs):
-        started.append(kwargs.get("max_workers"))
-        return pool_class(*args, **kwargs)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", recording_pool)
-    return started
-
-
-@pytest.fixture
-def pools(monkeypatch, started_pools):
-    """Lets every unrestricted scan with jobs > 1 start a worker pool; lists
-    the pools started."""
-    monkeypatch.setattr(kostka, "MIN_PATHS_PER_WORKER", 1)
-    return started_pools
-
-
-def test_parallel_scan_matches_serial(pools):
-    spec = vacuum_spec(2, (S11,) * 4, 2)
-    assert weight_energy_table(spec, jobs=2) == weight_energy_table(spec)
-    mixed = CrystalSpec(3, (RectShape(2, 1), S11, RectShape(1, 2), S11), level=2,
-                        lam=LevelWeight(2, (1, 0, 0), 0))
-    table = weight_energy_table(mixed)
-    assert table and weight_energy_table(mixed, jobs=2) == table
-    assert pools == [2, 2]
-
-
-def test_restricted_scan_starts_no_pool(started_pools):
-    """A restricted scan runs in-process whatever the size of the product:
-    on 4^9 paths the level polynomial starts no pool, while the content
-    table of the same spec still shares its scan out."""
-    spec = CrystalSpec(4, (S11,) * 9, level=1, lam=LevelWeight.vacuum(4, 1),
-                       lam_prime=LevelWeight.fundamental(1, 4))
-    assert kostka_level(spec, jobs=2)(1) > 0
-    assert started_pools == []
-    assert weight_energy_table(spec, jobs=2)
-    assert started_pools == [2]
-
-
-def test_small_scan_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
-    spec = vacuum_spec(3, (S11,) * 6, 2)  # 729 paths
-    assert kostka_level(spec, jobs=2) == kostka_level(spec)
-    assert weight_energy_table(spec, jobs=2) == weight_energy_table(spec)
-
-
 def test_import_leaves_the_pool_unloaded():
     code = "import sys, crystalpaths; print('concurrent.futures.process' in sys.modules)"
     src = os.path.dirname(os.path.dirname(kostka.__file__))
@@ -224,15 +171,14 @@ def test_import_leaves_the_pool_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_pool_scan_reads_tables_in_the_parent_once_per_pair(tmp_path, monkeypatch, pools):
-    """Workers get the tables in their payload: every build and load happens
-    in the calling process, once per pair of shapes a path meets."""
-    log = tmp_path / "calls"
+def test_scan_reads_each_table_once_per_pair(tmp_path, monkeypatch):
+    """Every build and load happens once per pair of shapes a path meets:
+    an earlier factor's shape against a later one's, and each against b0."""
+    calls = []
 
     def logging(fn):
         def wrapper(n, shape2, shape1, *args):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write("%d %s %s %s\n" % (os.getpid(), fn.__name__, shape2, shape1))
+            calls.append((fn.__name__, "%s %s" % (shape2, shape1)))
             return fn(n, shape2, shape1, *args)
         return wrapper
 
@@ -246,15 +192,12 @@ def test_pool_scan_reads_tables_in_the_parent_once_per_pair(tmp_path, monkeypatc
     cache = str(tmp_path / "cache")
     for round_ in ("build", "load"):
         energy.clear_memory_tables()
-        log.write_text("")
-        weight_energy_table(spec, cache_dir=cache, jobs=2)
-        calls = [line.split(" ", 2) for line in log.read_text().splitlines()]
-        assert {pid for pid, _, _ in calls} == {str(os.getpid())}
-        loads = sorted(key for _, name, key in calls if name == "load_table")
-        builds = sorted(key for _, name, key in calls if name == "build_local_table")
+        calls.clear()
+        weight_energy_table(spec, cache_dir=cache)
+        loads = sorted(key for name, key in calls if name == "load_table")
+        builds = sorted(key for name, key in calls if name == "build_local_table")
         assert loads == sorted("%s %s" % pair for pair in pairs)
         assert builds == (loads if round_ == "build" else [])
-    assert pools == [2] * 2
     energy.clear_memory_tables()
 
 
@@ -262,7 +205,7 @@ def test_polynomial_type():
     assert isinstance(kostka_classical(CrystalSpec(2, (S11,)), (1, 0)), LaurentPoly)
 
 
-def test_level_scan_resolves_b0_once(monkeypatch, pools):
+def test_level_scan_resolves_b0_once(monkeypatch):
     calls = []
     resolve = energy.phi_matching_element
 
@@ -275,13 +218,12 @@ def test_level_scan_resolves_b0_once(monkeypatch, pools):
     lam = LevelWeight(2, (1, 0, 0), 0)
     spec = CrystalSpec(3, (S11,) * 3, level=2, lam=lam)
     assert not spec.is_vacuum()
-    # once per scan: not once per restricted path, nor once per worker chunk
+    # once per scan, not once per restricted path
     assert kostka_level(spec)(1) > 1
     assert len(calls) == 1
     calls.clear()
-    assert weight_energy_table(spec, jobs=2)
+    assert weight_energy_table(spec)
     assert len(calls) == 1
-    assert pools == [2]
 
 
 def counting(fn, calls):
@@ -302,30 +244,32 @@ def test_level_scan_skipped_when_n_does_not_divide(monkeypatch):
 
 
 def test_walk_leaves_are_the_literal_restricted_paths(monkeypatch):
-    """The walk's restricted leaves of every content are the paths that
-    is_level_restricted accepts, and the ones of the target content are
-    level_restricted_paths; the walk itself calls neither the restriction
-    test nor path_energy."""
+    """The restricted scan at every content of the product gives the paths
+    that is_level_restricted accepts, and at the target content the ones of
+    level_restricted_paths; the scan itself calls neither the restriction
+    test nor path_energy, and refuses a restricted scan without a target."""
     lam = LevelWeight(2, (1, 0, 0), 0)  # L0 + L1
     spec = CrystalSpec(3, (S11,) * 6, level=2, lam=lam)
     literal = {}
     for p in enumerate_paths(3, spec.shapes):
-        if paths.is_level_restricted(p, lam):
-            literal[p.weight()] = literal.get(p.weight(), LaurentPoly.zero()) + graded_stream(
-                [p], spec)
+        graded = graded_stream([p], spec) if paths.is_level_restricted(p, lam) else 0
+        literal[p.weight()] = literal.get(p.weight(), LaurentPoly.zero()) + graded
     target = list(level_restricted_paths(3, spec.shapes, lam, lam))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the walk called a per-path reference")
+        raise AssertionError("the scan called a per-path reference")
 
     for module in (paths, energy, kostka):
         monkeypatch.setattr(module, "is_level_restricted", forbidden, raising=False)
         monkeypatch.setattr(module, "path_energy", forbidden, raising=False)
-    walked = kostka.scan_paths(3, spec.shapes, None, lam, spec.b0_tail())
+    scanned = {c: kostka.scan_paths(3, spec.shapes, c, lam, spec.b0_tail()) for c in literal}
     poly = kostka_level(spec)
     monkeypatch.undo()
-    assert walked == literal
+    assert scanned == {c: {c: want} if want else {} for c, want in literal.items()}
+    assert sum(map(bool, literal.values())) > 1
     assert poly == graded_stream(target, spec) == literal[(2, 2, 2)]
+    with pytest.raises(ValueError, match="target"):
+        kostka.scan_paths(3, spec.shapes, None, lam, spec.b0_tail())
 
 
 def graded_stream(stream, spec):
@@ -374,8 +318,8 @@ def literal_content_table(spec, lam_prime=None):
 
 
 def test_walk_carry_matches_literal_grading():
-    """On products of three or more unequal factors the walk's energy carries
-    each new factor through the suffix by the local isomorphism; compare
+    """On products of three or more unequal factors the scan carries each
+    earlier factor past every later one by the local isomorphism; compare
     with the literal grading in several orders, vacuum and not."""
     s21, s12 = RectShape(2, 1), RectShape(1, 2)
     products = [
@@ -399,3 +343,47 @@ def test_walk_carry_matches_literal_grading():
                 assert kostka_level(spec) == want, spec
                 seen.add((n, spec.is_vacuum(), bool(want)))
     assert {(3, True, True), (3, False, True), (4, True, True), (4, False, True)} <= seen
+
+
+@st.composite
+def small_specs(draw):
+    """A random spec with n <= 4, level <= 3, at most five factors of mixed
+    shapes up to 2 columns, and random dominant Lambda and LambdaPrime; the
+    factors are cut off once the product would exceed 1000 paths."""
+    n, ell = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    kinds = [RectShape(r, c) for r in range(1, n) for c in range(1, min(ell, 2) + 1)]
+    shapes, size = [], 1
+    for shape in draw(st.lists(st.sampled_from(kinds), max_size=5)):
+        size *= len(tableaux.RectCrystal(n, shape).elements)
+        if size > 1000:
+            break
+        shapes.append(shape)
+    weights = list(dominant_level_weights(n, ell))
+    lam, lam_prime = draw(st.sampled_from(weights)), draw(st.sampled_from(weights))
+    return CrystalSpec(n, tuple(shapes), level=ell, lam=lam, lam_prime=lam_prime)
+
+
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs())
+def test_scan_matches_literal_reference_on_random_specs(spec):
+    """The unrestricted table, the level scan and the classical scan at every
+    content, and kostka_level, equal the literal reference: enumerate_paths,
+    path_energy of the path followed by the b0 tail, and the literal
+    restriction tests and streams."""
+    n, shapes, tail = spec.n, spec.shapes, spec.b0_tail()
+    full, level, classical = {}, {}, {}
+    for p in enumerate_paths(n, shapes):
+        c, zero = p.weight(), LaurentPoly.zero()
+        graded = LaurentPoly.q_power(energy.path_energy(paths.Path(n, p.factors + tail)))
+        full[c] = full.get(c, zero) + graded
+        level[c] = level.get(c, zero) + (graded if paths.is_level_restricted(p, spec.lam) else 0)
+        classical[c] = classical.get(c, zero) + (
+            LaurentPoly.q_power(energy.path_energy(p)) if paths.is_classically_restricted(p) else 0)
+    assert kostka.scan_paths(n, shapes, b0_tail=tail) == full
+    for c in full:
+        assert kostka.scan_paths(n, shapes, c, spec.lam, tail) == ({c: level[c]} if level[c] else {})
+        assert kostka.scan_paths(n, shapes, c, kostka.CLASSICAL) == (
+            {c: classical[c]} if classical[c] else {})
+    want = graded_stream(level_restricted_paths(n, shapes, spec.lam, spec.resolved_lam_prime()), spec)
+    assert kostka_level(spec) == want
