@@ -36,15 +36,14 @@ path scan reads too, and reflects a path in one signature pass
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import straighten, tableaux
+from . import tableaux
 from .energy import get_local_table, path_energy
 from .kostka import CrystalSpec, weight_energy_table
 from .laurent import LaurentPoly
 from .paths import Path, format_path, level_restricted_paths, target_content
-from .signature import CertificateError, raising_index, reflection_steps
+from .signature import CertificateError, Record, raising_index, reflection_steps
 from .tableaux import RectShape
 from .weights import (
     AffineWeylElement,
@@ -58,11 +57,16 @@ from .weights import (
 )
 
 
-@dataclass(frozen=True)
-class AlternatingSumResult:
+class AlternatingSumResult(Record):
+    __slots__ = _fields = ("polynomial", "summand_count", "truncation_bound")
     polynomial: LaurentPoly
     summand_count: int
     truncation_bound: int
+
+    def __init__(self, polynomial: LaurentPoly, summand_count: int, truncation_bound: int):
+        object.__setattr__(self, "polynomial", polynomial)
+        object.__setattr__(self, "summand_count", summand_count)
+        object.__setattr__(self, "truncation_bound", truncation_bound)
 
 
 def truncation_bound(
@@ -361,6 +365,8 @@ def bosonic_via_straightening(
 ) -> LaurentPoly:
     """Re-derive the alternating sum by normalizing one Schur symbol per
     content fiber, independently of the residue walk of :func:`_fiber_points`."""
+    from . import straighten  # imported here, so that the CLI starts without it
+
     spec.validate()
     if spec.lam is None:
         raise ValueError("straightening bridge needs a restriction weight Lambda")

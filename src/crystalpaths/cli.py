@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import re
 import sys
@@ -375,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:

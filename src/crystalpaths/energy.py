@@ -20,33 +20,32 @@ local isomorphisms before it meets the right member.
 A table is held once, as flat integer lists over the elements of the two
 factor crystals indexed as in tableaux.RectCrystal, and built from their
 operator arrays; tableaux appear only in the on-disk file.
+
+A cached table that fails a check on load is rejected and rebuilt, and the
+reason is logged as a warning on the logger ``crystalpaths.energy``.  The
+logging module is imported only when a rejection happens, so a run that
+rejects nothing never loads it; with no handler configured, Python's
+last-resort handler writes the bare message to stderr.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import itertools
 import json
-import logging
 import os
 import threading
-from dataclasses import dataclass
 from typing import Optional
 
 from . import tableaux
 from .paths import Path
-from .signature import CertificateError, lowering_index, raising_index
+from .signature import CertificateError, Record, lowering_index, raising_index
 from .tableaux import RectCrystal, RectShape, Tableau
 from .weights import LevelWeight, vadd
-
-log = logging.getLogger(__name__)
 
 CACHE_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class LocalIsoTable:
+class LocalIsoTable(Record):
     """The isomorphism R: B2 (x) B1 -> B1 (x) B2 and the local energy H as
     flat integer lists, elements indexed as in tableaux.RectCrystal.
 
@@ -55,16 +54,25 @@ class LocalIsoTable:
     in B1 and b2' = ``image2`` in B2.
     """
 
+    _fields = ("n", "shape2", "shape1", "energy", "image1", "image2")
+    __slots__ = _fields + ("width",)
     n: int
     shape2: RectShape
     shape1: RectShape
     energy: tuple[int, ...]
     image1: tuple[int, ...]
     image2: tuple[int, ...]
+    width: int
 
-    @functools.cached_property
-    def width(self) -> int:
-        return len(RectCrystal(self.n, self.shape1).elements)
+    def __init__(self, n: int, shape2: RectShape, shape1: RectShape, energy: tuple[int, ...],
+                 image1: tuple[int, ...], image2: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "shape2", shape2)
+        object.__setattr__(self, "shape1", shape1)
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "image1", image1)
+        object.__setattr__(self, "image2", image2)
+        object.__setattr__(self, "width", len(RectCrystal(n, shape1).elements))
 
 
 def _product_operators(left: RectCrystal, right: RectCrystal, i: int) -> tuple[list, list, list]:
@@ -201,6 +209,8 @@ def _table_payload(table: LocalIsoTable) -> dict:
 
 
 def _payload_checksum(payload: dict) -> str:
+    import hashlib  # imported here, so that a run without a cache never loads it
+
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -218,6 +228,13 @@ def save_table(table: LocalIsoTable, cache_dir: str) -> str:
     return path
 
 
+def _reject(message: str, *args) -> None:
+    """Log why a cached table is rebuilt (see the module docstring)."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
 def load_table(n: int, shape2: RectShape, shape1: RectShape, cache_dir: str) -> Optional[LocalIsoTable]:
     """The table stored in cache_dir, or None (with a logged reason) when
     the file is missing, unreadable, of another version or key, fails its
@@ -229,15 +246,15 @@ def load_table(n: int, shape2: RectShape, shape1: RectShape, cache_dir: str) -> 
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if payload.get("version") != CACHE_FORMAT_VERSION:
-            log.warning("cache %s has format version %s, expected %d; rebuilding",
-                        path, payload.get("version"), CACHE_FORMAT_VERSION)
+            _reject("cache %s has format version %s, expected %d; rebuilding",
+                    path, payload.get("version"), CACHE_FORMAT_VERSION)
             return None
         stored = payload.pop("checksum", None)
         if stored != _payload_checksum(payload):
-            log.warning("cache %s failed its checksum; rebuilding", path)
+            _reject("cache %s failed its checksum; rebuilding", path)
             return None
         if [payload["n"], payload["shape2"], payload["shape1"]] != [n, list(shape2), list(shape1)]:
-            log.warning("cache %s does not match its key; rebuilding", path)
+            _reject("cache %s does not match its key; rebuilding", path)
             return None
         b2, b1 = RectCrystal(n, RectShape(*shape2)), RectCrystal(n, RectShape(*shape1))
         index2, index1 = ({name: x for x, name in enumerate(_names(n, c.shape))} for c in (b2, b1))
@@ -248,18 +265,18 @@ def load_table(n: int, shape2: RectShape, shape1: RectShape, cache_dir: str) -> 
         for t2, t1, h in payload["energy"]:
             energy[index2[t2] * width + index1[t1]] = int(h)
         if len(payload["iso"]) != size or len(payload["energy"]) != size or None in image or None in energy:
-            log.warning("cache %s has wrong cardinality; rebuilding", path)
+            _reject("cache %s has wrong cardinality; rebuilding", path)
             return None
         if len(set(image)) != size:
-            log.warning("cache %s holds a local isomorphism that is not a bijection; rebuilding", path)
+            _reject("cache %s holds a local isomorphism that is not a bijection; rebuilding", path)
             return None
         if any(vadd(b2.content[x // width], b1.content[x % width]) != vadd(b1.content[v1], b2.content[v2])
                for x, (v1, v2) in enumerate(image)):
-            log.warning("cache %s holds a local isomorphism that changes content; rebuilding", path)
+            _reject("cache %s holds a local isomorphism that changes content; rebuilding", path)
             return None
         return LocalIsoTable(n, b2.shape, b1.shape, tuple(energy), *zip(*image))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        log.warning("cache %s is unreadable (%s); rebuilding", path, exc)
+        _reject("cache %s is unreadable (%s); rebuilding", path, exc)
         return None
 
 

@@ -38,32 +38,43 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from . import tableaux
 from .energy import get_local_table, phi_matching_element
 from .laurent import LaurentPoly
 from .paths import normalize_content, target_content
+from .signature import Record
 from .tableaux import RectShape, Tableau
 from .weights import LevelWeight
 
 
-@dataclass(frozen=True)
-class CrystalSpec:
+class CrystalSpec(Record):
     """Rank, ordered factor shapes (leftmost first), and optional level data."""
 
+    __slots__ = _fields = ("n", "shapes", "level", "lam", "lam_prime", "b0_shape")
     n: int
     shapes: tuple[RectShape, ...]
-    level: Optional[int] = None
-    lam: Optional[LevelWeight] = None
-    lam_prime: Optional[LevelWeight] = None
-    b0_shape: Optional[RectShape] = None
+    level: Optional[int]
+    lam: Optional[LevelWeight]
+    lam_prime: Optional[LevelWeight]
+    b0_shape: Optional[RectShape]
 
-    def __post_init__(self):
-        object.__setattr__(self, "shapes", tuple(RectShape(*s) for s in self.shapes))
-        if self.b0_shape is not None:
-            object.__setattr__(self, "b0_shape", RectShape(*self.b0_shape))
+    def __init__(
+        self,
+        n: int,
+        shapes: Sequence[RectShape],
+        level: Optional[int] = None,
+        lam: Optional[LevelWeight] = None,
+        lam_prime: Optional[LevelWeight] = None,
+        b0_shape: Optional[RectShape] = None,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "shapes", tuple(RectShape(*s) for s in shapes))
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam_prime", lam_prime)
+        object.__setattr__(self, "b0_shape", None if b0_shape is None else RectShape(*b0_shape))
 
     def validate(self):
         if self.n < 2:

@@ -9,27 +9,28 @@ formal highest weight vector as an extra rightmost factor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import tableaux
-from .signature import CertificateError, fold_stats, lowering_index, raising_index
+from .signature import CertificateError, Record, fold_stats, lowering_index, raising_index
 from .tableaux import RectShape, Tableau
 from .weights import LevelWeight, vadd
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """Tensor product element b_L (x) ... (x) b_1, stored leftmost first."""
 
+    __slots__ = _fields = ("n", "factors")
     n: int
     factors: tuple[Tableau, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        for t in self.factors:
-            if t.n != self.n:
-                raise ValueError("factor rank %d does not match path rank %d" % (t.n, self.n))
+    def __init__(self, n: int, factors: tuple[Tableau, ...]):
+        factors = tuple(factors)
+        for t in factors:
+            if t.n != n:
+                raise ValueError("factor rank %d does not match path rank %d" % (t.n, n))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
 
     def __len__(self):
         return len(self.factors)
@@ -81,8 +82,7 @@ class Path:
         return format_path(self)
 
 
-@dataclass(frozen=True)
-class FormalHighestVector:
+class FormalHighestVector(Record):
     """Highest weight vector of a dominant affine weight, carried formally.
 
     Only its statistics matter: eps_i = 0 and phi_i is the coroot pairing.
@@ -90,11 +90,13 @@ class FormalHighestVector:
     ambient infinite crystal is never materialized.
     """
 
+    __slots__ = _fields = ("weight",)
     weight: LevelWeight
 
-    def __post_init__(self):
-        if not self.weight.is_dominant():
+    def __init__(self, weight: LevelWeight):
+        if not weight.is_dominant():
             raise ValueError("formal highest vector needs a dominant weight")
+        object.__setattr__(self, "weight", weight)
 
     def eps(self, i: int) -> int:
         return 0
@@ -165,16 +167,6 @@ def normalize_content(lam: Iterable[int], n: int) -> tuple[int, ...]:
             raise ValueError("weight %s has more than %d nonzero parts" % (v, n))
         return v[:n]
     return v + (0,) * (n - len(v))
-
-
-def classically_restricted_paths(
-    n: int, shapes: Sequence[RectShape], lam: Iterable[int]
-) -> Iterator[Path]:
-    """Stream the classically restricted paths of the given content."""
-    target = normalize_content(lam, n)
-    for p in enumerate_paths(n, shapes):
-        if p.weight() == target and is_classically_restricted(p):
-            yield p
 
 
 def target_content(lam: LevelWeight, lam_out: LevelWeight, boxes: int) -> Optional[tuple[int, ...]]:

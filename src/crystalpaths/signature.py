@@ -10,11 +10,15 @@ and a raising operator acts on x when phi(x) >= eps(y), a lowering operator
 when phi(x) > eps(y); otherwise the action passes into y.  Longer products
 fold left-associatively, so the factor receiving the action is found by
 scanning from the right against the statistics of the folded prefix.
+
+The module also holds what every other module shares: CertificateError, and
+Record, the immutable value base of the package's small classes.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import attrgetter
 from typing import Optional, Sequence
 
 Stats = tuple[int, int]  # (eps, phi) of one factor for a fixed operator index
@@ -23,6 +27,42 @@ Stats = tuple[int, int]  # (eps, phi) of one factor for a fixed operator index
 class CertificateError(AssertionError):
     """A mathematical certificate failed: the computation contradicts a
     theorem it relies on.  Raised explicitly, so ``python -O`` keeps it."""
+
+
+class Record:
+    """Immutable value with slots.  A subclass lists its fields in
+    ``_fields``, the positional order of its constructor, and sets them (and
+    any derived slot) in ``__init__`` through ``object.__setattr__``.
+    Equality and hashing are field-wise and hold only between instances of
+    one class, so a record never equals a tuple; assignment raises."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % pair for pair in zip(self._fields, self._values(self))))
 
 
 def combine(left: Stats, right: Stats) -> Stats:

@@ -15,10 +15,9 @@ translation part of the normalizing group element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .signature import CertificateError
+from .signature import CertificateError, Record
 from .weights import (
     LevelWeight,
     Vector,
@@ -33,21 +32,25 @@ from .weights import (
 NormalForm = tuple[int, int, Vector]  # (sign, q-power, dominant vector)
 
 
-@dataclass(frozen=True)
-class SchurSymbol:
+class SchurSymbol(Record):
+    __slots__ = _fields = ("alpha", "level", "sign", "qpow")
     alpha: Vector
     level: int
-    sign: int = 1
-    qpow: int = 0
+    sign: int
+    qpow: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        if len(self.alpha) < 2:
+    def __init__(self, alpha: Vector, level: int, sign: int = 1, qpow: int = 0):
+        alpha = tuple(alpha)
+        if len(alpha) < 2:
             raise ValueError("rank must be at least 2")
-        if self.level < 1:
-            raise ValueError("level must be at least 1, got %d" % self.level)
-        if self.sign not in (1, -1):
+        if level < 1:
+            raise ValueError("level must be at least 1, got %d" % level)
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "qpow", qpow)
 
     @property
     def rank(self) -> int:

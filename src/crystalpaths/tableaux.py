@@ -13,10 +13,9 @@ operator results are returned as None.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .signature import CertificateError, fold_stats, lowering_index, raising_index
+from .signature import CertificateError, Record, fold_stats, lowering_index, raising_index
 
 
 class RectShape(NamedTuple):
@@ -37,41 +36,42 @@ class RectShape(NamedTuple):
         return cls(k, l)
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Record):
     """Column-strict filling of a k x l rectangle with entries in {1..n}.
 
     Rows weakly increase left to right, columns strictly increase top to
-    bottom.  Instances are immutable and hashable.
+    bottom.  Instances are immutable and hashable; ``shape`` is derived.
     """
 
+    _fields = ("n", "rows")
+    __slots__ = _fields + ("shape",)
     n: int
     rows: tuple[tuple[int, ...], ...]
+    shape: RectShape
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if self.n < 2:
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(r) for r in rows)
+        if n < 2:
             raise ValueError("rank must be at least 2")
-        if not self.rows or not self.rows[0]:
+        if not rows or not rows[0]:
             raise ValueError("tableau must be nonempty")
-        width = len(self.rows[0])
-        if any(len(r) != width for r in self.rows):
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
             raise ValueError("tableau is not rectangular")
-        if len(self.rows) >= self.n:
-            raise ValueError("height %d must be below the rank %d" % (len(self.rows), self.n))
-        for r in self.rows:
+        if len(rows) >= n:
+            raise ValueError("height %d must be below the rank %d" % (len(rows), n))
+        for r in rows:
             for x in r:
-                if not 1 <= x <= self.n:
-                    raise ValueError("entry %d outside 1..%d" % (x, self.n))
+                if not 1 <= x <= n:
+                    raise ValueError("entry %d outside 1..%d" % (x, n))
             if any(r[c] > r[c + 1] for c in range(width - 1)):
                 raise ValueError("row not weakly increasing: %s" % (r,))
-        for up, down in zip(self.rows, self.rows[1:]):
+        for up, down in zip(rows, rows[1:]):
             if any(a >= b for a, b in zip(up, down)):
                 raise ValueError("column not strictly increasing")
-
-    @functools.cached_property
-    def shape(self) -> RectShape:
-        return RectShape(len(self.rows), len(self.rows[0]))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "shape", RectShape(len(rows), width))
 
     def content(self) -> tuple[int, ...]:
         """Coordinate m counts the entries equal to m."""

@@ -12,9 +12,8 @@ the permutation parity, translations being even.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .signature import CertificateError
+from .signature import CertificateError, Record
 
 Vector = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -60,16 +59,6 @@ def rho_vector(n: int) -> Vector:
 def theta_vector(n: int) -> Vector:
     """Highest root e_1 - e_n."""
     return (1,) + (0,) * (n - 2) + (-1,)
-
-
-def simple_root(i: int, n: int) -> Vector:
-    """e_i - e_{i+1} for 1 <= i <= n-1."""
-    if not 1 <= i <= n - 1:
-        raise ValueError("classical root index out of range: %d" % i)
-    v = [0] * n
-    v[i - 1] = 1
-    v[i] = -1
-    return tuple(v)
 
 
 def fundamental_vector(i: int, n: int) -> Vector:
@@ -127,8 +116,7 @@ def perm_sign(p: Permutation) -> int:
 # affine weights
 
 
-@dataclass(frozen=True)
-class LevelWeight:
+class LevelWeight(Record):
     """Affine weight written as (level, finite representative, delta coefficient).
 
     The finite part is an integer representative of a classical weight; two
@@ -136,14 +124,17 @@ class LevelWeight:
     when their finite parts agree modulo the all-ones vector.
     """
 
+    __slots__ = _fields = ("level", "finite", "delta")
     level: int
     finite: Vector
-    delta: int = 0
+    delta: int
 
-    def __post_init__(self):
-        if len(self.finite) < 2:
+    def __init__(self, level: int, finite: Vector, delta: int = 0):
+        if len(finite) < 2:
             raise ValueError("rank must be at least 2")
-        object.__setattr__(self, "finite", tuple(self.finite))
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "finite", tuple(finite))
+        object.__setattr__(self, "delta", delta)
 
     @property
     def rank(self) -> int:
@@ -202,24 +193,26 @@ class LevelWeight:
 # affine Weyl group elements  w = t_beta . tau
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
+class AffineWeylElement(Record):
     """w = (translation by beta) composed after the permutation tau.
 
     beta lies in the sum-zero lattice; sign(w) is the parity of tau, the
     translation part being a product of an even number of reflections.
     """
 
+    __slots__ = _fields = ("beta", "tau")
     beta: Vector
     tau: Permutation
 
-    def __post_init__(self):
-        if len(self.beta) != len(self.tau):
+    def __init__(self, beta: Vector, tau: Permutation):
+        if len(beta) != len(tau):
             raise ValueError("translation and permutation rank mismatch")
-        if sum(self.beta) != 0:
-            raise ValueError("translation %s has nonzero coordinate sum" % (self.beta,))
-        if sorted(self.tau) != list(range(1, len(self.tau) + 1)):
-            raise ValueError("invalid permutation %s" % (self.tau,))
+        if sum(beta) != 0:
+            raise ValueError("translation %s has nonzero coordinate sum" % (beta,))
+        if sorted(tau) != list(range(1, len(tau) + 1)):
+            raise ValueError("invalid permutation %s" % (tau,))
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "tau", tau)
 
     @classmethod
     def identity(cls, n: int) -> "AffineWeylElement":

@@ -4,7 +4,8 @@ only as index arrays.
 tableaux.RectCrystal holds promotion, its inverse and the string moves as
 arrays over element indices, and the level-zero pairing reflects index paths
 in one signature pass.  The tests state properties of these maps on Tableau
-and Path objects through the plain functions below.
+and Path objects through the plain functions below, and weight changes
+through simple_root.
 """
 
 from crystalpaths.paths import Path
@@ -46,3 +47,13 @@ def reflect_path(p: Path, i: int) -> Path:
     if out is None:
         raise AssertionError("the %d-string of %s ends before its mirror point" % (i, p))
     return out
+
+
+def simple_root(i: int, n: int) -> tuple[int, ...]:
+    """e_i - e_{i+1} for 1 <= i <= n-1, the content change of e_i."""
+    if not 1 <= i <= n - 1:
+        raise ValueError("classical root index out of range: %d" % i)
+    v = [0] * n
+    v[i - 1] = 1
+    v[i] = -1
+    return tuple(v)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import crystalpaths
 from crystalpaths import energy, kostka
 from crystalpaths.cli import main, parse_weight_selector
 from crystalpaths.weights import LevelWeight
@@ -12,6 +16,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def cold(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with args in a fresh process that finds this
+    package first, writes no bytecode and keeps this run's -O level."""
+    src = os.path.dirname(os.path.dirname(crystalpaths.__file__))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("CRYSTAL_CACHE_DIR", None)
+    return subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
@@ -209,3 +224,34 @@ def test_jobs_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["path_count"] == 2
+
+
+LAZY_MODULES = ("dataclasses", "inspect", "logging", "hashlib", "crystalpaths.straighten")
+
+
+def test_cold_import_stays_lean():
+    """Importing the CLI loads none of the modules that only a rarer path
+    needs: see the start-up paragraph of the README."""
+    code = ("import sys; lazy = %r; before = set(sys.modules); import crystalpaths.cli; "
+            "print(' '.join(m for m in lazy if m in sys.modules and m not in before))"
+            % (LAZY_MODULES,))
+    out = cold("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""
+
+
+def test_rejected_cache_is_reported_on_stderr(tmp_path):
+    """A cache file with a corrupted checksum is rebuilt: the process writes
+    the bare rejection line to stderr and the same JSON to stdout."""
+    argv = ["-m", "crystalpaths.cli", "verify", "--n", "3", "--level", "2",
+            "--shapes", "1x2,1x1", "--Lambda", "L0+L1", "--cache-dir", str(tmp_path)]
+    clean = cold(*argv)
+    assert (clean.returncode, clean.stderr) == (0, "")
+    corrupted = tmp_path / energy.cache_file_name(3, (1, 2), (1, 1))
+    payload = json.loads(corrupted.read_text(encoding="utf-8"))
+    payload["checksum"] = "0" * 64
+    corrupted.write_text(json.dumps(payload), encoding="utf-8")
+    rejected = cold(*argv)
+    assert rejected.returncode == 0
+    assert rejected.stderr == "cache %s failed its checksum; rebuilding\n" % corrupted
+    assert rejected.stdout == clean.stdout

@@ -21,6 +21,7 @@ from crystalpaths.energy import (
     phi_matching_element,
 )
 from crystalpaths.paths import Path, enumerate_paths, parse_path
+from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import RectShape, Tableau, enumerate_tableaux, highest_weight_tableau
 from crystalpaths.weights import LevelWeight
 
@@ -255,6 +256,31 @@ def test_cache_round_trip_and_determinism(tmp_path):
     en.clear_memory_tables()
     loaded = get_local_table(2, S12, S11, cache_dir=cache)
     assert loaded == table
+
+
+@pytest.mark.parametrize("agree", [True, False])
+def test_racing_builds_must_agree(monkeypatch, agree):
+    """A build that loses the race to publish is compared with the winner by
+    full equality: an equal table yields the winner, a different one fails."""
+    key = (3, S12, S11)
+    winner = build_local_table(*key)
+    if not agree:
+        winner = en.LocalIsoTable(*key, (1,) + winner.energy[1:], winner.image1, winner.image2)
+
+    def racing_build(*args):
+        en._TABLES[key] = winner  # another thread publishes first
+        return build_local_table(*args)
+
+    en.clear_memory_tables()
+    monkeypatch.setattr(en, "build_local_table", racing_build)
+    try:
+        if agree:
+            assert get_local_table(*key) is winner
+        else:
+            with pytest.raises(CertificateError, match="racing builds"):
+                get_local_table(*key)
+    finally:
+        en.clear_memory_tables()
 
 
 def test_cache_corruption_triggers_rebuild(tmp_path, caplog):

@@ -1,12 +1,10 @@
 import itertools
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_energy import augmented_energy
+from reference_paths import classically_restricted_paths
 from test_acceptance import criterion_one_grid
 from test_bosonic import dominant_weights as dominant_level_weights
 
@@ -22,11 +20,7 @@ from crystalpaths.kostka import (
     weight_energy_table,
 )
 from crystalpaths.laurent import LaurentPoly
-from crystalpaths.paths import (
-    classically_restricted_paths,
-    enumerate_paths,
-    level_restricted_paths,
-)
+from crystalpaths.paths import enumerate_paths, level_restricted_paths
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import LevelWeight
 
@@ -159,16 +153,6 @@ def test_grading_selection():
     (b0,) = other.b0_tail()
     assert b0.shape == RectShape(1, 1)
     assert b0 == energy.phi_matching_element(2, RectShape(1, 1), other.lam)
-
-
-def test_import_leaves_the_pool_unloaded():
-    code = "import sys, crystalpaths; print('concurrent.futures.process' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(kostka.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
 
 
 def test_scan_reads_each_table_once_per_pair(tmp_path, monkeypatch):

@@ -2,13 +2,13 @@ import itertools
 import random
 
 import pytest
+from reference_paths import classically_restricted_paths
 
 from crystalpaths import tableaux as tx
 from crystalpaths.kostka import classical_dimension
 from crystalpaths.paths import (
     FormalHighestVector,
     Path,
-    classically_restricted_paths,
     enumerate_paths,
     format_path,
     is_classically_restricted,

@@ -1,0 +1,148 @@
+"""Value semantics of the package's immutable records (signature.Record):
+field-wise equality and hashing within one class, refused assignment, the
+constructor's normalization and validation, and the derived slots."""
+
+import copy
+
+import pytest
+
+from crystalpaths.bosonic import AlternatingSumResult
+from crystalpaths.energy import LocalIsoTable, build_local_table
+from crystalpaths.kostka import CrystalSpec
+from crystalpaths.laurent import LaurentPoly
+from crystalpaths.paths import FormalHighestVector, Path
+from crystalpaths.signature import Record
+from crystalpaths.straighten import SchurSymbol
+from crystalpaths.tableaux import RectCrystal, RectShape, Tableau
+from crystalpaths.weights import AffineWeylElement, LevelWeight
+
+S11, S12 = RectShape(1, 1), RectShape(1, 2)
+T1, T2 = Tableau(2, ((1,),)), Tableau(2, ((2,),))
+TABLE = build_local_table(3, S12, S11)
+
+
+def table_fields(**changes):
+    fields = dict(zip(LocalIsoTable._fields, TABLE._values(TABLE)), **changes)
+    return tuple(fields.values())
+
+
+# class -> (constructor arguments, the same value spelled with lists where
+# the constructor normalizes, a different value, arguments that must fail)
+CASES = {
+    AlternatingSumResult: (
+        (LaurentPoly({0: 1, 2: -1}), 3, 2),
+        (LaurentPoly({0: 1, 2: -1}), 3, 2),
+        (LaurentPoly({0: 1, 2: -1}), 3, 3),
+        [],
+    ),
+    LocalIsoTable: (
+        table_fields(),
+        table_fields(shape2=(1, 2), shape1=(1, 1)),
+        table_fields(energy=(1,) + TABLE.energy[1:]),
+        [],
+    ),
+    CrystalSpec: (
+        (2, (S11, S11), 1, LevelWeight(1, (0, 0)), None, S11),
+        (2, [[1, 1], (1, 1)], 1, LevelWeight(1, [0, 0]), None, [1, 1]),
+        (2, (S11, S11), 1, LevelWeight(1, (0, 0)), LevelWeight(1, (1, 0)), S11),
+        [],
+    ),
+    Path: (
+        (2, (T1, T2)),
+        (2, [T1, T2]),
+        (2, (T2, T1)),
+        [(3, (T1,))],
+    ),
+    FormalHighestVector: (
+        (LevelWeight(2, (1, 0, 0)),),
+        (LevelWeight(2, [1, 0, 0]),),
+        (LevelWeight(2, (0, 0, 0)),),
+        [(LevelWeight(1, (2, 0)),)],
+    ),
+    SchurSymbol: (
+        ((1, 0, -1), 2, -1, 3),
+        ([1, 0, -1], 2, -1, 3),
+        ((1, 0, -1), 2, 1, 3),
+        [((1,), 1), ((1, 0), 0), ((1, 0), 1, 0)],
+    ),
+    Tableau: (
+        (3, ((1, 2), (2, 3))),
+        (3, [[1, 2], [2, 3]]),
+        (3, ((1, 1), (2, 3))),
+        [(1, ((1,),)), (3, ()), (3, ((),)), (3, ((1, 2), (2,))), (2, ((1,), (2,))),
+         (2, ((3,),)), (3, ((2, 1),)), (3, ((1, 2), (1, 3)))],
+    ),
+    LevelWeight: (
+        (2, (1, 0, 0), 3),
+        (2, [1, 0, 0], 3),
+        (2, (1, 0, 0), 0),
+        [(1, (0,))],
+    ),
+    AffineWeylElement: (
+        ((1, -1), (2, 1)),
+        ((1, -1), (2, 1)),
+        ((0, 0), (2, 1)),
+        [((1, -1), (1, 2, 3)), ((1, 0), (1, 2)), ((0, 0), (1, 1))],
+    ),
+}
+
+CLASSES = list(CASES)
+
+
+def twin(record):
+    """An instance of another Record class with the same fields and values."""
+
+    class Twin(Record):
+        __slots__ = _fields = record._fields
+
+        def __init__(self, *values):
+            for name, value in zip(self._fields, values):
+                object.__setattr__(self, name, value)
+
+    return Twin(*record._values(record))
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_equality_and_hash_are_by_fields(cls):
+    args, spelled, other, _ = CASES[cls]
+    a, b, c = cls(*args), cls(*spelled), cls(*other)
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != c and len({a, b, c}) == 2
+    values = tuple(getattr(a, name) for name in cls._fields)
+    assert hash(a) == hash(values)  # as a frozen dataclass hashes
+    assert a != values and values != a
+    assert a != twin(a) and twin(a) != a
+    assert repr(a) == "%s(%s)" % (cls.__name__, ", ".join(
+        "%s=%r" % (name, getattr(a, name)) for name in cls._fields))
+    assert copy.copy(a) == a  # rebuilt through the constructor, as pickle does
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_assignment_raises(cls):
+    record = cls(*CASES[cls][0])
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == cls(*CASES[cls][0])
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_validation_errors(cls):
+    for args in CASES[cls][3]:
+        with pytest.raises(ValueError):
+            cls(*args)
+
+
+def test_defaults_and_derived_slots():
+    assert LevelWeight(1, (0, 0)).delta == 0
+    assert SchurSymbol((0, 0), 1) == SchurSymbol((0, 0), 1, 1, 0)
+    assert CrystalSpec(2, ()) == CrystalSpec(2, (), None, None, None, None)
+    assert Tableau(3, ((1, 2), (2, 3))).shape == RectShape(2, 2)
+    assert Tableau(4, ((1,), (2,), (4,))).shape == RectShape(3, 1)
+    assert TABLE.width == len(RectCrystal(3, S11).elements) == 3
+    assert LocalIsoTable(*table_fields()).width == 3
+    assert len(TABLE.energy) == len(RectCrystal(3, S12).elements) * TABLE.width

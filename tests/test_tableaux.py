@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from reference_crystal import promotion, promotion_inverse, reflect
+from reference_crystal import promotion, promotion_inverse, reflect, simple_root
 
 from crystalpaths import tableaux as tx
 from crystalpaths.tableaux import (
@@ -13,7 +13,7 @@ from crystalpaths.tableaux import (
     parse_tableau,
 )
 from crystalpaths.signature import fold_stats, lowering_index, raising_index
-from crystalpaths.weights import simple_root, theta_vector, vsub
+from crystalpaths.weights import theta_vector, vsub
 
 SMALL_GRID = [
     (n, RectShape(k, l))
