@@ -22,8 +22,14 @@ scanned.  A sum reads the content table of the tensor product
 radius.  The beta sum is truncated to a box certified a priori: outside it
 the content fiber is provably empty because the translation summand spreads
 the target weight further than any content vector can reach.  Degenerate
-levels give closed evaluations: at level one with column factors the sum
-collapses to the single restricted path's monomial, and the formal
+levels give closed evaluations.  At level one with column factors the sum
+collapses to the monomial of the single restricted path, if there is one.
+Every element x of a level-one perfect crystal has sum_i eps_i(x) >= 1, so
+the signature rule eps_i(x) <= phi_i(suffix (x) u) admits only equality
+with the level-one weight phi of the suffix: a right-to-left walk from
+phi(u) = Lambda fixes each factor in turn, and the path exists when the
+walk's content is the target content.  Its monomial is the level polynomial
+(kostka.kostka_level), which must count exactly that path.  The formal
 level-zero sum vanishes unless the tensor product is empty, which is
 witnessed by an explicit sign-reversing pairing of the summands.  The
 pairing holds a path as a tuple of element indices into the integer
@@ -39,10 +45,10 @@ import functools
 from typing import Optional, Sequence
 
 from . import tableaux
-from .energy import get_local_table, path_energy
-from .kostka import CrystalSpec, weight_energy_table
+from .energy import get_local_table
+from .kostka import CrystalSpec, kostka_level, weight_energy_table
 from .laurent import LaurentPoly
-from .paths import Path, format_path, level_restricted_paths, target_content
+from .paths import Path, format_path, target_content
 from .signature import CertificateError, Record, raising_index, reflection_steps
 from .tableaux import RectShape
 from .weights import (
@@ -162,9 +168,29 @@ def bosonic_report(
 # closed evaluations at level one and level zero
 
 
+def _level_one_walk(crystals, lam: LevelWeight) -> tuple[int, ...]:
+    """Element indices, one per factor crystal, of the only path that can be
+    restricted against the level-one weight lam: walking right to left, the
+    factor x is the one element with eps(x) = phi of everything right of it,
+    starting from phi(u) = lam."""
+    indices = range(lam.rank)
+    need = tuple(map(lam.pairing, indices))
+    path = []
+    for crystal in reversed(crystals):
+        matches = [x for x in range(len(crystal.elements))
+                   if all(crystal.eps[i][x] == need[i] for i in indices)]
+        if len(matches) != 1:
+            raise CertificateError("%d elements of B^%s have eps = %s; it is not perfect of level one"
+                                   % (len(matches), crystal.shape, need))
+        path.append(matches[0])
+        need = tuple(crystal.phi[i][matches[0]] for i in indices)
+    return tuple(reversed(path))
+
+
 def level_one_identity(spec: CrystalSpec, cache_dir: Optional[str] = None) -> dict:
     """At level one with column factors the restricted path set has at most
-    one element; the alternating sum must equal its single monomial."""
+    one element, found by a walk without enumeration; the alternating sum
+    must equal its single monomial."""
     spec.validate()
     if spec.level != 1:
         raise ValueError("level-one identity needs level 1, got %s" % spec.level)
@@ -173,27 +199,24 @@ def level_one_identity(spec: CrystalSpec, cache_dir: Optional[str] = None) -> di
     if spec.lam is None:
         raise ValueError("level-one identity needs a restriction weight Lambda")
     lam_prime = spec.resolved_lam_prime()
-    restricted = list(level_restricted_paths(spec.n, spec.shapes, spec.lam, lam_prime))
-    if len(restricted) > 1:
-        raise CertificateError(
-            "level-one restricted path set has %d elements" % len(restricted)
-        )
-    rhs = (
-        LaurentPoly.q_power(
-            path_energy(Path(spec.n, restricted[0].factors + spec.b0_tail()), cache_dir)
-        )
-        if restricted
-        else LaurentPoly.zero()
-    )
+    crystals = [tableaux.RectCrystal(spec.n, s) for s in spec.shapes]
+    path = _level_one_walk(crystals, spec.lam)
+    content = functools.reduce(vadd, (c.content[x] for c, x in zip(crystals, path)), (0,) * spec.n)
+    exists = content == target_content(spec.lam, lam_prime, spec.total_boxes())
+    rhs = kostka_level(spec, cache_dir)
+    if rhs(1) != exists:
+        raise CertificateError("the level polynomial counts %d restricted paths at level one, the walk %d"
+                               % (rhs(1), exists))
     table = weight_energy_table(spec, cache_dir)
     result = alternating_sum(spec.n, spec.shapes, 1, spec.lam, lam_prime, table)
+    factors = tuple(c.elements[x] for c, x in zip(crystals, path))
     return {
-        "path_exists": bool(restricted),
-        "path": str(restricted[0]) if restricted else None,
+        "path_exists": exists,
+        "path": format_path(Path(spec.n, factors)) if exists else None,
         "lhs_polynomial": list(result.polynomial.pairs()),
         "rhs_polynomial": list(rhs.pairs()),
         "equal": result.polynomial == rhs,
-        "single_monomial": result.polynomial.is_monomial() if restricted else not result.polynomial,
+        "single_monomial": result.polynomial.is_monomial() if exists else not result.polynomial,
         "summand_count": result.summand_count,
         "truncation_bound": result.truncation_bound,
     }
@@ -281,7 +304,7 @@ def _level_zero_certificate(spec: CrystalSpec, cache_dir: Optional[str] = None):
         meets = [[get_local_table(n, a, b, cache_dir) for b in shapes[j + 1:]] for j, a in enumerate(shapes)]
         for tau, _, beta, content, exponent in _fiber_points(n, rho_vector(n), target, bound, by_content):
             for path in by_content[content]:
-                energy = exponent  # as in path_energy, each factor is carried past the later ones
+                energy = exponent  # as in kostka.scan_paths, each factor is carried past the later ones
                 for j, x in enumerate(path):
                     for table, y in zip(meets[j], path[j + 1:]):
                         k = x * table.width + y

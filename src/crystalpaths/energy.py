@@ -1,4 +1,4 @@
-"""Local isomorphisms between tensor factors, local energy, and path energy.
+"""Local isomorphisms between tensor factors, and local energy.
 
 For two rectangle crystals B2 and B1 over the same rank, the tensor product
 B2 (x) B1 is connected and there is a unique isomorphism onto B1 (x) B2 that
@@ -15,7 +15,9 @@ here by H = 0 on the pair of classical highest weight tableaux.
 
 The energy of a longer path accumulates H over all factor pairs, carrying
 the left member of each pair rightward through the intermediate factors by
-local isomorphisms before it meets the right member.
+local isomorphisms before it meets the right member.  It is summed from the
+tables below inside the recursion of kostka.scan_paths and the level-zero
+pairing of bosonic; there is no per-path grader.
 
 A table is held once, as flat integer lists over the elements of the two
 factor crystals indexed as in tableaux.RectCrystal, and built from their
@@ -37,7 +39,6 @@ import threading
 from typing import Optional
 
 from . import tableaux
-from .paths import Path
 from .signature import CertificateError, Record, lowering_index, raising_index
 from .tableaux import RectCrystal, RectShape, Tableau
 from .weights import LevelWeight, vadd
@@ -305,32 +306,6 @@ def get_local_table(
 def clear_memory_tables():
     with _LOCK:
         _TABLES.clear()
-
-
-# ---------------------------------------------------------------------------
-# path energy
-
-
-def path_energy(p: Path, cache_dir: Optional[str] = None) -> int:
-    """Sum of local energies over all factor pairs.
-
-    For each pair of positions the left factor is swept rightward through
-    the factors between them: evaluate H against the neighbor, then swap
-    past it with the local isomorphism and continue.  Positions count from
-    the right, so ``fs[len-j]`` is the j-th factor.
-    """
-    fs = p.factors
-    xs = [RectCrystal(p.n, t.shape).index[t] for t in fs]
-    length = len(fs)
-    total = 0
-    for j in range(2, length + 1):
-        x = xs[length - j]
-        for i in range(j - 1, 0, -1):
-            table = get_local_table(p.n, fs[length - j].shape, fs[length - i].shape, cache_dir)
-            k = x * table.width + xs[length - i]
-            total += table.energy[k]
-            x = table.image2[k]
-    return total
 
 
 def phi_matching_element(n: int, shape: RectShape, lam: LevelWeight) -> Tableau:

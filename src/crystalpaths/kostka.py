@@ -17,8 +17,8 @@ level-l crystal, resolved once per scan.
 
 A scan places the factors leftmost first and appends the b0 tail last.  A
 path's energy sums H over every pair of factors, the left one carried right
-past the factors between them by the local isomorphism, as in path_energy.
-On B_s (x) B_s that isomorphism is the identity, so every earlier factor of
+past the factors between them by the local isomorphism (see energy).  On
+B_s (x) B_s that isomorphism is the identity, so every earlier factor of
 shape s reaches the right end as one element c_s.  Appending z adds
 sum_s k_s H(c_s (x) z), k_s counting the factors of shape s placed so far,
 then carries each c_s past z by the image2 list of an energy.LocalIsoTable.
@@ -116,10 +116,6 @@ class CrystalSpec(Record):
                     "b0 shape %s must have width equal to the level %d"
                     % (self.b0_shape, self.level)
                 )
-
-    @property
-    def rank(self) -> int:
-        return self.n
 
     def total_boxes(self) -> int:
         return sum(s.rows * s.cols for s in self.shapes)

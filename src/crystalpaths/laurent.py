@@ -33,6 +33,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return LaurentPoly, (self.pairs(),)
+
     @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()

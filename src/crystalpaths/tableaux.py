@@ -5,9 +5,9 @@ e_i, f_i for 1 <= i <= n-1 through the signature rule on its cells, and the
 index-0 operators through conjugation by promotion, the cyclic symmetry of
 the rank-n alphabet.  Each crystal B(shape) at rank n is built once, as
 integer arrays over its elements (RectCrystal), promotion and its inverse
-included; eps, phi, e and f answer from those arrays, and the signature rule
-and promotion themselves run only while a crystal is built.  Undefined
-operator results are returned as None.
+included, with -1 for an undefined operator result.  The program reads only
+those arrays; the signature rule and promotion themselves run only while a
+crystal is built.
 """
 
 from __future__ import annotations
@@ -250,36 +250,3 @@ class RectCrystal:
                 raise CertificateError("signature rule pointed at cell %d of %s, not a %d" % (pos, t, old))
             moved.append(-1 if pos is None else self.index[_replace_cell(t, pos, new)])
         return (*fold_stats(stats), *moved)
-
-
-# ---------------------------------------------------------------------------
-# full operator family over I = {0, 1, ..., n-1}, answered from the arrays
-
-
-def _element(t: Tableau, i: int) -> tuple[RectCrystal, int]:
-    if not 0 <= i < t.n:
-        raise ValueError("operator index out of range: %d" % i)
-    crystal = RectCrystal(t.n, t.shape)
-    return crystal, crystal.index[t]
-
-
-def eps(t: Tableau, i: int) -> int:
-    crystal, x = _element(t, i)
-    return crystal.eps[i][x]
-
-
-def phi(t: Tableau, i: int) -> int:
-    crystal, x = _element(t, i)
-    return crystal.phi[i][x]
-
-
-def e(t: Tableau, i: int) -> Optional[Tableau]:
-    crystal, x = _element(t, i)
-    y = crystal.e[i][x]
-    return None if y < 0 else crystal.elements[y]
-
-
-def f(t: Tableau, i: int) -> Optional[Tableau]:
-    crystal, x = _element(t, i)
-    y = crystal.f[i][x]
-    return None if y < 0 else crystal.elements[y]

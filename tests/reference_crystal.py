@@ -1,20 +1,44 @@
-"""Tableau- and Path-level views of the crystal maps that the program keeps
-only as index arrays.
+"""Tableau-level views of the crystal maps that the program keeps only as
+index arrays.
 
-tableaux.RectCrystal holds promotion, its inverse and the string moves as
-arrays over element indices, and the level-zero pairing reflects index paths
-in one signature pass.  The tests state properties of these maps on Tableau
-and Path objects through the plain functions below, and weight changes
-through simple_root.
+tableaux.RectCrystal holds eps, phi, e and f, promotion, its inverse and
+the string moves as arrays over element indices.  The tests state
+properties of these maps on Tableau objects through the plain functions
+below, and weight changes through simple_root.
 """
 
-from crystalpaths.paths import Path
+from typing import Optional
+
 from crystalpaths.tableaux import RectCrystal, Tableau
 
 
 def _element(t: Tableau) -> tuple[RectCrystal, int]:
     crystal = RectCrystal(t.n, t.shape)
     return crystal, crystal.index[t]
+
+
+def eps(t: Tableau, i: int) -> int:
+    crystal, x = _element(t)
+    return crystal.eps[i][x]
+
+
+def phi(t: Tableau, i: int) -> int:
+    crystal, x = _element(t)
+    return crystal.phi[i][x]
+
+
+def e(t: Tableau, i: int) -> Optional[Tableau]:
+    """e_i t, or None where e_i kills t."""
+    crystal, x = _element(t)
+    y = crystal.e[i][x]
+    return None if y < 0 else crystal.elements[y]
+
+
+def f(t: Tableau, i: int) -> Optional[Tableau]:
+    """f_i t, or None where f_i kills t."""
+    crystal, x = _element(t)
+    y = crystal.f[i][x]
+    return None if y < 0 else crystal.elements[y]
 
 
 def promotion(t: Tableau) -> Tableau:
@@ -34,19 +58,6 @@ def reflect(t: Tableau, i: int) -> Tableau:
     """Crystal reflection: move to the mirror position on the i-string."""
     crystal, x = _element(t)
     return crystal.elements[crystal.move(x, i, crystal.phi[i][x] - crystal.eps[i][x])]
-
-
-def reflect_path(p: Path, i: int) -> Path:
-    """Crystal reflection of a path, one Path.e or Path.f step at a time."""
-    gap = p.phi(i) - p.eps(i)
-    out = p
-    for _ in range(gap):
-        out = out.f(i)
-    for _ in range(-gap):
-        out = out.e(i)
-    if out is None:
-        raise AssertionError("the %d-string of %s ends before its mirror point" % (i, p))
-    return out
 
 
 def simple_root(i: int, n: int) -> tuple[int, ...]:

@@ -4,13 +4,19 @@ energy.build_local_table works on flat integer lists over the elements of
 tableaux.RectCrystal.  This module keeps the literal construction it is
 checked against, which applies the crystal operators to two-factor Path
 objects and keys its dicts by Tableau pairs, together with Tableau-keyed
-views of the flat tables for tests that state properties in tableaux.
+views of the flat tables for tests that state properties in tableaux.  It
+also keeps the energy of a Path summed pair by pair (path_energy); the
+program grades paths only inside the recursion of kostka.scan_paths and the
+level-zero pairing.
 """
 
 from typing import Optional
 
+import reference_crystal as rc
+import reference_paths as rp
+
 from crystalpaths import tableaux
-from crystalpaths.energy import LocalIsoTable, get_local_table, path_energy, phi_matching_element
+from crystalpaths.energy import LocalIsoTable, get_local_table, phi_matching_element
 from crystalpaths.paths import Path
 from crystalpaths.signature import CertificateError, raising_index
 from crystalpaths.tableaux import RectCrystal, RectShape, Tableau
@@ -21,7 +27,7 @@ Pair = tuple[Tableau, Tableau]
 
 def _pair_move(n: int, pair: Pair, i: int, lower: bool) -> Optional[Pair]:
     path = Path(n, pair)
-    moved = path.f(i) if lower else path.e(i)
+    moved = rp.f(path, i) if lower else rp.e(path, i)
     return None if moved is None else moved.factors
 
 
@@ -31,7 +37,7 @@ def _classical_highest_pairs(n: int, shape2: RectShape, shape1: RectShape) -> di
     for t2 in tableaux.enumerate_tableaux(shape2, n):
         for t1 in tableaux.enumerate_tableaux(shape1, n):
             p = Path(n, (t2, t1))
-            if all(p.eps(i) == 0 for i in range(1, n)):
+            if rp.is_classically_restricted(p):
                 if p.weight() in found:
                     raise ValueError("component matching ambiguous for %s, %s" % (shape2, shape1))
                 found[p.weight()] = (t2, t1)
@@ -40,7 +46,7 @@ def _classical_highest_pairs(n: int, shape2: RectShape, shape1: RectShape) -> di
 
 def _zero_side(pair: Pair) -> Optional[int]:
     """The factor e_0 acts on: 0 left, 1 right, None when undefined."""
-    return raising_index([(tableaux.eps(t, 0), tableaux.phi(t, 0)) for t in pair])
+    return raising_index([(rc.eps(t, 0), rc.phi(t, 0)) for t in pair])
 
 
 def literal_local_table(n: int, shape2: RectShape, shape1: RectShape) -> tuple[dict, dict]:
@@ -126,6 +132,28 @@ def local_energy(b2: Tableau, b1: Tableau, cache_dir: Optional[str] = None) -> i
     """H(b2 (x) b1) read from the registered table."""
     table, k = _entry(b2, b1, cache_dir)
     return table.energy[k]
+
+
+def path_energy(p: Path, cache_dir: Optional[str] = None) -> int:
+    """Sum of local energies over all factor pairs.
+
+    For each pair of positions the left factor is swept rightward through
+    the factors between them: evaluate H against the neighbor, then swap
+    past it with the local isomorphism and continue.  Positions count from
+    the right, so ``fs[len-j]`` is the j-th factor.
+    """
+    fs = p.factors
+    xs = [RectCrystal(p.n, t.shape).index[t] for t in fs]
+    length = len(fs)
+    total = 0
+    for j in range(2, length + 1):
+        x = xs[length - j]
+        for i in range(j - 1, 0, -1):
+            table = get_local_table(p.n, fs[length - j].shape, fs[length - i].shape, cache_dir)
+            k = x * table.width + xs[length - i]
+            total += table.energy[k]
+            x = table.image2[k]
+    return total
 
 
 def augmented_energy(

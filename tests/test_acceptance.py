@@ -7,10 +7,12 @@ pass line on success.  A failed assertion is the fail line.
 
 import itertools
 
+import reference_crystal as rc
+import reference_paths as rp
 from reference_crystal import promotion, reflect
-from reference_energy import as_dicts, local_iso
+from reference_energy import as_dicts, local_iso, path_energy
+from reference_paths import enumerate_paths, level_restricted_paths
 
-from crystalpaths import tableaux as tx
 from crystalpaths.bosonic import (
     bosonic_report,
     bosonic_via_straightening,
@@ -18,14 +20,16 @@ from crystalpaths.bosonic import (
     level_zero_identity,
     level_zero_pairing,
 )
-from crystalpaths.energy import get_local_table, path_energy
+from crystalpaths.energy import get_local_table
 from crystalpaths.kostka import (
     CrystalSpec,
     kostka_classical,
     kostka_level,
     multiplicity_oracle,
 )
-from crystalpaths.paths import Path, enumerate_paths
+from crystalpaths.laurent import LaurentPoly
+from crystalpaths.paths import Path, parse_path
+from crystalpaths.signature import combine
 from crystalpaths.straighten import SchurSymbol, normalize, normalize_by_steps
 from crystalpaths.tableaux import RectShape, enumerate_tableaux
 from crystalpaths.weights import LevelWeight, theta_vector, vadd, vsub
@@ -61,27 +65,81 @@ def test_criterion_1_alternating_sum_equals_path_count():
           "polynomial on %d specs" % len(grid))
 
 
+def literal_level_restricted(n, shapes, weights):
+    """Lambda -> the paths p of the product, in enumerate_paths order, with
+    p (x) u_Lambda highest, in one pass for all the weights.  The statistics
+    of the factors are folded left to right as fold_stats folds them, each
+    prefix once, and then with (0, <h_i, Lambda>) as the rightmost factor,
+    as is_level_restricted folds them."""
+    pools = [[(t, [(rc.eps(t, i), rc.phi(t, i)) for i in range(n)]) for t in enumerate_tableaux(s, n)]
+             for s in shapes]
+    highest = [(lam, [(0, lam.pairing(i)) for i in range(n)]) for lam in weights]
+    found = {lam: [] for lam in weights}
+
+    def extend(depth, factors, folded):
+        if depth == len(pools):
+            for lam, u in highest:
+                if all(combine(a, b)[0] == 0 for a, b in zip(folded, u)):
+                    found[lam].append(Path(n, factors))
+            return
+        for t, stats in pools[depth]:
+            extend(depth + 1, factors + (t,), [combine(a, b) for a, b in zip(folded, stats)])
+
+    extend(0, (), [(0, 0)] * n)
+    return found
+
+
+def assert_level_one_matches_literal(spec, report, restricted):
+    """The report of level_one_identity against the literal reference: the
+    path of restricted (at most one), graded by path_energy with the b0
+    tail; the alternating sum is compared with that monomial."""
+    assert len(restricted) <= 1, (spec, restricted)
+    rhs = LaurentPoly.zero()
+    if restricted:
+        rhs = LaurentPoly.q_power(path_energy(Path(spec.n, restricted[0].factors + spec.b0_tail())))
+    lhs = LaurentPoly(report["lhs_polynomial"])
+    want = {
+        "path_exists": bool(restricted),
+        "path": str(restricted[0]) if restricted else None,
+        "rhs_polynomial": list(rhs.pairs()),
+        "equal": lhs == rhs,
+        "single_monomial": lhs.is_monomial() if restricted else not lhs,
+    }
+    assert {key: report[key] for key in want} == want, (spec, report, want)
+    assert report["equal"] and report["single_monomial"], (spec, report)
+
+
 def test_criterion_2_level_one_single_monomial():
     checked = nonempty = 0
-    for n in (2, 3):
+    for n in (2, 3, 4):
         fundamentals = [LevelWeight.vacuum(n, 1)] + [
             LevelWeight.fundamental(i, n) for i in range(1, n)
         ]
-        for length in range(1, 5):
+        for length in range(1, 6):
             for heights in itertools.product(range(1, n), repeat=length):
                 shapes = tuple(RectShape(k, 1) for k in heights)
+                literal = literal_level_restricted(n, shapes, fundamentals)
                 for lam, lam_prime in itertools.product(fundamentals, repeat=2):
-                    report = level_one_identity(
-                        CrystalSpec(n, shapes, level=1, lam=lam, lam_prime=lam_prime)
-                    )
-                    assert report["equal"], (n, shapes, lam, lam_prime, report)
+                    spec = CrystalSpec(n, shapes, level=1, lam=lam, lam_prime=lam_prime)
+                    restricted = [p for p in literal[lam]
+                                  if rp.weight_out(p, lam).same_classical_weight(lam_prime)]
+                    if n < 4 and length < 5:  # the one-pass fold against the literal stream
+                        assert restricted == list(level_restricted_paths(n, shapes, lam, lam_prime))
+                    report = level_one_identity(spec)
+                    assert_level_one_matches_literal(spec, report, restricted)
                     checked += 1
-                    if report["path_exists"]:
-                        nonempty += 1
-                        assert report["single_monomial"], (n, shapes, lam, lam_prime)
+                    nonempty += report["path_exists"]
     assert nonempty > 0
+    # 3^24 paths, out of reach of the literal stream: check the one path it reports
+    lam = LevelWeight.vacuum(3, 1)
+    spec = CrystalSpec(3, (S11,) * 24, level=1, lam=lam)
+    report = level_one_identity(spec)
+    path = parse_path(report["path"], 3)
+    assert rp.is_level_restricted(path, lam) and rp.weight_out(path, lam).same_classical_weight(lam)
+    assert report["path"] == "|".join(["3|2|1"] * 8)
+    assert_level_one_matches_literal(spec, report, [path])
     print("criterion 2 PASS: level-one identity on %d weight choices "
-          "(%d with a restricted path)" % (checked, nonempty))
+          "(%d with a restricted path), and on 3^24 paths" % (checked, nonempty))
 
 
 def test_criterion_3_level_zero_identity_and_pairing():
@@ -113,7 +171,7 @@ def test_criterion_4_crystal_axiom_suite():
                 for b in enumerate_tableaux(RectShape(k, l), n):
                     c = b.content()
                     for i in range(n):
-                        down = tx.f(b, i)
+                        down = rc.f(b, i)
                         if down is not None:
                             # weight drops by the (classical image of the) root
                             diff = vsub(down.content(), c)
@@ -123,20 +181,20 @@ def test_criterion_4_crystal_axiom_suite():
                                 expect = [0] * n
                                 expect[i - 1], expect[i] = -1, 1
                                 assert diff == tuple(expect)
-                            assert tx.e(down, i) == b
-                        up = tx.e(b, i)
+                            assert rc.e(down, i) == b
+                        up = rc.e(b, i)
                         if up is not None:
-                            assert tx.f(up, i) == b
+                            assert rc.f(up, i) == b
                         pairing = c[-1] - c[0] if i == 0 else c[i - 1] - c[i]
-                        assert tx.phi(b, i) - tx.eps(b, i) == pairing
+                        assert rc.phi(b, i) - rc.eps(b, i) == pairing
                         walk, count = b, 0
-                        while (walk := tx.e(walk, i)) is not None:
+                        while (walk := rc.e(walk, i)) is not None:
                             count += 1
-                        assert count == tx.eps(b, i)
+                        assert count == rc.eps(b, i)
                         walk, count = b, 0
-                        while (walk := tx.f(walk, i)) is not None:
+                        while (walk := rc.f(walk, i)) is not None:
                             count += 1
-                        assert count == tx.phi(b, i)
+                        assert count == rc.phi(b, i)
                         mirror = reflect(b, i)
                         assert reflect(mirror, i) == b
                         if i == 0:
@@ -148,7 +206,7 @@ def test_criterion_4_crystal_axiom_suite():
                             expect_wt = tuple(expect_wt)
                         assert mirror.content() == expect_wt
                         conj = promotion(down) if down is not None else None
-                        assert conj == tx.f(promotion(b), (i + 1) % n)
+                        assert conj == rc.f(promotion(b), (i + 1) % n)
                         checked += 1
     print("criterion 4 PASS: crystal axioms verified on %d (element, index) "
           "pairs" % checked)
@@ -169,11 +227,11 @@ def test_criterion_5_local_isomorphism_suite():
                 assert reverse[value] == key
                 src, img = Path(n, key), Path(n, value)
                 for i in range(n):
-                    up_s, up_i = src.e(i), img.e(i)
+                    up_s, up_i = rp.e(src, i), rp.e(img, i)
                     assert (up_s is None) == (up_i is None)
                     if up_s is not None:
                         assert iso[up_s.factors] == up_i.factors
-                    dn_s, dn_i = src.f(i), img.f(i)
+                    dn_s, dn_i = rp.f(src, i), rp.f(img, i)
                     assert (dn_s is None) == (dn_i is None)
                     if dn_s is not None:
                         assert iso[dn_s.factors] == dn_i.factors
@@ -208,13 +266,13 @@ def test_criterion_6_energy_suite():
         for p in enumerate_paths(n, shapes):
             base = path_energy(p)
             for i in range(1, n):
-                up = p.e(i)
+                up = rp.e(p, i)
                 if up is not None:
                     assert path_energy(up) == base, (p, i)
                     invariant_edges += 1
             ell = max(s.cols for s in shapes)
-            if p.eps(0) > ell:
-                up = p.e(0)
+            if rp.eps(p, 0) > ell:
+                up = rp.e(p, 0)
                 assert path_energy(up) == base - 1, p
                 drop_edges += 1
     assert drop_edges > 0

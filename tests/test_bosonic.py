@@ -4,7 +4,10 @@ import itertools
 from dataclasses import dataclass
 
 import pytest
-from reference_crystal import reflect_path
+import reference_crystal as rc
+import reference_paths as rp
+from reference_energy import path_energy
+from reference_paths import enumerate_paths, reflect_path
 from test_acceptance import criterion_one_grid
 
 from crystalpaths import bosonic, energy, kostka, tableaux
@@ -20,10 +23,9 @@ from crystalpaths.bosonic import (
     truncation_bound,
 )
 from crystalpaths.cli import main
-from crystalpaths.energy import path_energy
 from crystalpaths.kostka import CrystalSpec, kostka_level, weight_energy_table
 from crystalpaths.laurent import LaurentPoly
-from crystalpaths.paths import Path, enumerate_paths, target_content
+from crystalpaths.paths import Path, target_content
 from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import (
@@ -115,6 +117,22 @@ def test_level_one_identity_reports():
         )
     )
     assert report3["equal"]
+
+
+def test_level_one_certificates_raise(monkeypatch):
+    """The walk needs exactly one element with eps equal to phi of the
+    suffix, and kostka_level must count exactly the walk's path; a break in
+    either raises CertificateError, also under python -O."""
+    spec = CrystalSpec(3, (S11, RectShape(2, 1)), level=1, lam=LevelWeight.vacuum(3, 1))
+    assert level_one_identity(spec)["path_exists"]
+    monkeypatch.setattr(bosonic, "kostka_level", lambda spec, cache_dir=None: LaurentPoly.zero())
+    with pytest.raises(CertificateError, match="counts 0 restricted paths"):
+        level_one_identity(spec)
+    monkeypatch.undo()
+    crystal = tableaux.RectCrystal(3, S11)
+    monkeypatch.setattr(crystal, "eps", [(0, 0, 0)] * 3)  # no element has eps = phi of the suffix
+    with pytest.raises(CertificateError, match="0 elements of B"):
+        level_one_identity(spec)
 
 
 def test_level_one_identity_validation():
@@ -348,7 +366,7 @@ def _min_raisable_index(p):
     """Least operator index applicable to the rightmost factor."""
     rightmost = p.factors[-1]
     for i in range(p.n):
-        if tableaux.eps(rightmost, i) > 0:
+        if rc.eps(rightmost, i) > 0:
             return i
     raise AssertionError("finite affine crystals admit some raising operator")
 
@@ -379,7 +397,7 @@ def reference_pairing(n, shapes):
         if s in seen:
             continue
         i = _min_raisable_index(s.path)
-        raised = s.path.e(i)
+        raised = rp.e(s.path, i)
         if raised is None:
             raise AssertionError("tensor statistics dominate the rightmost factor at %s" % (s,))
         image_path = reflect_path(raised, i)
@@ -398,7 +416,7 @@ def reference_pairing(n, shapes):
         if _min_raisable_index(image.path) != i:
             raise AssertionError("choice index is not constant on the pair")
         w_back = AffineWeylElement(image.beta, image.tau).compose_reflection(i)
-        back = Summand(w_back.beta, w_back.tau, reflect_path(image_path.e(i), i))
+        back = Summand(w_back.beta, w_back.tau, reflect_path(rp.e(image_path, i), i))
         if back != s:
             raise AssertionError("pairing is not an involution at %s" % (s,))
         seen.add(s)
@@ -458,8 +476,8 @@ def test_pairing_calls_no_per_path_reference(monkeypatch):
         raise AssertionError("the pairing called a per-path reference")
 
     for module in (bosonic, energy):
-        monkeypatch.setattr(module, "path_energy", forbidden)
-    monkeypatch.setattr(Path, "e", forbidden)
+        monkeypatch.setattr(module, "path_energy", forbidden, raising=False)
+    monkeypatch.setattr(Path, "e", forbidden, raising=False)
     got = level_zero_pairing(3, shapes)
     monkeypatch.undo()
     assert got == want and got["summand_count"] > 0

