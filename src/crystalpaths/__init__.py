@@ -3,7 +3,6 @@ generating polynomials of restricted paths and their alternating Weyl-sum
 evaluations, all in exact integer arithmetic."""
 
 from .bosonic import (
-    alternating_sum,
     bosonic_report,
     bosonic_via_straightening,
     commutation_hypothesis_warnings,
@@ -16,7 +15,6 @@ from .kostka import (
     kostka_classical,
     kostka_level,
     multiplicity_oracle,
-    weight_energy_table,
 )
 from .laurent import LaurentPoly
 from .paths import Path, format_path, parse_path
@@ -34,7 +32,6 @@ __all__ = [
     "Path",
     "RectShape",
     "Tableau",
-    "alternating_sum",
     "bosonic_report",
     "bosonic_via_straightening",
     "commutation_hypothesis_warnings",
@@ -48,5 +45,4 @@ __all__ = [
     "multiplicity_oracle",
     "parse_path",
     "parse_tableau",
-    "weight_energy_table",
 ]

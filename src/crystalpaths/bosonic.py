@@ -17,9 +17,17 @@ either every grid point lifts to a content vector of the tensor product's
 box count or none does.  They do exactly when the identity point's content
 exists, the content c at which the level polynomial is read
 (:func:`paths.target_content`), and that test is made before any path is
-scanned.  A sum reads the content table of the tensor product
-(:func:`kostka.weight_energy_table`), so one table serves every truncation
-radius.  The beta sum is truncated to a box certified a priori: outside it
+scanned.  A sum reads only the dominant contents: the c with Lambda + c
+weakly decreasing (the Brauer-Klimyk form of the fibre sum).  Such a c sits
+at the grid point (tau, beta) with tau sorting Lambda' + rho - (l + n) beta
+decreasingly, and its term is sign(tau) q^exponent times the scan of
+content c restricted classically against Lambda (kostka.scan_paths), graded
+like the level polynomial.  The summand count is still the number of paths
+in the fibres of the full grid: the fibres of beta are the contents
+target - Lambda' - rho + w (Lambda' + rho - (l + n) beta) over w in S_n,
+and kostka.schur_product counts their paths without a crystal.  One scan of
+each fibre read at the widest radius serves every truncation radius.
+The beta sum is truncated to a box certified a priori: outside it
 the content fiber is provably empty because the translation summand spreads
 the target weight further than any content vector can reach.  Degenerate
 levels give closed evaluations.  At level one with column factors the sum
@@ -42,11 +50,12 @@ path scan reads too, and reflects a path in one signature pass
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Optional, Sequence
 
 from . import tableaux
 from .energy import get_local_table
-from .kostka import CrystalSpec, kostka_level, weight_energy_table
+from .kostka import CrystalSpec, kostka_level, scan_paths, schur_product
 from .laurent import LaurentPoly
 from .paths import Path, format_path, target_content
 from .signature import CertificateError, Record, raising_index, reflection_steps
@@ -116,32 +125,42 @@ def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
         yield tau, perm_sign(tau), beta, content, dot(lamp_rho, beta) - m * norm2(beta) // 2
 
 
-def alternating_sum(
-    n: int,
-    shapes: Sequence[RectShape],
-    ell: int,
-    lam: LevelWeight,
-    lam_prime: LevelWeight,
-    table: dict[tuple, LaurentPoly],
-    widen: int = 0,
-) -> AlternatingSumResult:
-    """Evaluate the alternating Weyl sum over a content table of the tensor
-    product (see :func:`kostka.weight_energy_table`)."""
+def fibre_sums(
+    spec: CrystalSpec, widens: Sequence[int], cache_dir: Optional[str] = None
+) -> tuple[AlternatingSumResult, ...]:
+    """The alternating sum of the level polynomial at each truncation
+    widening, scanning each fibre read once.  The spec is taken as
+    validated, and may have level 0."""
+    n, ell, lam, lam_prime = spec.n, spec.level, spec.lam, spec.resolved_lam_prime()
     m = ell + n
     lamp_rho = vadd(lam_prime.finite, rho_vector(n))
     if len({x % m for x in lamp_rho}) < n:
         raise ValueError("LambdaPrime + rho = %s has entries congruent mod %d" % (lamp_rho, m))
-    bound = truncation_bound(n, ell, lam.finite, lam_prime.finite, shapes, widen)
-    target = target_content(lam, lam_prime, sum(s[0] * s[1] for s in shapes))
-    if target is None:  # every fiber is empty
-        return AlternatingSumResult(LaurentPoly.zero(), 0, bound)
-    total = LaurentPoly.zero()
-    count = 0
-    for _, sign, _, content, exponent in _fiber_points(m, lamp_rho, target, bound, table):
-        fiber = table[content]
-        total = total + LaurentPoly.q_power(exponent, sign) * fiber
-        count += fiber(1)
-    return AlternatingSumResult(total, count, bound)
+    bounds = [truncation_bound(n, ell, lam.finite, lam_prime.finite, spec.shapes, w) for w in widens]
+    totals, counts = [LaurentPoly.zero()] * len(bounds), [0] * len(bounds)
+    target = target_content(lam, lam_prime, spec.total_boxes())
+    if target is not None:  # else every fiber is empty
+        product = schur_product(n, tuple(sorted(spec.shapes)))
+        tail = spec.b0_tail()
+        points = _fiber_points(m, lamp_rho, target, max(bounds), _dominant_contents(lam, product))
+        for _, sign, beta, content, exponent in points:
+            fiber = scan_paths(n, spec.shapes, content, lam, False, tail, cache_dir)
+            term = LaurentPoly.q_power(exponent, sign) * fiber
+            v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
+            paths = sum(product.get(tuple(t - x + y for t, x, y in zip(target, lamp_rho, w)), 0)
+                        for w in itertools.permutations(v))
+            radius = max(map(abs, beta))
+            for k, bound in enumerate(bounds):
+                if radius <= bound:
+                    totals[k] += term
+                    counts[k] += paths
+    return tuple(map(AlternatingSumResult, totals, counts, bounds))
+
+
+def _dominant_contents(lam: LevelWeight, product: dict) -> list[tuple[int, ...]]:
+    """The contents c of the product with lam + c weakly decreasing."""
+    return [c for c in product
+            if all(a >= b for a, b in itertools.pairwise(vadd(lam.finite, c)))]
 
 
 def bosonic_report(
@@ -153,15 +172,7 @@ def bosonic_report(
     spec.validate()
     if spec.lam is None:
         raise ValueError("alternating sum needs a restriction weight Lambda")
-    return alternating_sum(
-        spec.n,
-        spec.shapes,
-        spec.level,
-        spec.lam,
-        spec.resolved_lam_prime(),
-        weight_energy_table(spec, cache_dir),
-        widen,
-    )
+    return fibre_sums(spec, (widen,), cache_dir)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +218,7 @@ def level_one_identity(spec: CrystalSpec, cache_dir: Optional[str] = None) -> di
     if rhs(1) != exists:
         raise CertificateError("the level polynomial counts %d restricted paths at level one, the walk %d"
                                % (rhs(1), exists))
-    table = weight_energy_table(spec, cache_dir)
-    result = alternating_sum(spec.n, spec.shapes, 1, spec.lam, lam_prime, table)
+    (result,) = fibre_sums(spec, (0,), cache_dir)
     factors = tuple(c.elements[x] for c, x in zip(crystals, path))
     return {
         "path_exists": exists,
@@ -240,8 +250,7 @@ def level_zero_identity(
     """Formal level-zero alternating sum; 1 on the empty tensor product and
     0 otherwise."""
     spec = _level_zero_spec(n, shapes)
-    table = weight_energy_table(spec, cache_dir)
-    result = alternating_sum(n, spec.shapes, 0, spec.lam, spec.lam, table)
+    (result,) = fibre_sums(spec, (0,), cache_dir)
     expected = LaurentPoly.one() if not spec.shapes else LaurentPoly.zero()
     return {
         "lhs_polynomial": list(result.polynomial.pairs()),
@@ -387,21 +396,24 @@ def bosonic_via_straightening(
     spec: CrystalSpec, cache_dir: Optional[str] = None
 ) -> LaurentPoly:
     """Re-derive the alternating sum by normalizing one Schur symbol per
-    content fiber, independently of the residue walk of :func:`_fiber_points`."""
+    dominant content, independently of the residue walk of
+    :func:`_fiber_points`: the sum of pi(Lambda + c) times the classical
+    fibre X_c over the dominant c whose image is LambdaPrime."""
     from . import straighten  # imported here, so that the CLI starts without it
 
     spec.validate()
     if spec.lam is None:
         raise ValueError("straightening bridge needs a restriction weight Lambda")
     lam_prime = spec.resolved_lam_prime()
-    table = weight_energy_table(spec, cache_dir)
+    tail = spec.b0_tail()
     total = LaurentPoly.zero()
-    for content, fiber in table.items():
+    for content in _dominant_contents(spec.lam, schur_product(spec.n, tuple(sorted(spec.shapes)))):
         image = straighten.pi_on_character(spec.level, vadd(spec.lam.finite, content))
         if image is None:
             continue
         sign, qpow, produced = image
         if produced.same_classical_weight(lam_prime):
+            fiber = scan_paths(spec.n, spec.shapes, content, spec.lam, False, tail, cache_dir)
             total = total + LaurentPoly.q_power(qpow, sign) * fiber
     return total
 

@@ -23,12 +23,12 @@ from typing import Optional
 
 from . import energy
 from .bosonic import (
-    alternating_sum,
     commutation_hypothesis_warnings,
+    fibre_sums,
     level_zero_identity,
     level_zero_pairing,
 )
-from .kostka import CrystalSpec, kostka_classical, kostka_level, weight_energy_table
+from .kostka import CrystalSpec, kostka_classical, kostka_level
 from .laurent import LaurentPoly
 from .signature import CertificateError
 from .tableaux import RectShape
@@ -176,10 +176,8 @@ def cmd_kostka(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _build_spec(args, need_level=True)
-    # one content table serves the base and the widened truncation radius
-    table = weight_energy_table(spec, cache_dir=args.cache_dir)
-    lam_prime = spec.resolved_lam_prime()
-    report = alternating_sum(spec.n, spec.shapes, spec.level, spec.lam, lam_prime, table)
+    # one scan of each fibre serves the base and the widened truncation radius
+    report, *widened = fibre_sums(spec, (0, 2) if args.widen_check else (0,), args.cache_dir)
     rhs = kostka_level(spec, cache_dir=args.cache_dir)
     warnings = commutation_hypothesis_warnings(spec, cache_dir=args.cache_dir)
     payload = {
@@ -194,12 +192,9 @@ def cmd_verify(args) -> int:
         "warnings": warnings,
     }
     if args.widen_check:
-        widened = alternating_sum(
-            spec.n, spec.shapes, spec.level, spec.lam, lam_prime, table, widen=2
-        )
         payload["widen_certificate"] = {
-            "widened_bound": widened.truncation_bound,
-            "stable": widened.polynomial == report.polynomial,
+            "widened_bound": widened[0].truncation_bound,
+            "stable": widened[0].polynomial == report.polynomial,
         }
     _emit(payload, args.format)
     if args.widen_check and not payload["widen_certificate"]["stable"]:

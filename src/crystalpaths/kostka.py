@@ -1,15 +1,14 @@
 """Energy-graded generating polynomials of restricted paths.
 
-Every polynomial here reads one scan of the tensor product
-(:func:`scan_paths`), which adds q^(energy) per path into a table keyed by
-content.  A scan may target one content and may restrict the paths.  The
-classical polynomial is the entry at the content lam of the scan restricted
-to paths killed by every classical raising operator.  The level polynomial
-is the entry at the one content c with Lambda + c equal to LambdaPrime
-modulo the all-ones vector, of the scan restricted to paths whose tensor
-against a formal highest weight vector of Lambda is again highest; when no
-such content exists nothing is scanned.  The unrestricted scan is the
-content table that the alternating sums read.  Paths are graded by plain
+Every polynomial here is one scan of the tensor product (:func:`scan_paths`),
+which adds q^(energy) over the paths of one target content whose tensor with
+the highest vector u of a dominant weight Lambda is highest: killed by every
+e_i (affine), or by the classical e_1..e_{n-1} only (classical).  The
+classical polynomial of content lam is the classical scan against the zero
+weight.  The level polynomial is the affine scan against Lambda at the one
+content c with Lambda + c equal to LambdaPrime modulo the all-ones vector;
+when no such content exists nothing is scanned.  The alternating sums of
+bosonic read classical scans against Lambda.  Paths are graded by plain
 path energy when Lambda is a multiple of the affine fundamental weight at
 node 0, where the extra grading factor is unnecessary, and otherwise by the
 energy of the path extended by the matching element b0 of a perfect
@@ -23,22 +22,22 @@ shape s reaches the right end as one element c_s.  Appending z adds
 sum_s k_s H(c_s (x) z), k_s counting the factors of shape s placed so far,
 then carries each c_s past z by the image2 list of an energy.LocalIsoTable.
 A state is (c_s for each shape, prefix content) -> {energy: count}: at most
-prod_s |B_s| times the number of contents.  A restricted scan needs its
-target content, which fixes the content right of each factor x; phi_i of
-that suffix tensored with the highest vector u of Lambda is then <h_i,
-Lambda> (0 for classical i) plus a linear function of that content, and by
-the signature rule the path is highest exactly when eps_i(x) <= phi_i at
+prod_s |B_s| times the number of contents.  The target content fixes the
+content right of each factor x; phi_i of that suffix tensored with u is
+then <h_i, Lambda> plus a linear function of that content, and by the
+signature rule the path is highest exactly when eps_i(x) <= phi_i at
 every x.
 
 An independent q=1 oracle expands the product of Schur polynomials by brute
-force and peels off leading terms, never touching crystal operators.
+force (:func:`schur_product`, which also counts the paths of each content)
+and peels off leading terms, never touching crystal operators.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from . import tableaux
 from .energy import get_local_table, phi_matching_element
@@ -150,36 +149,27 @@ class CrystalSpec(Record):
 # ---------------------------------------------------------------------------
 # the transfer-matrix scan
 
-CLASSICAL = "classical"
-
 
 def scan_paths(
     n: int,
     shapes: Sequence[RectShape],
-    target: Optional[tuple[int, ...]] = None,
-    restricted: Union[None, str, LevelWeight] = None,
+    target: tuple[int, ...],
+    lam: LevelWeight,
+    affine: bool,
     b0_tail: tuple[Tableau, ...] = (),
     cache_dir: Optional[str] = None,
-) -> dict[tuple, LaurentPoly]:
-    """content -> sum of q^(energy of the path followed by b0_tail, at most
-    one factor) over the paths of content target (all when None) that are
-    restricted: classically highest for CLASSICAL, highest against the
-    highest vector of Lambda for a LevelWeight Lambda.  A restricted scan
-    needs its target content."""
+) -> LaurentPoly:
+    """Sum of q^(energy of the path followed by b0_tail, at most one factor)
+    over the paths of content target whose tensor with the highest vector of
+    lam is highest: killed by every e_i when affine, by the classical e_i
+    (i = 1..n-1) otherwise."""
     shapes = tuple(RectShape(*s) for s in shapes)
     if len(b0_tail) > 1:
         raise ValueError("the scan appends at most one tail factor")
-    if restricted is not None and target is None:
-        raise ValueError("a restricted scan needs its target content")
-    if target is not None and (min(target) < 0 or sum(target) != sum(s.rows * s.cols for s in shapes)):
-        return {}  # no path has this content
-    if restricted is None:
-        indices, phi0 = (), ()
-    elif restricted == CLASSICAL:
-        indices, phi0 = range(1, n), (0,) * (n - 1)
-    else:
-        indices = range(n)
-        phi0 = tuple(map(restricted.pairing, indices))
+    if min(target) < 0 or sum(target) != sum(s.rows * s.cols for s in shapes):
+        return LaurentPoly.zero()  # no path has this content
+    indices = range(0 if affine else 1, n)
+    phi0 = tuple(map(lam.pairing, indices))
     steps = []  # (shape, [(element, content, eps_i for the restricted i)])
     for shape in shapes:
         crystal = tableaux.RectCrystal(n, shape)
@@ -200,13 +190,12 @@ def scan_paths(
         for (carried, prefix), energies in states.items():
             for x, content, eps in elements:
                 total = tuple(map(operator.add, prefix, content))
-                if target is not None:
-                    # a highest suffix of content rest has phi_i = <h_i, Lambda + rest>
-                    rest = tuple(map(operator.sub, target, total))
-                    if min(rest) < 0 or any(
-                        e > p + rest[i - 1] - rest[i] for i, e, p in zip(indices, eps, phi0)
-                    ):
-                        continue
+                # a highest suffix of content rest has phi_i = <h_i, Lambda + rest>
+                rest = tuple(map(operator.sub, target, total))
+                if min(rest) < 0 or any(
+                    e > p + rest[i - 1] - rest[i] for i, e, p in zip(indices, eps, phi0)
+                ):
+                    continue
                 h, moved = 0, list(carried)
                 for s, k, table in meets:
                     j = carried[s] * table.width + x
@@ -218,10 +207,8 @@ def scan_paths(
                     bucket[e + h] = bucket.get(e + h, 0) + count
         states = grown
         placed[shape] = placed.get(shape, 0) + 1
-    table: dict[tuple, list[tuple[int, int]]] = {}  # content -> (energy, count) pairs
-    for (_, content), energies in states.items():
-        table.setdefault(content, []).extend(energies.items())
-    return {content: LaurentPoly(pairs) for content, pairs in sorted(table.items())}
+    # every surviving state has prefix content target
+    return LaurentPoly([pair for energies in states.values() for pair in energies.items()])
 
 
 def kostka_classical(
@@ -229,11 +216,11 @@ def kostka_classical(
     lam: Iterable[int],
     cache_dir: Optional[str] = None,
 ) -> LaurentPoly:
-    """Sum of q^(path energy) over classically restricted paths of content lam."""
+    """Sum of q^(path energy) over classically restricted paths of content
+    lam: the classical scan against the zero weight."""
     spec.validate()
     target = normalize_content(lam, spec.n)
-    table = scan_paths(spec.n, spec.shapes, target, CLASSICAL, (), cache_dir)
-    return table.get(target, LaurentPoly.zero())
+    return scan_paths(spec.n, spec.shapes, target, LevelWeight.vacuum(spec.n, 0), False, (), cache_dir)
 
 
 def kostka_level(spec: CrystalSpec, cache_dir: Optional[str] = None) -> LaurentPoly:
@@ -246,22 +233,7 @@ def kostka_level(spec: CrystalSpec, cache_dir: Optional[str] = None) -> LaurentP
     target = target_content(spec.lam, spec.resolved_lam_prime(), spec.total_boxes())
     if target is None:  # no path has a content that produces LambdaPrime
         return LaurentPoly.zero()
-    table = scan_paths(spec.n, spec.shapes, target, spec.lam, spec.b0_tail(), cache_dir)
-    return table.get(target, LaurentPoly.zero())
-
-
-def weight_energy_table(
-    spec: CrystalSpec, cache_dir: Optional[str] = None
-) -> dict[tuple, LaurentPoly]:
-    """content -> sum of q^(energy) over the whole tensor product, graded
-    with the spec's b0 tail.  When the spec has a restriction weight and no
-    content produces LambdaPrime, no sum of the spec reads the table, and
-    it is {} without a scan."""
-    if spec.lam is not None and target_content(
-        spec.lam, spec.resolved_lam_prime(), spec.total_boxes()
-    ) is None:
-        return {}
-    return scan_paths(spec.n, spec.shapes, b0_tail=spec.b0_tail(), cache_dir=cache_dir)
+    return scan_paths(spec.n, spec.shapes, target, spec.lam, True, spec.b0_tail(), cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +317,19 @@ def schur_expand(monomials: dict, n: int) -> dict[tuple[int, ...], int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _product_expansion(n: int, shapes: tuple[RectShape, ...]) -> dict[tuple[int, ...], int]:
+def schur_product(n: int, shapes: tuple[RectShape, ...]) -> dict[tuple[int, ...], int]:
+    """content -> number of paths of that content in the product of the
+    factor crystals: the monomial expansion of the product of their Schur
+    polynomials, which is symmetric in the content."""
     product = {(0,) * n: 1}
     for s in shapes:
         product = _dict_product(product, dict(schur_monomials(_partition_of_shape(s), n)), n)
-    return schur_expand(product, n)
+    return product
+
+
+@functools.lru_cache(maxsize=None)
+def _product_expansion(n: int, shapes: tuple[RectShape, ...]) -> dict[tuple[int, ...], int]:
+    return schur_expand(schur_product(n, shapes), n)
 
 
 def multiplicity_oracle(spec: CrystalSpec, lam: Iterable[int]) -> int:

@@ -141,15 +141,6 @@ def enumerate_tableaux(shape: RectShape, n: int) -> tuple[Tableau, ...]:
 # the literal rules, run only while a RectCrystal is built
 
 
-def _replace_cell(t: Tableau, index: int, value: int) -> Tableau:
-    k, l = t.shape
-    r = k - 1 - index // l
-    c = index % l
-    rows = [list(row) for row in t.rows]
-    rows[r][c] = value
-    return Tableau(t.n, tuple(tuple(row) for row in rows))
-
-
 def _promote(t: Tableau) -> Tableau:
     """Promotion: remove the largest letter, slide, increment, refill with 1.
 
@@ -217,9 +208,10 @@ class RectCrystal:
             inverse[y] = x
         self.promotion_inverse = tuple(inverse)
         self.eps, self.phi, self.e, self.f = ([None] * n for _ in range(4))
+        by_word = {t.cells(): x for x, t in enumerate(self.elements)}
         for i in range(1, n):
             self.eps[i], self.phi[i], self.e[i], self.f[i] = zip(
-                *(self._signature_rule(t, i) for t in self.elements))
+                *(self._signature_rule(t, i, by_word) for t in self.elements))
         self.eps[0], self.phi[0] = (tuple(s[y] for y in self.promotion) for s in (self.eps[1], self.phi[1]))
         self.e[0], self.f[0] = (
             tuple(-1 if op[y] < 0 else self.promotion_inverse[op[y]] for y in self.promotion)
@@ -239,14 +231,15 @@ class RectCrystal:
             x = table[x]
         return x
 
-    def _signature_rule(self, t: Tableau, i: int) -> tuple[int, int, int, int]:
+    def _signature_rule(self, t: Tableau, i: int, by_word: dict) -> tuple[int, int, int, int]:
         """(eps_i, phi_i, e_i, f_i) of t, e_i changing the cell that the
-        signature rule points at from i+1 to i and f_i from i to i+1."""
+        signature rule points at from i+1 to i and f_i from i to i+1; by_word
+        maps each element's cell word to its index."""
         cells = t.cells()
         stats = [(int(x == i + 1), int(x == i)) for x in cells]
         moved = []
         for pos, old, new in ((raising_index(stats), i + 1, i), (lowering_index(stats), i, i + 1)):
             if pos is not None and cells[pos] != old:
                 raise CertificateError("signature rule pointed at cell %d of %s, not a %d" % (pos, t, old))
-            moved.append(-1 if pos is None else self.index[_replace_cell(t, pos, new)])
+            moved.append(-1 if pos is None else by_word[cells[:pos] + (new,) + cells[pos + 1:]])
         return (*fold_stats(stats), *moved)

@@ -74,9 +74,11 @@ def enumerate_paths(n: int, shapes: Sequence[RectShape]) -> Iterator[Path]:
         yield Path(n, combo)
 
 
-def is_classically_restricted(p: Path) -> bool:
-    """No raising operator with classical index applies."""
-    return all(eps(p, i) == 0 for i in range(1, p.n))
+def is_classically_restricted(p: Path, lam: Optional[LevelWeight] = None) -> bool:
+    """No raising operator with classical index applies to p, or, given
+    lam, to p tensored with the highest vector of lam."""
+    u = [(0, 0 if lam is None else lam.pairing(i)) for i in range(p.n)]
+    return all(fold_stats(stats(p, i) + [u[i]])[0] == 0 for i in range(1, p.n))
 
 
 def is_level_restricted(p: Path, lam: LevelWeight) -> bool:

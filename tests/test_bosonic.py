@@ -4,8 +4,11 @@ import itertools
 from dataclasses import dataclass
 
 import pytest
+import reference_bosonic as rb
 import reference_crystal as rc
 import reference_paths as rp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from reference_energy import path_energy
 from reference_paths import enumerate_paths, reflect_path
 from test_acceptance import criterion_one_grid
@@ -13,17 +16,17 @@ from test_acceptance import criterion_one_grid
 from crystalpaths import bosonic, energy, kostka, tableaux
 from crystalpaths.bosonic import (
     _fiber_points,
-    alternating_sum,
     bosonic_report,
     bosonic_via_straightening,
     commutation_hypothesis_warnings,
+    fibre_sums,
     level_one_identity,
     level_zero_identity,
     level_zero_pairing,
     truncation_bound,
 )
 from crystalpaths.cli import main
-from crystalpaths.kostka import CrystalSpec, kostka_level, weight_energy_table
+from crystalpaths.kostka import CrystalSpec, kostka_level, scan_paths, schur_expand, schur_monomials, schur_product
 from crystalpaths.laurent import LaurentPoly
 from crystalpaths.paths import Path, target_content
 from crystalpaths.signature import CertificateError
@@ -261,15 +264,18 @@ def test_fiber_walk_matches_grid():
     assert read > 0
 
 
-def test_alternating_sum_rejects_congruent_lambda_prime():
-    # LambdaPrime is not dominant: (0, 1) + rho = (1, 1) at rank two
+def test_alternating_sum_rejects_congruent_lambda_prime(monkeypatch):
+    # fibre_sums takes its spec as validated; it still refuses, before any
+    # scan, a LambdaPrime that validation would refuse as not dominant
+    monkeypatch.setattr(bosonic, "scan_paths", None)
+    # (0, 1) + rho = (1, 1) at rank two
     lam = LevelWeight.vacuum(2, 1)
-    with pytest.raises(ValueError):
-        alternating_sum(2, (S11, S11), 1, lam, LevelWeight(1, (0, 1), 0), {})
+    with pytest.raises(ValueError, match="congruent"):
+        fibre_sums(CrystalSpec(2, (S11, S11), level=1, lam=lam, lam_prime=LevelWeight(1, (0, 1), 0)), (0,))
     # at rank three and level one, (0, 0, 2) + rho = (2, 1, 2)
     lam3 = LevelWeight.vacuum(3, 1)
-    with pytest.raises(ValueError):
-        alternating_sum(3, (S11,) * 3, 1, lam3, LevelWeight(1, (0, 0, 2), 0), {})
+    with pytest.raises(ValueError, match="congruent"):
+        fibre_sums(CrystalSpec(3, (S11,) * 3, level=1, lam=lam3, lam_prime=LevelWeight(1, (0, 0, 2), 0)), (0,))
 
 
 def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
@@ -282,6 +288,7 @@ def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(kostka, "scan_paths", counting(kostka.scan_paths))
+    monkeypatch.setattr(bosonic, "scan_paths", counting(bosonic.scan_paths))
     monkeypatch.setattr(bosonic, "_paths_by_content", counting(bosonic._paths_by_content))
     shapes = (S11, S11)
     report = level_zero_identity(3, shapes)
@@ -300,7 +307,7 @@ def vacuum_coordinate_sum(spec, widen=0):
     n, ell = spec.n, spec.level
     m = ell + n
     rho = rho_vector(n)
-    table = weight_energy_table(spec)
+    table = rb.weight_energy_table(spec)
     boxes = spec.total_boxes()
     zero = (0,) * n
     bound = truncation_bound(n, ell, zero, zero, spec.shapes, widen)
@@ -336,18 +343,29 @@ def test_vacuum_coordinate_form_matches_grid():
 
 
 def test_vacuum_report_scans_once(monkeypatch):
+    """The alternating sum scans each content it reads once, classically
+    against Lambda: exactly the dominant contents c (Lambda + c weakly
+    decreasing) that the fibre walk maps into the box."""
     calls = []
-    scan = kostka.scan_paths
+    scan = bosonic.scan_paths
 
     def counting_scan(*args, **kwargs):
         calls.append(args)
         return scan(*args, **kwargs)
 
+    monkeypatch.setattr(bosonic, "scan_paths", counting_scan)
     monkeypatch.setattr(kostka, "scan_paths", counting_scan)
-    spec = vacuum_spec(3, (S11,) * 3, 2)
+    spec = vacuum_spec(3, (S11,) * 6, 1)
     report = bosonic_report(spec)
-    assert len(calls) == 1
-    assert report.polynomial == kostka_level(spec)
+    targets = [args[2] for args in calls]
+    assert len(targets) == len(set(targets)) > 1
+    for n, shapes, target, lam, affine, *_ in calls:
+        assert (n, shapes, lam, affine) == (3, spec.shapes, spec.lam, False)
+    partitions = [c for c in itertools.product(range(7), repeat=3)
+                  if sum(c) == 6 and c[0] >= c[1] >= c[2]]
+    points = _fiber_points(4, rho_vector(3), (2, 2, 2), report.truncation_bound, partitions)
+    assert sorted(targets) == sorted(p[3] for p in points)
+    assert report.polynomial == kostka_level(spec) == rb.bosonic_report(spec).polynomial
 
 
 @dataclass(frozen=True)
@@ -493,3 +511,95 @@ def test_corrupted_crystal_fails_the_certificate(monkeypatch, capsys):
         level_zero_pairing(2, (S11, S11))
     assert main(["verify-zero", "--n", "2", "--shapes", "1x1,1x1"]) == 1
     assert "certificate failed: " in capsys.readouterr().err
+
+
+@st.composite
+def tailed_specs(draw, tail):
+    """A random spec with n <= 4, level <= 3, one to five factors of mixed
+    shapes up to 2 columns (cut off once the product would exceed 1000
+    paths), a random dominant LambdaPrime, and a vacuum Lambda (no b0 tail)
+    or a non-vacuum one with a b0 crystal of random height."""
+    n, ell = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    kinds = [RectShape(r, c) for r in range(1, n) for c in range(1, min(ell, 2) + 1)]
+    shapes, size = [], 1
+    for shape in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5)):
+        size *= len(tableaux.RectCrystal(n, shape).elements)
+        if size > 1000:
+            break
+        shapes.append(shape)
+    weights = list(dominant_weights(n, ell))
+    vacuum = LevelWeight.vacuum(n, ell)
+    lam = draw(st.sampled_from([w for w in weights if (w == vacuum) != tail]))
+    b0 = RectShape(draw(st.integers(1, n - 1)), ell) if tail else None
+    spec = CrystalSpec(n, tuple(shapes), level=ell, lam=lam,
+                       lam_prime=draw(st.sampled_from(weights)), b0_shape=b0)
+    assert bool(spec.b0_tail()) == tail
+    return spec
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["vacuum", "b0_tail"])
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_differential_sums_against_full_table_reference(tail, data):
+    """The sums over the classically restricted dominant fibres equal the
+    full-table reference at widen 0 and 2, polynomial, summand count and
+    truncation bound alike, read from one scan per fibre; the straightening
+    form equals its full-table reference too."""
+    spec = data.draw(tailed_specs(tail))
+    table = rb.weight_energy_table(spec)
+    lam_prime = spec.resolved_lam_prime()
+    got = fibre_sums(spec, (0, 2))
+    for widen, result in zip((0, 2), got):
+        want = rb.alternating_sum(spec.n, spec.shapes, spec.level, spec.lam, lam_prime, table, widen)
+        assert result == want, (spec, widen)
+        assert bosonic_report(spec, widen) == want, (spec, widen)
+    assert bosonic_via_straightening(spec) == rb.bosonic_via_straightening(spec), spec
+
+
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(3, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=4))))
+def test_differential_level_zero_against_full_table_reference(case):
+    """The formal level-zero sum over the dominant fibres equals the
+    full-table reference on random column products."""
+    n, heights = case
+    shapes = tuple(RectShape(k, 1) for k in heights)
+    spec = bosonic._level_zero_spec(n, shapes)
+    want = rb.alternating_sum(n, spec.shapes, 0, spec.lam, spec.lam, rb.weight_energy_table(spec))
+    report = level_zero_identity(n, shapes)
+    got = (LaurentPoly(report["lhs_polynomial"]), report["summand_count"], report["truncation_bound"])
+    assert got == (want.polynomial, want.summand_count, want.truncation_bound), case
+
+
+def test_fibre_at_q1_is_tensor_multiplicity():
+    """The classical fibre X_c of content c against Lambda counts, at q = 1,
+    the copies of V_(Lambda + c) in V_Lambda (x) B: the Schur expansion of
+    the product with Lambda's finite part as one more factor."""
+    checked = 0
+    for n, ell, shapes in (
+        (2, 3, (S11, RectShape(1, 2), S11, RectShape(1, 3))),
+        (3, 2, (S11, RectShape(2, 1), RectShape(1, 2), S11)),
+        (3, 3, (RectShape(2, 2), S11, RectShape(1, 3))),
+        (4, 2, (RectShape(2, 1), RectShape(3, 1), RectShape(1, 2), S11)),
+        (4, 1, (RectShape(2, 1), S11, RectShape(3, 1), S11, S11)),
+        (5, 2, (RectShape(2, 1), RectShape(1, 2), RectShape(3, 1))),
+    ):
+        product = schur_product(n, tuple(sorted(shapes)))
+        for lam in dominant_weights(n, ell):
+            spec = CrystalSpec(n, shapes, level=ell, lam=lam)
+            with_lam = {}
+            for key, count in schur_monomials(lam.finite, n):
+                for content, paths in product.items():
+                    mono = vadd(key, content)
+                    with_lam[mono] = with_lam.get(mono, 0) + count * paths
+            multiplicity = schur_expand(with_lam, n)
+            for content in product:
+                weight = vadd(lam.finite, content)
+                if any(a < b for a, b in zip(weight, weight[1:])):
+                    continue
+                fibre = scan_paths(n, shapes, content, lam, False, spec.b0_tail())
+                assert fibre(1) == multiplicity.get(weight, 0), (n, shapes, lam, content)
+                checked += bool(fibre)
+    assert checked > 100

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import crystalpaths
-from crystalpaths import energy, kostka
+from crystalpaths import bosonic, energy, kostka
 from crystalpaths.cli import main, parse_weight_selector
 from crystalpaths.weights import LevelWeight
 
@@ -95,9 +95,10 @@ def test_verify_command(capsys):
     assert payload["warnings"] == []
 
 
-def test_verify_widen_check_scans_twice(capsys, monkeypatch):
-    """One content table serves the base and the widened alternating sum; the
-    direct count is the other scan."""
+def test_verify_widen_check_scans_each_fibre_once(capsys, monkeypatch):
+    """One scan of each fibre read serves the base and the widened
+    alternating sum: each content is scanned once, classically, and the
+    direct count is the one affine scan."""
     calls = []
     scan = kostka.scan_paths
 
@@ -106,14 +107,18 @@ def test_verify_widen_check_scans_twice(capsys, monkeypatch):
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(kostka, "scan_paths", counting_scan)
+    monkeypatch.setattr(bosonic, "scan_paths", counting_scan)
     code, out, _ = run(
-        capsys, "verify", "--n", "3", "--level", "2", "--shapes", "1x1,1x1,1x1",
-        "--Lambda", "L0+L1", "--widen-check",
+        capsys, "verify", "--n", "3", "--level", "1", "--shapes", ",".join(["1x1"] * 9),
+        "--Lambda", "L0", "--widen-check",
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["equal"] and payload["widen_certificate"]["stable"]
-    assert len(calls) == 2
+    classical = [args[2] for args in calls if not args[4]]
+    affine = [args[2] for args in calls if args[4]]
+    assert affine == [(3, 3, 3)]
+    assert len(classical) == len(set(classical)) > 1
 
 
 def test_verify_zero_command(capsys):

@@ -5,11 +5,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import reference_paths as rp
 from reference_energy import augmented_energy, path_energy
+from reference_bosonic import literal_content_table
 from reference_paths import classically_restricted_paths, enumerate_paths, level_restricted_paths
 from test_acceptance import criterion_one_grid
 from test_bosonic import dominant_weights as dominant_level_weights
 
 from crystalpaths import energy, kostka, paths, tableaux
+from crystalpaths.bosonic import bosonic_report
 from crystalpaths.kostka import (
     CrystalSpec,
     classical_dimension,
@@ -18,7 +20,6 @@ from crystalpaths.kostka import (
     multiplicity_oracle,
     schur_expand,
     schur_monomials,
-    weight_energy_table,
 )
 from crystalpaths.laurent import LaurentPoly
 from crystalpaths.tableaux import RectShape
@@ -177,7 +178,7 @@ def test_scan_reads_each_table_once_per_pair(tmp_path, monkeypatch):
     for round_ in ("build", "load"):
         energy.clear_memory_tables()
         calls.clear()
-        weight_energy_table(spec, cache_dir=cache)
+        kostka_level(spec, cache_dir=cache)
         loads = sorted(key for name, key in calls if name == "load_table")
         builds = sorted(key for name, key in calls if name == "build_local_table")
         assert loads == sorted("%s %s" % pair for pair in pairs)
@@ -206,7 +207,8 @@ def test_level_scan_resolves_b0_once(monkeypatch):
     assert kostka_level(spec)(1) > 1
     assert len(calls) == 1
     calls.clear()
-    assert weight_energy_table(spec)
+    # once per alternating sum, not once per fibre it scans
+    assert bosonic_report(spec).polynomial
     assert len(calls) == 1
 
 
@@ -228,10 +230,10 @@ def test_level_scan_skipped_when_n_does_not_divide(monkeypatch):
 
 
 def test_walk_leaves_are_the_literal_restricted_paths(monkeypatch):
-    """The restricted scan at every content of the product gives the paths
+    """The affine scan at every content of the product gives the paths
     that is_level_restricted accepts, and at the target content the ones of
     level_restricted_paths; the scan itself calls neither the restriction
-    test nor path_energy, and refuses a restricted scan without a target."""
+    test nor path_energy, and every scan needs its target content."""
     lam = LevelWeight(2, (1, 0, 0), 0)  # L0 + L1
     spec = CrystalSpec(3, (S11,) * 6, level=2, lam=lam)
     literal = {}
@@ -246,14 +248,14 @@ def test_walk_leaves_are_the_literal_restricted_paths(monkeypatch):
     for module in (paths, energy, kostka):
         monkeypatch.setattr(module, "is_level_restricted", forbidden, raising=False)
         monkeypatch.setattr(module, "path_energy", forbidden, raising=False)
-    scanned = {c: kostka.scan_paths(3, spec.shapes, c, lam, spec.b0_tail()) for c in literal}
+    scanned = {c: kostka.scan_paths(3, spec.shapes, c, lam, True, spec.b0_tail()) for c in literal}
     poly = kostka_level(spec)
     monkeypatch.undo()
-    assert scanned == {c: {c: want} if want else {} for c, want in literal.items()}
+    assert scanned == literal
     assert sum(map(bool, literal.values())) > 1
     assert poly == graded_stream(target, spec) == literal[(2, 2, 2)]
-    with pytest.raises(ValueError, match="target"):
-        kostka.scan_paths(3, spec.shapes, None, lam, spec.b0_tail())
+    with pytest.raises(TypeError):
+        kostka.scan_paths(3, spec.shapes, None, lam, True, spec.b0_tail())
 
 
 def graded_stream(stream, spec):
@@ -289,22 +291,35 @@ def test_scan_matches_literal_streams():
     assert nonzero > 0
 
 
-def literal_content_table(spec, lam_prime=None):
-    """content -> sum of q^path_energy(p (x) b0 tail) over every path, or,
-    given lam_prime, over level_restricted_paths only."""
-    stream = (enumerate_paths(spec.n, spec.shapes) if lam_prime is None else
-              level_restricted_paths(spec.n, spec.shapes, spec.lam, lam_prime))
-    table = {}
-    for p in stream:
-        exp = path_energy(paths.Path(spec.n, p.factors + spec.b0_tail()))
-        table[p.weight()] = table.get(p.weight(), LaurentPoly.zero()) + LaurentPoly.q_power(exp)
-    return table
+def unrestricting_weight(n, boxes):
+    """A weight with every classical pairing 2 * boxes, so that a classical
+    scan against it admits every path of that box count: a factor's eps_i
+    is at most its box count, and the suffix lowers phi_i by at most boxes."""
+    return LevelWeight(0, tuple(2 * boxes * (n - 1 - i) for i in range(n)), 0)
+
+
+def assert_classical_fibres_match_literal(spec):
+    """The classical scan against Lambda, with the b0 tail, at every content
+    of the product equals the literal table of the paths p with p (x)
+    u_Lambda classically highest, and the classical scan against a weight
+    that restricts nothing equals the literal table of every path."""
+    n, shapes, tail = spec.n, spec.shapes, spec.b0_tail()
+    literal = literal_content_table(
+        spec, (p for p in enumerate_paths(n, shapes) if rp.is_classically_restricted(p, spec.lam)))
+    full = literal_content_table(spec)
+    wide = unrestricting_weight(n, spec.total_boxes())
+    for c in kostka.schur_product(n, tuple(sorted(shapes))):
+        assert kostka.scan_paths(n, shapes, c, spec.lam, False, tail) == literal.get(c, 0), (spec, c)
+        assert kostka.scan_paths(n, shapes, c, wide, False, tail) == full[c], (spec, c)
+    assert literal
 
 
 def test_walk_carry_matches_literal_grading():
     """On products of three or more unequal factors the scan carries each
     earlier factor past every later one by the local isomorphism; compare
-    with the literal grading in several orders, vacuum and not."""
+    with the literal grading in several orders, vacuum and not, of the
+    classical scans against Lambda at every content and of the level
+    polynomial."""
     s21, s12 = RectShape(2, 1), RectShape(1, 2)
     products = [
         (3, 2, (s21, S11, s12, S11)),
@@ -321,9 +336,10 @@ def test_walk_carry_matches_literal_grading():
             lam_primes = [w for w in weights if paths.target_content(lam, w, boxes)]
             for k, lam_prime in enumerate(lam_primes[:2]):
                 spec = CrystalSpec(n, shapes, level=ell, lam=lam, lam_prime=lam_prime)
-                if k == 0:  # the content table does not depend on LambdaPrime
-                    assert weight_energy_table(spec) == literal_content_table(spec), spec
-                want = sum(literal_content_table(spec, lam_prime).values(), LaurentPoly.zero())
+                if k == 0:  # the classical fibres do not depend on LambdaPrime
+                    assert_classical_fibres_match_literal(spec)
+                want = sum(literal_content_table(
+                    spec, level_restricted_paths(n, shapes, lam, lam_prime)).values(), LaurentPoly.zero())
                 assert kostka_level(spec) == want, spec
                 seen.add((n, spec.is_vacuum(), bool(want)))
     assert {(3, True, True), (3, False, True), (4, True, True), (4, False, True)} <= seen
@@ -351,23 +367,27 @@ def small_specs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_specs())
 def test_scan_matches_literal_reference_on_random_specs(spec):
-    """The unrestricted table, the level scan and the classical scan at every
-    content, and kostka_level, equal the literal reference: enumerate_paths,
-    path_energy of the path followed by the b0 tail, and the literal
-    restriction tests and streams."""
+    """At every content, the affine scan against Lambda, the classical scans
+    against Lambda and against a weight that restricts nothing (all with the
+    b0 tail) and the classical scan against the zero weight, and
+    kostka_level, equal the literal reference:
+    enumerate_paths, path_energy of the path followed by the b0 tail, and
+    the literal restriction tests and streams."""
     n, shapes, tail = spec.n, spec.shapes, spec.b0_tail()
-    full, level, classical = {}, {}, {}
+    zero_weight, wide = LevelWeight.vacuum(n, 0), unrestricting_weight(n, spec.total_boxes())
+    full, level, fibre, classical = {}, {}, {}, {}
     for p in enumerate_paths(n, shapes):
         c, zero = p.weight(), LaurentPoly.zero()
         graded = LaurentPoly.q_power(path_energy(paths.Path(n, p.factors + tail)))
         full[c] = full.get(c, zero) + graded
         level[c] = level.get(c, zero) + (graded if rp.is_level_restricted(p, spec.lam) else 0)
+        fibre[c] = fibre.get(c, zero) + (graded if rp.is_classically_restricted(p, spec.lam) else 0)
         classical[c] = classical.get(c, zero) + (
             LaurentPoly.q_power(path_energy(p)) if rp.is_classically_restricted(p) else 0)
-    assert kostka.scan_paths(n, shapes, b0_tail=tail) == full
-    for c in full:
-        assert kostka.scan_paths(n, shapes, c, spec.lam, tail) == ({c: level[c]} if level[c] else {})
-        assert kostka.scan_paths(n, shapes, c, kostka.CLASSICAL) == (
-            {c: classical[c]} if classical[c] else {})
+    for c in level:
+        assert kostka.scan_paths(n, shapes, c, spec.lam, True, tail) == level[c]
+        assert kostka.scan_paths(n, shapes, c, spec.lam, False, tail) == fibre[c]
+        assert kostka.scan_paths(n, shapes, c, wide, False, tail) == full[c]
+        assert kostka.scan_paths(n, shapes, c, zero_weight, False) == classical[c]
     want = graded_stream(level_restricted_paths(n, shapes, spec.lam, spec.resolved_lam_prime()), spec)
     assert kostka_level(spec) == want
