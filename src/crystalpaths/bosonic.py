@@ -41,10 +41,10 @@ walk's content is the target content.  Its monomial is the level polynomial
 level-zero sum vanishes unless the tensor product is empty, which is
 witnessed by an explicit sign-reversing pairing of the summands.  The
 pairing holds a path as a tuple of element indices into the integer
-crystals (tableaux.RectCrystal), grades only the paths of the contents that
-_fiber_points reads, from the flat lists of energy.LocalIsoTable that the
-path scan reads too, and reflects a path in one signature pass
-(signature.reflection_steps).
+crystals (tableaux.RectCrystal), grades the paths of the contents that
+_fiber_points reads as the path scan does (energy.carry_plan), and maps a
+path b to s_i e_i b by the one string move f_i^(phi_i(b) - eps_i(b) + 1)
+(signature.string_steps).
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ import itertools
 from typing import Optional, Sequence
 
 from . import tableaux
-from .energy import get_local_table
+from .energy import carry_plan, get_local_table
 from .kostka import CrystalSpec, kostka_level, scan_paths, schur_product
 from .laurent import LaurentPoly
 from .paths import Path, format_path, target_content
-from .signature import CertificateError, Record, raising_index, reflection_steps
+from .signature import CertificateError, Record, string_steps
 from .tableaux import RectShape
 from .weights import (
     AffineWeylElement,
@@ -277,13 +277,17 @@ def _paths_by_content(crystals) -> dict[tuple, list[tuple[int, ...]]]:
 def _raise_and_reflect(crystals, path: tuple[int, ...], i: int) -> Optional[tuple[int, ...]]:
     """s_i e_i of a path of element indices, or None when e_i kills it."""
     stats = [(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, path)]
-    pos = raising_index(stats)
-    if pos is None:
+    k = 1
+    for e, p in stats:  # phi_i - eps_i adds over the factors
+        k += p - e
+    steps = string_steps(stats, k)
+    if steps is None:  # the move passes the end of the string exactly when eps_i = 0
         return None
-    raised = list(path)
-    raised[pos] = crystals[pos].move(path[pos], i, -1)
-    stats = [(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, raised)]
-    return tuple(c.move(x, i, k) if k else x for c, x, k in zip(crystals, raised, reflection_steps(stats)))
+    moved = list(path)
+    for j, step in enumerate(steps):
+        if step:
+            moved[j] = crystals[j].move(path[j], i, step)
+    return tuple(moved)
 
 
 def _choice_index(crystal, x: int) -> int:
@@ -310,15 +314,16 @@ def _level_zero_certificate(spec: CrystalSpec, cache_dir: Optional[str] = None):
     # with no target content every fiber is empty and the certificate holds vacuously
     if target is not None:
         by_content = _paths_by_content(crystals)
-        meets = [[get_local_table(n, a, b, cache_dir) for b in shapes[j + 1:]] for j, a in enumerate(shapes)]
+        kinds, plan = carry_plan(n, shapes, cache_dir)
         for tau, _, beta, content, exponent in _fiber_points(n, rho_vector(n), target, bound, by_content):
             for path in by_content[content]:
-                energy = exponent  # as in kostka.scan_paths, each factor is carried past the later ones
-                for j, x in enumerate(path):
-                    for table, y in zip(meets[j], path[j + 1:]):
-                        k = x * table.width + y
-                        energy += table.energy[k]
-                        x = table.image2[k]
+                energy, carried = exponent, [-1] * kinds  # graded as in kostka.scan_paths
+                for x, (kind, meets) in zip(path, plan):
+                    for s, k, table in meets:
+                        j = carried[s] * table.width + x
+                        energy += k * table.energy[j]
+                        carried[s] = table.image2[j]
+                    carried[kind] = x
                 summands[beta, tau, path] = energy
 
     def described(summand) -> str:
@@ -437,13 +442,9 @@ def commutation_hypothesis_warnings(
         table = get_local_table(spec.n, shape, tail_crystal.shape, cache_dir)
         crystal = tableaux.RectCrystal(spec.n, shape)
         for x, b in enumerate(crystal.elements):
-            if raising_index([crystal.stats(0, x), tail_crystal.stats(0, z)]) != 0:
-                continue
-            k = x * table.width + z
-            image_stats = [tail_crystal.stats(0, table.image1[k]), crystal.stats(0, table.image2[k])]
-            if raising_index(image_stats) != 0:
-                warnings.append(
-                    "0-raising side is not preserved through the local isomorphism "
-                    "at %s (x) %s" % (b, b0)
-                )
+            k = x * table.width + z  # e_0 acts on the left of a (x) b exactly when eps_0(a) > phi_0(b)
+            if (crystal.eps[0][x] > tail_crystal.phi[0][z]
+                    and tail_crystal.eps[0][table.image1[k]] <= crystal.phi[0][table.image2[k]]):
+                warnings.append("0-raising side is not preserved through the local isomorphism "
+                                "at %s (x) %s" % (b, b0))
     return warnings

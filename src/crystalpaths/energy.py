@@ -16,8 +16,8 @@ here by H = 0 on the pair of classical highest weight tableaux.
 The energy of a longer path accumulates H over all factor pairs, carrying
 the left member of each pair rightward through the intermediate factors by
 local isomorphisms before it meets the right member.  It is summed from the
-tables below inside the recursion of kostka.scan_paths and the level-zero
-pairing of bosonic; there is no per-path grader.
+tables below, as carry_plan lays them out, inside the recursion of
+kostka.scan_paths and the level-zero pairing of bosonic.
 
 A table is held once, as flat integer lists over the elements of the two
 factor crystals indexed as in tableaux.RectCrystal, and built from their
@@ -92,7 +92,7 @@ def _product_operators(left: RectCrystal, right: RectCrystal, i: int) -> tuple[l
         return a * width + b
 
     for a, b in itertools.product(range(len(left.elements)), range(width)):
-        stats = (left.stats(i, a), right.stats(i, b))
+        stats = ((left.eps[i][a], left.phi[i][a]), (right.eps[i][b], right.phi[i][b]))
         sides.append(raising_index(stats))
         ups.append(moved(a, b, sides[-1], (left.e[i], right.e[i])))
         downs.append(moved(a, b, lowering_index(stats), (left.f[i], right.f[i])))
@@ -301,6 +301,18 @@ def get_local_table(
         if winner != table:
             raise CertificateError("racing builds of the table %s disagree" % (key,))
     return _TABLES[key]
+
+
+def carry_plan(n: int, shapes, cache_dir: Optional[str] = None) -> tuple[int, list]:
+    """The number of kinds (shapes, in order of first appearance) and, per
+    factor x, its kind and [(kind of s, k_s, table of s (x) x)] over the
+    shapes s left of x.  R is the identity on B_s (x) B_s, so the k_s factors
+    of shape s reach x as one element c_s; a path's energy adds k_s H(c_s (x) x)."""
+    kinds = list(dict.fromkeys(shapes))
+    return len(kinds), [
+        (kinds.index(x), [(kinds.index(s), shapes[:j].count(s), get_local_table(n, s, x, cache_dir))
+                          for s in dict.fromkeys(shapes[:j])])
+        for j, x in enumerate(shapes)]
 
 
 def clear_memory_tables():

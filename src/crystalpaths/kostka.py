@@ -14,14 +14,11 @@ node 0, where the extra grading factor is unnecessary, and otherwise by the
 energy of the path extended by the matching element b0 of a perfect
 level-l crystal, resolved once per scan.
 
-A scan places the factors leftmost first and appends the b0 tail last.  A
-path's energy sums H over every pair of factors, the left one carried right
-past the factors between them by the local isomorphism (see energy).  On
-B_s (x) B_s that isomorphism is the identity, so every earlier factor of
-shape s reaches the right end as one element c_s.  Appending z adds
-sum_s k_s H(c_s (x) z), k_s counting the factors of shape s placed so far,
-then carries each c_s past z by the image2 list of an energy.LocalIsoTable.
-A state is (c_s for each shape, prefix content) -> {energy: count}: at most
+A scan places the factors leftmost first, appends the b0 tail last, and
+grades each path as it grows (energy.carry_plan): appending z adds
+sum_s k_s H(c_s (x) z), where the k_s factors of shape s placed so far
+reach z as one element c_s, then carries each c_s past z by the image2 list
+of an energy.LocalIsoTable.  A state is (c_s for each shape, prefix content) -> {energy: count}: at most
 prod_s |B_s| times the number of contents.  The target content fixes the
 content right of each factor x; phi_i of that suffix tensored with u is
 then <h_i, Lambda> plus a linear function of that content, and by the
@@ -40,7 +37,7 @@ import operator
 from typing import Iterable, Optional, Sequence
 
 from . import tableaux
-from .energy import get_local_table, phi_matching_element
+from .energy import carry_plan, phi_matching_element
 from .laurent import LaurentPoly
 from .paths import normalize_content, target_content
 from .signature import Record
@@ -150,6 +147,13 @@ class CrystalSpec(Record):
 # the transfer-matrix scan
 
 
+@functools.cache
+def _scan_elements(n: int, shape: RectShape, affine: bool) -> tuple:
+    """(element, content, eps_i for the restricted i) per element, once per key."""
+    crystal = tableaux.RectCrystal(n, shape)
+    return tuple(zip(range(len(crystal.content)), crystal.content, zip(*crystal.eps[0 if affine else 1:])))
+
+
 def scan_paths(
     n: int,
     shapes: Sequence[RectShape],
@@ -170,22 +174,14 @@ def scan_paths(
         return LaurentPoly.zero()  # no path has this content
     indices = range(0 if affine else 1, n)
     phi0 = tuple(map(lam.pairing, indices))
-    steps = []  # (shape, [(element, content, eps_i for the restricted i)])
-    for shape in shapes:
-        crystal = tableaux.RectCrystal(n, shape)
-        steps.append((shape, [(x, content, tuple(crystal.eps[i][x] for i in indices))
-                              for x, content in enumerate(crystal.content)]))
+    steps = [(shape, _scan_elements(n, shape, affine)) for shape in shapes]
     for b0 in b0_tail:  # graded against, but neither counted nor restricted
         steps.append((b0.shape, [(tableaux.RectCrystal(n, b0.shape).index[b0], (0,) * n, ())]))
-    kinds = list(dict.fromkeys(shape for shape, _ in steps))
-    placed: dict[RectShape, int] = {}  # shape -> factors of that shape placed so far
+    kinds, plan = carry_plan(n, [shape for shape, _ in steps], cache_dir)
     # (carried, prefix content) -> {energy: count}; carried[s] is the latest
     # factor of kind s carried right past every later factor, -1 before the first
-    states = {((-1,) * len(kinds), (0,) * n): {0: 1}}
-    for shape, elements in steps:
-        kind = kinds.index(shape)
-        meets = [(kinds.index(s), k, get_local_table(n, s, shape, cache_dir))
-                 for s, k in placed.items()]
+    states = {((-1,) * kinds, (0,) * n): {0: 1}}
+    for (_, elements), (kind, meets) in zip(steps, plan):
         grown: dict[tuple, dict[int, int]] = {}
         for (carried, prefix), energies in states.items():
             for x, content, eps in elements:
@@ -206,7 +202,6 @@ def scan_paths(
                 for e, count in energies.items():
                     bucket[e + h] = bucket.get(e + h, 0) + count
         states = grown
-        placed[shape] = placed.get(shape, 0) + 1
     # every surviving state has prefix content target
     return LaurentPoly([pair for energies in states.values() for pair in energies.items()])
 
@@ -276,23 +271,16 @@ def schur_monomials(partition: tuple[int, ...], n: int) -> tuple[tuple[tuple[int
             fill(nr, nc)
         rows[r][c] = 0
 
-    if not partition:
-        counts[(0,) * n] = 1
-    else:
-        fill(0, 0)
+    fill(0, 0)  # the empty partition has one filling, of content zero
     return tuple(sorted(counts.items()))
 
 
-def _dict_product(a: dict, b: dict, n: int) -> dict:
+def _dict_product(a: dict, b: dict) -> dict:
     out: dict[tuple[int, ...], int] = {}
     for ka, va in a.items():
         for kb, vb in b.items():
             key = tuple(x + y for x, y in zip(ka, kb))
-            total = out.get(key, 0) + va * vb
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + va * vb
     return out
 
 
@@ -323,7 +311,7 @@ def schur_product(n: int, shapes: tuple[RectShape, ...]) -> dict[tuple[int, ...]
     polynomials, which is symmetric in the content."""
     product = {(0,) * n: 1}
     for s in shapes:
-        product = _dict_product(product, dict(schur_monomials(_partition_of_shape(s), n)), n)
+        product = _dict_product(product, dict(schur_monomials(_partition_of_shape(s), n)))
     return product
 
 

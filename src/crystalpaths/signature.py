@@ -7,9 +7,11 @@ factor y and right factor x the statistics combine as
     eps(y (x) x) = eps(x) + max(0, eps(y) - phi(x))
 
 and a raising operator acts on x when phi(x) >= eps(y), a lowering operator
-when phi(x) > eps(y); otherwise the action passes into y.  Longer products
-fold left-associatively, so the factor receiving the action is found by
-scanning from the right against the statistics of the folded prefix.
+when phi(x) > eps(y); otherwise the action passes into y.  In signs: a
+factor reads +^phi -^eps, a - cancels the nearest free + to its right, and
+e_i turns the leftmost free - into a +, f_i^k the k rightmost free + signs
+into -, each in one pass over the factors.  As phi_i - eps_i adds over the
+factors, s_i e_i b = f_i^(phi_i(b) - eps_i(b) + 1) b whenever eps_i(b) >= 1.
 
 The module also holds what every other module shares: CertificateError, and
 Record, the immutable value base of the package's small classes.
@@ -17,7 +19,6 @@ Record, the immutable value base of the package's small classes.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -65,54 +66,56 @@ class Record:
             "%s=%r" % pair for pair in zip(self._fields, self._values(self))))
 
 
-def combine(left: Stats, right: Stats) -> Stats:
-    le, lp = left
-    re, rp = right
-    return (re + max(0, le - rp), lp + max(0, rp - le))
-
-
 def fold_stats(stats: Sequence[Stats]) -> Stats:
     """(eps, phi) of the full tensor product; the empty product gives (0, 0)."""
-    acc = (0, 0)
-    for s in stats:
-        acc = combine(acc, s)
-    return acc
+    eps = phi = 0
+    for e, p in stats:
+        phi += max(0, p - eps)
+        eps = e + max(0, eps - p)
+    return eps, phi
 
 
 def raising_index(stats: Sequence[Stats]) -> Optional[int]:
-    """Index of the factor a raising operator acts on, or None if it is undefined."""
-    prefixes = list(accumulate(stats, combine, initial=(0, 0)))  # [k]: first k factors
-    if prefixes[-1][0] == 0:
-        return None
-    for j in range(len(stats) - 1, 0, -1):
-        if stats[j][1] >= prefixes[j][0]:
-            return j
-    return 0
+    """The factor holding the leftmost free - sign, where e_i acts; None if e_i kills."""
+    eps, pos = 0, 0  # eps of the prefix
+    for j, (e, p) in enumerate(stats):
+        if p >= eps:
+            eps, pos = e, j
+        else:
+            eps += e - p
+    return pos if eps else None
 
 
 def lowering_index(stats: Sequence[Stats]) -> Optional[int]:
-    """Index of the factor a lowering operator acts on, or None if it is undefined."""
-    prefixes = list(accumulate(stats, combine, initial=(0, 0)))  # [k]: first k factors
-    if prefixes[-1][1] == 0:
-        return None
-    for j in range(len(stats) - 1, 0, -1):
-        if stats[j][1] > prefixes[j][0]:
-            return j
-    return 0
+    """The factor holding the rightmost free + sign, where f_i acts; None if f_i kills."""
+    eps, pos = 0, None  # eps of the prefix
+    for j, (e, p) in enumerate(stats):
+        if p > eps:
+            eps, pos = e, j
+        else:
+            eps += e - p
+    return pos
 
 
-def reflection_steps(stats: Sequence[Stats]) -> list[int]:
-    """Per factor, the steps of the crystal reflection s_i in one pass: k > 0
-    for k lowerings, -k for k raisings.  Each factor reads +^phi -^eps and a
-    - cancels a free + to its right, so the product reduces to +^phi -^eps.
-    s_i turns that into +^eps -^phi: it lowers the phi - eps rightmost free
-    + signs, or raises the eps - phi leftmost free - signs."""
-    prefixes = list(accumulate(stats, combine, initial=(0, 0)))  # [k]: first k factors
-    eps, phi = prefixes[-1]
-    if eps > phi:  # reversing the factors and swapping eps with phi mirrors the rule
-        return [-k for k in reversed(reflection_steps([(p, e) for e, p in reversed(stats)]))]
-    steps, left = [0] * len(stats), phi - eps
-    for j in range(len(stats) - 1, -1, -1):
-        steps[j] = min(left, max(0, stats[j][1] - prefixes[j][0]))  # free + signs of factor j
-        left -= steps[j]
-    return steps
+def string_steps(stats: Sequence[Stats], k: int) -> Optional[list[int]]:
+    """Per factor, the steps of f_i^k for k > 0, or of e_i^-k for k < 0 as
+    negative steps; None when the string of the product ends before |k|
+    steps."""
+    if k > 0:  # + signs, read left to right against the eps of the prefix
+        order, sign, give, take = range(len(stats) - 1, -1, -1), 1, 1, 0
+    else:  # - signs, read right to left against the phi of the suffix
+        order, sign, give, take, k = range(len(stats)), -1, 0, 1, -k
+    free, steps, against = [0] * len(stats), [0] * len(stats), 0  # free signs of the move, per factor
+    for j in reversed(order):
+        s = stats[j]
+        if s[give] > against:
+            free[j], against = s[give] - against, s[take]
+        else:
+            against += s[take] - s[give]
+    for j in order:  # the rightmost free + signs, or the leftmost free - signs
+        if free[j] >= k:
+            steps[j] = sign * k
+            return steps
+        steps[j] = sign * free[j]
+        k -= free[j]
+    return None if k else steps

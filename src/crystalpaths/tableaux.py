@@ -217,10 +217,6 @@ class RectCrystal:
             tuple(-1 if op[y] < 0 else self.promotion_inverse[op[y]] for y in self.promotion)
             for op in (self.e[1], self.f[1]))
 
-    def stats(self, i: int, x: int) -> tuple[int, int]:
-        """(eps_i, phi_i) of element x, as the signature rule reads them."""
-        return self.eps[i][x], self.phi[i][x]
-
     def move(self, x: int, i: int, steps: int) -> int:
         """Element x moved by f_i^steps, or by e_i^-steps when steps < 0,
         where the string is known to be long enough."""

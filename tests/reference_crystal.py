@@ -1,12 +1,20 @@
 """Tableau-level views of the crystal maps that the program keeps only as
-index arrays.
+index arrays, and the signature rule as literal folds.
 
 tableaux.RectCrystal holds eps, phi, e and f, promotion, its inverse and
 the string moves as arrays over element indices.  The tests state
 properties of these maps on Tableau objects through the plain functions
 below, and weight changes through simple_root.
+
+The program reads the signature rule of a tensor product in single passes
+(signature.raising_index, lowering_index, string_steps).  The references at
+the end are the rule as first written: the two-factor combination folded
+into a list of prefix statistics, the crystal reflection recursing on the
+mirrored product when eps > phi, and the level-zero pairing's move as a
+raising followed by a separate reflection.
 """
 
+from itertools import accumulate
 from typing import Optional
 
 from crystalpaths.tableaux import RectCrystal, Tableau
@@ -68,3 +76,73 @@ def simple_root(i: int, n: int) -> tuple[int, ...]:
     v[i - 1] = 1
     v[i] = -1
     return tuple(v)
+
+
+# ---------------------------------------------------------------------------
+# the signature rule folded over prefix statistics
+
+
+def combine(left, right):
+    """(eps, phi) of left (x) right from the (eps, phi) of its two factors."""
+    le, lp = left
+    re, rp = right
+    return (re + max(0, le - rp), lp + max(0, rp - le))
+
+
+def fold_stats(stats):
+    """(eps, phi) of the full tensor product; the empty product gives (0, 0)."""
+    acc = (0, 0)
+    for s in stats:
+        acc = combine(acc, s)
+    return acc
+
+
+def raising_index(stats) -> Optional[int]:
+    """Index of the factor a raising operator acts on, or None if it is undefined."""
+    prefixes = list(accumulate(stats, combine, initial=(0, 0)))  # [k]: first k factors
+    if prefixes[-1][0] == 0:
+        return None
+    for j in range(len(stats) - 1, 0, -1):
+        if stats[j][1] >= prefixes[j][0]:
+            return j
+    return 0
+
+
+def lowering_index(stats) -> Optional[int]:
+    """Index of the factor a lowering operator acts on, or None if it is undefined."""
+    prefixes = list(accumulate(stats, combine, initial=(0, 0)))  # [k]: first k factors
+    if prefixes[-1][1] == 0:
+        return None
+    for j in range(len(stats) - 1, 0, -1):
+        if stats[j][1] > prefixes[j][0]:
+            return j
+    return 0
+
+
+def reflection_steps(stats) -> list[int]:
+    """Per factor, the steps of the crystal reflection s_i: k > 0 for k
+    lowerings, -k for k raisings.  It lowers the phi - eps rightmost free +
+    signs, or raises the eps - phi leftmost free - signs."""
+    prefixes = list(accumulate(stats, combine, initial=(0, 0)))  # [k]: first k factors
+    eps, phi = prefixes[-1]
+    if eps > phi:  # reversing the factors and swapping eps with phi mirrors the rule
+        return [-k for k in reversed(reflection_steps([(p, e) for e, p in reversed(stats)]))]
+    steps, left = [0] * len(stats), phi - eps
+    for j in range(len(stats) - 1, -1, -1):
+        steps[j] = min(left, max(0, stats[j][1] - prefixes[j][0]))  # free + signs of factor j
+        left -= steps[j]
+    return steps
+
+
+def raise_and_reflect(crystals, path: tuple[int, ...], i: int) -> Optional[tuple[int, ...]]:
+    """s_i e_i of a path of element indices into the given RectCrystals, or
+    None when e_i kills it: one raising, then the reflection of the raised
+    path, each read from its own fold."""
+    stats = [(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, path)]
+    pos = raising_index(stats)
+    if pos is None:
+        return None
+    raised = list(path)
+    raised[pos] = crystals[pos].move(path[pos], i, -1)
+    stats = [(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, raised)]
+    return tuple(c.move(x, i, k) if k else x for c, x, k in zip(crystals, raised, reflection_steps(stats)))

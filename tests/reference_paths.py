@@ -14,10 +14,11 @@ import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
 import reference_crystal as rc
+from reference_crystal import fold_stats, lowering_index, raising_index
 
 from crystalpaths import tableaux
 from crystalpaths.paths import Path, normalize_content
-from crystalpaths.signature import CertificateError, fold_stats, lowering_index, raising_index
+from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import LevelWeight, vadd
 

@@ -9,7 +9,7 @@ import itertools
 
 import reference_crystal as rc
 import reference_paths as rp
-from reference_crystal import promotion, reflect
+from reference_crystal import combine, promotion, reflect
 from reference_energy import as_dicts, local_iso, path_energy
 from reference_paths import enumerate_paths, level_restricted_paths
 
@@ -29,7 +29,6 @@ from crystalpaths.kostka import (
 )
 from crystalpaths.laurent import LaurentPoly
 from crystalpaths.paths import Path, parse_path
-from crystalpaths.signature import combine
 from crystalpaths.straighten import SchurSymbol, normalize, normalize_by_steps
 from crystalpaths.tableaux import RectShape, enumerate_tableaux
 from crystalpaths.weights import LevelWeight, theta_vector, vadd, vsub

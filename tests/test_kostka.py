@@ -347,13 +347,13 @@ def test_walk_carry_matches_literal_grading():
 
 @st.composite
 def small_specs(draw):
-    """A random spec with n <= 4, level <= 3, at most five factors of mixed
+    """A random spec with n <= 4, level <= 3, one to five factors of mixed
     shapes up to 2 columns, and random dominant Lambda and LambdaPrime; the
     factors are cut off once the product would exceed 1000 paths."""
     n, ell = draw(st.integers(2, 4)), draw(st.integers(1, 3))
     kinds = [RectShape(r, c) for r in range(1, n) for c in range(1, min(ell, 2) + 1)]
     shapes, size = [], 1
-    for shape in draw(st.lists(st.sampled_from(kinds), max_size=5)):
+    for shape in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5)):
         size *= len(tableaux.RectCrystal(n, shape).elements)
         if size > 1000:
             break

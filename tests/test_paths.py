@@ -4,6 +4,7 @@ import random
 import pytest
 import reference_crystal as rc
 import reference_paths as rp
+from reference_crystal import combine
 from reference_paths import (
     classically_restricted_paths,
     enumerate_paths,
@@ -16,7 +17,6 @@ from reference_paths import (
 from crystalpaths import tableaux as tx
 from crystalpaths.kostka import classical_dimension
 from crystalpaths.paths import Path, format_path, normalize_content, parse_path
-from crystalpaths.signature import combine
 from crystalpaths.tableaux import RectShape, Tableau
 from crystalpaths.weights import LevelWeight
 

@@ -3,7 +3,15 @@ import random
 import pytest
 import reference_crystal as rc
 import reference_paths as rp
-from reference_crystal import promotion, promotion_inverse, reflect, simple_root
+from reference_crystal import (
+    fold_stats,
+    lowering_index,
+    promotion,
+    promotion_inverse,
+    raising_index,
+    reflect,
+    simple_root,
+)
 
 from crystalpaths import tableaux as tx
 from crystalpaths.tableaux import (
@@ -14,7 +22,6 @@ from crystalpaths.tableaux import (
     highest_weight_tableau,
     parse_tableau,
 )
-from crystalpaths.signature import fold_stats, lowering_index, raising_index
 from crystalpaths.weights import theta_vector, vsub
 
 SMALL_GRID = [
