@@ -23,10 +23,9 @@ at the grid point (tau, beta) with tau sorting Lambda' + rho - (l + n) beta
 decreasingly, and its term is sign(tau) q^exponent times the scan of
 content c restricted classically against Lambda (kostka.scan_paths), graded
 like the level polynomial.  The summand count is still the number of paths
-in the fibres of the full grid: the fibres of beta are the contents
-target - Lambda' - rho + w (Lambda' + rho - (l + n) beta) over w in S_n,
-and kostka.schur_product counts their paths without a crystal.  One scan of
-each fibre read at the widest radius serves every truncation radius.
+in every fibre the walk maps into the box, dominant or not, which
+kostka.schur_product gives without a crystal.  One scan of each fibre read
+at the widest radius serves every truncation radius.
 The beta sum is truncated to a box certified a priori: outside it
 the content fiber is provably empty because the translation summand spreads
 the target weight further than any content vector can reach.  Degenerate
@@ -38,19 +37,20 @@ with the level-one weight phi of the suffix: a right-to-left walk from
 phi(u) = Lambda fixes each factor in turn, and the path exists when the
 walk's content is the target content.  Its monomial is the level polynomial
 (kostka.kostka_level), which must count exactly that path.  The formal
-level-zero sum vanishes unless the tensor product is empty, which is
-witnessed by an explicit sign-reversing pairing of the summands.  The
-pairing holds a path as a tuple of element indices into the integer
-crystals (tableaux.RectCrystal), grades the paths of the contents that
-_fiber_points reads as the path scan does (energy.carry_plan), and maps a
-path b to s_i e_i b by the one string move f_i^(phi_i(b) - eps_i(b) + 1)
-(signature.string_steps).
+level-zero sum vanishes unless the tensor product is empty, which an
+explicit sign-reversing pairing of the summands witnesses in a stream: a
+depth-first walk over the index paths (tableaux.RectCrystal) of the read
+contents, graded as the path scan grades (energy.carry_plan), checks each
+pair at its plus summand, moving b to s_i e_i b by the one string move
+f_i^(phi_i(b) - eps_i(b) + 1) (signature.string_steps), and counts the
+minus summands, which must be as many.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Optional, Sequence
 
 from . import tableaux
@@ -63,8 +63,6 @@ from .tableaux import RectShape
 from .weights import (
     AffineWeylElement,
     LevelWeight,
-    dot,
-    norm2,
     perm_sign,
     rho_vector,
     spread,
@@ -113,8 +111,8 @@ def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
     slot = {x % m: j + 1 for j, x in enumerate(lamp_rho)}
     for content in contents:
         v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
-        tau = tuple(slot.get(x % m, 0) for x in v)
-        if 0 in tau or len(set(tau)) < n:
+        tau = tuple(map(slot.get, [x % m for x in v]))
+        if None in tau or len(set(tau)) < n:
             continue
         beta = [0] * n
         for x, j in zip(v, tau):
@@ -122,7 +120,8 @@ def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
         if max(map(abs, beta)) > bound:
             continue
         beta = tuple(beta)
-        yield tau, perm_sign(tau), beta, content, dot(lamp_rho, beta) - m * norm2(beta) // 2
+        exponent = sum(map(operator.mul, lamp_rho, beta)) - m * sum(map(operator.mul, beta, beta)) // 2
+        yield tau, perm_sign(tau), beta, content, exponent
 
 
 def fibre_sums(
@@ -142,18 +141,15 @@ def fibre_sums(
     if target is not None:  # else every fiber is empty
         product = schur_product(n, tuple(sorted(spec.shapes)))
         tail = spec.b0_tail()
-        points = _fiber_points(m, lamp_rho, target, max(bounds), _dominant_contents(lam, product))
-        for _, sign, beta, content, exponent in points:
-            fiber = scan_paths(n, spec.shapes, content, lam, False, tail, cache_dir)
-            term = LaurentPoly.q_power(exponent, sign) * fiber
-            v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
-            paths = sum(product.get(tuple(t - x + y for t, x, y in zip(target, lamp_rho, w)), 0)
-                        for w in itertools.permutations(v))
-            radius = max(map(abs, beta))
+        dominant = set(_dominant_contents(lam, product))  # the fibres the sums read
+        for _, sign, beta, content, exponent in _fiber_points(m, lamp_rho, target, max(bounds), product):
+            term = content in dominant and LaurentPoly.q_power(exponent, sign) * scan_paths(
+                n, spec.shapes, content, lam, False, tail, cache_dir)
             for k, bound in enumerate(bounds):
-                if radius <= bound:
-                    totals[k] += term
-                    counts[k] += paths
+                if max(map(abs, beta)) <= bound:
+                    counts[k] += product[content]
+                    if term:
+                        totals[k] += term
     return tuple(map(AlternatingSumResult, totals, counts, bounds))
 
 
@@ -261,33 +257,18 @@ def level_zero_identity(
     }
 
 
-def _paths_by_content(crystals) -> dict[tuple, list[tuple[int, ...]]]:
-    """content -> every path of element indices of that content, one
-    index per factor crystal, leftmost first."""
-    by_content: dict[tuple, list[tuple[int, ...]]] = {(0,) * crystals[0].n: [()]}
-    for crystal in crystals:
-        grown: dict[tuple, list[tuple[int, ...]]] = {}
-        for content, paths in by_content.items():
-            for x, add in enumerate(crystal.content):
-                grown.setdefault(vadd(content, add), []).extend(p + (x,) for p in paths)
-        by_content = grown
-    return by_content
-
-
-def _raise_and_reflect(crystals, path: tuple[int, ...], i: int) -> Optional[tuple[int, ...]]:
-    """s_i e_i of a path of element indices, or None when e_i kills it."""
-    stats = [(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, path)]
-    k = 1
-    for e, p in stats:  # phi_i - eps_i adds over the factors
-        k += p - e
-    steps = string_steps(stats, k)
+def _raise_and_reflect(crystals, path, i: int, stats, content) -> Optional[tuple[list[int], list[int]]]:
+    """(s_i e_i b, the positions of the factors it moves) for a path b of
+    element indices of that content whose factors have the (eps_i, phi_i)
+    stats, or None when e_i kills b."""
+    # s_i e_i b = f_i^k b with k = phi_i(b) - eps_i(b) + 1 = <h_i, content> + 1
+    steps = string_steps(stats, content[i - 1] - content[i] + 1)
     if steps is None:  # the move passes the end of the string exactly when eps_i = 0
         return None
-    moved = list(path)
-    for j, step in enumerate(steps):
-        if step:
-            moved[j] = crystals[j].move(path[j], i, step)
-    return tuple(moved)
+    moved, changed = list(path), [j for j, step in enumerate(steps) if step]
+    for j in changed:
+        moved[j] = crystals[j].move(path[j], i, steps[j])
+    return moved, changed
 
 
 def _choice_index(crystal, x: int) -> int:
@@ -299,75 +280,121 @@ def _choice_index(crystal, x: int) -> int:
     raise CertificateError("finite affine crystals admit some raising operator")
 
 
-def _level_zero_certificate(spec: CrystalSpec, cache_dir: Optional[str] = None):
-    """(crystals, truncation bound, summands, pairs) of the level-zero
-    pairing.  A summand is (beta, tau, path) with path a tuple of element
-    indices into crystals, mapped to its q-exponent; pairs lists each
-    certified pair (summand, image) once."""
-    n, shapes = spec.n, spec.shapes
-    zero = spec.lam.finite
-    bound = truncation_bound(n, 0, zero, zero, shapes, 0)
+def _level_zero_certificate(
+    spec: CrystalSpec, cache_dir: Optional[str] = None, collect=None
+) -> tuple[int, int, int]:
+    """(truncation bound, summands, pairs), checked as level_zero_pairing
+    says by a depth-first walk over the index paths of the read contents
+    that cuts every prefix no suffix completes to one; besides those prefix
+    contents it holds one path and its prefix states.  collect, when given,
+    receives (summand, exponent, image) per summand (beta, tau, path),
+    image None at a minus summand."""
+    n, shapes, zero = spec.n, spec.shapes, spec.lam.finite
+    bound = truncation_bound(n, 0, zero, zero, shapes)
     target = target_content(spec.lam, spec.lam, spec.total_boxes())
+    if target is None:  # every fiber is empty and the certificate holds vacuously
+        return bound, 0, 0
+    # content c is coded as sum_k (g + c_k) 2g^k with a guard bit g above every entry: codes add
+    # and subtract entrywise, and a difference of contents is nonnegative when no guard bit clears
+    width = spec.total_boxes().bit_length() + 1
+    guard = sum(1 << (k * width + width - 1) for k in range(n))
+
+    def code(content) -> int:
+        return sum(x << (k * width) for k, x in enumerate(content))
+
+    read = {guard + code(c): ((beta, tau), sign, exponent, c) for tau, sign, beta, c, exponent in
+            _fiber_points(n, rho_vector(n), target, bound, schur_product(n, tuple(sorted(shapes))))}
     crystals = [tableaux.RectCrystal(n, s) for s in shapes]
+    codes = [list(map(code, crystal.content)) for crystal in crystals]
+    # ends[j]: the codes of the prefixes of j + 1 factors that some suffix completes to a read content
+    ends = [set(read)]
+    for steps in reversed(codes[1:]):
+        ends.insert(0, {p - d for p in ends[0] for d in set(steps) if (p - d) & guard == guard})
+    columns = [[tuple(zip(c.eps[i], c.phi[i])) for c in crystals] for i in range(n)]
+    choice = [_choice_index(crystals[-1], x) for x in range(len(codes[-1]))]
+    kinds, plan = carry_plan(n, shapes, cache_dir)
 
-    summands: dict[tuple, int] = {}
-    # with no target content every fiber is empty and the certificate holds vacuously
-    if target is not None:
-        by_content = _paths_by_content(crystals)
-        kinds, plan = carry_plan(n, shapes, cache_dir)
-        for tau, _, beta, content, exponent in _fiber_points(n, rho_vector(n), target, bound, by_content):
-            for path in by_content[content]:
-                energy, carried = exponent, [-1] * kinds  # graded as in kostka.scan_paths
-                for x, (kind, meets) in zip(path, plan):
-                    for s, k, table in meets:
-                        j = carried[s] * table.width + x
-                        energy += k * table.energy[j]
-                        carried[s] = table.image2[j]
-                    carried[kind] = x
-                summands[beta, tau, path] = energy
+    def grade(j: int, x: int, energy: int, carried) -> tuple[int, list]:  # as kostka.scan_paths
+        kind, meets = plan[j]
+        moved = list(carried)
+        for s, k, table in meets:
+            at = carried[s] * table.width + x
+            energy += k * table.energy[at]
+            moved[s] = table.image2[at]
+        moved[kind] = x
+        return energy, moved
 
-    def described(summand) -> str:
-        beta, tau, path = summand
+    def fail(reason: str):  # at the summand the walk is at
         factors = tuple(c.elements[x] for c, x in zip(crystals, path))
-        return "beta=%s tau=%s path=%s" % (beta, tau, format_path(Path(n, factors)))
+        raise CertificateError("%s at beta=%s tau=%s path=%s"
+                               % (reason, *point, format_path(Path(n, factors))))
 
     @functools.cache
-    def times_r(beta, tau, i):
-        w = AffineWeylElement(beta, tau).compose_reflection(i)
+    def times_r(point, i):  # the grid point (beta, tau) of t_beta tau r_i
+        w = AffineWeylElement(*point).compose_reflection(i)
         return w.beta, w.tau
 
-    sign = functools.cache(perm_sign)
-    pairs = []
-    seen = set()
-    for s, exponent in summands.items():
-        if s in seen:
-            continue
-        beta, tau, path = s
-        i = _choice_index(crystals[-1], path[-1])
-        image_path = _raise_and_reflect(crystals, path, i)
-        if image_path is None:
-            raise CertificateError("tensor statistics dominate the rightmost factor at %s" % described(s))
-        image = (*times_r(beta, tau, i), image_path)
-        if image not in summands:
-            raise CertificateError("pairing image of %s violates the weight condition" % described(s))
-        if summands[image] != exponent:
-            raise CertificateError("pairing does not preserve the q-exponent at %s" % described(s))
-        if image == s:
-            raise CertificateError("pairing has a fixed point at %s" % described(s))
-        if sign(image[1]) != -sign(tau):
-            raise CertificateError("pairing does not reverse the sign at %s" % described(s))
-        if _choice_index(crystals[-1], image_path[-1]) != i:
-            raise CertificateError("choice index is not constant on the pair at %s" % described(s))
-        if (*times_r(*image[:2], i), _raise_and_reflect(crystals, image_path, i)) != s:
-            raise CertificateError("pairing is not an involution at %s" % described(s))
-        seen.add(s)
-        seen.add(image)
-        pairs.append((s, image))
-
-    total = LaurentPoly([(exponent, sign(tau)) for (_, tau, _), exponent in summands.items()])
-    if total != LaurentPoly.zero():
+    last = len(crystals) - 1
+    path = [0] * (last + 1)
+    # the content code, energy and carried elements of the prefix of each length
+    prefix, energies, carries = [guard] * (last + 2), [0] * (last + 2), [(-1,) * kinds] * (last + 2)
+    plus = minus = 0
+    signed: dict[int, int] = {}
+    stack = [enumerate(codes[0])]
+    while stack:
+        j = len(stack) - 1
+        for x, d in stack[-1]:
+            q = prefix[j] + d
+            if q not in ends[j]:
+                continue
+            path[j], prefix[j + 1] = x, q
+            energies[j + 1], carries[j + 1] = grade(j, x, energies[j], carries[j])
+            if j < last:
+                stack.append(enumerate(codes[j + 1]))
+                break
+            point, sign, exponent, content = read[q]
+            exponent += energies[j + 1]
+            signed[exponent] = signed.get(exponent, 0) + sign
+            if sign > 0:
+                i = choice[x]
+                stats = list(map(operator.getitem, columns[i], path))
+                found = _raise_and_reflect(crystals, path, i, stats, content)
+                if found is None:
+                    fail("tensor statistics dominate the rightmost factor")
+                moved, changed = found
+                image = times_r(point, i)
+                at = read.get(q + sum(codes[k][moved[k]] - codes[k][path[k]] for k in changed))
+                if not changed or at is None or at[0] != image:
+                    fail("pairing image violates the weight condition")
+                # regrade from the first moved factor until the carried elements
+                # are the path's again; from there on both gain the same energy
+                k, energy, carried = changed[0], energies[changed[0]], carries[changed[0]]
+                while k <= last and (k <= changed[-1] or carried != carries[k]):
+                    energy, carried = grade(k, moved[k], energy, carried)
+                    k += 1
+                if at[2] + energy + energies[last + 1] - energies[k] != exponent:
+                    fail("pairing does not preserve the q-exponent")
+                if at[1] != -sign:
+                    fail("pairing does not reverse the sign")
+                if choice[moved[-1]] != i:
+                    fail("choice index is not constant on the pair")
+                stats = list(map(operator.getitem, columns[i], moved))
+                back = _raise_and_reflect(crystals, moved, i, stats, at[3])
+                if back is None or back[0] != path or times_r(image, i) != point:
+                    fail("pairing is not an involution")
+                plus += 1
+            else:
+                minus += 1
+            if collect:
+                collect((*point, tuple(path)), exponent, None if sign < 0 else (*image, tuple(moved)))
+        else:
+            stack.pop()
+    if plus != minus:
+        raise CertificateError("the pairing maps %d plus summands into %d minus summands, not onto them"
+                               % (plus, minus))
+    if any(signed.values()):
         raise CertificateError("paired summands must cancel exactly")
-    return crystals, bound, summands, pairs
+    return bound, plus + minus, plus
 
 
 def level_zero_pairing(
@@ -375,22 +402,22 @@ def level_zero_pairing(
 ) -> dict:
     """Certify the vanishing of the level-zero sum by an explicit involution.
 
-    Every summand (t_beta tau, b) maps to (t_beta tau r_i, s_i e_i b) where i
-    is the least index raising the rightmost factor of b.  The certificate
-    checks that the image is again a summand, that the pairing is a
-    fixed-point-free involution matching opposite signs and equal exponents,
-    and that the choice index is constant on each pair; a failed check
-    raises CertificateError."""
+    The pairing phi maps a summand x = (t_beta tau, b) to (t_beta tau r_i,
+    s_i e_i b), i the least index raising the rightmost factor of b.  At
+    each plus summand x the certificate checks that e_i does not kill b;
+    that the content of s_i e_i b sits at the grid point of t_beta tau r_i,
+    so phi(x) is a summand; that phi(x) has the exponent of x, the opposite
+    sign (so phi(x) != x) and the choice index i; and that phi(phi(x)) = x,
+    which makes phi injective on the plus summands.  Minus summands are
+    only counted; when they are as many, phi maps the plus summands onto
+    them and is a fixed-point-free, sign-reversing, exponent-preserving
+    involution of all summands, so they cancel.  Their signed sum is kept
+    anyway and must vanish.  A failed check raises CertificateError."""
     spec = _level_zero_spec(n, shapes)
     if not spec.shapes:
         raise ValueError("pairing needs a nonempty tensor product")
-    _, bound, summands, pairs = _level_zero_certificate(spec, cache_dir)
-    return {
-        "summand_count": len(summands),
-        "pairing_size": len(pairs),
-        "truncation_bound": bound,
-        "cancels": True,
-    }
+    bound, summands, pairs = _level_zero_certificate(spec, cache_dir)
+    return {"summand_count": summands, "pairing_size": pairs, "truncation_bound": bound, "cancels": True}
 
 
 # ---------------------------------------------------------------------------

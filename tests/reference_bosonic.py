@@ -8,19 +8,39 @@ them against the plain forms below: every path is enumerated and graded by
 path_energy with the b0 tail into a table keyed by content, the alternating
 sum reads that table at every content its fibre walk maps into the box, and
 the straightening form normalizes one Schur symbol per content of the table.
+
+The level-zero pairing walks the summands depth first and checks each pair
+at its plus summand.  Its reference is the pairing as first written: every
+path grouped by content, every summand held in a dict with its exponent,
+and each pair checked from whichever summand comes first, with the move
+s_i e_i as a raising followed by the literal reflection.  The summand count
+of the sums is the number of paths in every read fibre; its reference adds
+the Schur product over the S_n orbit of each dominant fibre.
 """
+
+import functools
+import itertools
 
 from typing import Iterable, Optional
 
+import reference_crystal as rc
 import reference_paths as rp
 from reference_energy import path_energy
 
-from crystalpaths import straighten
-from crystalpaths.bosonic import AlternatingSumResult, _fiber_points, truncation_bound
-from crystalpaths.kostka import CrystalSpec
+from crystalpaths import straighten, tableaux
+from crystalpaths.bosonic import (
+    AlternatingSumResult,
+    _choice_index,
+    _dominant_contents,
+    _fiber_points,
+    truncation_bound,
+)
+from crystalpaths.energy import carry_plan
+from crystalpaths.kostka import CrystalSpec, schur_product
 from crystalpaths.laurent import LaurentPoly
 from crystalpaths.paths import Path, target_content
-from crystalpaths.weights import LevelWeight, rho_vector, vadd
+from crystalpaths.signature import CertificateError
+from crystalpaths.weights import AffineWeylElement, LevelWeight, perm_sign, rho_vector, vadd
 
 
 def literal_content_table(spec: CrystalSpec, stream: Optional[Iterable[Path]] = None) -> dict:
@@ -86,3 +106,104 @@ def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:
         if produced.same_classical_weight(lam_prime):
             total = total + LaurentPoly.q_power(qpow, sign) * fiber
     return total
+
+
+def permutation_counts(spec: CrystalSpec, widens) -> list[int]:
+    """The summand count of the sums at each widening: for every dominant
+    content that the fibre walk maps into the box, the Schur product summed
+    over the n! contents of its S_n orbit."""
+    n, lam, lam_prime = spec.n, spec.lam, spec.resolved_lam_prime()
+    m = spec.level + n
+    lamp_rho = vadd(lam_prime.finite, rho_vector(n))
+    bounds = [truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes, w) for w in widens]
+    counts = [0] * len(bounds)
+    target = target_content(lam, lam_prime, spec.total_boxes())
+    if target is None:
+        return counts
+    product = schur_product(n, tuple(sorted(spec.shapes)))
+    for _, _, beta, content, _ in _fiber_points(m, lamp_rho, target, max(bounds),
+                                                _dominant_contents(lam, product)):
+        v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
+        paths = sum(product.get(tuple(t - x + y for t, x, y in zip(target, lamp_rho, w)), 0)
+                    for w in itertools.permutations(v))
+        for k, bound in enumerate(bounds):
+            if max(map(abs, beta)) <= bound:
+                counts[k] += paths
+    return counts
+
+
+def paths_by_content(crystals) -> dict[tuple, list[tuple[int, ...]]]:
+    """content -> every path of element indices of that content, one
+    index per factor crystal, leftmost first."""
+    by_content: dict[tuple, list[tuple[int, ...]]] = {(0,) * crystals[0].n: [()]}
+    for crystal in crystals:
+        grown: dict[tuple, list[tuple[int, ...]]] = {}
+        for content, paths in by_content.items():
+            for x, add in enumerate(crystal.content):
+                grown.setdefault(vadd(content, add), []).extend(p + (x,) for p in paths)
+        by_content = grown
+    return by_content
+
+
+def level_zero_certificate(spec: CrystalSpec):
+    """(summands, pairs) of the level-zero pairing: every summand (beta, tau,
+    path) of element indices mapped to its q-exponent, and each certified
+    pair (summand, image) once.  Raises CertificateError where a check
+    fails."""
+    n, shapes = spec.n, spec.shapes
+    zero = spec.lam.finite
+    bound = truncation_bound(n, 0, zero, zero, shapes, 0)
+    target = target_content(spec.lam, spec.lam, spec.total_boxes())
+    crystals = [tableaux.RectCrystal(n, s) for s in shapes]
+
+    summands: dict[tuple, int] = {}
+    if target is not None:
+        by_content = paths_by_content(crystals)
+        kinds, plan = carry_plan(n, shapes)
+        for tau, _, beta, content, exponent in _fiber_points(n, rho_vector(n), target, bound, by_content):
+            for path in by_content[content]:
+                energy, carried = exponent, [-1] * kinds
+                for x, (kind, meets) in zip(path, plan):
+                    for s, k, table in meets:
+                        j = carried[s] * table.width + x
+                        energy += k * table.energy[j]
+                        carried[s] = table.image2[j]
+                    carried[kind] = x
+                summands[beta, tau, path] = energy
+
+    @functools.cache
+    def times_r(beta, tau, i):
+        w = AffineWeylElement(beta, tau).compose_reflection(i)
+        return w.beta, w.tau
+
+    pairs = []
+    seen = set()
+    for s, exponent in summands.items():
+        if s in seen:
+            continue
+        beta, tau, path = s
+        i = _choice_index(crystals[-1], path[-1])
+        image_path = rc.raise_and_reflect(crystals, path, i)
+        if image_path is None:
+            raise CertificateError("tensor statistics dominate the rightmost factor at %s" % (s,))
+        image = (*times_r(beta, tau, i), image_path)
+        if image not in summands:
+            raise CertificateError("pairing image of %s violates the weight condition" % (s,))
+        if summands[image] != exponent:
+            raise CertificateError("pairing does not preserve the q-exponent at %s" % (s,))
+        if image == s:
+            raise CertificateError("pairing has a fixed point at %s" % (s,))
+        if perm_sign(image[1]) != -perm_sign(tau):
+            raise CertificateError("pairing does not reverse the sign at %s" % (s,))
+        if _choice_index(crystals[-1], image_path[-1]) != i:
+            raise CertificateError("choice index is not constant on the pair at %s" % (s,))
+        if (*times_r(*image[:2], i), rc.raise_and_reflect(crystals, image_path, i)) != s:
+            raise CertificateError("pairing is not an involution at %s" % (s,))
+        seen.add(s)
+        seen.add(image)
+        pairs.append((s, image))
+
+    total = LaurentPoly([(exponent, perm_sign(tau)) for (_, tau, _), exponent in summands.items()])
+    if total != LaurentPoly.zero():
+        raise CertificateError("paired summands must cancel exactly")
+    return summands, pairs

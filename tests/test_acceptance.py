@@ -12,6 +12,7 @@ import reference_paths as rp
 from reference_crystal import combine, promotion, reflect
 from reference_energy import as_dicts, local_iso, path_energy
 from reference_paths import enumerate_paths, level_restricted_paths
+from reference_straighten import normalize_by_steps
 
 from crystalpaths.bosonic import (
     bosonic_report,
@@ -29,7 +30,7 @@ from crystalpaths.kostka import (
 )
 from crystalpaths.laurent import LaurentPoly
 from crystalpaths.paths import Path, parse_path
-from crystalpaths.straighten import SchurSymbol, normalize, normalize_by_steps
+from crystalpaths.straighten import SchurSymbol, normalize
 from crystalpaths.tableaux import RectShape, enumerate_tableaux
 from crystalpaths.weights import LevelWeight, theta_vector, vadd, vsub
 

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -289,7 +290,9 @@ def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
 
     monkeypatch.setattr(kostka, "scan_paths", counting(kostka.scan_paths))
     monkeypatch.setattr(bosonic, "scan_paths", counting(bosonic.scan_paths))
-    monkeypatch.setattr(bosonic, "_paths_by_content", counting(bosonic._paths_by_content))
+    # the pairing's walk starts from the Schur product and the carry plan
+    monkeypatch.setattr(bosonic, "schur_product", counting(bosonic.schur_product))
+    monkeypatch.setattr(bosonic, "carry_plan", counting(bosonic.carry_plan))
     shapes = (S11, S11)
     report = level_zero_identity(3, shapes)
     assert report["equal"] and report["summand_count"] == 0
@@ -466,22 +469,90 @@ PAIRING_GRID = [
 ]
 
 
+def walked_pairing(n, shapes):
+    """(summand -> exponent, list of (summand, image)) as the pairing's walk
+    meets them, and its (truncation bound, summands, pairs)."""
+    summands, pairs = {}, []
+
+    def collect(summand, exponent, image):
+        assert summand not in summands
+        summands[summand] = exponent
+        if image is not None:
+            pairs.append((summand, image))
+
+    counts = bosonic._level_zero_certificate(bosonic._level_zero_spec(n, shapes), collect=collect)
+    return summands, pairs, counts
+
+
 def test_pairing_matches_reference():
-    """The pairing on element indices yields the reference's summands, with
-    their exponents, and the reference's pairs."""
+    """The walk meets the summands of the dict-based reference certificate,
+    with their exponents, and checks its pairs at their plus summands; both
+    agree with the pairing on Tableau paths."""
     for n, shapes in PAIRING_GRID:
-        crystals, _, summands, pairs = bosonic._level_zero_certificate(
-            bosonic._level_zero_spec(n, shapes))
+        summands, pairs, (bound, count, size) = walked_pairing(n, shapes)
+        spec = bosonic._level_zero_spec(n, shapes)
+        want_summands, want_pairs = rb.level_zero_certificate(spec)
+        assert summands == want_summands, (n, shapes)
+        assert {frozenset(pair) for pair in pairs} == {frozenset(pair) for pair in want_pairs}, (n, shapes)
+        assert all(s[1] != image[1] and perm_sign(s[1]) == 1 for s, image in pairs)
+        assert (count, size) == (len(want_summands), len(want_pairs)) == (2 * len(pairs), len(pairs))
+        assert bound == level_zero_pairing(n, shapes)["truncation_bound"]
+
+        crystals = [tableaux.RectCrystal(n, s) for s in spec.shapes]
 
         def as_tableaux(summand):
             beta, tau, path = summand
             return Summand(beta, tau, Path(n, tuple(c.elements[x] for c, x in zip(crystals, path))))
 
-        want_summands, want_pairs = reference_pairing(n, shapes)
-        assert {as_tableaux(s): e for s, e in summands.items()} == want_summands, (n, shapes)
+        tableau_summands, tableau_pairs = reference_pairing(n, shapes)
+        assert {as_tableaux(s): e for s, e in summands.items()} == tableau_summands, (n, shapes)
         assert {frozenset(map(as_tableaux, pair)) for pair in pairs} == {
-            frozenset(pair) for pair in want_pairs}, (n, shapes)
-        assert len(pairs) == len(want_pairs)
+            frozenset(pair) for pair in tableau_pairs}, (n, shapes)
+
+
+def test_pairing_certificate_refuses_unequal_plus_and_minus_counts(monkeypatch):
+    """A minus summand outside every pair breaks the count check: the plus
+    summands all pass their own checks, but no longer map onto the minus
+    summands, and the certificate raises also under python -O."""
+    n, shapes = 3, (S11, S11, S11)
+    spec = bosonic._level_zero_spec(n, shapes)
+    product = schur_product(n, spec.shapes)
+    bound = truncation_bound(n, 0, (0,) * n, (0,) * n, spec.shapes)
+    points = list(_fiber_points(n, rho_vector(n), (1, 1, 1), bound, product))
+    unread = next(c for c in product if c not in {p[3] for p in points})
+    # the unread content, at a grid point of odd permutation that no pair reaches
+    extra = ((2, 1, 3), -1, (9, 0, -9), unread, 0)
+
+    def with_extra(*args):
+        yield from _fiber_points(*args)
+        yield extra
+
+    assert level_zero_pairing(n, shapes)["cancels"]
+    monkeypatch.setattr(bosonic, "_fiber_points", with_extra)
+    with pytest.raises(CertificateError, match="plus summands into"):
+        level_zero_pairing(n, shapes)
+
+
+def test_pairing_memory_stays_small():
+    """The walk holds one path and its prefix states, not the summands:
+    the traced peak of a pairing over 13122 summands stays under 1 MB."""
+    shapes = (S11,) * 9
+    level_zero_pairing(3, shapes)  # tables and the Schur product are built and cached here
+    tracemalloc.start()
+    try:
+        report = level_zero_pairing(3, shapes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["summand_count"] == 13122
+    assert peak < 1 << 20, peak
+
+
+def test_identity_and_pairing_count_the_same_summands():
+    """The identity counts the summands from the Schur product, the pairing
+    by walking them: the counts agree on every column product of the grid."""
+    for n, shapes in PAIRING_GRID:
+        assert level_zero_identity(n, shapes)["summand_count"] == level_zero_pairing(n, shapes)["summand_count"]
 
 
 def test_pairing_calls_no_per_path_reference(monkeypatch):
@@ -555,6 +626,19 @@ def test_differential_sums_against_full_table_reference(tail, data):
         assert result == want, (spec, widen)
         assert bosonic_report(spec, widen) == want, (spec, widen)
     assert bosonic_via_straightening(spec) == rb.bosonic_via_straightening(spec), spec
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["vacuum", "b0_tail"])
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_differential_summand_count_against_permutation_count(tail, data):
+    """The summand count added over every read product content equals the
+    count over the n! contents of each dominant fibre's S_n orbit, at
+    widen 0 and 2."""
+    spec = data.draw(tailed_specs(tail))
+    got = [result.summand_count for result in fibre_sums(spec, (0, 2))]
+    assert got == rb.permutation_counts(spec, (0, 2)), spec
 
 
 @settings(max_examples=25, deadline=None, database=None,

