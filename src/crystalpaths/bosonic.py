@@ -23,9 +23,10 @@ at the grid point (tau, beta) with tau sorting Lambda' + rho - (l + n) beta
 decreasingly, and its term is sign(tau) q^exponent times the scan of
 content c restricted classically against Lambda (kostka.scan_paths), graded
 like the level polynomial.  The summand count is still the number of paths
-in every fibre the walk maps into the box, dominant or not, which
-kostka.schur_product gives without a crystal.  One scan of each fibre read
-at the widest radius serves every truncation radius.
+in the fibres of the full grid: the fibres of beta are the contents
+target - Lambda' - rho + w (Lambda' + rho - (l + n) beta) over w in S_n,
+and kostka.schur_product counts their paths without a crystal.  One scan of
+each fibre read at the widest radius serves every truncation radius.
 The beta sum is truncated to a box certified a priori: outside it
 the content fiber is provably empty because the translation summand spreads
 the target weight further than any content vector can reach.  Degenerate
@@ -63,6 +64,8 @@ from .tableaux import RectShape
 from .weights import (
     AffineWeylElement,
     LevelWeight,
+    dot,
+    norm2,
     perm_sign,
     rho_vector,
     spread,
@@ -111,8 +114,8 @@ def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
     slot = {x % m: j + 1 for j, x in enumerate(lamp_rho)}
     for content in contents:
         v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
-        tau = tuple(map(slot.get, [x % m for x in v]))
-        if None in tau or len(set(tau)) < n:
+        tau = tuple(slot.get(x % m, 0) for x in v)
+        if 0 in tau or len(set(tau)) < n:
             continue
         beta = [0] * n
         for x, j in zip(v, tau):
@@ -120,8 +123,7 @@ def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
         if max(map(abs, beta)) > bound:
             continue
         beta = tuple(beta)
-        exponent = sum(map(operator.mul, lamp_rho, beta)) - m * sum(map(operator.mul, beta, beta)) // 2
-        yield tau, perm_sign(tau), beta, content, exponent
+        yield tau, perm_sign(tau), beta, content, dot(lamp_rho, beta) - m * norm2(beta) // 2
 
 
 def fibre_sums(
@@ -141,15 +143,18 @@ def fibre_sums(
     if target is not None:  # else every fiber is empty
         product = schur_product(n, tuple(sorted(spec.shapes)))
         tail = spec.b0_tail()
-        dominant = set(_dominant_contents(lam, product))  # the fibres the sums read
-        for _, sign, beta, content, exponent in _fiber_points(m, lamp_rho, target, max(bounds), product):
-            term = content in dominant and LaurentPoly.q_power(exponent, sign) * scan_paths(
-                n, spec.shapes, content, lam, False, tail, cache_dir)
+        points = _fiber_points(m, lamp_rho, target, max(bounds), _dominant_contents(lam, product))
+        for _, sign, beta, content, exponent in points:
+            fiber = scan_paths(n, spec.shapes, content, lam, False, tail, cache_dir)
+            term = LaurentPoly.q_power(exponent, sign) * fiber
+            v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
+            paths = sum(product.get(tuple(t - x + y for t, x, y in zip(target, lamp_rho, w)), 0)
+                        for w in itertools.permutations(v))
+            radius = max(map(abs, beta))
             for k, bound in enumerate(bounds):
-                if max(map(abs, beta)) <= bound:
-                    counts[k] += product[content]
-                    if term:
-                        totals[k] += term
+                if radius <= bound:
+                    totals[k] += term
+                    counts[k] += paths
     return tuple(map(AlternatingSumResult, totals, counts, bounds))
 
 
@@ -286,7 +291,9 @@ def _level_zero_certificate(
     """(truncation bound, summands, pairs), checked as level_zero_pairing
     says by a depth-first walk over the index paths of the read contents
     that cuts every prefix no suffix completes to one; besides those prefix
-    contents it holds one path and its prefix states.  collect, when given,
+    contents, the elements extending each, and the grading steps met (at
+    most one per factor, element and carried elements), it holds one path
+    and its prefix states.  collect, when given,
     receives (summand, exponent, image) per summand (beta, tau, path),
     image None at a minus summand."""
     n, shapes, zero = spec.n, spec.shapes, spec.lam.finite
@@ -310,19 +317,24 @@ def _level_zero_certificate(
     ends = [set(read)]
     for steps in reversed(codes[1:]):
         ends.insert(0, {p - d for p in ends[0] for d in set(steps) if (p - d) & guard == guard})
+    # kids[j][p]: (x, p + code of x) for each element x of factor j that keeps the prefix in ends[j]
+    kids = [{p: [(x, p + d) for x, d in enumerate(steps) if p + d in ends[j]] for p in before}
+            for j, (steps, before) in enumerate(zip(codes, [{guard}] + ends))]
     columns = [[tuple(zip(c.eps[i], c.phi[i])) for c in crystals] for i in range(n)]
     choice = [_choice_index(crystals[-1], x) for x in range(len(codes[-1]))]
     kinds, plan = carry_plan(n, shapes, cache_dir)
 
-    def grade(j: int, x: int, energy: int, carried) -> tuple[int, list]:  # as kostka.scan_paths
+    @functools.cache
+    def grade(j: int, x: int, carried: tuple) -> tuple[int, tuple]:  # as kostka.scan_paths
+        """(energy gained, carried elements) on appending x as factor j."""
         kind, meets = plan[j]
-        moved = list(carried)
+        moved, gain = list(carried), 0
         for s, k, table in meets:
             at = carried[s] * table.width + x
-            energy += k * table.energy[at]
+            gain += k * table.energy[at]
             moved[s] = table.image2[at]
         moved[kind] = x
-        return energy, moved
+        return gain, tuple(moved)
 
     def fail(reason: str):  # at the summand the walk is at
         factors = tuple(c.elements[x] for c, x in zip(crystals, path))
@@ -336,21 +348,19 @@ def _level_zero_certificate(
 
     last = len(crystals) - 1
     path = [0] * (last + 1)
-    # the content code, energy and carried elements of the prefix of each length
-    prefix, energies, carries = [guard] * (last + 2), [0] * (last + 2), [(-1,) * kinds] * (last + 2)
+    # the energy and carried elements of the prefix of each length
+    energies, carries = [0] * (last + 2), [(-1,) * kinds] * (last + 2)
     plus = minus = 0
     signed: dict[int, int] = {}
-    stack = [enumerate(codes[0])]
+    stack = [iter(kids[0][guard])]
     while stack:
         j = len(stack) - 1
-        for x, d in stack[-1]:
-            q = prefix[j] + d
-            if q not in ends[j]:
-                continue
-            path[j], prefix[j + 1] = x, q
-            energies[j + 1], carries[j + 1] = grade(j, x, energies[j], carries[j])
+        for x, q in stack[-1]:
+            path[j] = x
+            gain, carries[j + 1] = grade(j, x, carries[j])
+            energies[j + 1] = energies[j] + gain
             if j < last:
-                stack.append(enumerate(codes[j + 1]))
+                stack.append(iter(kids[j + 1][q]))
                 break
             point, sign, exponent, content = read[q]
             exponent += energies[j + 1]
@@ -370,7 +380,8 @@ def _level_zero_certificate(
                 # are the path's again; from there on both gain the same energy
                 k, energy, carried = changed[0], energies[changed[0]], carries[changed[0]]
                 while k <= last and (k <= changed[-1] or carried != carries[k]):
-                    energy, carried = grade(k, moved[k], energy, carried)
+                    gain, carried = grade(k, moved[k], carried)
+                    energy += gain
                     k += 1
                 if at[2] + energy + energies[last + 1] - energies[k] != exponent:
                     fail("pairing does not preserve the q-exponent")

@@ -101,21 +101,29 @@ def string_steps(stats: Sequence[Stats], k: int) -> Optional[list[int]]:
     """Per factor, the steps of f_i^k for k > 0, or of e_i^-k for k < 0 as
     negative steps; None when the string of the product ends before |k|
     steps."""
+    free, against = [], 0  # (factor, its free signs of the move), in reading order
     if k > 0:  # + signs, read left to right against the eps of the prefix
-        order, sign, give, take = range(len(stats) - 1, -1, -1), 1, 1, 0
+        sign = 1
+        for j, (e, p) in enumerate(stats):
+            if p > against:
+                free.append((j, p - against))
+                against = e
+            else:
+                against += e - p
     else:  # - signs, read right to left against the phi of the suffix
-        order, sign, give, take, k = range(len(stats)), -1, 0, 1, -k
-    free, steps, against = [0] * len(stats), [0] * len(stats), 0  # free signs of the move, per factor
-    for j in reversed(order):
-        s = stats[j]
-        if s[give] > against:
-            free[j], against = s[give] - against, s[take]
-        else:
-            against += s[take] - s[give]
-    for j in order:  # the rightmost free + signs, or the leftmost free - signs
-        if free[j] >= k:
+        sign, k = -1, -k
+        for j in range(len(stats) - 1, -1, -1):
+            e, p = stats[j]
+            if e > against:
+                free.append((j, e - against))
+                against = p
+            else:
+                against += p - e
+    steps = [0] * len(stats)
+    for j, f in reversed(free):  # the rightmost free + signs, or the leftmost free - signs
+        if f >= k:
             steps[j] = sign * k
             return steps
-        steps[j] = sign * free[j]
-        k -= free[j]
+        steps[j] = sign * f
+        k -= f
     return None if k else steps

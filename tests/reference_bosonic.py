@@ -14,12 +14,11 @@ at its plus summand.  Its reference is the pairing as first written: every
 path grouped by content, every summand held in a dict with its exponent,
 and each pair checked from whichever summand comes first, with the move
 s_i e_i as a raising followed by the literal reflection.  The summand count
-of the sums is the number of paths in every read fibre; its reference adds
-the Schur product over the S_n orbit of each dominant fibre.
+of the sums adds the Schur product over the S_n orbit of each dominant
+fibre; its reference adds it over every content the fibre walk reads.
 """
 
 import functools
-import itertools
 
 from typing import Iterable, Optional
 
@@ -31,7 +30,6 @@ from crystalpaths import straighten, tableaux
 from crystalpaths.bosonic import (
     AlternatingSumResult,
     _choice_index,
-    _dominant_contents,
     _fiber_points,
     truncation_bound,
 )
@@ -108,12 +106,11 @@ def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:
     return total
 
 
-def permutation_counts(spec: CrystalSpec, widens) -> list[int]:
-    """The summand count of the sums at each widening: for every dominant
-    content that the fibre walk maps into the box, the Schur product summed
-    over the n! contents of its S_n orbit."""
+def one_pass_counts(spec: CrystalSpec, widens) -> list[int]:
+    """The summand count of the sums at each widening, in one pass: the
+    Schur product added over every product content, dominant or not, that
+    the fibre walk maps into the box."""
     n, lam, lam_prime = spec.n, spec.lam, spec.resolved_lam_prime()
-    m = spec.level + n
     lamp_rho = vadd(lam_prime.finite, rho_vector(n))
     bounds = [truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes, w) for w in widens]
     counts = [0] * len(bounds)
@@ -121,14 +118,10 @@ def permutation_counts(spec: CrystalSpec, widens) -> list[int]:
     if target is None:
         return counts
     product = schur_product(n, tuple(sorted(spec.shapes)))
-    for _, _, beta, content, _ in _fiber_points(m, lamp_rho, target, max(bounds),
-                                                _dominant_contents(lam, product)):
-        v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
-        paths = sum(product.get(tuple(t - x + y for t, x, y in zip(target, lamp_rho, w)), 0)
-                    for w in itertools.permutations(v))
+    for _, _, beta, content, _ in _fiber_points(spec.level + n, lamp_rho, target, max(bounds), product):
         for k, bound in enumerate(bounds):
             if max(map(abs, beta)) <= bound:
-                counts[k] += paths
+                counts[k] += product[content]
     return counts
 
 
