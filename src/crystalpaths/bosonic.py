@@ -41,7 +41,7 @@ walk's content is the target content.  Its monomial is the level polynomial
 level-zero sum vanishes unless the tensor product is empty, which an
 explicit sign-reversing pairing of the summands witnesses in a stream: a
 depth-first walk over the index paths (tableaux.RectCrystal) of the read
-contents, graded as the path scan grades (energy.carry_plan), checks each
+contents, graded as the path scan grades (energy.grade), checks each
 pair at its plus summand, moving b to s_i e_i b by the one string move
 f_i^(phi_i(b) - eps_i(b) + 1) (signature.string_steps), and counts the
 minus summands, which must be as many.
@@ -55,22 +55,13 @@ import operator
 from typing import Optional, Sequence
 
 from . import tableaux
-from .energy import carry_plan, get_local_table
+from .energy import carry_plan, grade, zero_side_moves
 from .kostka import CrystalSpec, kostka_level, scan_paths, schur_product
 from .laurent import LaurentPoly
 from .paths import Path, format_path, target_content
 from .signature import CertificateError, Record, string_steps
 from .tableaux import RectShape
-from .weights import (
-    AffineWeylElement,
-    LevelWeight,
-    dot,
-    norm2,
-    perm_sign,
-    rho_vector,
-    spread,
-    vadd,
-)
+from .weights import LevelWeight, dot, norm2, perm_sign, rho_vector, spread, times_reflection, vadd
 
 
 class AlternatingSumResult(Record):
@@ -126,9 +117,7 @@ def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
         yield tau, perm_sign(tau), beta, content, dot(lamp_rho, beta) - m * norm2(beta) // 2
 
 
-def fibre_sums(
-    spec: CrystalSpec, widens: Sequence[int], cache_dir: Optional[str] = None
-) -> tuple[AlternatingSumResult, ...]:
+def fibre_sums(spec: CrystalSpec, widens: Sequence[int]) -> tuple[AlternatingSumResult, ...]:
     """The alternating sum of the level polynomial at each truncation
     widening, scanning each fibre read once.  The spec is taken as
     validated, and may have level 0."""
@@ -145,7 +134,7 @@ def fibre_sums(
         tail = spec.b0_tail()
         points = _fiber_points(m, lamp_rho, target, max(bounds), _dominant_contents(lam, product))
         for _, sign, beta, content, exponent in points:
-            fiber = scan_paths(n, spec.shapes, content, lam, False, tail, cache_dir)
+            fiber = scan_paths(n, spec.shapes, content, lam, False, tail)
             term = LaurentPoly.q_power(exponent, sign) * fiber
             v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
             paths = sum(product.get(tuple(t - x + y for t, x, y in zip(target, lamp_rho, w)), 0)
@@ -164,16 +153,12 @@ def _dominant_contents(lam: LevelWeight, product: dict) -> list[tuple[int, ...]]
             if all(a >= b for a, b in itertools.pairwise(vadd(lam.finite, c)))]
 
 
-def bosonic_report(
-    spec: CrystalSpec,
-    widen: int = 0,
-    cache_dir: Optional[str] = None,
-) -> AlternatingSumResult:
+def bosonic_report(spec: CrystalSpec, widen: int = 0) -> AlternatingSumResult:
     """Alternating-sum value of the level polynomial of the spec."""
     spec.validate()
     if spec.lam is None:
         raise ValueError("alternating sum needs a restriction weight Lambda")
-    return fibre_sums(spec, (widen,), cache_dir)[0]
+    return fibre_sums(spec, (widen,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +184,7 @@ def _level_one_walk(crystals, lam: LevelWeight) -> tuple[int, ...]:
     return tuple(reversed(path))
 
 
-def level_one_identity(spec: CrystalSpec, cache_dir: Optional[str] = None) -> dict:
+def level_one_identity(spec: CrystalSpec) -> dict:
     """At level one with column factors the restricted path set has at most
     one element, found by a walk without enumeration; the alternating sum
     must equal its single monomial."""
@@ -215,11 +200,11 @@ def level_one_identity(spec: CrystalSpec, cache_dir: Optional[str] = None) -> di
     path = _level_one_walk(crystals, spec.lam)
     content = functools.reduce(vadd, (c.content[x] for c, x in zip(crystals, path)), (0,) * spec.n)
     exists = content == target_content(spec.lam, lam_prime, spec.total_boxes())
-    rhs = kostka_level(spec, cache_dir)
+    rhs = kostka_level(spec)
     if rhs(1) != exists:
         raise CertificateError("the level polynomial counts %d restricted paths at level one, the walk %d"
                                % (rhs(1), exists))
-    (result,) = fibre_sums(spec, (0,), cache_dir)
+    (result,) = fibre_sums(spec, (0,))
     factors = tuple(c.elements[x] for c, x in zip(crystals, path))
     return {
         "path_exists": exists,
@@ -245,13 +230,11 @@ def _level_zero_spec(n: int, shapes: Sequence[RectShape]) -> CrystalSpec:
     return CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
 
 
-def level_zero_identity(
-    n: int, shapes: Sequence[RectShape], cache_dir: Optional[str] = None
-) -> dict:
+def level_zero_identity(n: int, shapes: Sequence[RectShape]) -> dict:
     """Formal level-zero alternating sum; 1 on the empty tensor product and
     0 otherwise."""
     spec = _level_zero_spec(n, shapes)
-    (result,) = fibre_sums(spec, (0,), cache_dir)
+    (result,) = fibre_sums(spec, (0,))
     expected = LaurentPoly.one() if not spec.shapes else LaurentPoly.zero()
     return {
         "lhs_polynomial": list(result.polynomial.pairs()),
@@ -285,9 +268,7 @@ def _choice_index(crystal, x: int) -> int:
     raise CertificateError("finite affine crystals admit some raising operator")
 
 
-def _level_zero_certificate(
-    spec: CrystalSpec, cache_dir: Optional[str] = None, collect=None
-) -> tuple[int, int, int]:
+def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, int]:
     """(truncation bound, summands, pairs), checked as level_zero_pairing
     says by a depth-first walk over the index paths of the read contents
     that cuts every prefix no suffix completes to one; besides those prefix
@@ -322,29 +303,16 @@ def _level_zero_certificate(
             for j, (steps, before) in enumerate(zip(codes, [{guard}] + ends))]
     columns = [[tuple(zip(c.eps[i], c.phi[i])) for c in crystals] for i in range(n)]
     choice = [_choice_index(crystals[-1], x) for x in range(len(codes[-1]))]
-    kinds, plan = carry_plan(n, shapes, cache_dir)
+    kinds, plan = carry_plan(n, shapes)
 
     @functools.cache
-    def grade(j: int, x: int, carried: tuple) -> tuple[int, tuple]:  # as kostka.scan_paths
-        """(energy gained, carried elements) on appending x as factor j."""
-        kind, meets = plan[j]
-        moved, gain = list(carried), 0
-        for s, k, table in meets:
-            at = carried[s] * table.width + x
-            gain += k * table.energy[at]
-            moved[s] = table.image2[at]
-        moved[kind] = x
-        return gain, tuple(moved)
+    def graded(j: int, x: int, carried: tuple) -> tuple[int, tuple]:
+        return grade(plan[j], x, carried)
 
     def fail(reason: str):  # at the summand the walk is at
         factors = tuple(c.elements[x] for c, x in zip(crystals, path))
         raise CertificateError("%s at beta=%s tau=%s path=%s"
                                % (reason, *point, format_path(Path(n, factors))))
-
-    @functools.cache
-    def times_r(point, i):  # the grid point (beta, tau) of t_beta tau r_i
-        w = AffineWeylElement(*point).compose_reflection(i)
-        return w.beta, w.tau
 
     last = len(crystals) - 1
     path = [0] * (last + 1)
@@ -357,7 +325,7 @@ def _level_zero_certificate(
         j = len(stack) - 1
         for x, q in stack[-1]:
             path[j] = x
-            gain, carries[j + 1] = grade(j, x, carries[j])
+            gain, carries[j + 1] = graded(j, x, carries[j])
             energies[j + 1] = energies[j] + gain
             if j < last:
                 stack.append(iter(kids[j + 1][q]))
@@ -372,7 +340,7 @@ def _level_zero_certificate(
                 if found is None:
                     fail("tensor statistics dominate the rightmost factor")
                 moved, changed = found
-                image = times_r(point, i)
+                image = times_reflection(*point, i)  # the grid point of t_beta tau r_i
                 at = read.get(q + sum(codes[k][moved[k]] - codes[k][path[k]] for k in changed))
                 if not changed or at is None or at[0] != image:
                     fail("pairing image violates the weight condition")
@@ -380,7 +348,7 @@ def _level_zero_certificate(
                 # are the path's again; from there on both gain the same energy
                 k, energy, carried = changed[0], energies[changed[0]], carries[changed[0]]
                 while k <= last and (k <= changed[-1] or carried != carries[k]):
-                    gain, carried = grade(k, moved[k], carried)
+                    gain, carried = graded(k, moved[k], carried)
                     energy += gain
                     k += 1
                 if at[2] + energy + energies[last + 1] - energies[k] != exponent:
@@ -391,7 +359,7 @@ def _level_zero_certificate(
                     fail("choice index is not constant on the pair")
                 stats = list(map(operator.getitem, columns[i], moved))
                 back = _raise_and_reflect(crystals, moved, i, stats, at[3])
-                if back is None or back[0] != path or times_r(image, i) != point:
+                if back is None or back[0] != path or times_reflection(*image, i) != point:
                     fail("pairing is not an involution")
                 plus += 1
             else:
@@ -408,9 +376,7 @@ def _level_zero_certificate(
     return bound, plus + minus, plus
 
 
-def level_zero_pairing(
-    n: int, shapes: Sequence[RectShape], cache_dir: Optional[str] = None
-) -> dict:
+def level_zero_pairing(n: int, shapes: Sequence[RectShape]) -> dict:
     """Certify the vanishing of the level-zero sum by an explicit involution.
 
     The pairing phi maps a summand x = (t_beta tau, b) to (t_beta tau r_i,
@@ -427,7 +393,7 @@ def level_zero_pairing(
     spec = _level_zero_spec(n, shapes)
     if not spec.shapes:
         raise ValueError("pairing needs a nonempty tensor product")
-    bound, summands, pairs = _level_zero_certificate(spec, cache_dir)
+    bound, summands, pairs = _level_zero_certificate(spec)
     return {"summand_count": summands, "pairing_size": pairs, "truncation_bound": bound, "cancels": True}
 
 
@@ -435,9 +401,7 @@ def level_zero_pairing(
 # straightening bridge and the extra commutation hypothesis
 
 
-def bosonic_via_straightening(
-    spec: CrystalSpec, cache_dir: Optional[str] = None
-) -> LaurentPoly:
+def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:
     """Re-derive the alternating sum by normalizing one Schur symbol per
     dominant content, independently of the residue walk of
     :func:`_fiber_points`: the sum of pi(Lambda + c) times the classical
@@ -456,33 +420,25 @@ def bosonic_via_straightening(
             continue
         sign, qpow, produced = image
         if produced.same_classical_weight(lam_prime):
-            fiber = scan_paths(spec.n, spec.shapes, content, spec.lam, False, tail, cache_dir)
+            fiber = scan_paths(spec.n, spec.shapes, content, spec.lam, False, tail)
             total = total + LaurentPoly.q_power(qpow, sign) * fiber
     return total
 
 
-def commutation_hypothesis_warnings(
-    spec: CrystalSpec, cache_dir: Optional[str] = None
-) -> list[str]:
+def commutation_hypothesis_warnings(spec: CrystalSpec) -> list[str]:
     """Check, factor crystal by factor crystal, that a 0-raising acting on
-    the left of b (x) b0 still acts on the left after the local isomorphism.
-    Needed only for non-vacuum restriction weights; violations are reported,
-    not assumed absent."""
+    the left of b (x) b0 still acts on the left after the local isomorphism
+    (energy.zero_side_moves).  Needed only for non-vacuum restriction
+    weights; violations are reported, not assumed absent."""
     spec.validate()
     tail = spec.b0_tail()
     if not tail:
         return []
     (b0,) = tail
-    tail_crystal = tableaux.RectCrystal(spec.n, spec.resolved_b0_shape())
-    z = tail_crystal.index[b0]
+    z = tableaux.RectCrystal(spec.n, b0.shape).index[b0]
     warnings = []
     for shape in sorted(set(spec.shapes)):
-        table = get_local_table(spec.n, shape, tail_crystal.shape, cache_dir)
-        crystal = tableaux.RectCrystal(spec.n, shape)
-        for x, b in enumerate(crystal.elements):
-            k = x * table.width + z  # e_0 acts on the left of a (x) b exactly when eps_0(a) > phi_0(b)
-            if (crystal.eps[0][x] > tail_crystal.phi[0][z]
-                    and tail_crystal.eps[0][table.image1[k]] <= crystal.phi[0][table.image2[k]]):
-                warnings.append("0-raising side is not preserved through the local isomorphism "
-                                "at %s (x) %s" % (b, b0))
+        elements = tableaux.RectCrystal(spec.n, shape).elements
+        warnings += ["0-raising side is not preserved through the local isomorphism at %s (x) %s"
+                     % (elements[x], b0) for x in zero_side_moves(spec.n, shape, b0.shape, z)]
     return warnings

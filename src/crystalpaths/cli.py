@@ -146,7 +146,7 @@ def _build_spec(args, need_level: bool) -> CrystalSpec:
 def cmd_kostka(args) -> int:
     if args.Lambda:
         spec = _build_spec(args, need_level=True)
-        poly = kostka_level(spec, cache_dir=args.cache_dir)
+        poly = kostka_level(spec)
         payload = {
             "schema": SCHEMA_VERSION,
             "command": "kostka",
@@ -160,7 +160,7 @@ def cmd_kostka(args) -> int:
             raise ValueError("kostka needs either --lambda or --level with --Lambda")
         spec = _build_spec(args, need_level=False)
         target = parse_partition(args.lam)
-        poly = kostka_classical(spec, target, cache_dir=args.cache_dir)
+        poly = kostka_classical(spec, target)
         payload = {
             "schema": SCHEMA_VERSION,
             "command": "kostka",
@@ -177,9 +177,9 @@ def cmd_kostka(args) -> int:
 def cmd_verify(args) -> int:
     spec = _build_spec(args, need_level=True)
     # one scan of each fibre serves the base and the widened truncation radius
-    report, *widened = fibre_sums(spec, (0, 2) if args.widen_check else (0,), args.cache_dir)
-    rhs = kostka_level(spec, cache_dir=args.cache_dir)
-    warnings = commutation_hypothesis_warnings(spec, cache_dir=args.cache_dir)
+    report, *widened = fibre_sums(spec, (0, 2) if args.widen_check else (0,))
+    rhs = kostka_level(spec)
+    warnings = commutation_hypothesis_warnings(spec)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
 
 def cmd_verify_zero(args) -> int:
     shapes = parse_shapes(args.shapes)
-    report = level_zero_identity(args.n, shapes, cache_dir=args.cache_dir)
+    report = level_zero_identity(args.n, shapes)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "verify-zero",
@@ -212,7 +212,7 @@ def cmd_verify_zero(args) -> int:
         **report,
     }
     if shapes:
-        pairing = level_zero_pairing(args.n, shapes, cache_dir=args.cache_dir)
+        pairing = level_zero_pairing(args.n, shapes)
         payload["pairing_size"] = pairing["pairing_size"]
         payload["pairing_summands"] = pairing["summand_count"]
     _emit(payload, args.format)
@@ -285,7 +285,7 @@ def cmd_cache(args) -> int:
         shapes = parse_shapes(args.shapes)
         if len(shapes) != 2:
             raise ValueError("cache build needs --shapes with exactly two entries")
-        energy.get_local_table(args.n, shapes[0], shapes[1], cache_dir)
+        energy.get_local_table(args.n, shapes[0], shapes[1])
         _emit(
             {
                 "schema": SCHEMA_VERSION,
@@ -373,6 +373,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be at least 1")
+    energy.set_cache_dir(getattr(args, "cache_dir", None))
     try:
         return args.func(args)
     except ValueError as exc:

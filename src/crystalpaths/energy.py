@@ -15,19 +15,27 @@ here by H = 0 on the pair of classical highest weight tableaux.
 
 The energy of a longer path accumulates H over all factor pairs, carrying
 the left member of each pair rightward through the intermediate factors by
-local isomorphisms before it meets the right member.  It is summed from the
-tables below, as carry_plan lays them out, inside the recursion of
-kostka.scan_paths and the level-zero pairing of bosonic.
+local isomorphisms before it meets the right member.  It is graded as the
+path grows, leftmost factor first (:func:`grade`, one step per factor of
+:func:`carry_plan`): R is the identity on B_s (x) B_s, so the k_s factors
+of shape s placed so far reach the next factor z as one carried element
+c_s; appending z adds sum_s k_s H(c_s (x) z), then carries each c_s past z
+by R.  The path scan of kostka and the level-zero pairing of bosonic grade
+this way, and no module but this one reads a table's lists.
 
 A table is held once, as flat integer lists over the elements of the two
 factor crystals indexed as in tableaux.RectCrystal, and built from their
 operator arrays; tableaux appear only in the on-disk file.
 
-A cached table that fails a check on load is rejected and rebuilt, and the
-reason is logged as a warning on the logger ``crystalpaths.energy``.  The
-logging module is imported only when a rejection happens, so a run that
-rejects nothing never loads it; with no handler configured, Python's
-last-resort handler writes the bare message to stderr.
+Tables are kept in memory once per process.  When a cache directory is set
+(:func:`set_cache_dir`, once per process), a table not in memory is loaded
+from it, or built and saved there; setting the directory drops the tables
+in memory, so every later table goes through it.  A cached table that fails
+a check on load is rejected and rebuilt, and the reason is logged as a
+warning on the logger ``crystalpaths.energy``.  The logging module is
+imported only when a rejection happens, so a run that rejects nothing never
+loads it; with no handler configured, Python's last-resort handler writes
+the bare message to stderr.
 """
 
 from __future__ import annotations
@@ -184,6 +192,16 @@ def build_local_table(n: int, shape2: RectShape, shape1: RectShape) -> LocalIsoT
 
 _TABLES: dict[tuple[int, RectShape, RectShape], LocalIsoTable] = {}
 _LOCK = threading.Lock()
+_CACHE_DIR: Optional[str] = None
+
+
+def set_cache_dir(cache_dir: Optional[str]) -> None:
+    """Load every later table from cache_dir, or build and save it there;
+    None builds in memory only.  The tables in memory are dropped."""
+    global _CACHE_DIR
+    with _LOCK:
+        _CACHE_DIR = cache_dir
+        _TABLES.clear()
 
 
 def cache_file_name(n: int, shape2: RectShape, shape1: RectShape) -> str:
@@ -281,16 +299,15 @@ def load_table(n: int, shape2: RectShape, shape1: RectShape, cache_dir: str) -> 
         return None
 
 
-def get_local_table(
-    n: int, shape2: RectShape, shape1: RectShape, cache_dir: Optional[str] = None
-) -> LocalIsoTable:
-    """Memoized table lookup; builds (and persists, if a directory is given)
-    on first use.  Concurrent builders are allowed but only one result is
-    published, and a racing rebuild must agree with it."""
+def get_local_table(n: int, shape2: RectShape, shape1: RectShape) -> LocalIsoTable:
+    """Memoized table lookup; on first use loads it from the cache directory
+    or builds (and saves) it.  Concurrent builders are allowed but only one
+    result is published, and a racing rebuild must agree with it."""
     key = (n, RectShape(*shape2), RectShape(*shape1))
     cached = _TABLES.get(key)  # atomic read; published tables never change
     if cached is not None:
         return cached
+    cache_dir = _CACHE_DIR
     table = load_table(n, key[1], key[2], cache_dir) if cache_dir else None
     if table is None:
         table = build_local_table(n, key[1], key[2])
@@ -303,16 +320,42 @@ def get_local_table(
     return _TABLES[key]
 
 
-def carry_plan(n: int, shapes, cache_dir: Optional[str] = None) -> tuple[int, list]:
+def carry_plan(n: int, shapes) -> tuple[int, list]:
     """The number of kinds (shapes, in order of first appearance) and, per
-    factor x, its kind and [(kind of s, k_s, table of s (x) x)] over the
-    shapes s left of x.  R is the identity on B_s (x) B_s, so the k_s factors
-    of shape s reach x as one element c_s; a path's energy adds k_s H(c_s (x) x)."""
+    factor x, its grading step: its kind and [(kind of s, k_s, table of
+    s (x) x)] over the shapes s left of x, k_s of them."""
     kinds = list(dict.fromkeys(shapes))
     return len(kinds), [
-        (kinds.index(x), [(kinds.index(s), shapes[:j].count(s), get_local_table(n, s, x, cache_dir))
+        (kinds.index(x), [(kinds.index(s), shapes[:j].count(s), get_local_table(n, s, x))
                           for s in dict.fromkeys(shapes[:j])])
         for j, x in enumerate(shapes)]
+
+
+def grade(step, x: int, carried: tuple) -> tuple[int, tuple]:
+    """(energy gained, carried elements) on appending element x at a step of
+    carry_plan to a prefix with those carried elements, one per kind, -1
+    for a kind not yet placed."""
+    kind, meets = step
+    moved, gain = list(carried), 0
+    for s, k, table in meets:
+        at = carried[s] * table.width + x
+        gain += k * table.energy[at]
+        moved[s] = table.image2[at]
+    moved[kind] = x
+    return gain, tuple(moved)
+
+
+def zero_side_moves(n: int, shape: RectShape, tail_shape: RectShape, z: int) -> list[int]:
+    """The elements x of B(shape) such that e_0 acts on the left of x (x) z,
+    z an element of B(tail_shape), and on the right of R(x (x) z)."""
+    table = get_local_table(n, shape, tail_shape)
+    left, right = RectCrystal(n, shape), RectCrystal(n, tail_shape)
+    moved = []
+    for x in range(len(left.elements)):
+        k = x * table.width + z  # e_0 acts on the left of a (x) b exactly when eps_0(a) > phi_0(b)
+        if left.eps[0][x] > right.phi[0][z] and right.eps[0][table.image1[k]] <= left.phi[0][table.image2[k]]:
+            moved.append(x)
+    return moved
 
 
 def clear_memory_tables():

@@ -15,14 +15,12 @@ energy of the path extended by the matching element b0 of a perfect
 level-l crystal, resolved once per scan.
 
 A scan places the factors leftmost first, appends the b0 tail last, and
-grades each path as it grows (energy.carry_plan): appending z adds
-sum_s k_s H(c_s (x) z), where the k_s factors of shape s placed so far
-reach z as one element c_s, then carries each c_s past z by the image2 list
-of an energy.LocalIsoTable.  A state is (c_s for each shape, prefix content) -> {energy: count}: at most
-prod_s |B_s| times the number of contents.  The target content fixes the
-content right of each factor x; phi_i of that suffix tensored with u is
-then <h_i, Lambda> plus a linear function of that content, and by the
-signature rule the path is highest exactly when eps_i(x) <= phi_i at
+grades each path as it grows (energy.grade), carrying one element per
+shape.  A state is (carried elements, prefix content) -> {energy: count}:
+at most prod_s |B_s| times the number of contents.  The target content
+fixes the content right of each factor x; phi_i of that suffix tensored
+with u is then <h_i, Lambda> plus a linear function of that content, and by
+the signature rule the path is highest exactly when eps_i(x) <= phi_i at
 every x.
 
 An independent q=1 oracle expands the product of Schur polynomials by brute
@@ -37,7 +35,7 @@ import operator
 from typing import Iterable, Optional, Sequence
 
 from . import tableaux
-from .energy import carry_plan, phi_matching_element
+from .energy import carry_plan, grade, phi_matching_element
 from .laurent import LaurentPoly
 from .paths import normalize_content, target_content
 from .signature import Record
@@ -161,7 +159,6 @@ def scan_paths(
     lam: LevelWeight,
     affine: bool,
     b0_tail: tuple[Tableau, ...] = (),
-    cache_dir: Optional[str] = None,
 ) -> LaurentPoly:
     """Sum of q^(energy of the path followed by b0_tail, at most one factor)
     over the paths of content target whose tensor with the highest vector of
@@ -177,11 +174,11 @@ def scan_paths(
     steps = [(shape, _scan_elements(n, shape, affine)) for shape in shapes]
     for b0 in b0_tail:  # graded against, but neither counted nor restricted
         steps.append((b0.shape, [(tableaux.RectCrystal(n, b0.shape).index[b0], (0,) * n, ())]))
-    kinds, plan = carry_plan(n, [shape for shape, _ in steps], cache_dir)
+    kinds, plan = carry_plan(n, [shape for shape, _ in steps])
     # (carried, prefix content) -> {energy: count}; carried[s] is the latest
     # factor of kind s carried right past every later factor, -1 before the first
     states = {((-1,) * kinds, (0,) * n): {0: 1}}
-    for (_, elements), (kind, meets) in zip(steps, plan):
+    for (_, elements), step in zip(steps, plan):
         grown: dict[tuple, dict[int, int]] = {}
         for (carried, prefix), energies in states.items():
             for x, content, eps in elements:
@@ -192,13 +189,8 @@ def scan_paths(
                     e > p + rest[i - 1] - rest[i] for i, e, p in zip(indices, eps, phi0)
                 ):
                     continue
-                h, moved = 0, list(carried)
-                for s, k, table in meets:
-                    j = carried[s] * table.width + x
-                    h += k * table.energy[j]
-                    moved[s] = table.image2[j]
-                moved[kind] = x
-                bucket = grown.setdefault((tuple(moved), total), {})
+                h, moved = grade(step, x, carried)
+                bucket = grown.setdefault((moved, total), {})
                 for e, count in energies.items():
                     bucket[e + h] = bucket.get(e + h, 0) + count
         states = grown
@@ -206,19 +198,15 @@ def scan_paths(
     return LaurentPoly([pair for energies in states.values() for pair in energies.items()])
 
 
-def kostka_classical(
-    spec: CrystalSpec,
-    lam: Iterable[int],
-    cache_dir: Optional[str] = None,
-) -> LaurentPoly:
+def kostka_classical(spec: CrystalSpec, lam: Iterable[int]) -> LaurentPoly:
     """Sum of q^(path energy) over classically restricted paths of content
     lam: the classical scan against the zero weight."""
     spec.validate()
     target = normalize_content(lam, spec.n)
-    return scan_paths(spec.n, spec.shapes, target, LevelWeight.vacuum(spec.n, 0), False, (), cache_dir)
+    return scan_paths(spec.n, spec.shapes, target, LevelWeight.vacuum(spec.n, 0), False)
 
 
-def kostka_level(spec: CrystalSpec, cache_dir: Optional[str] = None) -> LaurentPoly:
+def kostka_level(spec: CrystalSpec) -> LaurentPoly:
     """Sum of q^(energy) over level-restricted paths producing LambdaPrime:
     the restricted paths of the one content c with Lambda + c equal to
     LambdaPrime modulo the all-ones vector."""
@@ -228,7 +216,7 @@ def kostka_level(spec: CrystalSpec, cache_dir: Optional[str] = None) -> LaurentP
     target = target_content(spec.lam, spec.resolved_lam_prime(), spec.total_boxes())
     if target is None:  # no path has a content that produces LambdaPrime
         return LaurentPoly.zero()
-    return scan_paths(spec.n, spec.shapes, target, spec.lam, True, spec.b0_tail(), cache_dir)
+    return scan_paths(spec.n, spec.shapes, target, spec.lam, True, spec.b0_tail())
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,17 @@ Finite weights are integer vectors in Z^n.  Weights of the classical
 (permutation) action are only meaningful modulo the all-ones vector, and all
 comparisons that cross that quotient go through :func:`equal_mod_ones`.
 Affine weights are (level, finite part, delta coefficient) triples; the null
-direction delta carries the q-grading.  Affine Weyl group elements are pairs
-(translation by a sum-zero vector, coordinate permutation) and sign equals
-the permutation parity, translations being even.
+direction delta carries the q-grading.  An affine Weyl group element
+t_beta tau is the pair (beta, tau) of a sum-zero translation and a
+coordinate permutation; its sign is the parity of tau, translations being
+even.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .signature import CertificateError, Record
+from .signature import Record
 
 Vector = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -80,21 +81,12 @@ def equal_mod_ones(a: Vector, b: Vector) -> bool:
 # permutations, stored as images: p[j] is the image of j+1 (values 1..n)
 
 
-def perm_identity(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
-
-
 def perm_apply(p: Permutation, v: Vector) -> Vector:
     """Permute coordinates, sending e_j to e_{p(j)}."""
     out = [0] * len(p)
     for j, img in enumerate(p):
         out[img - 1] = v[j]
     return tuple(out)
-
-
-def perm_compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p o q)(j) = p(q(j))."""
-    return tuple(p[q[j] - 1] for j in range(len(p)))
 
 
 def perm_inverse(p: Permutation) -> Permutation:
@@ -110,6 +102,21 @@ def perm_sign(p: Permutation) -> int:
         if p[a] > p[b]:
             sign = -sign
     return sign
+
+
+def times_reflection(beta: Vector, tau: Permutation, i: int) -> tuple[Vector, Permutation]:
+    """(beta', tau') with t_beta' tau' = t_beta tau r_i.  For i != 0, tau'
+    swaps the entries i and i+1 of tau.  For i = 0, r_0 is the translation
+    by the highest root theta composed with the reflection through it, so
+    beta' = beta + tau(theta) and tau' swaps the entries 1 and n."""
+    a, b = (0, len(tau) - 1) if i == 0 else (i - 1, i)
+    if i == 0:  # tau(theta) = e_tau(1) - e_tau(n)
+        beta = list(beta)
+        beta[tau[a] - 1] += 1
+        beta[tau[b] - 1] -= 1
+    swapped = list(tau)
+    swapped[a], swapped[b] = tau[b], tau[a]
+    return tuple(beta), tuple(swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -187,72 +194,3 @@ class LevelWeight(Record):
             self.finite,
             self.delta,
         )
-
-
-# ---------------------------------------------------------------------------
-# affine Weyl group elements  w = t_beta . tau
-
-
-class AffineWeylElement(Record):
-    """w = (translation by beta) composed after the permutation tau.
-
-    beta lies in the sum-zero lattice; sign(w) is the parity of tau, the
-    translation part being a product of an even number of reflections.
-    """
-
-    __slots__ = _fields = ("beta", "tau")
-    beta: Vector
-    tau: Permutation
-
-    def __init__(self, beta: Vector, tau: Permutation):
-        if len(beta) != len(tau):
-            raise ValueError("translation and permutation rank mismatch")
-        if sum(beta) != 0:
-            raise ValueError("translation %s has nonzero coordinate sum" % (beta,))
-        if sorted(tau) != list(range(1, len(tau) + 1)):
-            raise ValueError("invalid permutation %s" % (tau,))
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "tau", tau)
-
-    @classmethod
-    def identity(cls, n: int) -> "AffineWeylElement":
-        return cls((0,) * n, perm_identity(n))
-
-    @property
-    def rank(self) -> int:
-        return len(self.tau)
-
-    @property
-    def sign(self) -> int:
-        return perm_sign(self.tau)
-
-    def act(self, w: LevelWeight) -> LevelWeight:
-        """Apply tau, then translate: t_beta(L) = L + level*beta - ((L|beta) + |beta|^2 level / 2) delta."""
-        if w.rank != self.rank:
-            raise ValueError("rank mismatch")
-        f = perm_apply(self.tau, w.finite)
-        level = w.level
-        sq = norm2(self.beta)
-        if sq % 2:
-            raise CertificateError("sum-zero vectors have even square norm")
-        shift = dot(f, self.beta) + level * sq // 2
-        return LevelWeight(level, vadd(f, vscale(level, self.beta)), w.delta - shift)
-
-    def compose_reflection(self, i: int) -> "AffineWeylElement":
-        """Right-multiply by the simple reflection r_i.
-
-        For i != 0 the permutation absorbs the transposition (i, i+1).  For
-        i = 0, since r_0 is the translation by the highest root composed
-        with the reflection through it, w r_0 translates by beta + tau(theta)
-        and the permutation absorbs the transposition (1, n).
-        """
-        n = self.rank
-        if i == 0:
-            beta, a, b = vadd(self.beta, perm_apply(self.tau, theta_vector(n))), 1, n
-        elif 1 <= i <= n - 1:
-            beta, a, b = self.beta, i, i + 1
-        else:
-            raise ValueError("reflection index out of range: %d" % i)
-        swap = list(range(1, n + 1))
-        swap[a - 1], swap[b - 1] = b, a
-        return AffineWeylElement(beta, perm_compose(self.tau, tuple(swap)))

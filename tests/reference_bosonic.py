@@ -13,9 +13,13 @@ The level-zero pairing walks the summands depth first and checks each pair
 at its plus summand.  Its reference is the pairing as first written: every
 path grouped by content, every summand held in a dict with its exponent,
 and each pair checked from whichever summand comes first, with the move
-s_i e_i as a raising followed by the literal reflection.  The summand count
-of the sums adds the Schur product over the S_n orbit of each dominant
-fibre; its reference adds it over every content the fibre walk reads.
+s_i e_i as a raising followed by the literal reflection and the grid
+point's r_i through the validated reference_weights.AffineWeylElement.  It
+grades with energy.grade, as the program does; the Tableau-path pairing of
+test_bosonic checks every exponent against path_energy instead.  The
+summand count of the sums adds the Schur product over the S_n orbit of each
+dominant fibre; its reference adds it over every content the fibre walk
+reads.
 """
 
 import functools
@@ -25,6 +29,7 @@ from typing import Iterable, Optional
 import reference_crystal as rc
 import reference_paths as rp
 from reference_energy import path_energy
+from reference_weights import AffineWeylElement
 
 from crystalpaths import straighten, tableaux
 from crystalpaths.bosonic import (
@@ -33,12 +38,12 @@ from crystalpaths.bosonic import (
     _fiber_points,
     truncation_bound,
 )
-from crystalpaths.energy import carry_plan
+from crystalpaths.energy import carry_plan, grade
 from crystalpaths.kostka import CrystalSpec, schur_product
 from crystalpaths.laurent import LaurentPoly
 from crystalpaths.paths import Path, target_content
 from crystalpaths.signature import CertificateError
-from crystalpaths.weights import AffineWeylElement, LevelWeight, perm_sign, rho_vector, vadd
+from crystalpaths.weights import LevelWeight, perm_sign, rho_vector, vadd
 
 
 def literal_content_table(spec: CrystalSpec, stream: Optional[Iterable[Path]] = None) -> dict:
@@ -155,13 +160,10 @@ def level_zero_certificate(spec: CrystalSpec):
         kinds, plan = carry_plan(n, shapes)
         for tau, _, beta, content, exponent in _fiber_points(n, rho_vector(n), target, bound, by_content):
             for path in by_content[content]:
-                energy, carried = exponent, [-1] * kinds
-                for x, (kind, meets) in zip(path, plan):
-                    for s, k, table in meets:
-                        j = carried[s] * table.width + x
-                        energy += k * table.energy[j]
-                        carried[s] = table.image2[j]
-                    carried[kind] = x
+                energy, carried = exponent, (-1,) * kinds
+                for x, step in zip(path, plan):
+                    gain, carried = grade(step, x, carried)
+                    energy += gain
                 summands[beta, tau, path] = energy
 
     @functools.cache

@@ -6,8 +6,7 @@ checked against, which applies the crystal operators to two-factor Path
 objects and keys its dicts by Tableau pairs, together with Tableau-keyed
 views of the flat tables for tests that state properties in tableaux.  It
 also keeps the energy of a Path summed pair by pair (path_energy); the
-program grades paths only inside the recursion of kostka.scan_paths and the
-level-zero pairing.
+program grades paths only through energy.grade, factor by factor.
 """
 
 from typing import Optional
@@ -115,26 +114,26 @@ def as_dicts(table: LocalIsoTable) -> tuple[dict, dict]:
     return iso, dict(zip(pairs, table.energy))
 
 
-def _entry(b2: Tableau, b1: Tableau, cache_dir: Optional[str]) -> tuple[LocalIsoTable, int]:
+def _entry(b2: Tableau, b1: Tableau) -> tuple[LocalIsoTable, int]:
     """The registered table of b2 (x) b1 and the flat index of the pair."""
-    table = get_local_table(b2.n, b2.shape, b1.shape, cache_dir)
+    table = get_local_table(b2.n, b2.shape, b1.shape)
     return table, RectCrystal(b2.n, b2.shape).index[b2] * table.width + RectCrystal(b1.n, b1.shape).index[b1]
 
 
-def local_iso(b2: Tableau, b1: Tableau, cache_dir: Optional[str] = None) -> Pair:
+def local_iso(b2: Tableau, b1: Tableau) -> Pair:
     """R(b2 (x) b1) = (b1', b2') read from the registered table."""
-    table, k = _entry(b2, b1, cache_dir)
+    table, k = _entry(b2, b1)
     return (RectCrystal(b1.n, b1.shape).elements[table.image1[k]],
             RectCrystal(b2.n, b2.shape).elements[table.image2[k]])
 
 
-def local_energy(b2: Tableau, b1: Tableau, cache_dir: Optional[str] = None) -> int:
+def local_energy(b2: Tableau, b1: Tableau) -> int:
     """H(b2 (x) b1) read from the registered table."""
-    table, k = _entry(b2, b1, cache_dir)
+    table, k = _entry(b2, b1)
     return table.energy[k]
 
 
-def path_energy(p: Path, cache_dir: Optional[str] = None) -> int:
+def path_energy(p: Path) -> int:
     """Sum of local energies over all factor pairs.
 
     For each pair of positions the left factor is swept rightward through
@@ -149,17 +148,15 @@ def path_energy(p: Path, cache_dir: Optional[str] = None) -> int:
     for j in range(2, length + 1):
         x = xs[length - j]
         for i in range(j - 1, 0, -1):
-            table = get_local_table(p.n, fs[length - j].shape, fs[length - i].shape, cache_dir)
+            table = get_local_table(p.n, fs[length - j].shape, fs[length - i].shape)
             k = x * table.width + xs[length - i]
             total += table.energy[k]
             x = table.image2[k]
     return total
 
 
-def augmented_energy(
-    p: Path, lam: LevelWeight, b0_shape: RectShape, cache_dir: Optional[str] = None
-) -> int:
+def augmented_energy(p: Path, lam: LevelWeight, b0_shape: RectShape) -> int:
     """Energy of the path extended on the right by the element b0 with
     phi(b0) = lam."""
     b0 = phi_matching_element(p.n, b0_shape, lam)
-    return path_energy(Path(p.n, p.factors + (b0,)), cache_dir)
+    return path_energy(Path(p.n, p.factors + (b0,)))

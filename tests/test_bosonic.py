@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_energy import path_energy
 from reference_paths import enumerate_paths, reflect_path
+from reference_weights import AffineWeylElement
 from test_acceptance import criterion_one_grid
 
 from crystalpaths import bosonic, energy, kostka, tableaux
@@ -33,7 +34,6 @@ from crystalpaths.paths import Path, target_content
 from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import (
-    AffineWeylElement,
     LevelWeight,
     dot,
     norm2,
@@ -129,7 +129,7 @@ def test_level_one_certificates_raise(monkeypatch):
     either raises CertificateError, also under python -O."""
     spec = CrystalSpec(3, (S11, RectShape(2, 1)), level=1, lam=LevelWeight.vacuum(3, 1))
     assert level_one_identity(spec)["path_exists"]
-    monkeypatch.setattr(bosonic, "kostka_level", lambda spec, cache_dir=None: LaurentPoly.zero())
+    monkeypatch.setattr(bosonic, "kostka_level", lambda spec: LaurentPoly.zero())
     with pytest.raises(CertificateError, match="counts 0 restricted paths"):
         level_one_identity(spec)
     monkeypatch.undo()
@@ -290,9 +290,10 @@ def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
 
     monkeypatch.setattr(kostka, "scan_paths", counting(kostka.scan_paths))
     monkeypatch.setattr(bosonic, "scan_paths", counting(bosonic.scan_paths))
-    # the pairing's walk starts from the Schur product and the carry plan
+    # the pairing's walk starts from the Schur product and the carry plan, and grades each step
     monkeypatch.setattr(bosonic, "schur_product", counting(bosonic.schur_product))
     monkeypatch.setattr(bosonic, "carry_plan", counting(bosonic.carry_plan))
+    monkeypatch.setattr(bosonic, "grade", counting(bosonic.grade))
     shapes = (S11, S11)
     report = level_zero_identity(3, shapes)
     assert report["equal"] and report["summand_count"] == 0

@@ -13,7 +13,10 @@ from crystalpaths.weights import LevelWeight
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    finally:
+        energy.set_cache_dir(None)  # main sets the directory for the rest of the process
     out = capsys.readouterr()
     return code, out.out, out.err
 

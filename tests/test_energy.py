@@ -18,6 +18,7 @@ from reference_paths import enumerate_paths
 
 from crystalpaths import energy as en
 from crystalpaths.energy import build_local_table, get_local_table, phi_matching_element
+from crystalpaths.kostka import CrystalSpec, kostka_level
 from crystalpaths.paths import Path, parse_path
 from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import RectShape, Tableau, enumerate_tableaux, highest_weight_tableau
@@ -239,20 +240,26 @@ def test_augmented_energy_empty_path():
     assert augmented_energy(Path(2, ()), lam, S11) == 0
 
 
-def test_cache_round_trip_and_determinism(tmp_path):
-    cache = str(tmp_path)
-    en.clear_memory_tables()
-    table = get_local_table(2, S12, S11, cache_dir=cache)
+@pytest.fixture
+def cache(tmp_path):
+    """tmp_path as the cache directory, unset again after the test."""
+    en.set_cache_dir(str(tmp_path))
+    yield str(tmp_path)
+    en.set_cache_dir(None)
+
+
+def test_cache_round_trip_and_determinism(tmp_path, cache):
+    table = get_local_table(2, S12, S11)
     name = en.cache_file_name(2, S12, S11)
     blob1 = (tmp_path / name).read_bytes()
     en.clear_memory_tables()
     (tmp_path / name).unlink()
-    rebuilt = get_local_table(2, S12, S11, cache_dir=cache)
+    rebuilt = get_local_table(2, S12, S11)
     blob2 = (tmp_path / name).read_bytes()
     assert blob1 == blob2
     assert rebuilt == table
     en.clear_memory_tables()
-    loaded = get_local_table(2, S12, S11, cache_dir=cache)
+    loaded = get_local_table(2, S12, S11)
     assert loaded == table
 
 
@@ -281,38 +288,50 @@ def test_racing_builds_must_agree(monkeypatch, agree):
         en.clear_memory_tables()
 
 
-def test_cache_corruption_triggers_rebuild(tmp_path, caplog):
-    cache = str(tmp_path)
-    en.clear_memory_tables()
-    get_local_table(2, S11, S11, cache_dir=cache)
+def test_cache_dir_set_after_a_build_receives_the_tables(tmp_path):
+    """Setting the directory drops the tables in memory: a scan after it
+    saves every table it meets there, although each was built before."""
+    spec = CrystalSpec(3, (S21, S11), level=2, lam=LevelWeight(2, (1, 0, 0), 0))
+    en.set_cache_dir(None)
+    assert kostka_level(spec)
+    assert not list(tmp_path.iterdir())
+    en.set_cache_dir(str(tmp_path))
+    try:
+        kostka_level(spec)
+    finally:
+        en.set_cache_dir(None)
+    pairs = {(S21, S11), (S21, S12), (S11, S12)}  # left of right, then each against b0 (1x2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(en.cache_file_name(3, *p) for p in pairs)
+
+
+def test_cache_corruption_triggers_rebuild(tmp_path, cache, caplog):
+    get_local_table(2, S11, S11)
     name = tmp_path / en.cache_file_name(2, S11, S11)
     raw = bytearray(name.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     name.write_bytes(bytes(raw))
     en.clear_memory_tables()
     with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
-        table = get_local_table(2, S11, S11, cache_dir=cache)
+        table = get_local_table(2, S11, S11)
     assert any("rebuilding" in rec.message for rec in caplog.records)
     assert len(table.energy) == 4
     # the rebuilt file is valid again
     en.clear_memory_tables()
     with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
         caplog.clear()
-        get_local_table(2, S11, S11, cache_dir=cache)
+        get_local_table(2, S11, S11)
     assert not caplog.records
 
 
-def test_cache_version_mismatch_rejected(tmp_path, caplog):
-    cache = str(tmp_path)
-    en.clear_memory_tables()
-    get_local_table(2, S11, S11, cache_dir=cache)
+def test_cache_version_mismatch_rejected(tmp_path, cache, caplog):
+    get_local_table(2, S11, S11)
     name = tmp_path / en.cache_file_name(2, S11, S11)
     payload = json.loads(name.read_text())
     payload["version"] = 999
     name.write_text(json.dumps(payload))
     en.clear_memory_tables()
     with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
-        get_local_table(2, S11, S11, cache_dir=cache)
+        get_local_table(2, S11, S11)
     assert any("format version" in rec.message for rec in caplog.records)
 
 
@@ -335,12 +354,10 @@ def _swap_two_images(rows):
 @pytest.mark.parametrize(
     "corrupt, reason", [(_merge_two_images, "not a bijection"), (_swap_two_images, "changes content")]
 )
-def test_cache_with_wrong_image_triggers_rebuild(tmp_path, caplog, corrupt, reason):
+def test_cache_with_wrong_image_triggers_rebuild(tmp_path, cache, caplog, corrupt, reason):
     """A file whose checksum was recomputed is still rejected when its
     image is not a content-preserving bijection, and the table is rebuilt."""
-    cache = str(tmp_path)
-    en.clear_memory_tables()
-    want = get_local_table(2, S11, S11, cache_dir=cache)
+    want = get_local_table(2, S11, S11)
     name = tmp_path / en.cache_file_name(2, S11, S11)
     payload = json.loads(name.read_text())
     corrupt(payload["iso"])
@@ -348,7 +365,7 @@ def test_cache_with_wrong_image_triggers_rebuild(tmp_path, caplog, corrupt, reas
     en.clear_memory_tables()
     with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
         assert en.load_table(2, S11, S11, cache) is None
-        assert get_local_table(2, S11, S11, cache_dir=cache) == want
+        assert get_local_table(2, S11, S11) == want
     assert any(reason in rec.message and "rebuilding" in rec.message for rec in caplog.records)
     assert en.load_table(2, S11, S11, cache) == want
     en.clear_memory_tables()

@@ -174,16 +174,18 @@ def test_scan_reads_each_table_once_per_pair(tmp_path, monkeypatch):
     # left of right, then each factor against b0 (1x2)
     pairs = {(s21, S11), (s21, s12), (S11, s12), (S11, S11), (s12, S11)}
     pairs |= {(s, s12) for s in spec.shapes}
-    cache = str(tmp_path / "cache")
-    for round_ in ("build", "load"):
-        energy.clear_memory_tables()
-        calls.clear()
-        kostka_level(spec, cache_dir=cache)
-        loads = sorted(key for name, key in calls if name == "load_table")
-        builds = sorted(key for name, key in calls if name == "build_local_table")
-        assert loads == sorted("%s %s" % pair for pair in pairs)
-        assert builds == (loads if round_ == "build" else [])
-    energy.clear_memory_tables()
+    energy.set_cache_dir(str(tmp_path / "cache"))
+    try:
+        for round_ in ("build", "load"):
+            energy.clear_memory_tables()
+            calls.clear()
+            kostka_level(spec)
+            loads = sorted(key for name, key in calls if name == "load_table")
+            builds = sorted(key for name, key in calls if name == "build_local_table")
+            assert loads == sorted("%s %s" % pair for pair in pairs)
+            assert builds == (loads if round_ == "build" else [])
+    finally:
+        energy.set_cache_dir(None)
 
 
 def test_polynomial_type():

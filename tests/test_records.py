@@ -6,6 +6,7 @@ import copy
 import pickle
 
 import pytest
+from reference_weights import AffineWeylElement
 
 from crystalpaths.bosonic import AlternatingSumResult
 from crystalpaths.energy import LocalIsoTable, build_local_table
@@ -15,7 +16,7 @@ from crystalpaths.paths import Path
 from crystalpaths.signature import Record
 from crystalpaths.straighten import SchurSymbol
 from crystalpaths.tableaux import RectCrystal, RectShape, Tableau
-from crystalpaths.weights import AffineWeylElement, LevelWeight
+from crystalpaths.weights import LevelWeight
 
 S11, S12 = RectShape(1, 1), RectShape(1, 2)
 T1, T2 = Tableau(2, ((1,),)), Tableau(2, ((2,),))

@@ -9,7 +9,7 @@ import reference_paths as rp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystalpaths import bosonic, tableaux
+from crystalpaths import bosonic, energy, tableaux
 from crystalpaths.kostka import CrystalSpec
 from crystalpaths.paths import Path
 from crystalpaths.signature import fold_stats, lowering_index, raising_index, string_steps
@@ -155,7 +155,7 @@ def literal_commutation_warnings(spec):
     z = tail.index[b0]
     warnings = []
     for shape in sorted(set(spec.shapes)):
-        table = bosonic.get_local_table(spec.n, shape, tail.shape)
+        table = energy.get_local_table(spec.n, shape, tail.shape)
         crystal = tableaux.RectCrystal(spec.n, shape)
         for x, b in enumerate(crystal.elements):
             if rc.raising_index([(crystal.eps[0][x], crystal.phi[0][x]), (tail.eps[0][z], tail.phi[0][z])]) != 0:

@@ -1,19 +1,19 @@
+import itertools
 import random
 
 import pytest
+from reference_weights import AffineWeylElement, perm_compose, perm_identity
 
 from crystalpaths.weights import (
-    AffineWeylElement,
     LevelWeight,
     dot,
     equal_mod_ones,
     perm_apply,
-    perm_compose,
-    perm_identity,
     perm_inverse,
     perm_sign,
     rho_vector,
     theta_vector,
+    times_reflection,
     vadd,
 )
 
@@ -118,6 +118,18 @@ def test_compose_reflection_is_equivariant():
         lam = rand_level_weight(rng, n)
         for i in range(n):
             assert w.compose_reflection(i).act(lam) == w.act(lam.reflect(i))
+
+
+def test_times_reflection_matches_compose_reflection():
+    """The pairing's tuple arithmetic for t_beta tau r_i agrees with the
+    validated element, for every i, every tau at n <= 5 and random beta."""
+    rng = random.Random(17)
+    for n in (2, 3, 4, 5):
+        for tau in itertools.permutations(range(1, n + 1)):
+            beta = rand_sum_zero(rng, n)
+            for i in range(n):
+                w = AffineWeylElement(beta, tau).compose_reflection(i)
+                assert times_reflection(beta, tau, i) == (w.beta, w.tau), (beta, tau, i)
 
 
 def test_validation():
