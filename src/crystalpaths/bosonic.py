@@ -7,50 +7,33 @@ paths b whose content is congruent, modulo the all-ones vector, to
 
     -Lambda - rho + tau^{-1}(Lambda' - (l + n) beta + rho).
 
-Every alternating sum here walks the content fibers that occur, through
-:func:`_fiber_points`, instead of the n! times box-sized (tau, beta) grid.
-A grid point reads at most one content vector, and a content vector is read
-by at most one grid point: the entries of Lambda' + rho strictly decrease
-and span less than l + n, so they are pairwise distinct modulo l + n, and
-the residues of the target fix tau and then beta.  Since beta sums to zero,
-either every grid point lifts to a content vector of the tensor product's
-box count or none does.  They do exactly when the identity point's content
-exists, the content c at which the level polynomial is read
-(:func:`paths.target_content`), and that test is made before any path is
-scanned.  A sum reads only the dominant contents: the c with Lambda + c
-weakly decreasing (the Brauer-Klimyk form of the fibre sum).  Such a c sits
-at the grid point (tau, beta) with tau sorting Lambda' + rho - (l + n) beta
-decreasingly, and its term is sign(tau) q^exponent times the scan of
-content c restricted classically against Lambda (kostka.scan_paths), graded
-like the level polynomial.  The summand count is still the number of paths
-in the fibres of the full grid: the fibres of beta are the contents
-target - Lambda' - rho + w (Lambda' + rho - (l + n) beta) over w in S_n,
-and kostka.schur_product counts their paths without a crystal.  One scan of
-each fibre read at the widest radius serves every truncation radius.
-The beta sum is truncated to a box certified a priori: outside it
-the content fiber is provably empty because the translation summand spreads
-the target weight further than any content vector can reach.  Degenerate
-levels give closed evaluations.  At level one with column factors the sum
-collapses to the monomial of the single restricted path, if there is one.
-Every element x of a level-one perfect crystal has sum_i eps_i(x) >= 1, so
-the signature rule eps_i(x) <= phi_i(suffix (x) u) admits only equality
-with the level-one weight phi of the suffix: a right-to-left walk from
-phi(u) = Lambda fixes each factor in turn, and the path exists when the
-walk's content is the target content.  Its monomial is the level polynomial
-(kostka.kostka_level), which must count exactly that path.  The formal
-level-zero sum vanishes unless the tensor product is empty, which an
-explicit sign-reversing pairing of the summands witnesses in a stream: a
-depth-first walk over the index paths (tableaux.RectCrystal) of the read
-contents, graded as the path scan grades (energy.grade), checks each
-pair at its plus summand, moving b to s_i e_i b by the one string move
-f_i^(phi_i(b) - eps_i(b) + 1) (signature.string_steps), and counts the
-minus summands, which must be as many.
+A content is read by at most one grid point (:func:`_fiber_points`), none
+when the identity point's content (:func:`paths.target_content`) does not
+exist, and the contents of one beta form an S_n orbit, which :func:`_orbit`
+walks once.  An orbit that meets the product holds its dominant member, the
+c with Lambda + c weakly decreasing, so a sum reads only those (the
+Brauer-Klimyk form): the term of c is sign(tau) q^exponent times the scan of
+content c restricted classically against Lambda (kostka.scan_paths), and
+the summand count adds kostka.schur_product over the orbit.  One scan per
+fibre read in the widest box (:func:`truncation_bound`) serves every radius.
+
+Degenerate levels give closed evaluations.  At level one with column
+factors the sum is the monomial (kostka.kostka_level) of the one restricted
+path, if there is one: every element x of a level-one perfect crystal has
+sum_i eps_i(x) >= 1, so the signature rule eps_i(x) <= phi_i(suffix (x) u)
+admits only equality, and a right-to-left walk from phi(u) = Lambda fixes
+each factor in turn.  At the formal level zero the sum vanishes unless the
+tensor product is empty, which a sign-reversing pairing of the summands
+witnesses in a stream (:func:`level_zero_pairing`): a depth-first walk over
+the index paths of the orbits of the dominant read contents, graded as the
+scan grades (energy.grade), checks each pair at its plus summand, moving b
+to s_i e_i b by one string move (signature.string_steps), and must meet as
+many summands as the Schur product counts, at most PAIRING_LIMIT.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from typing import Optional, Sequence
 
@@ -71,24 +54,19 @@ class AlternatingSumResult(Record):
     truncation_bound: int
 
     def __init__(self, polynomial: LaurentPoly, summand_count: int, truncation_bound: int):
-        object.__setattr__(self, "polynomial", polynomial)
-        object.__setattr__(self, "summand_count", summand_count)
-        object.__setattr__(self, "truncation_bound", truncation_bound)
+        for name, value in zip(self._fields, (polynomial, summand_count, truncation_bound)):
+            object.__setattr__(self, name, value)
 
 
-def truncation_bound(
-    n: int, ell: int, lam_finite, lam_prime_finite, shapes, widen: int = 0
-) -> int:
+def truncation_bound(n: int, ell: int, lam_finite, lam_prime_finite, shapes, widen: int = 0) -> int:
     """Box radius outside which every content fiber is empty.
 
     A content vector of the tensor product has coordinate spread at most the
     number of boxes N, so (l+n) * spread(beta) can exceed N plus the spreads
     of the shifted restriction weights only on empty fibers."""
-    m = ell + n
-    rho = rho_vector(n)
-    boxes = sum(s[0] * s[1] for s in shapes)
+    rho, boxes = rho_vector(n), sum(s[0] * s[1] for s in shapes)
     reach = boxes + spread(vadd(lam_finite, rho)) + spread(vadd(lam_prime_finite, rho))
-    return -(-reach // m) + widen
+    return -(-reach // (ell + n)) + widen
 
 
 def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
@@ -101,12 +79,12 @@ def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
     - m beta_tau(i); the entries of lamp_rho are distinct modulo m, so the
     residues of v fix tau and then beta.  exponent is (lamp_rho | beta) -
     m |beta|^2 / 2, integral since a sum-zero vector has even square norm."""
-    n = len(lamp_rho)
+    n, shift = len(lamp_rho), [x - t for t, x in zip(target, lamp_rho)]
     slot = {x % m: j + 1 for j, x in enumerate(lamp_rho)}
     for content in contents:
-        v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
-        tau = tuple(slot.get(x % m, 0) for x in v)
-        if 0 in tau or len(set(tau)) < n:
+        v = list(map(operator.add, content, shift))
+        tau = tuple(map(slot.get, map(m.__rmod__, v)))
+        if None in tau or len(set(tau)) < n:
             continue
         beta = [0] * n
         for x, j in zip(v, tau):
@@ -136,9 +114,7 @@ def fibre_sums(spec: CrystalSpec, widens: Sequence[int]) -> tuple[AlternatingSum
         for _, sign, beta, content, exponent in points:
             fiber = scan_paths(n, spec.shapes, content, lam, False, tail)
             term = LaurentPoly.q_power(exponent, sign) * fiber
-            v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
-            paths = sum(product.get(tuple(t - x + y for t, x, y in zip(target, lamp_rho, w)), 0)
-                        for w in itertools.permutations(v))
+            paths = sum(map(product.__getitem__, _orbit(product, target, lamp_rho, content)))
             radius = max(map(abs, beta))
             for k, bound in enumerate(bounds):
                 if radius <= bound:
@@ -149,8 +125,25 @@ def fibre_sums(spec: CrystalSpec, widens: Sequence[int]) -> tuple[AlternatingSum
 
 def _dominant_contents(lam: LevelWeight, product: dict) -> list[tuple[int, ...]]:
     """The contents c of the product with lam + c weakly decreasing."""
-    return [c for c in product
-            if all(a >= b for a, b in itertools.pairwise(vadd(lam.finite, c)))]
+    weights = ((vadd(lam.finite, c), c) for c in product) if any(lam.finite) else zip(product, product)
+    return [c for w, c in weights if all(map(operator.ge, w, w[1:]))]
+
+
+def _orbit(product: dict, target, lamp_rho, content) -> list[tuple[int, ...]]:
+    """The product contents target - lamp_rho + w v, w in S_n, of the fibre
+    read at content, v = content - target + lamp_rho with distinct entries:
+    v's entries are placed one position at a time, cutting every prefix with
+    a negative entry.  The fibre holds the dominant member c, v decreasing,
+    if it holds any product content d: swapping v_i < v_j at positions i < j
+    moves d by (v_j - v_i)(e_i - e_j), less than d_j - d_i = v_j - v_i +
+    (Lambda + rho)_i - (Lambda + rho)_j, onto a weight of the product again,
+    its weight set being saturated.  As target - lamp_rho is a multiple of
+    the all-ones vector minus Lambda + rho, Lambda + c weakly decreases."""
+    base = [t - x for t, x in zip(target, lamp_rho)]
+    level = [((), frozenset(map(operator.sub, content, base)))]
+    for b in base:  # (prefix, the entries of v not yet placed)
+        level = [(p + (b + y,), rest - {y}) for p, rest in level for y in rest if b + y >= 0]
+    return [p for p, _ in level if p in product]
 
 
 def bosonic_report(spec: CrystalSpec, widen: int = 0) -> AlternatingSumResult:
@@ -268,15 +261,16 @@ def _choice_index(crystal, x: int) -> int:
     raise CertificateError("finite affine crystals admit some raising operator")
 
 
+PAIRING_LIMIT = 10 ** 7  # the most summands a pairing walks: about 100 s at roughly 10 us each
+
+
 def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, int]:
     """(truncation bound, summands, pairs), checked as level_zero_pairing
-    says by a depth-first walk over the index paths of the read contents
-    that cuts every prefix no suffix completes to one; besides those prefix
-    contents, the elements extending each, and the grading steps met (at
-    most one per factor, element and carried elements), it holds one path
-    and its prefix states.  collect, when given,
-    receives (summand, exponent, image) per summand (beta, tau, path),
-    image None at a minus summand."""
+    says by a depth-first walk over the index paths of the read contents, cut
+    at every prefix no suffix completes to one; it holds the prefix contents,
+    their extending elements, the grading steps met and one path with its
+    prefix states.  collect, when given, receives (summand, exponent, image)
+    per summand (beta, tau, path), image None at a minus summand."""
     n, shapes, zero = spec.n, spec.shapes, spec.lam.finite
     bound = truncation_bound(n, 0, zero, zero, shapes)
     target = target_content(spec.lam, spec.lam, spec.total_boxes())
@@ -288,10 +282,17 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
     guard = sum(1 << (k * width + width - 1) for k in range(n))
 
     def code(content) -> int:
-        return sum(x << (k * width) for k, x in enumerate(content))
+        return sum(map(operator.lshift, content, range(0, n * width, width)))
 
-    read = {guard + code(c): ((beta, tau), sign, exponent, c) for tau, sign, beta, c, exponent in
-            _fiber_points(n, rho_vector(n), target, bound, schur_product(n, tuple(sorted(shapes))))}
+    rho, product = rho_vector(n), schur_product(n, tuple(sorted(shapes)))
+    dominant = _fiber_points(n, rho, target, bound, _dominant_contents(spec.lam, product))
+    orbits = (c for *_, top, _ in dominant for c in _orbit(product, target, rho, top))
+    read = {guard + code(c): ((beta, tau), sign, exponent, c)
+            for tau, sign, beta, c, exponent in _fiber_points(n, rho, target, bound, orbits)}
+    total = sum(product[entry[3]] for entry in read.values())  # the summands, by the Schur product
+    if total > PAIRING_LIMIT:
+        raise ValueError("the pairing would walk %d summands (about %d s), over its limit of %d"
+                         % (total, total // 100000, PAIRING_LIMIT))
     crystals = [tableaux.RectCrystal(n, s) for s in shapes]
     codes = [list(map(code, crystal.content)) for crystal in crystals]
     # ends[j]: the codes of the prefixes of j + 1 factors that some suffix completes to a read content
@@ -373,6 +374,8 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
                                % (plus, minus))
     if any(signed.values()):
         raise CertificateError("paired summands must cancel exactly")
+    if plus + minus != total:
+        raise CertificateError("the walk met %d summands, the Schur product %d" % (plus + minus, total))
     return bound, plus + minus, plus
 
 
@@ -389,7 +392,9 @@ def level_zero_pairing(n: int, shapes: Sequence[RectShape]) -> dict:
     only counted; when they are as many, phi maps the plus summands onto
     them and is a fixed-point-free, sign-reversing, exponent-preserving
     involution of all summands, so they cancel.  Their signed sum is kept
-    anyway and must vanish.  A failed check raises CertificateError."""
+    anyway and must vanish, and all summands must be as many as the Schur
+    product counts.  A failed check raises CertificateError; more than
+    PAIRING_LIMIT summands raise ValueError before the walk."""
     spec = _level_zero_spec(n, shapes)
     if not spec.shapes:
         raise ValueError("pairing needs a nonempty tensor product")

@@ -314,10 +314,3 @@ def multiplicity_oracle(spec: CrystalSpec, lam: Iterable[int]) -> int:
     spec.validate()
     target = normalize_content(lam, spec.n)
     return _product_expansion(spec.n, tuple(sorted(spec.shapes))).get(target, 0)
-
-
-def classical_dimension(partition: Iterable[int], n: int) -> int:
-    """Dimension of the irreducible with the given highest weight: the number
-    of column-strict fillings with entries at most n."""
-    key = tuple(x for x in partition if x)
-    return sum(c for _, c in schur_monomials(key, n))

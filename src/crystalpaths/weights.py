@@ -13,6 +13,7 @@ even.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .signature import Record
 
@@ -27,15 +28,15 @@ Permutation = tuple[int, ...]
 def dot(a: Vector, b: Vector) -> int:
     if len(a) != len(b):
         raise ValueError("length mismatch: %d vs %d" % (len(a), len(b)))
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def vsub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vscale(c: int, a: Vector) -> Vector:
@@ -43,7 +44,7 @@ def vscale(c: int, a: Vector) -> Vector:
 
 
 def norm2(a: Vector) -> int:
-    return sum(x * x for x in a)
+    return sum(map(operator.mul, a, a))
 
 
 def spread(a: Vector) -> int:
@@ -97,11 +98,8 @@ def perm_inverse(p: Permutation) -> Permutation:
 
 
 def perm_sign(p: Permutation) -> int:
-    sign = 1
-    for a, b in itertools.combinations(range(len(p)), 2):
-        if p[a] > p[b]:
-            sign = -sign
-    return sign
+    """(-1) to the number of inversions of p."""
+    return -1 if sum(itertools.starmap(operator.gt, itertools.combinations(p, 2))) & 1 else 1
 
 
 def times_reflection(beta: Vector, tau: Permutation, i: int) -> tuple[Vector, Permutation]:

@@ -16,13 +16,18 @@ and each pair checked from whichever summand comes first, with the move
 s_i e_i as a raising followed by the literal reflection and the grid
 point's r_i through the validated reference_weights.AffineWeylElement.  It
 grades with energy.grade, as the program does; the Tableau-path pairing of
-test_bosonic checks every exponent against path_energy instead.  The
-summand count of the sums adds the Schur product over the S_n orbit of each
-dominant fibre; its reference adds it over every content the fibre walk
-reads.
+test_bosonic checks every exponent against path_energy instead.
+
+The program walks the S_n orbit of each dominant fibre once, placing one
+entry at a time: the summand count of the sums adds the Schur product over
+it, and the pairing takes its grid points from it.  The references are the
+literal forms: the n! permutations of the fibre, the count added over every
+content the fibre walk reads, and the residue pass over every content of
+the product.
 """
 
 import functools
+import itertools
 
 from typing import Iterable, Optional
 
@@ -128,6 +133,35 @@ def one_pass_counts(spec: CrystalSpec, widens) -> list[int]:
             if max(map(abs, beta)) <= bound:
                 counts[k] += product[content]
     return counts
+
+
+def literal_orbit(product: dict, target, lamp_rho, content) -> set[tuple[int, ...]]:
+    """The product contents target - lamp_rho + w v over the n! permutations
+    w of v = content - target + lamp_rho."""
+    v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
+    orbit = {tuple(t - x + y for t, x, y in zip(target, lamp_rho, w)) for w in itertools.permutations(v)}
+    return orbit & product.keys()
+
+
+def permutation_count(product: dict, target, lamp_rho, content) -> int:
+    """The summand count of the fibre read at content, added over all n!
+    permutations of v = content - target + lamp_rho."""
+    v = [c - t + x for c, t, x in zip(content, target, lamp_rho)]
+    return sum(product.get(tuple(t - x + y for t, x, y in zip(target, lamp_rho, w)), 0)
+               for w in itertools.permutations(v))
+
+
+def full_residue_read(spec: CrystalSpec) -> dict:
+    """content -> (tau, sign, beta, exponent) of the level-zero grid point
+    reading it, by the residue pass over every content of the product."""
+    n, zero = spec.n, spec.lam.finite
+    bound = truncation_bound(n, 0, zero, zero, spec.shapes)
+    target = target_content(spec.lam, spec.lam, spec.total_boxes())
+    if target is None:
+        return {}
+    product = schur_product(n, tuple(sorted(spec.shapes)))
+    return {c: (tau, sign, beta, exponent)
+            for tau, sign, beta, c, exponent in _fiber_points(n, rho_vector(n), target, bound, product)}
 
 
 def paths_by_content(crystals) -> dict[tuple, list[tuple[int, ...]]]:

@@ -17,6 +17,7 @@ import reference_crystal as rc
 from reference_crystal import fold_stats, lowering_index, raising_index
 
 from crystalpaths import tableaux
+from crystalpaths.kostka import schur_monomials
 from crystalpaths.paths import Path, normalize_content
 from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import RectShape
@@ -121,3 +122,10 @@ def classically_restricted_paths(
     for p in enumerate_paths(n, shapes):
         if p.weight() == target and is_classically_restricted(p):
             yield p
+
+
+def classical_dimension(partition: Iterable[int], n: int) -> int:
+    """Dimension of the irreducible with the given highest weight: the number
+    of column-strict fillings with entries at most n."""
+    key = tuple(x for x in partition if x)
+    return sum(c for _, c in schur_monomials(key, n))

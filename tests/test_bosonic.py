@@ -17,7 +17,10 @@ from test_acceptance import criterion_one_grid
 
 from crystalpaths import bosonic, energy, kostka, tableaux
 from crystalpaths.bosonic import (
+    PAIRING_LIMIT,
+    _dominant_contents,
     _fiber_points,
+    _orbit,
     bosonic_report,
     bosonic_via_straightening,
     commutation_hypothesis_warnings,
@@ -408,7 +411,7 @@ def reference_pairing(n, shapes):
             by_content.setdefault(p.weight(), []).append((p, path_energy(p)))
 
     summands = {}
-    points = _fiber_points(n, rho_vector(n), target, bound, by_content)
+    points = _fiber_points(n, rho_vector(n), target, bound, by_content) if target is not None else ()
     for tau, _, beta, content, exponent in points:
         for p, energy_ in by_content[content]:
             summands[Summand(beta, tau, p)] = energy_ + exponent
@@ -534,6 +537,52 @@ def test_pairing_certificate_refuses_unequal_plus_and_minus_counts(monkeypatch):
         level_zero_pairing(n, shapes)
 
 
+def test_certificate_refuses_a_walk_short_of_the_schur_count(monkeypatch):
+    """A Schur product that counts one path more than the crystals hold
+    leaves the walk one summand short of the oracle: every pair checks out,
+    and the completeness check raises CertificateError, also under
+    python -O."""
+    n, shapes = 3, (S11, S11, S11)
+    product = schur_product(n, shapes)
+    inflated = {**product, (1, 1, 1): product[(1, 1, 1)] + 1}
+    summands = level_zero_pairing(n, shapes)["summand_count"]
+    monkeypatch.setattr(bosonic, "schur_product", lambda *args: inflated)
+    with pytest.raises(CertificateError, match="walk met %d summands, the Schur product %d"
+                       % (summands, summands + 1)):
+        level_zero_pairing(n, shapes)
+
+
+def schur_summands(n, shapes):
+    """The summands of the level-zero pairing by the Schur count over the
+    residue pass of every product content, without a walk."""
+    spec = bosonic._level_zero_spec(n, shapes)
+    product = schur_product(n, tuple(sorted(spec.shapes)))
+    return sum(product[c] for c in rb.full_residue_read(spec))
+
+
+def test_pairing_refuses_an_oversized_product_before_the_walk(monkeypatch, capsys):
+    """n=3 on 18 `1x1` factors has more than PAIRING_LIMIT summands:
+    level_zero_pairing raises ValueError naming the estimate before it
+    reaches the walk's grading plan, and verify-zero exits 2 with it."""
+    shapes = (S11,) * 18
+    total = schur_summands(3, shapes)
+    assert total > PAIRING_LIMIT
+
+    def never(*args):
+        raise AssertionError("the pairing reached its walk")
+
+    monkeypatch.setattr(bosonic, "carry_plan", never)
+    with pytest.raises(ValueError, match="would walk %d summands" % total):
+        level_zero_pairing(3, shapes)
+    assert main(["verify-zero", "--n", "3", "--shapes", ",".join(["1x1"] * 18)]) == 2
+    assert "would walk %d summands" % total in capsys.readouterr().err
+
+
+def test_pairing_limit_admits_the_twelve_factor_case():
+    """The 12-factor case that CI runs to the end stays under the limit."""
+    assert schur_summands(3, (S11,) * 12) == 354294 <= PAIRING_LIMIT
+
+
 def test_pairing_memory_stays_small():
     """The walk holds one path and its prefix states, not the summands:
     the traced peak of a pairing over 13122 summands stays under 1 MB."""
@@ -586,12 +635,12 @@ def test_corrupted_crystal_fails_the_certificate(monkeypatch, capsys):
 
 
 @st.composite
-def tailed_specs(draw, tail):
-    """A random spec with n <= 4, level <= 3, one to five factors of mixed
-    shapes up to 2 columns (cut off once the product would exceed 1000
+def tailed_specs(draw, tail, max_n=4):
+    """A random spec with n <= max_n, level <= 3, one to five factors of
+    mixed shapes up to 2 columns (cut off once the product would exceed 1000
     paths), a random dominant LambdaPrime, and a vacuum Lambda (no b0 tail)
     or a non-vacuum one with a b0 crystal of random height."""
-    n, ell = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    n, ell = draw(st.integers(2, max_n)), draw(st.integers(1, 3))
     kinds = [RectShape(r, c) for r in range(1, n) for c in range(1, min(ell, 2) + 1)]
     shapes, size = [], 1
     for shape in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5)):
@@ -634,12 +683,103 @@ def test_differential_sums_against_full_table_reference(tail, data):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_differential_summand_count_against_one_pass_count(tail, data):
-    """The summand count over the n! contents of each dominant fibre's S_n
-    orbit equals the count added over every read product content, at
-    widen 0 and 2."""
+    """The summand count over the S_n orbit of each dominant fibre equals
+    the count added over every read product content, at widen 0 and 2."""
     spec = data.draw(tailed_specs(tail))
     got = [result.summand_count for result in fibre_sums(spec, (0, 2))]
     assert got == rb.one_pass_counts(spec, (0, 2)), spec
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["vacuum", "b0_tail"])
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_differential_orbit_against_permutations(tail, data):
+    """On every dominant fibre that the sums read at widen 2, for random
+    specs with n <= 5, the orbit walk meets each product content among the
+    fibre's n! permutations once, and adds the Schur product over them to
+    the literal permutation count."""
+    spec = data.draw(tailed_specs(tail, max_n=5))
+    n, lam, lam_prime = spec.n, spec.lam, spec.resolved_lam_prime()
+    lamp_rho = vadd(lam_prime.finite, rho_vector(n))
+    target = target_content(lam, lam_prime, spec.total_boxes())
+    if target is None:
+        return
+    product = schur_product(n, tuple(sorted(spec.shapes)))
+    bound = truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes, 2)
+    dominant = _dominant_contents(lam, product)
+    for *_, content, _ in _fiber_points(spec.level + n, lamp_rho, target, bound, dominant):
+        orbit = _orbit(product, target, lamp_rho, content)
+        assert content in orbit and len(set(orbit)) == len(orbit), (spec, content)
+        assert set(orbit) == rb.literal_orbit(product, target, lamp_rho, content), (spec, content)
+        assert sum(product[c] for c in orbit) == rb.permutation_count(product, target, lamp_rho, content)
+
+
+def test_dominant_contents_with_and_without_a_finite_weight():
+    """The dominant contents are those c with Lambda + c weakly decreasing,
+    for a zero and a nonzero finite part of Lambda."""
+    product = schur_product(3, (S11, RectShape(2, 1), S11))
+    for lam in dominant_weights(3, 2):
+        want = [c for c in product if all(a >= b for a, b in itertools.pairwise(vadd(lam.finite, c)))]
+        assert _dominant_contents(lam, product) == want, lam
+    assert any(c[0] < c[1] for c in _dominant_contents(LevelWeight(2, (2, 0, 0)), product))
+
+
+def pairing_grid(monkeypatch, n, shapes):
+    """content -> (tau, sign, beta, exponent) of the points of the last fibre
+    walk that the pairing starts, from which it builds its read map, and the
+    (content -> (beta, tau)) of the summands its walk meets."""
+    calls, met = [], {}
+
+    def recording(*args):
+        calls.append(points := [])
+
+        def walk():
+            for point in _fiber_points(*args):
+                points.append(point)
+                yield point
+        return walk()
+
+    def collect(summand, exponent, image):
+        beta, tau, path = summand
+        met[functools.reduce(vadd, (c.content[x] for c, x in zip(crystals, path)))] = (beta, tau)
+
+    crystals = [tableaux.RectCrystal(n, s) for s in shapes]
+    monkeypatch.setattr(bosonic, "_fiber_points", recording)
+    try:
+        bosonic._level_zero_certificate(bosonic._level_zero_spec(n, shapes), collect=collect)
+    finally:
+        monkeypatch.undo()
+    points = calls[-1] if calls else []
+    grid = {c: (tau, sign, beta, exponent) for tau, sign, beta, c, exponent in points}
+    assert len(grid) == len(points)
+    return grid, met
+
+
+def assert_pairing_grid_is_full(monkeypatch, n, shapes):
+    spec = bosonic._level_zero_spec(n, shapes)
+    grid, met = pairing_grid(monkeypatch, n, shapes)
+    want = rb.full_residue_read(spec)
+    assert grid == want, (n, shapes)
+    assert met == {c: (beta, tau) for c, (tau, _, beta, _) in want.items()}, (n, shapes)
+
+
+def test_pairing_grid_from_orbits_matches_full_residue_pass(monkeypatch):
+    """On every column product of the grid, the pairing's read map, built
+    from the orbits of the dominant read contents, equals the residue pass
+    over every content of the product, and the walk meets each of them."""
+    for n, shapes in PAIRING_GRID:
+        assert_pairing_grid_is_full(monkeypatch, n, shapes)
+
+
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), min_size=1, max_size=4))))
+def test_differential_pairing_grid_against_full_residue_pass(monkeypatch, case):
+    """The same on random column products with n <= 5."""
+    n, heights = case
+    assert_pairing_grid_is_full(monkeypatch, n, tuple(RectShape(k, 1) for k in heights))
 
 
 @settings(max_examples=25, deadline=None, database=None,

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 import reference_paths as rp
 from reference_energy import augmented_energy, path_energy
 from reference_bosonic import literal_content_table
-from reference_paths import classically_restricted_paths, enumerate_paths, level_restricted_paths
+from reference_paths import (
+    classical_dimension,
+    classically_restricted_paths,
+    enumerate_paths,
+    level_restricted_paths,
+)
 from test_acceptance import criterion_one_grid
 from test_bosonic import dominant_weights as dominant_level_weights
 
@@ -14,7 +19,6 @@ from crystalpaths import energy, kostka, paths, tableaux
 from crystalpaths.bosonic import bosonic_report
 from crystalpaths.kostka import (
     CrystalSpec,
-    classical_dimension,
     kostka_classical,
     kostka_level,
     multiplicity_oracle,

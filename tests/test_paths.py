@@ -6,6 +6,7 @@ import reference_crystal as rc
 import reference_paths as rp
 from reference_crystal import combine
 from reference_paths import (
+    classical_dimension,
     classically_restricted_paths,
     enumerate_paths,
     is_classically_restricted,
@@ -15,7 +16,6 @@ from reference_paths import (
 )
 
 from crystalpaths import tableaux as tx
-from crystalpaths.kostka import classical_dimension
 from crystalpaths.paths import Path, format_path, normalize_content, parse_path
 from crystalpaths.tableaux import RectShape, Tableau
 from crystalpaths.weights import LevelWeight
