@@ -1,11 +1,11 @@
-"""Command-line interface: compute, verify, and manage cached tables.
+"""Command-line interface: compute and verify.
 
 Commands
 --------
 kostka       classical or level-restricted generating polynomial
 verify       alternating Weyl sum against the direct path count
 verify-zero  formal level-zero evaluation plus its pairing certificate
-cache        list, build, or clear persisted local-isomorphism tables
+straighten   normalize a signed Schur symbol
 
 Exit codes: 0 on success or verified equality, 1 on a genuine mathematical
 inequality, 2 on validation errors.  All JSON output is deterministic for a
@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from typing import Optional
 
-from . import energy
 from .bosonic import (
     commutation_hypothesis_warnings,
     fibre_sums,
@@ -251,62 +249,6 @@ def cmd_straighten(args) -> int:
     return 0
 
 
-def _require_cache_dir(args) -> str:
-    if not args.cache_dir:
-        raise ValueError("this command needs --cache-dir or CRYSTAL_CACHE_DIR")
-    return args.cache_dir
-
-
-def cmd_cache(args) -> int:
-    cache_dir = _require_cache_dir(args)
-    if args.action == "list":
-        entries = []
-        if os.path.isdir(cache_dir):
-            for name in sorted(os.listdir(cache_dir)):
-                if not (name.startswith("R_") and name.endswith(".json")):
-                    continue
-                try:
-                    with open(os.path.join(cache_dir, name), encoding="utf-8") as fh:
-                        blob = json.load(fh)
-                    entries.append(
-                        {
-                            "file": name,
-                            "version": blob.get("version"),
-                            "checksum": blob.get("checksum", "")[:16],
-                        }
-                    )
-                except (OSError, ValueError):
-                    entries.append({"file": name, "version": None, "checksum": "corrupt"})
-        _emit({"schema": SCHEMA_VERSION, "command": "cache", "entries": entries}, args.format)
-        return 0
-    if args.action == "build":
-        if args.n is None:
-            raise ValueError("cache build needs --n")
-        shapes = parse_shapes(args.shapes)
-        if len(shapes) != 2:
-            raise ValueError("cache build needs --shapes with exactly two entries")
-        energy.get_local_table(args.n, shapes[0], shapes[1])
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "cache",
-                "built": energy.cache_file_name(args.n, shapes[0], shapes[1]),
-            },
-            args.format,
-        )
-        return 0
-    if args.action == "clear":
-        removed = []
-        if os.path.isdir(cache_dir):
-            for name in sorted(os.listdir(cache_dir)):
-                if name.startswith("R_") and name.endswith(".json"):
-                    os.unlink(os.path.join(cache_dir, name))
-                    removed.append(name)
-        _emit({"schema": SCHEMA_VERSION, "command": "cache", "removed": removed}, args.format)
-        return 0
-    raise ValueError("unknown cache action %r" % args.action)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crystalpaths",
@@ -315,16 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=True):
-        if need_n:
-            p.add_argument("--n", type=int, required=True, help="rank (alphabet size)")
+    def common(p):
+        p.add_argument("--n", type=int, required=True, help="rank (alphabet size)")
         p.add_argument("--shapes", default="", help="comma list of KxL factor shapes, leftmost first")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument(
-            "--cache-dir",
-            default=os.environ.get("CRYSTAL_CACHE_DIR") or None,
-            help="directory for persisted tables (default: CRYSTAL_CACHE_DIR)",
-        )
+        p.add_argument("--cache-dir",
+                       help="accepted for compatibility and ignored: nothing is persisted")
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility and ignored: every scan runs in-process")
 
@@ -359,12 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="n=<rank> l=<level> alpha=a1,a2,...")
     st.add_argument("--format", choices=("json", "table"), default="json")
     st.set_defaults(func=cmd_straighten)
-
-    c = sub.add_parser("cache", help="manage persisted local-isomorphism tables")
-    c.add_argument("action", choices=("list", "build", "clear"))
-    common(c, need_n=False)
-    c.add_argument("--n", type=int, default=None)
-    c.set_defaults(func=cmd_cache)
     return parser
 
 
@@ -373,7 +305,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be at least 1")
-    energy.set_cache_dir(getattr(args, "cache_dir", None))
     try:
         return args.func(args)
     except ValueError as exc:

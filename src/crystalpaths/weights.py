@@ -39,10 +39,6 @@ def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(map(operator.sub, a, b))
 
 
-def vscale(c: int, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def norm2(a: Vector) -> int:
     return sum(map(operator.mul, a, a))
 
@@ -56,11 +52,6 @@ def rho_vector(n: int) -> Vector:
     half-sum of positive roots.  Only differences of its entries are ever
     used, so the additive normalization is immaterial but fixed."""
     return tuple(range(n - 1, -1, -1))
-
-
-def theta_vector(n: int) -> Vector:
-    """Highest root e_1 - e_n."""
-    return (1,) + (0,) * (n - 2) + (-1,)
 
 
 def fundamental_vector(i: int, n: int) -> Vector:
@@ -80,21 +71,6 @@ def equal_mod_ones(a: Vector, b: Vector) -> bool:
 
 # ---------------------------------------------------------------------------
 # permutations, stored as images: p[j] is the image of j+1 (values 1..n)
-
-
-def perm_apply(p: Permutation, v: Vector) -> Vector:
-    """Permute coordinates, sending e_j to e_{p(j)}."""
-    out = [0] * len(p)
-    for j, img in enumerate(p):
-        out[img - 1] = v[j]
-    return tuple(out)
-
-
-def perm_inverse(p: Permutation) -> Permutation:
-    out = [0] * len(p)
-    for j, img in enumerate(p):
-        out[img - 1] = j + 1
-    return tuple(out)
 
 
 def perm_sign(p: Permutation) -> int:
@@ -169,22 +145,6 @@ class LevelWeight(Record):
     def same_classical_weight(self, other: "LevelWeight") -> bool:
         """Equality disregarding the delta coefficient."""
         return self.level == other.level and equal_mod_ones(self.finite, other.finite)
-
-    def reflect(self, i: int) -> "LevelWeight":
-        """Simple reflection r_i; r_0 acts through the highest root and shifts delta."""
-        n = self.rank
-        if i == 0:
-            c = self.pairing(0)
-            return LevelWeight(
-                self.level,
-                vadd(self.finite, vscale(c, theta_vector(n))),
-                self.delta - c,
-            )
-        if not 1 <= i <= n - 1:
-            raise ValueError("index out of range: %d" % i)
-        f = list(self.finite)
-        f[i - 1], f[i] = f[i], f[i - 1]
-        return LevelWeight(self.level, tuple(f), self.delta)
 
     def __str__(self):
         return "LevelWeight(level=%d, finite=%s, delta=%d)" % (

@@ -1,12 +1,13 @@
 """Literal references for the local tables.
 
-energy.build_local_table works on flat integer lists over the elements of
-tableaux.RectCrystal.  This module keeps the literal construction it is
-checked against, which applies the crystal operators to two-factor Path
-objects and keys its dicts by Tableau pairs, together with Tableau-keyed
-views of the flat tables for tests that state properties in tableaux.  It
-also keeps the energy of a Path summed pair by pair (path_energy); the
-program grades paths only through energy.grade, factor by factor.
+energy.LocalIsoTable fills R and H one pair at a time, over flat integer
+lists indexed by the elements of tableaux.RectCrystal.  This module keeps
+the literal whole-table construction it is checked against, which applies
+the crystal operators to two-factor Path objects and keys its dicts by
+Tableau pairs, together with Tableau-keyed views of the flat tables for
+tests that state properties in tableaux.  It also keeps the energy of a
+Path summed pair by pair (path_energy); the program grades paths only
+through energy.grade, factor by factor.
 """
 
 from typing import Optional
@@ -15,7 +16,7 @@ import reference_crystal as rc
 import reference_paths as rp
 
 from crystalpaths import tableaux
-from crystalpaths.energy import LocalIsoTable, get_local_table, phi_matching_element
+from crystalpaths.energy import LocalIsoTable, local_table, phi_matching_element
 from crystalpaths.paths import Path
 from crystalpaths.signature import CertificateError, raising_index
 from crystalpaths.tableaux import RectCrystal, RectShape, Tableau
@@ -105,8 +106,10 @@ def literal_local_table(n: int, shape2: RectShape, shape1: RectShape) -> tuple[d
 
 
 def as_dicts(table: LocalIsoTable) -> tuple[dict, dict]:
-    """The flat table as (iso, energy) keyed by Tableau pairs, in the form
-    of literal_local_table."""
+    """The flat table, with every entry filled, as (iso, energy) keyed by
+    Tableau pairs, in the form of literal_local_table."""
+    for at in range(len(table.energy)):
+        table.fill(at)
     left, right = RectCrystal(table.n, table.shape2), RectCrystal(table.n, table.shape1)
     pairs = [(a, b) for a in left.elements for b in right.elements]
     iso = {p: (right.elements[v1], left.elements[v2])
@@ -115,9 +118,12 @@ def as_dicts(table: LocalIsoTable) -> tuple[dict, dict]:
 
 
 def _entry(b2: Tableau, b1: Tableau) -> tuple[LocalIsoTable, int]:
-    """The registered table of b2 (x) b1 and the flat index of the pair."""
-    table = get_local_table(b2.n, b2.shape, b1.shape)
-    return table, RectCrystal(b2.n, b2.shape).index[b2] * table.width + RectCrystal(b1.n, b1.shape).index[b1]
+    """The registered table of b2 (x) b1 and the flat index of the pair,
+    filled."""
+    table = local_table(b2.n, b2.shape, b1.shape)
+    k = RectCrystal(b2.n, b2.shape).index[b2] * table.width + RectCrystal(b1.n, b1.shape).index[b1]
+    table.fill(k)
+    return table, k
 
 
 def local_iso(b2: Tableau, b1: Tableau) -> Pair:
@@ -148,9 +154,9 @@ def path_energy(p: Path) -> int:
     for j in range(2, length + 1):
         x = xs[length - j]
         for i in range(j - 1, 0, -1):
-            table = get_local_table(p.n, fs[length - j].shape, fs[length - i].shape)
+            table = local_table(p.n, fs[length - j].shape, fs[length - i].shape)
             k = x * table.width + xs[length - i]
-            total += table.energy[k]
+            total += table.fill(k)
             x = table.image2[k]
     return total
 

@@ -5,21 +5,49 @@ plain (beta, tau) pair and multiplies it by a simple reflection with
 weights.times_reflection.  The tests certify that against the element
 written out below: it validates its translation and permutation, acts on
 affine weights, and composes with r_i through permutation composition.
+The permutation and vector helpers it needs, and the simple reflection of
+an affine weight, live here too: the program uses none of them.
 """
 
 from crystalpaths.signature import CertificateError, Record
-from crystalpaths.weights import (
-    LevelWeight,
-    Permutation,
-    Vector,
-    dot,
-    norm2,
-    perm_apply,
-    perm_sign,
-    theta_vector,
-    vadd,
-    vscale,
-)
+from crystalpaths.weights import LevelWeight, Permutation, Vector, dot, norm2, perm_sign, vadd
+
+
+def vscale(c: int, a: Vector) -> Vector:
+    return tuple(c * x for x in a)
+
+
+def theta_vector(n: int) -> Vector:
+    """Highest root e_1 - e_n."""
+    return (1,) + (0,) * (n - 2) + (-1,)
+
+
+def perm_apply(p: Permutation, v: Vector) -> Vector:
+    """Permute coordinates, sending e_j to e_{p(j)}."""
+    out = [0] * len(p)
+    for j, img in enumerate(p):
+        out[img - 1] = v[j]
+    return tuple(out)
+
+
+def perm_inverse(p: Permutation) -> Permutation:
+    out = [0] * len(p)
+    for j, img in enumerate(p):
+        out[img - 1] = j + 1
+    return tuple(out)
+
+
+def reflect_weight(lam: LevelWeight, i: int) -> LevelWeight:
+    """Simple reflection r_i; r_0 acts through the highest root and shifts delta."""
+    n = lam.rank
+    if i == 0:
+        c = lam.pairing(0)
+        return LevelWeight(lam.level, vadd(lam.finite, vscale(c, theta_vector(n))), lam.delta - c)
+    if not 1 <= i <= n - 1:
+        raise ValueError("index out of range: %d" % i)
+    f = list(lam.finite)
+    f[i - 1], f[i] = f[i], f[i - 1]
+    return LevelWeight(lam.level, tuple(f), lam.delta)
 
 
 def perm_identity(n: int) -> Permutation:

@@ -13,6 +13,7 @@ from reference_crystal import combine, promotion, reflect
 from reference_energy import as_dicts, local_iso, path_energy
 from reference_paths import enumerate_paths, level_restricted_paths
 from reference_straighten import normalize_by_steps
+from reference_weights import theta_vector
 
 from crystalpaths.bosonic import (
     bosonic_report,
@@ -21,7 +22,7 @@ from crystalpaths.bosonic import (
     level_zero_identity,
     level_zero_pairing,
 )
-from crystalpaths.energy import get_local_table
+from crystalpaths.energy import local_table
 from crystalpaths.kostka import (
     CrystalSpec,
     kostka_classical,
@@ -32,7 +33,7 @@ from crystalpaths.laurent import LaurentPoly
 from crystalpaths.paths import Path, parse_path
 from crystalpaths.straighten import SchurSymbol, normalize
 from crystalpaths.tableaux import RectShape, enumerate_tableaux
-from crystalpaths.weights import LevelWeight, theta_vector, vadd, vsub
+from crystalpaths.weights import LevelWeight, vadd, vsub
 
 S11 = RectShape(1, 1)
 
@@ -221,8 +222,8 @@ def test_criterion_5_local_isomorphism_suite():
     for n in (2, 3):
         shapes = _acceptance_shapes(n)
         for s2, s1 in itertools.product(shapes, repeat=2):
-            iso, _ = as_dicts(get_local_table(n, s2, s1))
-            reverse, _ = as_dicts(get_local_table(n, s1, s2))
+            iso, _ = as_dicts(local_table(n, s2, s1))
+            reverse, _ = as_dicts(local_table(n, s1, s2))
             for key, value in iso.items():
                 assert reverse[value] == key
                 src, img = Path(n, key), Path(n, value)

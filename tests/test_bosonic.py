@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_energy import path_energy
 from reference_paths import enumerate_paths, reflect_path
-from reference_weights import AffineWeylElement
+from reference_weights import AffineWeylElement, perm_apply, perm_inverse, vscale
 from test_acceptance import criterion_one_grid
 
 from crystalpaths import bosonic, energy, kostka, tableaux
@@ -40,12 +40,9 @@ from crystalpaths.weights import (
     LevelWeight,
     dot,
     norm2,
-    perm_apply,
-    perm_inverse,
     perm_sign,
     rho_vector,
     vadd,
-    vscale,
     vsub,
 )
 

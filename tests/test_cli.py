@@ -7,16 +7,13 @@ from pathlib import Path
 import pytest
 
 import crystalpaths
-from crystalpaths import bosonic, energy, kostka
+from crystalpaths import bosonic, kostka
 from crystalpaths.cli import main, parse_weight_selector
 from crystalpaths.weights import LevelWeight
 
 
 def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    finally:
-        energy.set_cache_dir(None)  # main sets the directory for the rest of the process
+    code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -27,7 +24,6 @@ def cold(*args: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(crystalpaths.__file__))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    env.pop("CRYSTAL_CACHE_DIR", None)
     return subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
@@ -36,12 +32,11 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encodi
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
-def test_golden_output(case, capsys, monkeypatch):
+def test_golden_output(case, capsys):
     """Stdout and exit code match, byte for byte, the recorded output of the
     vacuum, non-vacuum and level-zero commands, including summand_count and
     truncation_bound; the last level-zero product has a box count that the
     rank does not divide."""
-    monkeypatch.delenv("CRYSTAL_CACHE_DIR", raising=False)
     code, out, _ = run(capsys, *case["argv"])
     assert (code, out) == (case["exit_code"], case["stdout"])
 
@@ -151,52 +146,6 @@ def test_table_format(capsys):
     assert "polynomial:" in out and "path_count" in out
 
 
-def test_cache_commands(tmp_path, capsys, caplog):
-    energy.clear_memory_tables()
-    cache = str(tmp_path)
-    code, out, _ = run(
-        capsys, "cache", "build", "--n", "2", "--shapes", "1x2,1x1", "--cache-dir", cache
-    )
-    assert code == 0
-    built = json.loads(out)["built"]
-    assert (tmp_path / built).exists()
-
-    code, out, _ = run(capsys, "cache", "list", "--cache-dir", cache)
-    entries = json.loads(out)["entries"]
-    assert len(entries) == 1 and entries[0]["file"] == built
-
-    # corrupt, then rebuild through a computation
-    raw = bytearray((tmp_path / built).read_bytes())
-    raw[len(raw) // 3] ^= 0xFF
-    (tmp_path / built).write_bytes(bytes(raw))
-    energy.clear_memory_tables()
-    code, out, _ = run(
-        capsys, "kostka", "--n", "2", "--shapes", "1x2,1x1", "--lambda", "2,1",
-        "--cache-dir", cache,
-    )
-    assert code == 0
-    assert any("rebuilding" in rec.message for rec in caplog.records)
-
-    code, out, _ = run(capsys, "cache", "clear", "--cache-dir", cache)
-    assert code == 0
-    assert json.loads(out)["removed"] == [built]
-    assert not list(tmp_path.glob("R_*.json"))
-
-
-def test_cache_requires_directory(capsys, monkeypatch):
-    monkeypatch.delenv("CRYSTAL_CACHE_DIR", raising=False)
-    code, _, err = run(capsys, "cache", "list")
-    assert code == 2 and "cache" in err
-
-
-def test_cache_env_var_default(tmp_path, capsys, monkeypatch):
-    energy.clear_memory_tables()
-    monkeypatch.setenv("CRYSTAL_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "cache", "build", "--n", "2", "--shapes", "1x1,1x1")
-    assert code == 0
-    assert list(tmp_path.glob("R_*.json"))
-
-
 def test_straighten_command(capsys):
     code, out, _ = run(capsys, "straighten", "n=2", "l=1", "alpha=2,-2")
     assert code == 0
@@ -214,15 +163,18 @@ def test_straighten_command(capsys):
     (["--n", "4", "--level", "2", "--shapes", ",".join(["1x1,2x1"] * 5), "--Lambda", "L0+L2",
       "--LambdaPrime", "L0+L1"], 288),
 ], ids=["n3-24x1x1", "n4-5x(1x1,2x1)"])
-def test_verify_at_paper_scale(capsys, argv, paths):
+def test_verify_at_paper_scale(capsys, tmp_path, argv, paths):
     """The identity on products of 24 and 10 factors (3^24 and 24^5 paths):
-    both sides agree, the widened truncation is stable, and --jobs changes
-    nothing."""
+    both sides agree, the widened truncation is stable, and --jobs and
+    --cache-dir change nothing: the output is byte-identical and the
+    directory is never made."""
     code, out, _ = run(capsys, "verify", *argv, "--widen-check")
     payload = json.loads(out)
     assert code == 0 and payload["equal"] and payload["widen_certificate"]["stable"]
     assert sum(c for _, c in payload["rhs_polynomial"]) == paths
-    assert run(capsys, "verify", *argv, "--widen-check", "--jobs", "2") == (code, out, "")
+    ignored = ["--jobs", "2", "--cache-dir", str(tmp_path / "cache")]
+    assert run(capsys, "verify", *argv, "--widen-check", *ignored) == (code, out, "")
+    assert not (tmp_path / "cache").exists()
 
 
 def test_jobs_flag(capsys):
@@ -234,7 +186,7 @@ def test_jobs_flag(capsys):
     assert json.loads(out)["path_count"] == 2
 
 
-LAZY_MODULES = ("dataclasses", "inspect", "logging", "hashlib", "crystalpaths.straighten")
+LAZY_MODULES = ("dataclasses", "inspect", "logging", "hashlib", "threading", "crystalpaths.straighten")
 
 
 def test_cold_import_stays_lean():
@@ -246,20 +198,3 @@ def test_cold_import_stays_lean():
     out = cold("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ""
-
-
-def test_rejected_cache_is_reported_on_stderr(tmp_path):
-    """A cache file with a corrupted checksum is rebuilt: the process writes
-    the bare rejection line to stderr and the same JSON to stdout."""
-    argv = ["-m", "crystalpaths.cli", "verify", "--n", "3", "--level", "2",
-            "--shapes", "1x2,1x1", "--Lambda", "L0+L1", "--cache-dir", str(tmp_path)]
-    clean = cold(*argv)
-    assert (clean.returncode, clean.stderr) == (0, "")
-    corrupted = tmp_path / energy.cache_file_name(3, (1, 2), (1, 1))
-    payload = json.loads(corrupted.read_text(encoding="utf-8"))
-    payload["checksum"] = "0" * 64
-    corrupted.write_text(json.dumps(payload), encoding="utf-8")
-    rejected = cold(*argv)
-    assert rejected.returncode == 0
-    assert rejected.stderr == "cache %s failed its checksum; rebuilding\n" % corrupted
-    assert rejected.stdout == clean.stdout

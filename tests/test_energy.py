@@ -1,7 +1,5 @@
 import itertools
 import json
-import logging
-import os
 import random
 
 import pytest
@@ -16,11 +14,9 @@ from reference_energy import (
 )
 from reference_paths import enumerate_paths
 
-from crystalpaths import energy as en
-from crystalpaths.energy import build_local_table, get_local_table, phi_matching_element
-from crystalpaths.kostka import CrystalSpec, kostka_level
+from crystalpaths.cli import main
+from crystalpaths.energy import LocalIsoTable, local_table, phi_matching_element
 from crystalpaths.paths import Path, parse_path
-from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import RectShape, Tableau, enumerate_tableaux, highest_weight_tableau
 from crystalpaths.weights import LevelWeight
 
@@ -36,13 +32,13 @@ def shapes_for(n):
 def test_equal_shapes_give_identity():
     for n in (2, 3):
         for shape in shapes_for(n):
-            iso, _ = as_dicts(build_local_table(n, shape, shape))
+            iso, _ = as_dicts(local_table(n, shape, shape))
             for key, value in iso.items():
                 assert key == value
 
 
 def test_mixed_shape_bijection_n2():
-    iso, _ = as_dicts(build_local_table(2, S12, S11))
+    iso, _ = as_dicts(local_table(2, S12, S11))
     expected = {
         ("1,1", "1"): ("1", "1,1"),
         ("1,1", "2"): ("1", "1,2"),
@@ -60,7 +56,7 @@ def test_mixed_shape_bijection_n2():
 def test_iso_commutes_with_all_operators():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            iso, _ = as_dicts(get_local_table(n, s2, s1))
+            iso, _ = as_dicts(local_table(n, s2, s1))
             for (a, b), (c, d) in iso.items():
                 src = Path(n, (a, b))
                 img = Path(n, (c, d))
@@ -80,8 +76,8 @@ def test_iso_commutes_with_all_operators():
 def test_iso_reverse_is_identity():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            forward, _ = as_dicts(get_local_table(n, s2, s1))
-            backward, _ = as_dicts(get_local_table(n, s1, s2))
+            forward, _ = as_dicts(local_table(n, s2, s1))
+            backward, _ = as_dicts(local_table(n, s1, s2))
             for key, value in forward.items():
                 assert backward[value] == key
 
@@ -108,11 +104,11 @@ def test_yang_baxter():
 def test_local_energy_normalization_and_values():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            _, energy = as_dicts(get_local_table(n, s2, s1))
+            _, energy = as_dicts(local_table(n, s2, s1))
             u = (highest_weight_tableau(s2, n), highest_weight_tableau(s1, n))
             assert energy[u] == 0
     # two-value example: H is 0 on the highest component and -1 on the other
-    _, energy = as_dicts(get_local_table(2, S11, S11))
+    _, energy = as_dicts(local_table(2, S11, S11))
     values = {(str(k[0]), str(k[1])): v for k, v in energy.items()}
     assert values == {("1", "1"): 0, ("1", "2"): 0, ("2", "2"): 0, ("2", "1"): -1}
     assert set(values.values()) == {0, -1}
@@ -121,7 +117,7 @@ def test_local_energy_normalization_and_values():
 def test_local_energy_constant_along_classical_strings():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            _, energy = as_dicts(get_local_table(n, s2, s1))
+            _, energy = as_dicts(local_table(n, s2, s1))
             for (a, b), h in energy.items():
                 src = Path(n, (a, b))
                 for i in range(1, n):
@@ -131,7 +127,7 @@ def test_local_energy_constant_along_classical_strings():
 
 
 def test_zero_string_steps_change_energy_by_one():
-    _, energy = as_dicts(get_local_table(2, S11, S11))
+    _, energy = as_dicts(local_table(2, S11, S11))
     x = (Tableau(2, ((2,),)), Tableau(2, ((1,),)))
     up = rp.e(Path(2, x), 0)
     assert up is not None
@@ -151,7 +147,7 @@ def test_homogeneous_energy_closed_form():
     # for equal factors the sweep reduces to sum (L - i) H(b_{i+1}, b_i)
     for n in (2, 3):
         for length in (2, 3, 4):
-            _, energy = as_dicts(get_local_table(n, S11, S11))
+            _, energy = as_dicts(local_table(n, S11, S11))
             for p in enumerate_paths(n, (S11,) * length):
                 fs = p.factors
                 expected = 0
@@ -240,156 +236,40 @@ def test_augmented_energy_empty_path():
     assert augmented_energy(Path(2, ()), lam, S11) == 0
 
 
-@pytest.fixture
-def cache(tmp_path):
-    """tmp_path as the cache directory, unset again after the test."""
-    en.set_cache_dir(str(tmp_path))
-    yield str(tmp_path)
-    en.set_cache_dir(None)
-
-
-def test_cache_round_trip_and_determinism(tmp_path, cache):
-    table = get_local_table(2, S12, S11)
-    name = en.cache_file_name(2, S12, S11)
-    blob1 = (tmp_path / name).read_bytes()
-    en.clear_memory_tables()
-    (tmp_path / name).unlink()
-    rebuilt = get_local_table(2, S12, S11)
-    blob2 = (tmp_path / name).read_bytes()
-    assert blob1 == blob2
-    assert rebuilt == table
-    en.clear_memory_tables()
-    loaded = get_local_table(2, S12, S11)
-    assert loaded == table
-
-
-@pytest.mark.parametrize("agree", [True, False])
-def test_racing_builds_must_agree(monkeypatch, agree):
-    """A build that loses the race to publish is compared with the winner by
-    full equality: an equal table yields the winner, a different one fails."""
-    key = (3, S12, S11)
-    winner = build_local_table(*key)
-    if not agree:
-        winner = en.LocalIsoTable(*key, (1,) + winner.energy[1:], winner.image1, winner.image2)
-
-    def racing_build(*args):
-        en._TABLES[key] = winner  # another thread publishes first
-        return build_local_table(*args)
-
-    en.clear_memory_tables()
-    monkeypatch.setattr(en, "build_local_table", racing_build)
-    try:
-        if agree:
-            assert get_local_table(*key) is winner
-        else:
-            with pytest.raises(CertificateError, match="racing builds"):
-                get_local_table(*key)
-    finally:
-        en.clear_memory_tables()
-
-
-def test_cache_dir_set_after_a_build_receives_the_tables(tmp_path):
-    """Setting the directory drops the tables in memory: a scan after it
-    saves every table it meets there, although each was built before."""
-    spec = CrystalSpec(3, (S21, S11), level=2, lam=LevelWeight(2, (1, 0, 0), 0))
-    en.set_cache_dir(None)
-    assert kostka_level(spec)
-    assert not list(tmp_path.iterdir())
-    en.set_cache_dir(str(tmp_path))
-    try:
-        kostka_level(spec)
-    finally:
-        en.set_cache_dir(None)
-    pairs = {(S21, S11), (S21, S12), (S11, S12)}  # left of right, then each against b0 (1x2)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(en.cache_file_name(3, *p) for p in pairs)
-
-
-def test_cache_corruption_triggers_rebuild(tmp_path, cache, caplog):
-    get_local_table(2, S11, S11)
-    name = tmp_path / en.cache_file_name(2, S11, S11)
-    raw = bytearray(name.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    name.write_bytes(bytes(raw))
-    en.clear_memory_tables()
-    with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
-        table = get_local_table(2, S11, S11)
-    assert any("rebuilding" in rec.message for rec in caplog.records)
-    assert len(table.energy) == 4
-    # the rebuilt file is valid again
-    en.clear_memory_tables()
-    with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
-        caplog.clear()
-        get_local_table(2, S11, S11)
-    assert not caplog.records
-
-
-def test_cache_version_mismatch_rejected(tmp_path, cache, caplog):
-    get_local_table(2, S11, S11)
-    name = tmp_path / en.cache_file_name(2, S11, S11)
-    payload = json.loads(name.read_text())
-    payload["version"] = 999
-    name.write_text(json.dumps(payload))
-    en.clear_memory_tables()
-    with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
-        get_local_table(2, S11, S11)
-    assert any("format version" in rec.message for rec in caplog.records)
-
-
-def _rewrite_with_checksum(path, payload):
-    payload = {k: v for k, v in payload.items() if k != "checksum"}
-    payload["checksum"] = en._payload_checksum(payload)
-    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _merge_two_images(rows):
-    """The second source takes the image of the first."""
-    rows[1][2:] = rows[0][2:]
-
-
-def _swap_two_images(rows):
-    """1 (x) 1 and 2 (x) 2 swap images: still a bijection, but it moves content."""
-    rows[0][2:], rows[3][2:] = rows[3][2:], rows[0][2:]
-
-
-@pytest.mark.parametrize(
-    "corrupt, reason", [(_merge_two_images, "not a bijection"), (_swap_two_images, "changes content")]
-)
-def test_cache_with_wrong_image_triggers_rebuild(tmp_path, cache, caplog, corrupt, reason):
-    """A file whose checksum was recomputed is still rejected when its
-    image is not a content-preserving bijection, and the table is rebuilt."""
-    want = get_local_table(2, S11, S11)
-    name = tmp_path / en.cache_file_name(2, S11, S11)
-    payload = json.loads(name.read_text())
-    corrupt(payload["iso"])
-    _rewrite_with_checksum(name, payload)
-    en.clear_memory_tables()
-    with caplog.at_level(logging.WARNING, logger="crystalpaths.energy"):
-        assert en.load_table(2, S11, S11, cache) is None
-        assert get_local_table(2, S11, S11) == want
-    assert any(reason in rec.message and "rebuilding" in rec.message for rec in caplog.records)
-    assert en.load_table(2, S11, S11, cache) == want
-    en.clear_memory_tables()
-
-
-FIXTURE = os.path.join(os.path.dirname(__file__), "R_n3_1x2_1x1.json")
-
-
-def test_cache_format_is_unchanged(tmp_path):
-    """save_table writes the committed file byte for byte, and load_table
-    reads it back as the built table."""
-    table = build_local_table(3, S12, S11)
-    with open(FIXTURE, "rb") as fh:
-        fixture = fh.read()
-    with open(en.save_table(table, str(tmp_path)), "rb") as fh:
-        assert fh.read() == fixture
-    assert en.load_table(3, S12, S11, os.path.dirname(FIXTURE)) == table
-
-
 def test_local_table_matches_literal_builder():
-    """The flat tables equal the literal Tableau/Path construction in H and
-    both image components, on every shape pair of height below n <= 4 and
-    width at most 2."""
+    """The flat tables, filled entry by entry, equal the literal Tableau/Path
+    construction in H and both image components, on every shape pair of
+    height below n <= 4 and width at most 2."""
     for n in (2, 3, 4):
         shapes = [RectShape(k, l) for k in range(1, n) for l in (1, 2)]
         for s2, s1 in itertools.product(shapes, repeat=2):
-            assert as_dicts(build_local_table(n, s2, s1)) == literal_local_table(n, s2, s1), (n, s2, s1)
+            assert as_dicts(LocalIsoTable(n, s2, s1)) == literal_local_table(n, s2, s1), (n, s2, s1)
+
+
+def test_on_demand_rh_matches_literal_builder_on_rectangle_pairs():
+    """R and H computed pair by pair from the classically highest element
+    equal the literal whole-table construction on every entry of the 97
+    ordered pairs of 1x1, 2x1, 1x2, 2x2, 1x3, 3x1 with height below n,
+    n = 3, 4, 5 (20505 entries)."""
+    entries = 0
+    for n in (3, 4, 5):
+        shapes = [RectShape(*s) for s in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (3, 1)) if s[0] < n]
+        for s2, s1 in itertools.product(shapes, repeat=2):
+            table = LocalIsoTable(n, s2, s1)
+            assert as_dicts(table) == literal_local_table(n, s2, s1), (n, s2, s1)
+            entries += len(table.energy)
+    assert entries == 20505
+
+
+def test_on_demand_fills_under_one_percent_of_a_wide_product(capsys):
+    """verify on n=6, 2x3,2x3,1x3,1x3, level 3 computes R and H for fewer
+    than 1% of the 270676 pairs of the three tables its scans meet."""
+    local_table.cache_clear()
+    assert main(["verify", "--n", "6", "--level", "3", "--shapes", "2x3,2x3,1x3,1x3", "--Lambda", "3L0"]) == 0
+    assert json.loads(capsys.readouterr().out)["equal"]
+    s23, s13 = RectShape(2, 3), RectShape(1, 3)
+    tables = [local_table(6, s23, s23), local_table(6, s23, s13), local_table(6, s13, s13)]
+    assert local_table.cache_info().currsize == 3  # no table but these three was made
+    assert sum(len(t.energy) for t in tables) == 270676
+    filled = sum(h is not None for t in tables for h in t.energy)
+    assert 0 < filled < 2706

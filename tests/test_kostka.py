@@ -160,36 +160,27 @@ def test_grading_selection():
     assert b0 == energy.phi_matching_element(2, RectShape(1, 1), other.lam)
 
 
-def test_scan_reads_each_table_once_per_pair(tmp_path, monkeypatch):
-    """Every build and load happens once per pair of shapes a path meets:
-    an earlier factor's shape against a later one's, and each against b0."""
-    calls = []
+def test_scan_reads_each_table_once_per_pair(monkeypatch):
+    """Every table is made once per pair of shapes a path meets, an earlier
+    factor's shape against a later one's and each against b0, and a later
+    scan reuses it."""
+    made, make = [], energy.LocalIsoTable
 
-    def logging(fn):
-        def wrapper(n, shape2, shape1, *args):
-            calls.append((fn.__name__, "%s %s" % (shape2, shape1)))
-            return fn(n, shape2, shape1, *args)
-        return wrapper
+    def logging(n, shape2, shape1):
+        made.append("%s %s" % (shape2, shape1))
+        return make(n, shape2, shape1)
 
-    monkeypatch.setattr(energy, "build_local_table", logging(energy.build_local_table))
-    monkeypatch.setattr(energy, "load_table", logging(energy.load_table))
+    monkeypatch.setattr(energy, "LocalIsoTable", logging)
     s21, s12 = RectShape(2, 1), RectShape(1, 2)
     spec = CrystalSpec(3, (s21, S11, s12, S11), level=2, lam=LevelWeight(2, (1, 0, 0), 0))
     # left of right, then each factor against b0 (1x2)
     pairs = {(s21, S11), (s21, s12), (S11, s12), (S11, S11), (s12, S11)}
     pairs |= {(s, s12) for s in spec.shapes}
-    energy.set_cache_dir(str(tmp_path / "cache"))
-    try:
-        for round_ in ("build", "load"):
-            energy.clear_memory_tables()
-            calls.clear()
-            kostka_level(spec)
-            loads = sorted(key for name, key in calls if name == "load_table")
-            builds = sorted(key for name, key in calls if name == "build_local_table")
-            assert loads == sorted("%s %s" % pair for pair in pairs)
-            assert builds == (loads if round_ == "build" else [])
-    finally:
-        energy.set_cache_dir(None)
+    energy.local_table.cache_clear()
+    for round_ in ("make", "reuse"):
+        made.clear()
+        kostka_level(spec)
+        assert sorted(made) == (sorted("%s %s" % pair for pair in pairs) if round_ == "make" else [])
 
 
 def test_polynomial_type():

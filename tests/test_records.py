@@ -9,7 +9,7 @@ import pytest
 from reference_weights import AffineWeylElement
 
 from crystalpaths.bosonic import AlternatingSumResult
-from crystalpaths.energy import LocalIsoTable, build_local_table
+from crystalpaths.energy import LocalIsoTable
 from crystalpaths.kostka import CrystalSpec
 from crystalpaths.laurent import LaurentPoly
 from crystalpaths.paths import Path
@@ -20,12 +20,7 @@ from crystalpaths.weights import LevelWeight
 
 S11, S12 = RectShape(1, 1), RectShape(1, 2)
 T1, T2 = Tableau(2, ((1,),)), Tableau(2, ((2,),))
-TABLE = build_local_table(3, S12, S11)
-
-
-def table_fields(**changes):
-    fields = dict(zip(LocalIsoTable._fields, TABLE._values(TABLE)), **changes)
-    return tuple(fields.values())
+TABLE = LocalIsoTable(3, S12, S11)
 
 
 # class -> (constructor arguments, the same value spelled with lists where
@@ -38,10 +33,10 @@ CASES = {
         [],
     ),
     LocalIsoTable: (
-        table_fields(),
-        table_fields(shape2=(1, 2), shape1=(1, 1)),
-        table_fields(energy=(1,) + TABLE.energy[1:]),
-        [],
+        (3, S12, S11),
+        (3, [1, 2], (1, 1)),
+        (3, S11, S12),
+        [(3, (3, 1), S11)],
     ),
     CrystalSpec: (
         (2, (S11, S11), 1, LevelWeight(1, (0, 0)), None, S11),
@@ -145,5 +140,7 @@ def test_defaults_and_derived_slots():
     assert Tableau(3, ((1, 2), (2, 3))).shape == RectShape(2, 2)
     assert Tableau(4, ((1,), (2,), (4,))).shape == RectShape(3, 1)
     assert TABLE.width == len(RectCrystal(3, S11).elements) == 3
-    assert LocalIsoTable(*table_fields()).width == 3
-    assert len(TABLE.energy) == len(RectCrystal(3, S12).elements) * TABLE.width
+    assert TABLE.shape2 == S12 and type(LocalIsoTable(3, [1, 2], (1, 1)).shape2) is RectShape
+    assert TABLE.energy == TABLE.image1 == TABLE.image2 == [None] * (len(RectCrystal(3, S12).elements) * 3)
+    assert TABLE.fill(0) == 0 and TABLE.energy[0] == 0  # 1,1 (x) 1 is the highest pair
+    assert LocalIsoTable(3, S12, S11) == TABLE  # filled entries do not enter equality

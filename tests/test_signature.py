@@ -155,12 +155,13 @@ def literal_commutation_warnings(spec):
     z = tail.index[b0]
     warnings = []
     for shape in sorted(set(spec.shapes)):
-        table = energy.get_local_table(spec.n, shape, tail.shape)
+        table = energy.local_table(spec.n, shape, tail.shape)
         crystal = tableaux.RectCrystal(spec.n, shape)
         for x, b in enumerate(crystal.elements):
             if rc.raising_index([(crystal.eps[0][x], crystal.phi[0][x]), (tail.eps[0][z], tail.phi[0][z])]) != 0:
                 continue
             k = x * table.width + z
+            table.fill(k)
             y1, y2 = table.image1[k], table.image2[k]
             if rc.raising_index([(tail.eps[0][y1], tail.phi[0][y1]), (crystal.eps[0][y2], crystal.phi[0][y2])]) != 0:
                 warnings.append("0-raising side is not preserved through the local isomorphism "

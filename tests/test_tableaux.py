@@ -12,6 +12,7 @@ from reference_crystal import (
     reflect,
     simple_root,
 )
+from reference_weights import theta_vector
 
 from crystalpaths import tableaux as tx
 from crystalpaths.tableaux import (
@@ -22,7 +23,7 @@ from crystalpaths.tableaux import (
     highest_weight_tableau,
     parse_tableau,
 )
-from crystalpaths.weights import theta_vector, vsub
+from crystalpaths.weights import vsub
 
 SMALL_GRID = [
     (n, RectShape(k, l))
