@@ -27,8 +27,8 @@ tensor product is empty, which a sign-reversing pairing of the summands
 witnesses in a stream (:func:`level_zero_pairing`): a depth-first walk over
 the index paths of the orbits of the dominant read contents, graded as the
 scan grades (energy.grade), checks each pair at its plus summand, moving b
-to s_i e_i b by one string move (signature.string_steps), and must meet as
-many summands as the Schur product counts, at most PAIRING_LIMIT.
+to s_i e_i b by one bracket pass over its signs (:func:`_column_move`), and
+must meet as many summands as the Schur product counts, at most PAIRING_LIMIT.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .energy import carry_plan, grade, zero_side_moves
 from .kostka import CrystalSpec, kostka_level, scan_paths, schur_product
 from .laurent import LaurentPoly
 from .paths import Path, format_path, target_content
-from .signature import CertificateError, Record, string_steps
+from .signature import CertificateError, Record
 from .tableaux import RectShape
 from .weights import LevelWeight, dot, norm2, perm_sign, rho_vector, spread, times_reflection, vadd
 
@@ -146,6 +146,22 @@ def _orbit(product: dict, target, lamp_rho, content) -> list[tuple[int, ...]]:
     return [p for p, _ in level if p in product]
 
 
+def _orbit_points(n: int, target, bound: int, lam: LevelWeight, product: dict):
+    """Yield (tau, sign, beta, content, exponent) of the level-zero grid point
+    reading each content in the S_n orbit of a dominant read content: the
+    residue pass's at the dominant member; at another the same beta and
+    exponent, tau labelling each entry of v = content - target + rho alike."""
+    rho, dominant = rho_vector(n), _dominant_contents(lam, product)
+    base = [t - x for t, x in zip(target, rho)]
+    for tau, sign, beta, top, exponent in _fiber_points(n, rho, target, bound, dominant):
+        yield tau, sign, beta, top, exponent
+        label = dict(zip(map(operator.sub, top, base), tau))
+        for c in _orbit(product, target, rho, top):
+            if c != top:
+                t = tuple(map(label.__getitem__, map(operator.sub, c, base)))
+                yield t, perm_sign(t), beta, c, exponent
+
+
 def bosonic_report(spec: CrystalSpec, widen: int = 0) -> AlternatingSumResult:
     """Alternating-sum value of the level polynomial of the spec."""
     spec.validate()
@@ -238,17 +254,27 @@ def level_zero_identity(n: int, shapes: Sequence[RectShape]) -> dict:
     }
 
 
-def _raise_and_reflect(crystals, path, i: int, stats, content) -> Optional[tuple[list[int], list[int]]]:
-    """(s_i e_i b, the positions of the factors it moves) for a path b of
-    element indices of that content whose factors have the (eps_i, phi_i)
-    stats, or None when e_i kills b."""
-    # s_i e_i b = f_i^k b with k = phi_i(b) - eps_i(b) + 1 = <h_i, content> + 1
-    steps = string_steps(stats, content[i - 1] - content[i] + 1)
-    if steps is None:  # the move passes the end of the string exactly when eps_i = 0
+def _column_move(signs, lower, raise_, path, k: int) -> Optional[tuple[list[int], list[int]]]:
+    """(f_i^k b for k > 0 or e_i^-k b for k <= 0, the factors it moves) on a
+    path b of column factors with i-signs signs[j][x] and f_i, e_i arrays
+    lower[j], raise_[j]; None when the string ends first.  A - cancels the
+    nearest free + to its right; f_i moves the rightmost free +, e_i the
+    leftmost free -.  s_i e_i b = f_i^(<h_i, content> + 1) b if eps_i(b) > 0."""
+    plus, minus = [], []  # the free + signs, the - signs no + has cancelled yet
+    for j, s in enumerate(map(operator.getitem, signs, path)):
+        if s:
+            if s < 0:
+                minus.append(j)
+            elif minus:
+                del minus[-1]
+            else:
+                plus.append(j)
+    if k > len(plus) or -k > len(minus):
         return None
-    moved, changed = list(path), [j for j, step in enumerate(steps) if step]
+    changed, ops = (plus[len(plus) - k:], lower) if k > 0 else (minus[:-k], raise_)
+    moved = list(path)
     for j in changed:
-        moved[j] = crystals[j].move(path[j], i, steps[j])
+        moved[j] = ops[j][moved[j]]
     return moved, changed
 
 
@@ -261,7 +287,8 @@ def _choice_index(crystal, x: int) -> int:
     raise CertificateError("finite affine crystals admit some raising operator")
 
 
-PAIRING_LIMIT = 10 ** 7  # the most summands a pairing walks: about 100 s at roughly 10 us each
+SUMMAND_US = 6  # the pairing's cost per summand in microseconds (n=3, 12 1x1 factors, 2-core x86_64)
+PAIRING_LIMIT = 10 ** 7  # the most summands a pairing walks, about a minute at SUMMAND_US each
 
 
 def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, int]:
@@ -284,16 +311,19 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
     def code(content) -> int:
         return sum(map(operator.lshift, content, range(0, n * width, width)))
 
-    rho, product = rho_vector(n), schur_product(n, tuple(sorted(shapes)))
-    dominant = _fiber_points(n, rho, target, bound, _dominant_contents(spec.lam, product))
-    orbits = (c for *_, top, _ in dominant for c in _orbit(product, target, rho, top))
+    product = schur_product(n, tuple(sorted(shapes)))
     read = {guard + code(c): ((beta, tau), sign, exponent, c)
-            for tau, sign, beta, c, exponent in _fiber_points(n, rho, target, bound, orbits)}
+            for tau, sign, beta, c, exponent in _orbit_points(n, target, bound, spec.lam, product)}
     total = sum(product[entry[3]] for entry in read.values())  # the summands, by the Schur product
     if total > PAIRING_LIMIT:
         raise ValueError("the pairing would walk %d summands (about %d s), over its limit of %d"
-                         % (total, total // 100000, PAIRING_LIMIT))
+                         % (total, total * SUMMAND_US // 10 ** 6, PAIRING_LIMIT))
     crystals = [tableaux.RectCrystal(n, s) for s in shapes]
+    if not all(a + b <= 1 and (y >= 0) == a and (z >= 0) == b for c in crystals for i in range(n)
+               for a, b, y, z in zip(c.eps[i], c.phi[i], c.e[i], c.f[i])):
+        raise CertificateError("a factor is not a column crystal, e_i defined on its - signs, f_i on its +")
+    moves = [([tuple(map(operator.sub, c.phi[i], c.eps[i])) for c in crystals],
+              [c.f[i] for c in crystals], [c.e[i] for c in crystals]) for i in range(n)]
     codes = [list(map(code, crystal.content)) for crystal in crystals]
     # ends[j]: the codes of the prefixes of j + 1 factors that some suffix completes to a read content
     ends = [set(read)]
@@ -302,7 +332,6 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
     # kids[j][p]: (x, p + code of x) for each element x of factor j that keeps the prefix in ends[j]
     kids = [{p: [(x, p + d) for x, d in enumerate(steps) if p + d in ends[j]] for p in before}
             for j, (steps, before) in enumerate(zip(codes, [{guard}] + ends))]
-    columns = [[tuple(zip(c.eps[i], c.phi[i])) for c in crystals] for i in range(n)]
     choice = [_choice_index(crystals[-1], x) for x in range(len(codes[-1]))]
     kinds, plan = carry_plan(n, shapes)
 
@@ -315,12 +344,11 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
         raise CertificateError("%s at beta=%s tau=%s path=%s"
                                % (reason, *point, format_path(Path(n, factors))))
 
-    last = len(crystals) - 1
-    path = [0] * (last + 1)
+    last, path = len(crystals) - 1, [0] * len(crystals)
     # the energy and carried elements of the prefix of each length
     energies, carries = [0] * (last + 2), [(-1,) * kinds] * (last + 2)
     plus = minus = 0
-    signed: dict[int, int] = {}
+    signed, checked = {}, {}  # exponent -> signed count; (q, i, q2) -> the read entry at q2, checked
     stack = [iter(kids[0][guard])]
     while stack:
         j = len(stack) - 1
@@ -336,15 +364,24 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
             signed[exponent] = signed.get(exponent, 0) + sign
             if sign > 0:
                 i = choice[x]
-                stats = list(map(operator.getitem, columns[i], path))
-                found = _raise_and_reflect(crystals, path, i, stats, content)
+                found = _column_move(*moves[i], path, content[i - 1] - content[i] + 1)
                 if found is None:
                     fail("tensor statistics dominate the rightmost factor")
                 moved, changed = found
-                image = times_reflection(*point, i)  # the grid point of t_beta tau r_i
-                at = read.get(q + sum(codes[k][moved[k]] - codes[k][path[k]] for k in changed))
-                if not changed or at is None or at[0] != image:
-                    fail("pairing image violates the weight condition")
+                q2 = q
+                for k in changed:
+                    q2 += codes[k][moved[k]] - codes[k][path[k]]
+                at = checked.get((q, i, q2))
+                if at is None:  # the checks that depend on q, i and q2 alone run once per key
+                    image = times_reflection(*point, i)  # the grid point of t_beta tau r_i
+                    at = read.get(q2)
+                    if not changed or at is None or at[0] != image:  # an empty move's key never passes
+                        fail("pairing image violates the weight condition")
+                    if at[1] != -sign:
+                        fail("pairing does not reverse the sign")
+                    if times_reflection(*image, i) != point:
+                        fail("pairing is not an involution")
+                    checked[q, i, q2] = at
                 # regrade from the first moved factor until the carried elements
                 # are the path's again; from there on both gain the same energy
                 k, energy, carried = changed[0], energies[changed[0]], carries[changed[0]]
@@ -354,19 +391,16 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
                     k += 1
                 if at[2] + energy + energies[last + 1] - energies[k] != exponent:
                     fail("pairing does not preserve the q-exponent")
-                if at[1] != -sign:
-                    fail("pairing does not reverse the sign")
                 if choice[moved[-1]] != i:
                     fail("choice index is not constant on the pair")
-                stats = list(map(operator.getitem, columns[i], moved))
-                back = _raise_and_reflect(crystals, moved, i, stats, at[3])
-                if back is None or back[0] != path or times_reflection(*image, i) != point:
+                back = _column_move(*moves[i], moved, at[3][i - 1] - at[3][i] + 1)
+                if back is None or back[0] != path:
                     fail("pairing is not an involution")
                 plus += 1
             else:
                 minus += 1
             if collect:
-                collect((*point, tuple(path)), exponent, None if sign < 0 else (*image, tuple(moved)))
+                collect((*point, tuple(path)), exponent, None if sign < 0 else (*at[0], tuple(moved)))
         else:
             stack.pop()
     if plus != minus:

@@ -8,10 +8,8 @@ factor y and right factor x the statistics combine as
 
 and a raising operator acts on x when phi(x) >= eps(y), a lowering operator
 when phi(x) > eps(y); otherwise the action passes into y.  In signs: a
-factor reads +^phi -^eps, a - cancels the nearest free + to its right, and
-e_i turns the leftmost free - into a +, f_i^k the k rightmost free + signs
-into -, each in one pass over the factors.  As phi_i - eps_i adds over the
-factors, s_i e_i b = f_i^(phi_i(b) - eps_i(b) + 1) b whenever eps_i(b) >= 1.
+factor reads +^phi -^eps, a - cancels the nearest free + to its right, e_i
+turns the leftmost free - into a + and f_i the rightmost free + into a -.
 
 The module also holds what every other module shares: CertificateError, and
 Record, the immutable value base of the package's small classes.
@@ -95,35 +93,3 @@ def lowering_index(stats: Sequence[Stats]) -> Optional[int]:
         else:
             eps += e - p
     return pos
-
-
-def string_steps(stats: Sequence[Stats], k: int) -> Optional[list[int]]:
-    """Per factor, the steps of f_i^k for k > 0, or of e_i^-k for k < 0 as
-    negative steps; None when the string of the product ends before |k|
-    steps."""
-    free, against = [], 0  # (factor, its free signs of the move), in reading order
-    if k > 0:  # + signs, read left to right against the eps of the prefix
-        sign = 1
-        for j, (e, p) in enumerate(stats):
-            if p > against:
-                free.append((j, p - against))
-                against = e
-            else:
-                against += e - p
-    else:  # - signs, read right to left against the phi of the suffix
-        sign, k = -1, -k
-        for j in range(len(stats) - 1, -1, -1):
-            e, p = stats[j]
-            if e > against:
-                free.append((j, e - against))
-                against = p
-            else:
-                against += p - e
-    steps = [0] * len(stats)
-    for j, f in reversed(free):  # the rightmost free + signs, or the leftmost free - signs
-        if f >= k:
-            steps[j] = sign * k
-            return steps
-        steps[j] = sign * f
-        k -= f
-    return None if k else steps

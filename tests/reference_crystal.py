@@ -7,11 +7,16 @@ properties of these maps on Tableau objects through the plain functions
 below, and weight changes through simple_root.
 
 The program reads the signature rule of a tensor product in single passes
-(signature.raising_index, lowering_index, string_steps).  The references at
-the end are the rule as first written: the two-factor combination folded
-into a list of prefix statistics, the crystal reflection recursing on the
-mirrored product when eps > phi, and the level-zero pairing's move as a
-raising followed by a separate reflection.
+(signature.raising_index, lowering_index), and the level-zero pairing moves
+a path of column factors by one bracket pass over their signs
+(bosonic._column_move).  The references at the end are the rule as first
+written: the two-factor combination folded into a list of prefix
+statistics, the crystal reflection recursing on the mirrored product when
+eps > phi, and the level-zero pairing's move as a raising followed by a
+separate reflection.  Between the two stand the general string move
+string_steps on any factors' (eps_i, phi_i) and the pairing's move built on
+it, string_raise_and_reflect, which the pairing used before it was
+restricted to columns.
 """
 
 from itertools import accumulate
@@ -146,3 +151,49 @@ def raise_and_reflect(crystals, path: tuple[int, ...], i: int) -> Optional[tuple
     raised[pos] = crystals[pos].move(path[pos], i, -1)
     stats = [(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, raised)]
     return tuple(c.move(x, i, k) if k else x for c, x, k in zip(crystals, raised, reflection_steps(stats)))
+
+
+def string_steps(stats, k: int) -> Optional[list[int]]:
+    """Per factor, the steps of f_i^k for k > 0, or of e_i^-k for k < 0 as
+    negative steps; None when the string of the product ends before |k|
+    steps."""
+    free, against = [], 0  # (factor, its free signs of the move), in reading order
+    if k > 0:  # + signs, read left to right against the eps of the prefix
+        sign = 1
+        for j, (e, p) in enumerate(stats):
+            if p > against:
+                free.append((j, p - against))
+                against = e
+            else:
+                against += e - p
+    else:  # - signs, read right to left against the phi of the suffix
+        sign, k = -1, -k
+        for j in range(len(stats) - 1, -1, -1):
+            e, p = stats[j]
+            if e > against:
+                free.append((j, e - against))
+                against = p
+            else:
+                against += p - e
+    steps = [0] * len(stats)
+    for j, f in reversed(free):  # the rightmost free + signs, or the leftmost free - signs
+        if f >= k:
+            steps[j] = sign * k
+            return steps
+        steps[j] = sign * f
+        k -= f
+    return None if k else steps
+
+
+def string_raise_and_reflect(crystals, path, i: int, stats, content) -> Optional[tuple[list[int], list[int]]]:
+    """(s_i e_i b, the positions of the factors it moves) for a path b of
+    element indices of that content whose factors have the (eps_i, phi_i)
+    stats, or None when e_i kills b."""
+    # s_i e_i b = f_i^k b with k = phi_i(b) - eps_i(b) + 1 = <h_i, content> + 1
+    steps = string_steps(stats, content[i - 1] - content[i] + 1)
+    if steps is None:  # the move passes the end of the string exactly when eps_i = 0
+        return None
+    moved, changed = list(path), [j for j, step in enumerate(steps) if step]
+    for j in changed:
+        moved[j] = crystals[j].move(path[j], i, steps[j])
+    return moved, changed

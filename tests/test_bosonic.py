@@ -549,6 +549,71 @@ def test_certificate_refuses_a_walk_short_of_the_schur_count(monkeypatch):
         level_zero_pairing(n, shapes)
 
 
+def plus_keys(n, shapes):
+    """(content, choice index) of each plus summand, in the order the walk
+    checks them: the pairing's per-key checks depend on these alone."""
+    crystals = [tableaux.RectCrystal(n, s) for s in shapes]
+    keys = []
+
+    def collect(summand, exponent, image):
+        if image is not None:
+            path = summand[2]
+            content = functools.reduce(vadd, (c.content[x] for c, x in zip(crystals, path)))
+            keys.append((content, bosonic._choice_index(crystals[-1], path[-1])))
+
+    bosonic._level_zero_certificate(bosonic._level_zero_spec(n, shapes), collect=collect)
+    return keys
+
+
+def test_certificate_checks_a_late_back_move(monkeypatch):
+    """The back move is checked at every plus summand, not once per key: a
+    column move that returns a wrong path only at the back move of a late
+    plus summand, whose key's checks passed at an earlier summand, makes the
+    certificate raise CertificateError, also under python -O."""
+    n, shapes = 3, (S11,) * 6
+    keys = plus_keys(n, shapes)
+    late = max(p for p, key in enumerate(keys) if key in keys[:p])
+    assert late > len(set(keys)), (late, len(set(keys)))
+    calls, real = itertools.count(), bosonic._column_move
+
+    def wrong_late_back_move(*args):
+        found = real(*args)
+        if next(calls) == 2 * late + 1:  # the forward and the back move of each plus summand
+            return list(args[-2]), found[1]  # the path it started from, not the one it moves to
+        return found
+
+    monkeypatch.setattr(bosonic, "_column_move", wrong_late_back_move)
+    with pytest.raises(CertificateError, match="pairing is not an involution"):
+        level_zero_pairing(n, shapes)
+
+
+def test_certificate_checks_the_image_of_a_late_key(monkeypatch):
+    """The image point is checked once per key, and for every key: a
+    times_reflection that returns the point itself, not t_beta tau r_i, only
+    at the image of the last key the walk meets makes the certificate raise
+    CertificateError, also under python -O."""
+    n, shapes = 3, (S11,) * 6
+    keys = plus_keys(n, shapes)
+    calls, real = [], bosonic.times_reflection
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bosonic, "times_reflection", counting)
+    level_zero_pairing(n, shapes)
+    # each key reflects its point to the image and the image back, once
+    assert len(calls) == 2 * len(set(keys)) < 2 * len(keys), (len(calls), len(keys))
+    late, seen = len(calls) - 2, itertools.count()
+
+    def wrong_late_image(beta, tau, i):
+        return (beta, tau) if next(seen) == late else real(beta, tau, i)
+
+    monkeypatch.setattr(bosonic, "times_reflection", wrong_late_image)
+    with pytest.raises(CertificateError, match="pairing image violates the weight condition"):
+        level_zero_pairing(n, shapes)
+
+
 def schur_summands(n, shapes):
     """The summands of the level-zero pairing by the Schur count over the
     residue pass of every product content, without a walk."""
@@ -723,16 +788,18 @@ def test_dominant_contents_with_and_without_a_finite_weight():
 
 
 def pairing_grid(monkeypatch, n, shapes):
-    """content -> (tau, sign, beta, exponent) of the points of the last fibre
-    walk that the pairing starts, from which it builds its read map, and the
-    (content -> (beta, tau)) of the summands its walk meets."""
+    """content -> (tau, sign, beta, exponent) of the points from which the
+    pairing builds its read map (the dominant members' from the residue
+    pass, the other orbit members' derived from them), and the (content ->
+    (beta, tau)) of the summands its walk meets."""
     calls, met = [], {}
+    orbit_points = bosonic._orbit_points
 
     def recording(*args):
         calls.append(points := [])
 
         def walk():
-            for point in _fiber_points(*args):
+            for point in orbit_points(*args):
                 points.append(point)
                 yield point
         return walk()
@@ -742,7 +809,7 @@ def pairing_grid(monkeypatch, n, shapes):
         met[functools.reduce(vadd, (c.content[x] for c, x in zip(crystals, path)))] = (beta, tau)
 
     crystals = [tableaux.RectCrystal(n, s) for s in shapes]
-    monkeypatch.setattr(bosonic, "_fiber_points", recording)
+    monkeypatch.setattr(bosonic, "_orbit_points", recording)
     try:
         bosonic._level_zero_certificate(bosonic._level_zero_spec(n, shapes), collect=collect)
     finally:
@@ -762,9 +829,10 @@ def assert_pairing_grid_is_full(monkeypatch, n, shapes):
 
 
 def test_pairing_grid_from_orbits_matches_full_residue_pass(monkeypatch):
-    """On every column product of the grid, the pairing's read map, built
+    """On every column product of the grid, the pairing's read map, taken
     from the orbits of the dominant read contents, equals the residue pass
-    over every content of the product, and the walk meets each of them."""
+    over every content of the product point for point (tau, sign, beta,
+    exponent), and the walk meets each of them."""
     for n, shapes in PAIRING_GRID:
         assert_pairing_grid_is_full(monkeypatch, n, shapes)
 

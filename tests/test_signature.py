@@ -1,6 +1,8 @@
 """The single-pass signature rule against the literal folds of
 reference_crystal: the operator indices, the statistics of the product, the
-string move f_i^k / e_i^-k, and the level-zero pairing's move s_i e_i."""
+string move f_i^k / e_i^-k, and the level-zero pairing's move s_i e_i, both
+as the general string move of the reference and as the pairing's bracket
+pass over column factors (bosonic._column_move)."""
 
 import itertools
 
@@ -9,10 +11,13 @@ import reference_paths as rp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+from test_bosonic import PAIRING_GRID
+
 from crystalpaths import bosonic, energy, tableaux
 from crystalpaths.kostka import CrystalSpec
 from crystalpaths.paths import Path
-from crystalpaths.signature import fold_stats, lowering_index, raising_index, string_steps
+from crystalpaths.signature import CertificateError, fold_stats, lowering_index, raising_index
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import LevelWeight
 
@@ -45,7 +50,7 @@ def test_index_folds_match_literal_folds(stats):
     assert lowering_index(stats) == rc.lowering_index(stats)
     assert fold_stats(stats) == rc.fold_stats(stats)
     eps, phi = rc.fold_stats(stats)
-    assert string_steps(stats, phi - eps) == rc.reflection_steps(stats)
+    assert rc.string_steps(stats, phi - eps) == rc.reflection_steps(stats)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -64,7 +69,7 @@ def test_string_steps_match_single_steps_on_statistics(stats):
                 break
             e, p = walk[j]
             walk[j], steps[j] = ((e + 1, p - 1), steps[j] + 1) if k > 0 else ((e - 1, p + 1), steps[j] - 1)
-        assert string_steps(stats, k) == steps, k
+        assert rc.string_steps(stats, k) == steps, k
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -83,7 +88,7 @@ def test_string_steps_match_repeated_operators(case, data):
         want = (rp.f if k > 0 else rp.e)(want, i)
         if want is None:
             break
-    steps = string_steps(stats, k)
+    steps = rc.string_steps(stats, k)
     if want is None:
         assert steps is None
     else:
@@ -91,12 +96,15 @@ def test_string_steps_match_repeated_operators(case, data):
         assert as_path(crystals, moved) == want
 
 
+def path_content(crystals, path):
+    return [sum(column) for column in zip(*(c.content[x] for c, x in zip(crystals, path)))]
+
+
 def moved_path(crystals, path, i):
-    """bosonic._raise_and_reflect as a tuple path, None where e_i kills it,
+    """rc.string_raise_and_reflect as a tuple path, None where e_i kills it,
     after checking that it names exactly the factors it moves."""
     stats = [(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, path)]
-    content = [sum(column) for column in zip(*(c.content[x] for c, x in zip(crystals, path)))]
-    found = bosonic._raise_and_reflect(crystals, path, i, stats, content)
+    found = rc.string_raise_and_reflect(crystals, path, i, stats, path_content(crystals, path))
     if found is None:
         return None
     moved, changed = found
@@ -126,6 +134,94 @@ def test_raise_and_reflect_exhaustive_on_mixed_products():
                 assert got == rc.raise_and_reflect(crystals, path, i), (n, shapes, path, i)
                 seen.add(got is None)
     assert seen == {True, False}
+
+
+def column_move_args(crystals, i):
+    """The i-signs, f_i arrays and e_i arrays that the pairing hands
+    bosonic._column_move for these factor crystals."""
+    return ([tuple(p - e for e, p in zip(c.eps[i], c.phi[i])) for c in crystals],
+            [c.f[i] for c in crystals], [c.e[i] for c in crystals])
+
+
+def string_move(crystals, path, i, k):
+    """f_i^k (k > 0) or e_i^-k (k <= 0) of a path by the reference string
+    move and RectCrystal.move, with the factors it moves; None when the
+    string ends first."""
+    steps = rc.string_steps([(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, path)], k)
+    if steps is None:
+        return None
+    return ([c.move(x, i, s) for c, x, s in zip(crystals, path, steps)],
+            [j for j, s in enumerate(steps) if s])
+
+
+def test_column_move_matches_string_steps_on_the_pairing_grid():
+    """On every path and every i of every column product of the pairing's
+    grid, the bracket pass moving s_i e_i b = f_i^(<h_i, content> + 1) b
+    equals the reference string move, the moved factors included: the
+    killed case (None), the k <= 0 case and the moved case all occur."""
+    seen = set()
+    for n, shapes in PAIRING_GRID:
+        crystals = [tableaux.RectCrystal(n, s) for s in shapes]
+        args = [column_move_args(crystals, i) for i in range(n)]
+        for path in itertools.product(*(range(len(c.elements)) for c in crystals)):
+            content = path_content(crystals, path)
+            for i in range(n):
+                k = content[i - 1] - content[i] + 1
+                got = bosonic._column_move(*args[i], path, k)
+                assert got == string_move(crystals, path, i, k), (n, shapes, path, i)
+                stats = [(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, path)]
+                assert got == rc.string_raise_and_reflect(crystals, path, i, stats, content)
+                seen.add("killed" if got is None else "k <= 0" if k <= 0 else "moved")
+    assert seen == {"killed", "k <= 0", "moved"}
+
+
+@st.composite
+def column_paths(draw):
+    """(crystals, path of element indices) of one to six column factors
+    with n <= 5."""
+    n = draw(st.integers(2, 5))
+    shapes = draw(st.lists(st.integers(1, n - 1).map(lambda r: RectShape(r, 1)), min_size=1, max_size=6))
+    crystals = [tableaux.RectCrystal(n, s) for s in shapes]
+    return crystals, tuple(draw(st.integers(0, len(c.elements) - 1)) for c in crystals)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(column_paths())
+def test_column_move_matches_string_steps_at_every_power(case):
+    """On random column paths, the bracket pass equals the reference string
+    move for every i and every power k from one step past the e-end of the
+    string to one step past its f-end."""
+    crystals, path = case
+    for i in range(crystals[0].n):
+        eps, phi = rc.fold_stats([(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, path)])
+        for k in range(-eps - 1, phi + 2):
+            got = bosonic._column_move(*column_move_args(crystals, i), path, k)
+            assert got == string_move(crystals, path, i, k), (path, i, k)
+
+
+@pytest.mark.parametrize("n, shapes", [(2, ("1x2",)), (3, ("1x1", "1x2"))])
+def test_column_move_precondition_refuses_a_row_factor(n, shapes):
+    """A 1x2 factor has elements with eps_i + phi_i = 2, two signs where the
+    bracket pass reads one: the certificate refuses it at setup with
+    CertificateError, also under python -O."""
+    shapes = tuple(RectShape.parse(s) for s in shapes)
+    row = tableaux.RectCrystal(n, RectShape(1, 2))
+    assert any(a + b == 2 for i in range(n) for a, b in zip(row.eps[i], row.phi[i]))
+    spec = CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
+    with pytest.raises(CertificateError, match="not a column crystal"):
+        bosonic._level_zero_certificate(spec)
+
+
+def test_column_move_precondition_refuses_arrays_off_the_signs(monkeypatch):
+    """A column crystal whose e_i is undefined where eps_i = 1 would send the
+    bracket pass to index -1: the certificate refuses it at setup with
+    CertificateError, also under python -O."""
+    crystal = tableaux.RectCrystal(2, RectShape(1, 1))
+    assert any(crystal.eps[1])
+    monkeypatch.setattr(crystal, "e", [(-1, -1), (-1, -1)])
+    spec = CrystalSpec(2, (RectShape(1, 1),) * 2, level=0, lam=LevelWeight.vacuum(2, 0))
+    with pytest.raises(CertificateError, match="not a column crystal"):
+        bosonic._level_zero_certificate(spec)
 
 
 def test_commutation_warnings_match_literal_rule():
