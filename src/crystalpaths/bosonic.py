@@ -44,7 +44,8 @@ from .laurent import LaurentPoly
 from .paths import Path, format_path, target_content
 from .signature import CertificateError, Record
 from .tableaux import RectShape
-from .weights import LevelWeight, dot, norm2, perm_sign, rho_vector, spread, times_reflection, vadd
+from .weights import (LevelWeight, dot, guard_code, norm2, pack, perm_sign, rho_vector, spread,
+                      times_reflection, vadd)
 
 
 class AlternatingSumResult(Record):
@@ -303,16 +304,10 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
     target = target_content(spec.lam, spec.lam, spec.total_boxes())
     if target is None:  # every fiber is empty and the certificate holds vacuously
         return bound, 0, 0
-    # content c is coded as sum_k (g + c_k) 2g^k with a guard bit g above every entry: codes add
-    # and subtract entrywise, and a difference of contents is nonnegative when no guard bit clears
-    width = spec.total_boxes().bit_length() + 1
-    guard = sum(1 << (k * width + width - 1) for k in range(n))
-
-    def code(content) -> int:
-        return sum(map(operator.lshift, content, range(0, n * width, width)))
-
+    # contents in the guard-bit code: the prefix p - d is nonnegative when no guard bit clears
+    width, guard = guard_code(n, spec.total_boxes())
     product = schur_product(n, tuple(sorted(shapes)))
-    read = {guard + code(c): ((beta, tau), sign, exponent, c)
+    read = {guard + pack(c, width): ((beta, tau), sign, exponent, c)
             for tau, sign, beta, c, exponent in _orbit_points(n, target, bound, spec.lam, product)}
     total = sum(product[entry[3]] for entry in read.values())  # the summands, by the Schur product
     if total > PAIRING_LIMIT:
@@ -324,7 +319,7 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
         raise CertificateError("a factor is not a column crystal, e_i defined on its - signs, f_i on its +")
     moves = [([tuple(map(operator.sub, c.phi[i], c.eps[i])) for c in crystals],
               [c.f[i] for c in crystals], [c.e[i] for c in crystals]) for i in range(n)]
-    codes = [list(map(code, crystal.content)) for crystal in crystals]
+    codes = [[pack(c, width) for c in crystal.content] for crystal in crystals]
     # ends[j]: the codes of the prefixes of j + 1 factors that some suffix completes to a read content
     ends = [set(read)]
     for steps in reversed(codes[1:]):

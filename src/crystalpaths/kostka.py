@@ -16,12 +16,12 @@ level-l crystal, resolved once per scan.
 
 A scan places the factors leftmost first, appends the b0 tail last, and
 grades each path as it grows (energy.grade), carrying one element per
-shape.  A state is (carried elements, prefix content) -> {energy: count}:
-at most prod_s |B_s| times the number of contents.  The target content
-fixes the content right of each factor x; phi_i of that suffix tensored
-with u is then <h_i, Lambda> plus a linear function of that content, and by
-the signature rule the path is highest exactly when eps_i(x) <= phi_i at
-every x.
+shape.  The target content fixes the content R right of each factor x, and
+phi_i of that suffix tensored with u is D_i = <h_i, Lambda> + R_i-1 - R_i;
+by the signature rule the path is highest exactly when eps_i(x) <= D_i at
+every x.  A state is (carried elements, R and the D_i packed into one int
+with a guard bit atop each field) -> {energy: count}, and x passes by one
+test of the guard bits (weights.guard_code, at a width the spec bounds).
 
 An independent q=1 oracle expands the product of Schur polynomials by brute
 force (:func:`schur_product`, which also counts the paths of each content)
@@ -31,7 +31,6 @@ and peels off leading terms, never touching crystal operators.
 from __future__ import annotations
 
 import functools
-import operator
 from typing import Iterable, Optional, Sequence
 
 from . import tableaux
@@ -40,7 +39,7 @@ from .laurent import LaurentPoly
 from .paths import normalize_content, target_content
 from .signature import Record
 from .tableaux import RectShape, Tableau
-from .weights import LevelWeight
+from .weights import LevelWeight, guard_code, pack
 
 
 class CrystalSpec(Record):
@@ -54,15 +53,9 @@ class CrystalSpec(Record):
     lam_prime: Optional[LevelWeight]
     b0_shape: Optional[RectShape]
 
-    def __init__(
-        self,
-        n: int,
-        shapes: Sequence[RectShape],
-        level: Optional[int] = None,
-        lam: Optional[LevelWeight] = None,
-        lam_prime: Optional[LevelWeight] = None,
-        b0_shape: Optional[RectShape] = None,
-    ):
+    def __init__(self, n: int, shapes: Sequence[RectShape], level: Optional[int] = None,
+                 lam: Optional[LevelWeight] = None, lam_prime: Optional[LevelWeight] = None,
+                 b0_shape: Optional[RectShape] = None):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "shapes", tuple(RectShape(*s) for s in shapes))
         object.__setattr__(self, "level", level)
@@ -75,9 +68,7 @@ class CrystalSpec(Record):
             raise ValueError("rank must be at least 2, got %d" % self.n)
         for s in self.shapes:
             if not 1 <= s.rows <= self.n - 1:
-                raise ValueError(
-                    "factor height %d must lie in 1..%d (below the rank)" % (s.rows, self.n - 1)
-                )
+                raise ValueError("factor height %d must lie in 1..%d (below the rank)" % (s.rows, self.n - 1))
             if s.cols < 1:
                 raise ValueError("factor width must be positive, got %d" % s.cols)
         if self.level is not None:
@@ -85,10 +76,8 @@ class CrystalSpec(Record):
                 raise ValueError("level must be at least 1, got %d" % self.level)
             for s in self.shapes:
                 if s.cols > self.level:
-                    raise ValueError(
-                        "factor %s has level %d exceeding the spec level %d"
-                        % (s, s.cols, self.level)
-                    )
+                    raise ValueError("factor %s has level %d exceeding the spec level %d"
+                                     % (s, s.cols, self.level))
         for name, w in (("Lambda", self.lam), ("LambdaPrime", self.lam_prime)):
             if w is None:
                 continue
@@ -106,10 +95,8 @@ class CrystalSpec(Record):
             if not 1 <= self.b0_shape.rows <= self.n - 1:
                 raise ValueError("b0 height %d must be below the rank" % self.b0_shape.rows)
             if self.b0_shape.cols != self.level:
-                raise ValueError(
-                    "b0 shape %s must have width equal to the level %d"
-                    % (self.b0_shape, self.level)
-                )
+                raise ValueError("b0 shape %s must have width equal to the level %d"
+                                 % (self.b0_shape, self.level))
 
     def total_boxes(self) -> int:
         return sum(s.rows * s.cols for s in self.shapes)
@@ -146,55 +133,59 @@ class CrystalSpec(Record):
 
 
 @functools.cache
-def _scan_elements(n: int, shape: RectShape, affine: bool) -> tuple:
-    """(element, content, eps_i for the restricted i) per element, once per key."""
-    crystal = tableaux.RectCrystal(n, shape)
-    return tuple(zip(range(len(crystal.content)), crystal.content, zip(*crystal.eps[0 if affine else 1:])))
+def _scan_table(n: int, shape: RectShape, affine: bool, width: int) -> tuple:
+    """(x, N_x, M_x) per element x of B(shape) in scan_paths' code of that width."""
+    crystal, indices = tableaux.RectCrystal(n, shape), range(0 if affine else 1, n)
+    steps = [[c[i - 1] - c[i] for i in indices] for c in crystal.content]
+    need = [[crystal.eps[i][x] + d for i, d in zip(indices, s)] for x, s in enumerate(steps)]
+    return tuple((x, pack([*c, *need[x]], width), pack([*c, *steps[x]], width))
+                 for x, c in enumerate(crystal.content))
 
 
-def scan_paths(
-    n: int,
-    shapes: Sequence[RectShape],
-    target: tuple[int, ...],
-    lam: LevelWeight,
-    affine: bool,
-    b0_tail: tuple[Tableau, ...] = (),
-) -> LaurentPoly:
+def scan_paths(n: int, shapes: Sequence[RectShape], target: tuple[int, ...], lam: LevelWeight,
+               affine: bool, b0_tail: tuple[Tableau, ...] = ()) -> LaurentPoly:
     """Sum of q^(energy of the path followed by b0_tail, at most one factor)
     over the paths of content target whose tensor with the highest vector of
     lam is highest: killed by every e_i when affine, by the classical e_i
-    (i = 1..n-1) otherwise."""
+    (i = 1..n-1) otherwise.
+
+    The state int H packs R = target - prefix content and D_i = R_i-1 - R_i
+    + <h_i, lam> per restricted i (R_-1 = R_n-1).  Element x of content c
+    passes iff no field of H - N_x is negative, N_x = (c, eps_i(x) + c_i-1 -
+    c_i), and leads to H - M_x, M_x = (c, c_i-1 - c_i).  The fields of a
+    surviving state lie in [0, boxes + <h_i, lam>], of the first state within
+    boxes + |<h_i, lam>| of 0, of N_x in [-cells, 2 cells]: the code's bound."""
     shapes = tuple(RectShape(*s) for s in shapes)
     if len(b0_tail) > 1:
         raise ValueError("the scan appends at most one tail factor")
-    if min(target) < 0 or sum(target) != sum(s.rows * s.cols for s in shapes):
+    boxes = sum(s.rows * s.cols for s in shapes)
+    if min(target) < 0 or sum(target) != boxes:
         return LaurentPoly.zero()  # no path has this content
     indices = range(0 if affine else 1, n)
-    phi0 = tuple(map(lam.pairing, indices))
-    steps = [(shape, _scan_elements(n, shape, affine)) for shape in shapes]
-    for b0 in b0_tail:  # graded against, but neither counted nor restricted
-        steps.append((b0.shape, [(tableaux.RectCrystal(n, b0.shape).index[b0], (0,) * n, ())]))
-    kinds, plan = carry_plan(n, [shape for shape, _ in steps])
-    # (carried, prefix content) -> {energy: count}; carried[s] is the latest
-    # factor of kind s carried right past every later factor, -1 before the first
-    states = {((-1,) * kinds, (0,) * n): {0: 1}}
-    for (_, elements), step in zip(steps, plan):
+    lam_i = list(map(lam.pairing, indices))
+    width, guard = guard_code(n + len(indices), boxes + max(map(abs, lam_i), default=0)
+                              + 2 * max((s.rows * s.cols for s in shapes), default=0))
+    steps = [(guard, _scan_table(n, shape, affine, width)) for shape in shapes]
+    for b0 in b0_tail:  # graded against, but neither counted nor restricted: no guard bit tested
+        steps.append((0, [(tableaux.RectCrystal(n, b0.shape).index[b0], 0, 0)]))
+    kinds, plan = carry_plan(n, shapes + tuple(b0.shape for b0 in b0_tail))
+    start = pack([*target, *(target[i - 1] - target[i] + p for i, p in zip(indices, lam_i))], width)
+    # (carried, H) -> {energy: count}; carried[s] is the latest factor of
+    # kind s carried right past every later factor, -1 before the first
+    states = {((-1,) * kinds, start): {0: 1}}
+    for (mask, elements), step in zip(steps, plan):
         grown: dict[tuple, dict[int, int]] = {}
-        for (carried, prefix), energies in states.items():
-            for x, content, eps in elements:
-                total = tuple(map(operator.add, prefix, content))
-                # a highest suffix of content rest has phi_i = <h_i, Lambda + rest>
-                rest = tuple(map(operator.sub, target, total))
-                if min(rest) < 0 or any(
-                    e > p + rest[i - 1] - rest[i] for i, e, p in zip(indices, eps, phi0)
-                ):
+        for (carried, state), energies in states.items():
+            top = state + mask
+            for x, need, move in elements:
+                if (top - need) & mask != mask:
                     continue
                 h, moved = grade(step, x, carried)
-                bucket = grown.setdefault((moved, total), {})
+                bucket = grown.setdefault((moved, state - move), {})
                 for e, count in energies.items():
                     bucket[e + h] = bucket.get(e + h, 0) + count
         states = grown
-    # every surviving state has prefix content target
+    # every surviving state has remaining content zero
     return LaurentPoly([pair for energies in states.values() for pair in energies.items()])
 
 

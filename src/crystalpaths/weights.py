@@ -39,6 +39,18 @@ def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(map(operator.sub, a, b))
 
 
+def guard_code(fields: int, bound: int) -> tuple[int, int]:
+    """(width, guard) of a code of `fields` ints, field k at bit k * width (:func:`pack`), guard the
+    top bit of every field.  If each field of a - b lies in [-bound, bound], no borrow crosses a
+    field of a + guard - b, whose guard bit is set exactly where a - b is nonnegative."""
+    width = bound.bit_length() + 1
+    return width, sum(1 << (k * width + width - 1) for k in range(fields))
+
+
+def pack(values, width: int) -> int:
+    return sum(map(operator.lshift, values, itertools.count(0, width)))
+
+
 def norm2(a: Vector) -> int:
     return sum(map(operator.mul, a, a))
 

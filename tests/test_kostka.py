@@ -388,3 +388,70 @@ def test_scan_matches_literal_reference_on_random_specs(spec):
         assert kostka.scan_paths(n, shapes, c, zero_weight, False) == classical[c]
     want = graded_stream(level_restricted_paths(n, shapes, spec.lam, spec.resolved_lam_prime()), spec)
     assert kostka_level(spec) == want
+
+
+@st.composite
+def width_edge_scans(draw):
+    """A scan at the edges of the packed state's field width: n <= 4, a
+    level up to 6 with Lambda = l Lambda_k on one node k (or, classically,
+    a weight that restricts nothing, whose pairings are 2 * boxes), affine
+    or classical, with or without the b0 tail, at most 200 paths."""
+    n, ell = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    kinds = [RectShape(r, c) for r in range(1, n) for c in range(1, min(ell, 3) + 1)]
+    shapes, size = [], 1
+    for shape in draw(st.lists(st.sampled_from(kinds), max_size=5)):
+        size *= len(tableaux.RectCrystal(n, shape).elements)
+        if size > 200:
+            break
+        shapes.append(shape)
+    k = draw(st.integers(0, n - 1))
+    spec = CrystalSpec(n, tuple(shapes), level=ell, lam=LevelWeight(ell, (ell,) * k + (0,) * (n - k), 0))
+    wide = draw(st.booleans())
+    affine = not wide and draw(st.booleans())
+    tail = spec.b0_tail() if draw(st.booleans()) else ()
+    return spec, wide, affine, tail
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(width_edge_scans())
+def test_scan_matches_literal_at_width_edges(scan):
+    """scan_paths equals the literal enumeration at every content of the
+    product, at a content with all boxes on one entry (often outside the
+    product, and the first state's most negative difference field), and
+    is zero at a content with a negative entry or a wrong box count."""
+    spec, wide, affine, tail = scan
+    n, shapes, boxes = spec.n, spec.shapes, spec.total_boxes()
+    lam = unrestricting_weight(n, boxes) if wide else spec.lam
+    literal, zero = {}, LaurentPoly.zero()
+    for p in enumerate_paths(n, shapes):
+        kept = wide or (rp.is_level_restricted(p, lam) if affine else rp.is_classically_restricted(p, lam))
+        graded = LaurentPoly.q_power(path_energy(paths.Path(n, p.factors + tail))) if kept else zero
+        literal[p.weight()] = literal.get(p.weight(), zero) + graded
+    ends = [tuple(boxes if j == i else 0 for j in range(n)) for i in range(n)]
+    for c in [*literal, *ends]:
+        assert kostka.scan_paths(n, shapes, c, lam, affine, tail) == literal.get(c, 0), (spec, wide, c)
+    for c in ((boxes + 1,) + (0,) * (n - 1), (boxes + 1, -1) + (0,) * (n - 2), (1,) * n):
+        if sum(c) != boxes or min(c) < 0:
+            assert kostka.scan_paths(n, shapes, c, lam, affine, tail) == 0, (spec, wide, c)
+
+
+def test_scan_grades_only_pairs_the_literal_rule_keeps(monkeypatch):
+    """The scan grades exactly the (state, element) pairs that pass the
+    signature rule at the moment the element is placed, so its grade calls
+    stay at the counts below; a looser test that admits pairs which die at
+    a later factor grades more pairs for the same polynomial."""
+    calls = []
+    monkeypatch.setattr(kostka, "grade", counting(kostka.grade, calls))
+    s21, s12 = RectShape(2, 1), RectShape(1, 2)
+    cases = [  # spec, fibre content, grade calls of kostka_level and of the fibre scan
+        (CrystalSpec(3, (s21, S11, s12, S11), level=2, lam=LevelWeight(2, (1, 0, 0), 0)), (3, 2, 1), 14, 30),
+        (vacuum_spec(4, (S11, s21, S11, S11, s21, S11), 2), (3, 2, 2, 1), 21, 59),
+    ]
+    for spec, content, level_calls, fibre_calls in cases:
+        calls.clear()
+        assert kostka_level(spec)
+        assert len(calls) == level_calls, spec
+        calls.clear()
+        assert kostka.scan_paths(spec.n, spec.shapes, content, spec.lam, False, spec.b0_tail())
+        assert len(calls) == fibre_calls, spec
