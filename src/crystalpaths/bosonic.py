@@ -13,9 +13,10 @@ exist, and the contents of one beta form an S_n orbit, which :func:`_orbit`
 walks once.  An orbit that meets the product holds its dominant member, the
 c with Lambda + c weakly decreasing, so a sum reads only those (the
 Brauer-Klimyk form): the term of c is sign(tau) q^exponent times the scan of
-content c restricted classically against Lambda (kostka.scan_paths), and
-the summand count adds kostka.schur_product over the orbit.  One scan per
-fibre read in the widest box (:func:`truncation_bound`) serves every radius.
+content c restricted classically against Lambda (one kostka.scan_plan per
+sum), and the summand count adds kostka.schur_product over the orbit.  One
+scan per fibre read in the widest box (:func:`truncation_bound`) serves
+every radius.
 
 Degenerate levels give closed evaluations.  At level one with column
 factors the sum is the monomial (kostka.kostka_level) of the one restricted
@@ -26,9 +27,10 @@ each factor in turn.  At the formal level zero the sum vanishes unless the
 tensor product is empty, which a sign-reversing pairing of the summands
 witnesses in a stream (:func:`level_zero_pairing`): a depth-first walk over
 the index paths of the orbits of the dominant read contents, graded as the
-scan grades (energy.grade), checks each pair at its plus summand, moving b
-to s_i e_i b by one bracket pass over its signs (:func:`_column_move`), and
-must meet as many summands as the Schur product counts, at most PAIRING_LIMIT.
+scan grades (energy.grade), with per-shape sign tables (:func:`_column_table`),
+checks each pair at its plus summand by one bracket pass over the signs,
+and must meet as many summands as the Schur product counts, at most
+PAIRING_LIMIT.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Optional, Sequence
 
 from . import tableaux
 from .energy import carry_plan, grade, zero_side_moves
-from .kostka import CrystalSpec, kostka_level, scan_paths, schur_product
+from .kostka import CrystalSpec, kostka_level, scan_plan, schur_product
 from .laurent import LaurentPoly
 from .paths import Path, format_path, target_content
 from .signature import CertificateError, Record
@@ -110,11 +112,10 @@ def fibre_sums(spec: CrystalSpec, widens: Sequence[int]) -> tuple[AlternatingSum
     target = target_content(lam, lam_prime, spec.total_boxes())
     if target is not None:  # else every fiber is empty
         product = schur_product(n, tuple(sorted(spec.shapes)))
-        tail = spec.b0_tail()
+        scan = scan_plan(n, spec.shapes, lam, False, spec.b0_tail())
         points = _fiber_points(m, lamp_rho, target, max(bounds), _dominant_contents(lam, product))
         for _, sign, beta, content, exponent in points:
-            fiber = scan_paths(n, spec.shapes, content, lam, False, tail)
-            term = LaurentPoly.q_power(exponent, sign) * fiber
+            term = LaurentPoly.q_power(exponent, sign) * scan(content)
             paths = sum(map(product.__getitem__, _orbit(product, target, lamp_rho, content)))
             radius = max(map(abs, beta))
             for k, bound in enumerate(bounds):
@@ -279,13 +280,20 @@ def _column_move(signs, lower, raise_, path, k: int) -> Optional[tuple[list[int]
     return moved, changed
 
 
-def _choice_index(crystal, x: int) -> int:
-    """Least operator index raising element x: the pairing's choice for a
-    path whose rightmost factor is x."""
-    for i in range(crystal.n):
-        if crystal.eps[i][x] > 0:
-            return i
-    raise CertificateError("finite affine crystals admit some raising operator")
+@functools.cache
+def _column_table(n: int, shape: RectShape, width: int) -> tuple:
+    """(i-signs phi_i - eps_i per i, content codes at width, the least i raising
+    x per element x: the pairing's choice) of B(shape); CertificateError unless
+    it is a column crystal with e_i defined exactly on a - sign and f_i on a +."""
+    c = tableaux.RectCrystal(n, shape)
+    if not all(a + b <= 1 and (y >= 0) == a and (z >= 0) == b for i in range(n)
+               for a, b, y, z in zip(c.eps[i], c.phi[i], c.e[i], c.f[i])):
+        raise CertificateError("a factor is not a column crystal, e_i defined on its - signs, f_i on its +")
+    choice = tuple(next((i for i in range(n) if c.eps[i][x] > 0), -1) for x in range(len(c.elements)))
+    if -1 in choice:
+        raise CertificateError("finite affine crystals admit some raising operator")
+    signs = tuple(tuple(map(operator.sub, c.phi[i], c.eps[i])) for i in range(n))
+    return signs, tuple(pack(v, width) for v in c.content), choice
 
 
 SUMMAND_US = 6  # the pairing's cost per summand in microseconds (n=3, 12 1x1 factors, 2-core x86_64)
@@ -296,9 +304,9 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
     """(truncation bound, summands, pairs), checked as level_zero_pairing
     says by a depth-first walk over the index paths of the read contents, cut
     at every prefix no suffix completes to one; it holds the prefix contents,
-    their extending elements, the grading steps met and one path with its
-    prefix states.  collect, when given, receives (summand, exponent, image)
-    per summand (beta, tau, path), image None at a minus summand."""
+    the children of the prefixes reached, the grading steps met and one path
+    with its prefix states.  collect receives (summand, exponent, image) per
+    summand (beta, tau, path), image None at a minus summand."""
     n, shapes, zero = spec.n, spec.shapes, spec.lam.finite
     bound = truncation_bound(n, 0, zero, zero, shapes)
     target = target_content(spec.lam, spec.lam, spec.total_boxes())
@@ -314,20 +322,19 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
         raise ValueError("the pairing would walk %d summands (about %d s), over its limit of %d"
                          % (total, total * SUMMAND_US // 10 ** 6, PAIRING_LIMIT))
     crystals = [tableaux.RectCrystal(n, s) for s in shapes]
-    if not all(a + b <= 1 and (y >= 0) == a and (z >= 0) == b for c in crystals for i in range(n)
-               for a, b, y, z in zip(c.eps[i], c.phi[i], c.e[i], c.f[i])):
-        raise CertificateError("a factor is not a column crystal, e_i defined on its - signs, f_i on its +")
-    moves = [([tuple(map(operator.sub, c.phi[i], c.eps[i])) for c in crystals],
-              [c.f[i] for c in crystals], [c.e[i] for c in crystals]) for i in range(n)]
-    codes = [[pack(c, width) for c in crystal.content] for crystal in crystals]
+    signs, codes, choices = zip(*(_column_table(n, s, width) for s in shapes))
+    moves = [([t[i] for t in signs], [c.f[i] for c in crystals], [c.e[i] for c in crystals])
+             for i in range(n)]
     # ends[j]: the codes of the prefixes of j + 1 factors that some suffix completes to a read content
     ends = [set(read)]
     for steps in reversed(codes[1:]):
         ends.insert(0, {p - d for p in ends[0] for d in set(steps) if (p - d) & guard == guard})
-    # kids[j][p]: (x, p + code of x) for each element x of factor j that keeps the prefix in ends[j]
-    kids = [{p: [(x, p + d) for x, d in enumerate(steps) if p + d in ends[j]] for p in before}
-            for j, (steps, before) in enumerate(zip(codes, [{guard}] + ends))]
-    choice = [_choice_index(crystals[-1], x) for x in range(len(codes[-1]))]
+    kids, choice = [{} for _ in codes], choices[-1]  # kids[j][p]: filled when the walk first reaches p
+
+    def children(j: int, p: int) -> list:  # (x, p + code of x) for each x of factor j keeping p in ends[j]
+        kids[j][p] = [(x, p + d) for x, d in enumerate(codes[j]) if p + d in ends[j]]
+        return kids[j][p]
+
     kinds, plan = carry_plan(n, shapes)
 
     @functools.cache
@@ -344,25 +351,35 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
     energies, carries = [0] * (last + 2), [(-1,) * kinds] * (last + 2)
     plus = minus = 0
     signed, checked = {}, {}  # exponent -> signed count; (q, i, q2) -> the read entry at q2, checked
-    stack = [iter(kids[0][guard])]
+    stack = [iter(children(0, guard))]
     while stack:
         j = len(stack) - 1
         for x, q in stack[-1]:
             path[j] = x
             gain, carries[j + 1] = graded(j, x, carries[j])
             energies[j + 1] = energies[j] + gain
-            if j < last:
-                stack.append(iter(kids[j + 1][q]))
+            if j < last:  # every prefix in ends[j] has some child
+                stack.append(iter(kids[j + 1].get(q) or children(j + 1, q)))
                 break
             point, sign, exponent, content = read[q]
             exponent += energies[j + 1]
             signed[exponent] = signed.get(exponent, 0) + sign
             if sign > 0:
+                # s_i e_i b by _column_move's bracket pass written out; the move back runs through it
                 i = choice[x]
-                found = _column_move(*moves[i], path, content[i - 1] - content[i] + 1)
-                if found is None:
+                k, (i_signs, lower, raise_) = content[i - 1] - content[i] + 1, moves[i]
+                free, open_ = [], []  # the free + signs, the - signs no + has cancelled yet
+                for f, s in enumerate(map(operator.getitem, i_signs, path)):
+                    if s < 0:
+                        open_.append(f)
+                    elif s:
+                        open_.pop() if open_ else free.append(f)
+                if k > len(free) or -k > len(open_):
                     fail("tensor statistics dominate the rightmost factor")
-                moved, changed = found
+                changed, ops = (free[len(free) - k:], lower) if k > 0 else (open_[:-k], raise_)
+                moved = list(path)
+                for f in changed:
+                    moved[f] = ops[f][moved[f]]
                 q2 = q
                 for k in changed:
                     q2 += codes[k][moved[k]] - codes[k][path[k]]
@@ -446,7 +463,7 @@ def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:
     if spec.lam is None:
         raise ValueError("straightening bridge needs a restriction weight Lambda")
     lam_prime = spec.resolved_lam_prime()
-    tail = spec.b0_tail()
+    scan = scan_plan(spec.n, spec.shapes, spec.lam, False, spec.b0_tail())
     total = LaurentPoly.zero()
     for content in _dominant_contents(spec.lam, schur_product(spec.n, tuple(sorted(spec.shapes)))):
         image = straighten.pi_on_character(spec.level, vadd(spec.lam.finite, content))
@@ -454,8 +471,7 @@ def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:
             continue
         sign, qpow, produced = image
         if produced.same_classical_weight(lam_prime):
-            fiber = scan_paths(spec.n, spec.shapes, content, spec.lam, False, tail)
-            total = total + LaurentPoly.q_power(qpow, sign) * fiber
+            total = total + LaurentPoly.q_power(qpow, sign) * scan(content)
     return total
 
 

@@ -1,18 +1,16 @@
 """Energy-graded generating polynomials of restricted paths.
 
-Every polynomial here is one scan of the tensor product (:func:`scan_paths`),
-which adds q^(energy) over the paths of one target content whose tensor with
-the highest vector u of a dominant weight Lambda is highest: killed by every
-e_i (affine), or by the classical e_1..e_{n-1} only (classical).  The
-classical polynomial of content lam is the classical scan against the zero
-weight.  The level polynomial is the affine scan against Lambda at the one
-content c with Lambda + c equal to LambdaPrime modulo the all-ones vector;
-when no such content exists nothing is scanned.  The alternating sums of
-bosonic read classical scans against Lambda.  Paths are graded by plain
-path energy when Lambda is a multiple of the affine fundamental weight at
-node 0, where the extra grading factor is unnecessary, and otherwise by the
-energy of the path extended by the matching element b0 of a perfect
-level-l crystal, resolved once per scan.
+Every polynomial here is a scan of the tensor product, which adds q^(energy)
+over the paths of one target content whose tensor with the highest vector u
+of a dominant weight Lambda is highest: killed by every e_i (affine), or by
+the classical e_1..e_{n-1} only (classical).  A scan plan (:func:`scan_plan`)
+sets up the guard code, element tables, b0 step and carry plan of a product
+once and then scans any target: :func:`scan_paths` scans one, and each
+alternating sum of bosonic scans all its fibres, classically against
+Lambda, through one plan.  Paths are graded by plain path energy when
+Lambda is a multiple of the affine fundamental weight at node 0, otherwise
+by the energy of the path extended by the matching element b0 of a perfect
+level-l crystal.
 
 A scan places the factors leftmost first, appends the b0 tail last, and
 grades each path as it grows (energy.grade), carrying one element per
@@ -31,7 +29,7 @@ and peels off leading terms, never touching crystal operators.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import tableaux
 from .energy import carry_plan, grade, phi_matching_element
@@ -134,7 +132,7 @@ class CrystalSpec(Record):
 
 @functools.cache
 def _scan_table(n: int, shape: RectShape, affine: bool, width: int) -> tuple:
-    """(x, N_x, M_x) per element x of B(shape) in scan_paths' code of that width."""
+    """(x, N_x, M_x) per element x of B(shape) in scan_plan's code of that width."""
     crystal, indices = tableaux.RectCrystal(n, shape), range(0 if affine else 1, n)
     steps = [[c[i - 1] - c[i] for i in indices] for c in crystal.content]
     need = [[crystal.eps[i][x] + d for i, d in zip(indices, s)] for x, s in enumerate(steps)]
@@ -142,25 +140,23 @@ def _scan_table(n: int, shape: RectShape, affine: bool, width: int) -> tuple:
                  for x, c in enumerate(crystal.content))
 
 
-def scan_paths(n: int, shapes: Sequence[RectShape], target: tuple[int, ...], lam: LevelWeight,
-               affine: bool, b0_tail: tuple[Tableau, ...] = ()) -> LaurentPoly:
-    """Sum of q^(energy of the path followed by b0_tail, at most one factor)
-    over the paths of content target whose tensor with the highest vector of
-    lam is highest: killed by every e_i when affine, by the classical e_i
-    (i = 1..n-1) otherwise.
-
-    The state int H packs R = target - prefix content and D_i = R_i-1 - R_i
-    + <h_i, lam> per restricted i (R_-1 = R_n-1).  Element x of content c
-    passes iff no field of H - N_x is negative, N_x = (c, eps_i(x) + c_i-1 -
-    c_i), and leads to H - M_x, M_x = (c, c_i-1 - c_i).  The fields of a
-    surviving state lie in [0, boxes + <h_i, lam>], of the first state within
-    boxes + |<h_i, lam>| of 0, of N_x in [-cells, 2 cells]: the code's bound."""
+def scan_plan(n: int, shapes: Sequence[RectShape], lam: LevelWeight, affine: bool,
+              b0_tail: tuple[Tableau, ...] = ()) -> Callable[[tuple[int, ...]], LaurentPoly]:
+    """The scan of one product set up once, as a function of the target
+    content: the sum of q^(energy of the path followed by b0_tail, at most
+    one factor) over the paths of that content whose tensor with the highest
+    vector of lam is highest, killed by every e_i when affine, by the
+    classical e_i (i = 1..n-1) otherwise.  The state int H packs R = target
+    - prefix content and D_i = R_i-1 - R_i + <h_i, lam> per restricted i
+    (R_-1 = R_n-1).  Element x of content c passes iff no field of H - N_x
+    is negative, N_x = (c, eps_i(x) + c_i-1 - c_i), and leads to H - M_x,
+    M_x = (c, c_i-1 - c_i).  The fields of a surviving state lie in [0,
+    boxes + <h_i, lam>], of the first state within boxes + |<h_i, lam>| of
+    0, of N_x in [-cells, 2 cells]: the code's bound, which no target moves."""
     shapes = tuple(RectShape(*s) for s in shapes)
     if len(b0_tail) > 1:
         raise ValueError("the scan appends at most one tail factor")
     boxes = sum(s.rows * s.cols for s in shapes)
-    if min(target) < 0 or sum(target) != boxes:
-        return LaurentPoly.zero()  # no path has this content
     indices = range(0 if affine else 1, n)
     lam_i = list(map(lam.pairing, indices))
     width, guard = guard_code(n + len(indices), boxes + max(map(abs, lam_i), default=0)
@@ -169,24 +165,35 @@ def scan_paths(n: int, shapes: Sequence[RectShape], target: tuple[int, ...], lam
     for b0 in b0_tail:  # graded against, but neither counted nor restricted: no guard bit tested
         steps.append((0, [(tableaux.RectCrystal(n, b0.shape).index[b0], 0, 0)]))
     kinds, plan = carry_plan(n, shapes + tuple(b0.shape for b0 in b0_tail))
-    start = pack([*target, *(target[i - 1] - target[i] + p for i, p in zip(indices, lam_i))], width)
-    # (carried, H) -> {energy: count}; carried[s] is the latest factor of
-    # kind s carried right past every later factor, -1 before the first
-    states = {((-1,) * kinds, start): {0: 1}}
-    for (mask, elements), step in zip(steps, plan):
-        grown: dict[tuple, dict[int, int]] = {}
-        for (carried, state), energies in states.items():
-            top = state + mask
-            for x, need, move in elements:
-                if (top - need) & mask != mask:
-                    continue
-                h, moved = grade(step, x, carried)
-                bucket = grown.setdefault((moved, state - move), {})
-                for e, count in energies.items():
-                    bucket[e + h] = bucket.get(e + h, 0) + count
-        states = grown
-    # every surviving state has remaining content zero
-    return LaurentPoly([pair for energies in states.values() for pair in energies.items()])
+
+    def scan(target: tuple[int, ...]) -> LaurentPoly:
+        if min(target) < 0 or sum(target) != boxes:
+            return LaurentPoly.zero()  # no path has this content
+        start = pack([*target, *(target[i - 1] - target[i] + p for i, p in zip(indices, lam_i))], width)
+        # (carried, H) -> {energy: count}; carried[s] is the latest factor of
+        # kind s carried right past every later factor, -1 before the first
+        states = {((-1,) * kinds, start): {0: 1}}
+        for (mask, elements), step in zip(steps, plan):
+            grown: dict[tuple, dict[int, int]] = {}
+            for (carried, state), energies in states.items():
+                top = state + mask
+                for x, need, move in elements:
+                    if (top - need) & mask != mask:
+                        continue
+                    h, moved = grade(step, x, carried)
+                    bucket = grown.setdefault((moved, state - move), {})
+                    for e, count in energies.items():
+                        bucket[e + h] = bucket.get(e + h, 0) + count
+            states = grown
+        # every surviving state has remaining content zero
+        return LaurentPoly([pair for energies in states.values() for pair in energies.items()])
+    return scan
+
+
+def scan_paths(n: int, shapes: Sequence[RectShape], target: tuple[int, ...], lam: LevelWeight,
+               affine: bool, b0_tail: tuple[Tableau, ...] = ()) -> LaurentPoly:
+    """The scan of one target content (:func:`scan_plan`)."""
+    return scan_plan(n, shapes, lam, affine, b0_tail)(target)
 
 
 def kostka_classical(spec: CrystalSpec, lam: Iterable[int]) -> LaurentPoly:

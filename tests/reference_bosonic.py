@@ -39,7 +39,6 @@ from reference_weights import AffineWeylElement
 from crystalpaths import straighten, tableaux
 from crystalpaths.bosonic import (
     AlternatingSumResult,
-    _choice_index,
     _fiber_points,
     truncation_bound,
 )
@@ -49,6 +48,15 @@ from crystalpaths.laurent import LaurentPoly
 from crystalpaths.paths import Path, target_content
 from crystalpaths.signature import CertificateError
 from crystalpaths.weights import LevelWeight, perm_sign, rho_vector, vadd
+
+
+def choice_index(crystal, x: int) -> int:
+    """Least operator index raising element x: the pairing's choice for a
+    path whose rightmost factor is x."""
+    for i in range(crystal.n):
+        if crystal.eps[i][x] > 0:
+            return i
+    raise CertificateError("finite affine crystals admit some raising operator")
 
 
 def literal_content_table(spec: CrystalSpec, stream: Optional[Iterable[Path]] = None) -> dict:
@@ -211,7 +219,7 @@ def level_zero_certificate(spec: CrystalSpec):
         if s in seen:
             continue
         beta, tau, path = s
-        i = _choice_index(crystals[-1], path[-1])
+        i = choice_index(crystals[-1], path[-1])
         image_path = rc.raise_and_reflect(crystals, path, i)
         if image_path is None:
             raise CertificateError("tensor statistics dominate the rightmost factor at %s" % (s,))
@@ -224,7 +232,7 @@ def level_zero_certificate(spec: CrystalSpec):
             raise CertificateError("pairing has a fixed point at %s" % (s,))
         if perm_sign(image[1]) != -perm_sign(tau):
             raise CertificateError("pairing does not reverse the sign at %s" % (s,))
-        if _choice_index(crystals[-1], image_path[-1]) != i:
+        if choice_index(crystals[-1], image_path[-1]) != i:
             raise CertificateError("choice index is not constant on the pair at %s" % (s,))
         if (*times_r(*image[:2], i), rc.raise_and_reflect(crystals, image_path, i)) != s:
             raise CertificateError("pairing is not an involution at %s" % (s,))

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import (
     LevelWeight,
     dot,
+    guard_code,
     norm2,
     perm_sign,
     rho_vector,
@@ -267,8 +269,8 @@ def test_fiber_walk_matches_grid():
 
 def test_alternating_sum_rejects_congruent_lambda_prime(monkeypatch):
     # fibre_sums takes its spec as validated; it still refuses, before any
-    # scan, a LambdaPrime that validation would refuse as not dominant
-    monkeypatch.setattr(bosonic, "scan_paths", None)
+    # scan is planned, a LambdaPrime that validation would refuse as not dominant
+    monkeypatch.setattr(bosonic, "scan_plan", None)
     # (0, 1) + rho = (1, 1) at rank two
     lam = LevelWeight.vacuum(2, 1)
     with pytest.raises(ValueError, match="congruent"):
@@ -288,8 +290,8 @@ def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(kostka, "scan_paths", counting(kostka.scan_paths))
-    monkeypatch.setattr(bosonic, "scan_paths", counting(bosonic.scan_paths))
+    monkeypatch.setattr(kostka, "scan_plan", counting(kostka.scan_plan))
+    monkeypatch.setattr(bosonic, "scan_plan", counting(bosonic.scan_plan))
     # the pairing's walk starts from the Schur product and the carry plan, and grades each step
     monkeypatch.setattr(bosonic, "schur_product", counting(bosonic.schur_product))
     monkeypatch.setattr(bosonic, "carry_plan", counting(bosonic.carry_plan))
@@ -301,6 +303,25 @@ def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
     assert cert["cancels"] and cert["summand_count"] == 0
     assert report["truncation_bound"] == cert["truncation_bound"] > 0
     assert calls == []
+
+
+def count_scans(monkeypatch) -> list:
+    """Spy on kostka.scan_plan wherever it is called: the list it returns
+    receives (n, shapes, target, lam, affine, b0_tail) per target scanned
+    through a plan, scan_paths included."""
+    calls, plan = [], kostka.scan_plan
+
+    def counting_plan(n, shapes, lam, affine, b0_tail=()):
+        scan = plan(n, shapes, lam, affine, b0_tail)
+
+        def counting_scan(target):
+            calls.append((n, shapes, target, lam, affine, b0_tail))
+            return scan(target)
+        return counting_scan
+
+    monkeypatch.setattr(kostka, "scan_plan", counting_plan)
+    monkeypatch.setattr(bosonic, "scan_plan", counting_plan)
+    return calls
 
 
 def vacuum_coordinate_sum(spec, widen=0):
@@ -350,15 +371,7 @@ def test_vacuum_report_scans_once(monkeypatch):
     """The alternating sum scans each content it reads once, classically
     against Lambda: exactly the dominant contents c (Lambda + c weakly
     decreasing) that the fibre walk maps into the box."""
-    calls = []
-    scan = bosonic.scan_paths
-
-    def counting_scan(*args, **kwargs):
-        calls.append(args)
-        return scan(*args, **kwargs)
-
-    monkeypatch.setattr(bosonic, "scan_paths", counting_scan)
-    monkeypatch.setattr(kostka, "scan_paths", counting_scan)
+    calls = count_scans(monkeypatch)
     spec = vacuum_spec(3, (S11,) * 6, 1)
     report = bosonic_report(spec)
     targets = [args[2] for args in calls]
@@ -559,7 +572,7 @@ def plus_keys(n, shapes):
         if image is not None:
             path = summand[2]
             content = functools.reduce(vadd, (c.content[x] for c, x in zip(crystals, path)))
-            keys.append((content, bosonic._choice_index(crystals[-1], path[-1])))
+            keys.append((content, rb.choice_index(crystals[-1], path[-1])))
 
     bosonic._level_zero_certificate(bosonic._level_zero_spec(n, shapes), collect=collect)
     return keys
@@ -569,22 +582,79 @@ def test_certificate_checks_a_late_back_move(monkeypatch):
     """The back move is checked at every plus summand, not once per key: a
     column move that returns a wrong path only at the back move of a late
     plus summand, whose key's checks passed at an earlier summand, makes the
-    certificate raise CertificateError, also under python -O."""
+    certificate raise CertificateError, also under python -O.  The forward
+    move is the walk's own bracket pass, so _column_move makes the back
+    moves alone, one per plus summand."""
     n, shapes = 3, (S11,) * 6
     keys = plus_keys(n, shapes)
     late = max(p for p, key in enumerate(keys) if key in keys[:p])
     assert late > len(set(keys)), (late, len(set(keys)))
-    calls, real = itertools.count(), bosonic._column_move
+    moves, real = [], bosonic._column_move
+    monkeypatch.setattr(bosonic, "_column_move", lambda *args: moves.append(args) or real(*args))
+    level_zero_pairing(n, shapes)
+    assert len(moves) == len(keys), (len(moves), len(keys))
+    calls = itertools.count()
 
     def wrong_late_back_move(*args):
         found = real(*args)
-        if next(calls) == 2 * late + 1:  # the forward and the back move of each plus summand
+        if next(calls) == late:
             return list(args[-2]), found[1]  # the path it started from, not the one it moves to
         return found
 
     monkeypatch.setattr(bosonic, "_column_move", wrong_late_back_move)
     with pytest.raises(CertificateError, match="pairing is not an involution"):
         level_zero_pairing(n, shapes)
+
+
+def certificate_locals(spec) -> dict:
+    """The local variables of bosonic._level_zero_certificate(spec) as it
+    returns, read by a profile hook."""
+    seen, previous = {}, sys.getprofile()
+
+    def hook(frame, event, arg):
+        if event == "return" and frame.f_code is bosonic._level_zero_certificate.__code__:
+            seen.update(frame.f_locals)
+
+    sys.setprofile(hook)
+    try:
+        bosonic._level_zero_certificate(spec)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_pairing_walk_lists_children_of_reached_prefixes_only():
+    """The walk lists the children of a prefix when it first reaches it: on
+    n=4, 3x1,3x1,2x1 it lists 4 and 10 prefixes at depths 1 and 2, of the
+    20 and 32 that some suffix completes (all of which an eager table
+    lists), and each list is the eager one."""
+    shapes = (RectShape(3, 1), RectShape(3, 1), RectShape(2, 1))
+    seen = certificate_locals(bosonic._level_zero_spec(4, shapes))
+    kids, ends, codes = seen["kids"], seen["ends"], seen["codes"]
+    assert [len(k) for k in kids] == [1, 4, 10]
+    assert [len(e) for e in ends[:2]] == [20, 32]
+    for j, (reached, before) in enumerate(zip(kids, [{seen["guard"]}] + ends)):
+        assert set(reached) <= before
+        for p, children in reached.items():
+            assert children == [(x, p + d) for x, d in enumerate(codes[j]) if p + d in ends[j]]
+    assert level_zero_pairing(4, shapes)["summand_count"] == 40
+
+
+@pytest.mark.parametrize("n, shapes", [(2, ("1x2",)), (3, ("1x1", "1x2"))])
+def test_certificate_column_check_raises_again_on_a_second_call(n, shapes):
+    """A failed column check is never kept as a table: a row factor makes
+    the certificate raise CertificateError on every call, also under python
+    -O, while the table of a column factor is built once and kept."""
+    shapes = tuple(RectShape.parse(s) for s in shapes)
+    spec = CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
+    for _ in range(2):
+        with pytest.raises(CertificateError, match="not a column crystal"):
+            bosonic._level_zero_certificate(spec)
+    width = guard_code(n, spec.total_boxes())[0]
+    with pytest.raises(CertificateError, match="not a column crystal"):
+        bosonic._column_table(n, RectShape(1, 2), width)
+    column = bosonic._column_table(n, S11, width)
+    assert bosonic._column_table(n, S11, width) is column
 
 
 def test_certificate_checks_the_image_of_a_late_key(monkeypatch):

@@ -5,9 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_bosonic import count_scans
 
 import crystalpaths
-from crystalpaths import bosonic, kostka
 from crystalpaths.cli import main, parse_weight_selector
 from crystalpaths.weights import LevelWeight
 
@@ -97,15 +97,7 @@ def test_verify_widen_check_scans_each_fibre_once(capsys, monkeypatch):
     """One scan of each fibre read serves the base and the widened
     alternating sum: each content is scanned once, classically, and the
     direct count is the one affine scan."""
-    calls = []
-    scan = kostka.scan_paths
-
-    def counting_scan(*args, **kwargs):
-        calls.append(args)
-        return scan(*args, **kwargs)
-
-    monkeypatch.setattr(kostka, "scan_paths", counting_scan)
-    monkeypatch.setattr(bosonic, "scan_paths", counting_scan)
+    calls = count_scans(monkeypatch)  # every scan runs through a plan, scan_paths' too
     code, out, _ = run(
         capsys, "verify", "--n", "3", "--level", "1", "--shapes", ",".join(["1x1"] * 9),
         "--Lambda", "L0", "--widen-check",

@@ -412,6 +412,20 @@ def width_edge_scans(draw):
     return spec, wide, affine, tail
 
 
+def literal_scan(spec, wide, affine, tail):
+    """(restriction weight, content -> the literal sum of q^energy over the
+    restricted paths of that content, every path tensored with the tail) for
+    a scan drawn by width_edge_scans."""
+    n, boxes = spec.n, spec.total_boxes()
+    lam = unrestricting_weight(n, boxes) if wide else spec.lam
+    literal, zero = {}, LaurentPoly.zero()
+    for p in enumerate_paths(n, spec.shapes):
+        kept = wide or (rp.is_level_restricted(p, lam) if affine else rp.is_classically_restricted(p, lam))
+        graded = LaurentPoly.q_power(path_energy(paths.Path(n, p.factors + tail))) if kept else zero
+        literal[p.weight()] = literal.get(p.weight(), zero) + graded
+    return lam, literal
+
+
 @settings(max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(width_edge_scans())
@@ -422,18 +436,35 @@ def test_scan_matches_literal_at_width_edges(scan):
     is zero at a content with a negative entry or a wrong box count."""
     spec, wide, affine, tail = scan
     n, shapes, boxes = spec.n, spec.shapes, spec.total_boxes()
-    lam = unrestricting_weight(n, boxes) if wide else spec.lam
-    literal, zero = {}, LaurentPoly.zero()
-    for p in enumerate_paths(n, shapes):
-        kept = wide or (rp.is_level_restricted(p, lam) if affine else rp.is_classically_restricted(p, lam))
-        graded = LaurentPoly.q_power(path_energy(paths.Path(n, p.factors + tail))) if kept else zero
-        literal[p.weight()] = literal.get(p.weight(), zero) + graded
+    lam, literal = literal_scan(spec, wide, affine, tail)
     ends = [tuple(boxes if j == i else 0 for j in range(n)) for i in range(n)]
     for c in [*literal, *ends]:
         assert kostka.scan_paths(n, shapes, c, lam, affine, tail) == literal.get(c, 0), (spec, wide, c)
     for c in ((boxes + 1,) + (0,) * (n - 1), (boxes + 1, -1) + (0,) * (n - 2), (1,) * n):
         if sum(c) != boxes or min(c) < 0:
             assert kostka.scan_paths(n, shapes, c, lam, affine, tail) == 0, (spec, wide, c)
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(width_edge_scans(), st.randoms(use_true_random=False))
+def test_one_scan_plan_matches_literal_at_every_target(scan, random):
+    """One scan plan, set up once and applied to many targets in a random
+    order, equals the literal enumeration at each of them: every content of
+    the product, each all-boxes-on-one-entry content, and (zero there) the
+    zero content, contents with a negative entry and wrong box counts; the
+    guard code, element tables and carry plan it shares hold no target."""
+    spec, wide, affine, tail = scan
+    n, boxes = spec.n, spec.total_boxes()
+    lam, literal = literal_scan(spec, wide, affine, tail)
+    plan = kostka.scan_plan(n, spec.shapes, lam, affine, tail)
+    ends = [tuple(boxes if j == i else 0 for j in range(n)) for i in range(n)]
+    off = [(0,) * n, (boxes + 1,) + (0,) * (n - 1), (boxes + 1, -1) + (0,) * (n - 2),
+           (-1,) + (0,) * (n - 2) + (boxes + 1,), (1,) * n]
+    targets = [*literal, *ends, *off] * 2
+    random.shuffle(targets)
+    for c in targets:
+        assert plan(c) == literal.get(c, 0), (spec, wide, affine, c)
 
 
 def test_scan_grades_only_pairs_the_literal_rule_keeps(monkeypatch):

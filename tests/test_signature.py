@@ -219,6 +219,7 @@ def test_column_move_precondition_refuses_arrays_off_the_signs(monkeypatch):
     crystal = tableaux.RectCrystal(2, RectShape(1, 1))
     assert any(crystal.eps[1])
     monkeypatch.setattr(crystal, "e", [(-1, -1), (-1, -1)])
+    bosonic._column_table.cache_clear()  # so that the certificate checks the patched arrays
     spec = CrystalSpec(2, (RectShape(1, 1),) * 2, level=0, lam=LevelWeight.vacuum(2, 0))
     with pytest.raises(CertificateError, match="not a column crystal"):
         bosonic._level_zero_certificate(spec)
