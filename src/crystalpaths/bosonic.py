@@ -28,9 +28,9 @@ tensor product is empty, which a sign-reversing pairing of the summands
 witnesses in a stream (:func:`level_zero_pairing`): a depth-first walk over
 the index paths of the orbits of the dominant read contents, graded as the
 scan grades (energy.grade), with per-shape sign tables (:func:`_column_table`),
-checks each pair at its plus summand by one bracket pass over the signs,
-and must meet as many summands as the Schur product counts, at most
-PAIRING_LIMIT.
+checks each pair at its plus summand, moving b to s_i e_i b by one bracket
+pass over its signs (:func:`_column_move`), and must meet as many summands
+as the Schur product counts, at most PAIRING_LIMIT.
 """
 
 from __future__ import annotations
@@ -365,21 +365,11 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
             exponent += energies[j + 1]
             signed[exponent] = signed.get(exponent, 0) + sign
             if sign > 0:
-                # s_i e_i b by _column_move's bracket pass written out; the move back runs through it
                 i = choice[x]
-                k, (i_signs, lower, raise_) = content[i - 1] - content[i] + 1, moves[i]
-                free, open_ = [], []  # the free + signs, the - signs no + has cancelled yet
-                for f, s in enumerate(map(operator.getitem, i_signs, path)):
-                    if s < 0:
-                        open_.append(f)
-                    elif s:
-                        open_.pop() if open_ else free.append(f)
-                if k > len(free) or -k > len(open_):
+                found = _column_move(*moves[i], path, content[i - 1] - content[i] + 1)
+                if found is None:
                     fail("tensor statistics dominate the rightmost factor")
-                changed, ops = (free[len(free) - k:], lower) if k > 0 else (open_[:-k], raise_)
-                moved = list(path)
-                for f in changed:
-                    moved[f] = ops[f][moved[f]]
+                moved, changed = found
                 q2 = q
                 for k in changed:
                     q2 += codes[k][moved[k]] - codes[k][path[k]]

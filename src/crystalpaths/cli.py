@@ -142,18 +142,32 @@ def _build_spec(args, need_level: bool) -> CrystalSpec:
 
 
 def cmd_kostka(args) -> int:
-    payload = {"schema": SCHEMA_VERSION, "command": "kostka", "mode": "level"}
     if args.Lambda:
         spec = _build_spec(args, need_level=True)
         poly = kostka_level(spec)
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "command": "kostka",
+            "mode": "level",
+            "spec": _spec_json(spec),
+            "polynomial": _poly_pairs(poly),
+            "path_count": poly(1),
+        }
     else:
         if not getattr(args, "lam", None):
             raise ValueError("kostka needs either --lambda or --level with --Lambda")
         spec = _build_spec(args, need_level=False)
         target = parse_partition(args.lam)
         poly = kostka_classical(spec, target)
-        payload.update({"mode": "classical", "lambda": list(target)})
-    payload.update({"spec": _spec_json(spec), "polynomial": _poly_pairs(poly), "path_count": poly(1)})
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "command": "kostka",
+            "mode": "classical",
+            "spec": _spec_json(spec),
+            "lambda": list(target),
+            "polynomial": _poly_pairs(poly),
+            "path_count": poly(1),
+        }
     _emit(payload, args.format)
     return 0
 

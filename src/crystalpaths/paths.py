@@ -4,7 +4,7 @@ A path is an ordered tensor of tableaux; the rightmost list element is the
 rightmost tensor factor, which is the factor the signature rule inspects
 first.  Path objects carry a path in and out of the library as text; inside
 it a path is a tuple of element indices into tableaux.RectCrystal, and
-kostka.scan_paths is the one place that restricts and grades paths.
+kostka.scan_plan and kostka.scan_paths alone restrict and grade paths.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ even.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 
@@ -86,9 +85,8 @@ def equal_mod_ones(a: Vector, b: Vector) -> bool:
 # permutations, stored as images: p[j] is the image of j+1 (values 1..n)
 
 
-@functools.cache
 def perm_sign(p: Permutation) -> int:
-    """(-1) to the number of inversions of p, kept per permutation."""
+    """(-1) to the number of inversions of p."""
     return -1 if sum(itertools.starmap(operator.gt, itertools.combinations(p, 2))) & 1 else 1
 
 
