@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 from . import tableaux
 from .energy import carry_plan, grade, zero_side_moves
-from .kostka import CrystalSpec, kostka_level, scan_plan, schur_product
+from .kostka import CrystalSpec, factor_size, kostka_level, scan_plan, schur_product
 from .laurent import LaurentPoly
 from .paths import Path, format_path, target_content
 from .signature import CertificateError, Record
@@ -55,10 +55,6 @@ class AlternatingSumResult(Record):
     polynomial: LaurentPoly
     summand_count: int
     truncation_bound: int
-
-    def __init__(self, polynomial: LaurentPoly, summand_count: int, truncation_bound: int):
-        for name, value in zip(self._fields, (polynomial, summand_count, truncation_bound)):
-            object.__setattr__(self, name, value)
 
 
 def truncation_bound(n: int, ell: int, lam_finite, lam_prime_finite, shapes, widen: int = 0) -> int:
@@ -166,9 +162,7 @@ def _orbit_points(n: int, target, bound: int, lam: LevelWeight, product: dict):
 
 def bosonic_report(spec: CrystalSpec, widen: int = 0) -> AlternatingSumResult:
     """Alternating-sum value of the level polynomial of the spec."""
-    spec.validate()
-    if spec.lam is None:
-        raise ValueError("alternating sum needs a restriction weight Lambda")
+    spec.validate(lam_required=True)
     return fibre_sums(spec, (widen,))[0]
 
 
@@ -199,13 +193,11 @@ def level_one_identity(spec: CrystalSpec) -> dict:
     """At level one with column factors the restricted path set has at most
     one element, found by a walk without enumeration; the alternating sum
     must equal its single monomial."""
-    spec.validate()
+    spec.validate(lam_required=True)
     if spec.level != 1:
         raise ValueError("level-one identity needs level 1, got %s" % spec.level)
     if any(s.cols != 1 for s in spec.shapes):
         raise ValueError("level-one identity needs column factors")
-    if spec.lam is None:
-        raise ValueError("level-one identity needs a restriction weight Lambda")
     lam_prime = spec.resolved_lam_prime()
     crystals = [tableaux.RectCrystal(spec.n, s) for s in spec.shapes]
     path = _level_one_walk(crystals, spec.lam)
@@ -234,8 +226,7 @@ def _level_zero_spec(n: int, shapes: Sequence[RectShape]) -> CrystalSpec:
     the formal level 0, which :meth:`CrystalSpec.validate` refuses."""
     shapes = tuple(RectShape(*s) for s in shapes)
     for s in shapes:
-        if not 1 <= s.rows <= n - 1:
-            raise ValueError("factor height %d must be below the rank %d" % (s.rows, n))
+        factor_size(n, s)
         if s.cols != 1:
             raise ValueError("level-zero identity needs column factors")
     return CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
@@ -449,9 +440,7 @@ def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:
     fibre X_c over the dominant c whose image is LambdaPrime."""
     from . import straighten  # imported here, so that the CLI starts without it
 
-    spec.validate()
-    if spec.lam is None:
-        raise ValueError("straightening bridge needs a restriction weight Lambda")
+    spec.validate(lam_required=True)
     lam_prime = spec.resolved_lam_prime()
     scan = scan_plan(spec.n, spec.shapes, spec.lam, False, spec.b0_tail())
     total = LaurentPoly.zero()

@@ -112,38 +112,18 @@ def _emit(payload: dict, fmt: str):
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _build_spec(args, need_level: bool) -> CrystalSpec:
-    shapes = parse_shapes(args.shapes)
-    lam = lam_prime = None
-    b0 = RectShape.parse(args.b0) if getattr(args, "b0", None) else None
-    if getattr(args, "Lambda", None):
-        if args.level is None:
-            raise ValueError("--Lambda requires --level")
-        lam = parse_weight_selector(args.Lambda, args.n, "Lambda")
-        if lam.level != args.level:
-            raise ValueError(
-                "Lambda selector %r has level %d, expected %d"
-                % (args.Lambda, lam.level, args.level)
-            )
-    if getattr(args, "LambdaPrime", None):
-        lam_prime = parse_weight_selector(args.LambdaPrime, args.n, "LambdaPrime")
-        if args.level is not None and lam_prime.level != args.level:
-            raise ValueError(
-                "LambdaPrime selector %r has level %d, expected %d"
-                % (args.LambdaPrime, lam_prime.level, args.level)
-            )
-    if need_level and lam is None:
-        raise ValueError("this command requires --level and --Lambda")
-    spec = CrystalSpec(
-        args.n, shapes, level=args.level, lam=lam, lam_prime=lam_prime, b0_shape=b0
-    )
+def _build_spec(args) -> CrystalSpec:
+    lam = parse_weight_selector(args.Lambda, args.n, "Lambda") if args.Lambda else None
+    lam_prime = parse_weight_selector(args.LambdaPrime, args.n, "LambdaPrime") if args.LambdaPrime else None
+    b0 = RectShape.parse(args.b0) if args.b0 else None
+    spec = CrystalSpec(args.n, parse_shapes(args.shapes), args.level, lam, lam_prime, b0)
     spec.validate()
     return spec
 
 
 def cmd_kostka(args) -> int:
     if args.Lambda:
-        spec = _build_spec(args, need_level=True)
+        spec = _build_spec(args)
         poly = kostka_level(spec)
         payload = {
             "schema": SCHEMA_VERSION,
@@ -156,7 +136,7 @@ def cmd_kostka(args) -> int:
     else:
         if not getattr(args, "lam", None):
             raise ValueError("kostka needs either --lambda or --level with --Lambda")
-        spec = _build_spec(args, need_level=False)
+        spec = _build_spec(args)
         target = parse_partition(args.lam)
         poly = kostka_classical(spec, target)
         payload = {
@@ -173,7 +153,7 @@ def cmd_kostka(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _build_spec(args, need_level=True)
+    spec = _build_spec(args)
     # one scan of each fibre serves the base and the widened truncation radius
     report, *widened = fibre_sums(spec, (0, 2) if args.widen_check else (0,))
     rhs = kostka_level(spec)

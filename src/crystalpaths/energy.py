@@ -71,9 +71,7 @@ class LocalIsoTable(Record):
                 if nu in highest:
                     raise ValueError("component matching ambiguous for shapes %s, %s" % (shape1, shape2))
                 highest[nu] = y
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "shape2", shape2)
-        object.__setattr__(self, "shape1", shape1)
+        super().__init__(n, shape2, shape1)
         object.__setattr__(self, "width", len(b1.elements))
         object.__setattr__(self, "energy", [None] * size)
         object.__setattr__(self, "image1", [None] * size)

@@ -29,6 +29,7 @@ and peels off leading terms, never touching crystal operators.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import tableaux
@@ -38,6 +39,28 @@ from .paths import normalize_content, target_content
 from .signature import Record
 from .tableaux import RectShape, Tableau
 from .weights import LevelWeight, guard_code, pack
+
+
+FACTOR_LIMIT = 5000  # the most elements of a factor crystal; B(7x1) at rank 14 has 3432, built in 0.7 s
+
+
+def factor_size(n: int, s: RectShape) -> int:
+    """|B(s)| at rank n, unbuilt: at least n and rows * cols + 1, and under those
+    bounds the hook-content product over the cells (i, j) of (n + j - i) / hook,
+    a column at a time.  ValueError for a height not below the rank, a width
+    below 1 or a size over FACTOR_LIMIT."""
+    if not 1 <= s.rows <= n - 1:
+        raise ValueError("factor height %d must lie in 1..%d (below the rank)" % (s.rows, n - 1))
+    if s.cols < 1:
+        raise ValueError("factor width must be positive, got %d" % s.cols)
+    size = max(n, s.rows * s.cols + 1)
+    if size <= FACTOR_LIMIT:
+        size = (math.prod(math.perm(n + j, s.rows) for j in range(s.cols))
+                // math.prod(math.perm(s.rows + s.cols - 1 - j, s.rows) for j in range(s.cols)))
+    if size > FACTOR_LIMIT:  # printed at most as 10^18, past which the product can have too many digits
+        raise ValueError("factor %s at rank %d has at least %d elements, over FACTOR_LIMIT = %d"
+                         % (s, n, min(size, 10 ** 18), FACTOR_LIMIT))
+    return size
 
 
 class CrystalSpec(Record):
@@ -54,28 +77,22 @@ class CrystalSpec(Record):
     def __init__(self, n: int, shapes: Sequence[RectShape], level: Optional[int] = None,
                  lam: Optional[LevelWeight] = None, lam_prime: Optional[LevelWeight] = None,
                  b0_shape: Optional[RectShape] = None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "shapes", tuple(RectShape(*s) for s in shapes))
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "lam_prime", lam_prime)
-        object.__setattr__(self, "b0_shape", None if b0_shape is None else RectShape(*b0_shape))
+        super().__init__(n, tuple(RectShape(*s) for s in shapes), level, lam, lam_prime,
+                         None if b0_shape is None else RectShape(*b0_shape))
 
-    def validate(self):
+    def validate(self, lam_required: bool = False):
+        """ValueError for the first fault in a factor, level or weight, or no Lambda if lam_required."""
         if self.n < 2:
             raise ValueError("rank must be at least 2, got %d" % self.n)
+        if self.level is not None and self.level < 1:
+            raise ValueError("level must be at least 1, got %d" % self.level)
         for s in self.shapes:
-            if not 1 <= s.rows <= self.n - 1:
-                raise ValueError("factor height %d must lie in 1..%d (below the rank)" % (s.rows, self.n - 1))
-            if s.cols < 1:
-                raise ValueError("factor width must be positive, got %d" % s.cols)
-        if self.level is not None:
-            if self.level < 1:
-                raise ValueError("level must be at least 1, got %d" % self.level)
-            for s in self.shapes:
-                if s.cols > self.level:
-                    raise ValueError("factor %s has level %d exceeding the spec level %d"
-                                     % (s, s.cols, self.level))
+            factor_size(self.n, s)
+            if self.level is not None and s.cols > self.level:
+                raise ValueError("factor %s has level %d exceeding the spec level %d"
+                                 % (s, s.cols, self.level))
+        if lam_required and self.lam is None:
+            raise ValueError("Lambda, the restriction weight, is required")
         for name, w in (("Lambda", self.lam), ("LambdaPrime", self.lam_prime)):
             if w is None:
                 continue
@@ -208,9 +225,7 @@ def kostka_level(spec: CrystalSpec) -> LaurentPoly:
     """Sum of q^(energy) over level-restricted paths producing LambdaPrime:
     the restricted paths of the one content c with Lambda + c equal to
     LambdaPrime modulo the all-ones vector."""
-    spec.validate()
-    if spec.lam is None:
-        raise ValueError("level polynomial needs a restriction weight Lambda")
+    spec.validate(lam_required=True)
     target = target_content(spec.lam, spec.resolved_lam_prime(), spec.total_boxes())
     if target is None:  # no path has a content that produces LambdaPrime
         return LaurentPoly.zero()
@@ -301,14 +316,9 @@ def schur_product(n: int, shapes: tuple[RectShape, ...]) -> dict[tuple[int, ...]
     return product
 
 
-@functools.lru_cache(maxsize=None)
-def _product_expansion(n: int, shapes: tuple[RectShape, ...]) -> dict[tuple[int, ...], int]:
-    return schur_expand(schur_product(n, shapes), n)
-
-
 def multiplicity_oracle(spec: CrystalSpec, lam: Iterable[int]) -> int:
     """Multiplicity of the irreducible of highest weight lam in the product
     of the factor representations, via plain polynomial algebra."""
     spec.validate()
     target = normalize_content(lam, spec.n)
-    return _product_expansion(spec.n, tuple(sorted(spec.shapes))).get(target, 0)
+    return schur_expand(schur_product(spec.n, tuple(sorted(spec.shapes))), spec.n).get(target, 0)

@@ -29,8 +29,7 @@ class Path(Record):
         for t in factors:
             if t.n != n:
                 raise ValueError("factor rank %d does not match path rank %d" % (t.n, n))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "factors", factors)
+        super().__init__(n, factors)
 
     def __len__(self):
         return len(self.factors)

@@ -29,14 +29,18 @@ class CertificateError(AssertionError):
 
 
 class Record:
-    """Immutable value with slots.  A subclass lists its fields in
-    ``_fields``, the positional order of its constructor, and sets them (and
-    any derived slot) in ``__init__`` through ``object.__setattr__``.
-    Equality and hashing are field-wise and hold only between instances of
-    one class, so a record never equals a tuple; assignment raises."""
+    """Immutable value with slots.  The base constructor sets the fields a
+    subclass lists in ``_fields`` from exactly as many values; a subclass's
+    ``__init__`` normalizes and checks, calls it, then sets any derived slot by
+    ``object.__setattr__``.  Equality and hashing are field-wise and hold only
+    within one class, so a record never equals a tuple; assignment raises."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

@@ -48,10 +48,7 @@ class SchurSymbol(Record):
             raise ValueError("level must be at least 1, got %d" % level)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "qpow", qpow)
+        super().__init__(alpha, level, sign, qpow)
 
     @property
     def rank(self) -> int:

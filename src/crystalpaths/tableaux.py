@@ -69,8 +69,7 @@ class Tableau(Record):
         for up, down in zip(rows, rows[1:]):
             if any(a >= b for a, b in zip(up, down)):
                 raise ValueError("column not strictly increasing")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(n, rows)
         object.__setattr__(self, "shape", RectShape(len(rows), width))
 
     def content(self) -> tuple[int, ...]:

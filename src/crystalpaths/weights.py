@@ -125,9 +125,7 @@ class LevelWeight(Record):
     def __init__(self, level: int, finite: Vector, delta: int = 0):
         if len(finite) < 2:
             raise ValueError("rank must be at least 2")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "finite", tuple(finite))
-        object.__setattr__(self, "delta", delta)
+        super().__init__(level, tuple(finite), delta)
 
     @property
     def rank(self) -> int:

@@ -77,8 +77,7 @@ class AffineWeylElement(Record):
             raise ValueError("translation %s has nonzero coordinate sum" % (beta,))
         if sorted(tau) != list(range(1, len(tau) + 1)):
             raise ValueError("invalid permutation %s" % (tau,))
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "tau", tau)
+        super().__init__(beta, tau)
 
     @classmethod
     def identity(cls, n: int) -> "AffineWeylElement":

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from test_bosonic import count_scans
+from test_kostka import refuse_building
 
 import crystalpaths
 from crystalpaths.cli import main, parse_weight_selector
@@ -79,6 +81,45 @@ def test_validation_exit_code(capsys):
     assert "height" in err
     code, _, err = run(capsys, "kostka", "--n", "2", "--shapes", "1x1")
     assert code == 2
+
+
+# inputs whose level checks CrystalSpec.validate alone makes: (argv, the weight named)
+LEVEL_REFUSALS = [
+    (["kostka", "--n", "3", "--shapes", "1x1", "--Lambda", "L0"], "Lambda"),
+    (["kostka", "--n", "3", "--shapes", "1x1", "--level", "2", "--Lambda", "L0"], "Lambda"),
+    (["verify", "--n", "3", "--shapes", "1x1", "--level", "2", "--Lambda", "L0"], "Lambda"),
+    (["kostka", "--n", "3", "--shapes", "1x1", "--level", "1", "--Lambda", "L0",
+      "--LambdaPrime", "L0+L1"], "LambdaPrime"),
+    (["verify", "--n", "3", "--shapes", "1x1", "--level", "1", "--Lambda", "L0",
+      "--LambdaPrime", "2L1"], "LambdaPrime"),
+    (["kostka", "--n", "3", "--shapes", "1x1", "--lambda", "1", "--LambdaPrime", "L1"], "LambdaPrime"),
+]
+
+
+@pytest.mark.parametrize("argv, name", LEVEL_REFUSALS, ids=[" ".join(a) for a, _ in LEVEL_REFUSALS])
+def test_level_refusal_exit_code(argv, name, capsys):
+    """A weight without a level, or of another level than --level, exits 2
+    with the validator's message naming it."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: ") and re.search(r"\b%s\b" % name, err)
+
+
+OVERSIZED = [
+    ["verify", "--n", "20", "--shapes", "10x1", "--level", "1", "--Lambda", "L0", "--LambdaPrime", "L10"],
+    ["verify-zero", "--n", "20", "--shapes", "10x1"],
+    ["kostka", "--n", "20", "--shapes", "10x1", "--lambda", "1,1,1,1,1,1,1,1,1,1"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=[" ".join(a) for a in OVERSIZED])
+def test_oversized_factor_refusal_exit_code(argv, capsys, monkeypatch):
+    """A factor over FACTOR_LIMIT elements exits 2 before any crystal or
+    Schur polynomial is built."""
+    refuse_building(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "10x1 at rank 20 has at least 184756 elements, over FACTOR_LIMIT = 5000" in err
 
 
 def test_verify_command(capsys):

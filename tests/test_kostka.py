@@ -15,10 +15,12 @@ from reference_paths import (
 from test_acceptance import criterion_one_grid
 from test_bosonic import dominant_weights as dominant_level_weights
 
-from crystalpaths import energy, kostka, paths, tableaux
+from crystalpaths import bosonic, energy, kostka, paths, tableaux
 from crystalpaths.bosonic import bosonic_report
 from crystalpaths.kostka import (
+    FACTOR_LIMIT,
     CrystalSpec,
+    factor_size,
     kostka_classical,
     kostka_level,
     multiplicity_oracle,
@@ -148,6 +150,48 @@ def test_validation_errors():
         ).validate()
     with pytest.raises(ValueError):
         kostka_level(CrystalSpec(2, (S11,)))
+
+
+def test_factor_size_counts_the_enumeration():
+    """The hook-content count of |B(shape)| at rank n is the number of
+    tableaux the crystal enumerates."""
+    assert [factor_size(n, RectShape(*s)) for n, s in ((2, (1, 1)), (3, (2, 1)), (3, (2, 2)), (6, (2, 3)))] \
+        == [2, 3, 6, 490]
+    for n in range(2, 7):
+        for shape in (RectShape(rows, cols) for rows in range(1, n) for cols in range(1, 4)):
+            assert factor_size(n, shape) == len(tableaux.enumerate_tableaux(shape, n))
+
+
+def refuse_building(monkeypatch):
+    """Make building a factor crystal or a Schur polynomial raise."""
+    def unreachable(*args):
+        raise AssertionError("a crystal or Schur polynomial was built for %s" % (args,))
+    monkeypatch.setattr(tableaux, "enumerate_tableaux", unreachable)
+    monkeypatch.setattr(kostka, "schur_monomials", unreachable)
+
+
+def test_oversized_factor_refused_before_building(monkeypatch):
+    """A factor over FACTOR_LIMIT elements (B(10x1) at rank 20 has 184756)
+    is refused by every entry point before any crystal or Schur polynomial
+    is built; far-off sizes are refused by the lower bounds n and rows *
+    cols + 1 without the product."""
+    refuse_building(monkeypatch)
+    big = RectShape(10, 1)
+    spec = CrystalSpec(20, (big,), level=1, lam=LevelWeight.vacuum(20, 1),
+                       lam_prime=LevelWeight.fundamental(10, 20))
+    calls = [lambda: kostka_level(spec), lambda: kostka_classical(spec, (1,) * 10),
+             lambda: multiplicity_oracle(spec, (1,) * 10), lambda: bosonic_report(spec),
+             lambda: bosonic.bosonic_via_straightening(spec), lambda: bosonic.level_one_identity(spec),
+             lambda: bosonic.commutation_hypothesis_warnings(spec),
+             lambda: bosonic.level_zero_identity(20, (big,)), lambda: bosonic.level_zero_pairing(20, (big,))]
+    for call in calls:
+        with pytest.raises(ValueError, match="10x1 at rank 20 has at least 184756 elements, over FACTOR_LIMIT"):
+            call()
+    for n, shape, least in ((FACTOR_LIMIT + 1, S11, FACTOR_LIMIT + 1), (3, RectShape(1, 10 ** 8), 10 ** 8 + 1),
+                            (FACTOR_LIMIT, RectShape(50, 99), 10 ** 18)):
+        with pytest.raises(ValueError, match="has at least %d elements" % least):
+            factor_size(n, shape)
+    assert factor_size(14, RectShape(7, 1)) == 3432 <= FACTOR_LIMIT
 
 
 def test_grading_selection():

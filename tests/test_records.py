@@ -1,6 +1,8 @@
 """Value semantics of the package's immutable records (signature.Record):
 field-wise equality and hashing within one class, refused assignment, the
-constructor's normalization and validation, and the derived slots."""
+constructor's normalization and validation, a wrong number of values
+refused, and the derived slots.  No check here is an ``assert`` inside the
+package, so they hold under ``python -O`` too."""
 
 import copy
 import pickle
@@ -80,17 +82,14 @@ CASES = {
 CLASSES = list(CASES)
 
 
-def twin(record):
-    """An instance of another Record class with the same fields and values."""
+def twin(record, values=None):
+    """An instance of another Record class with the same fields, built by the
+    base constructor from the given values, by default the record's."""
 
     class Twin(Record):
         __slots__ = _fields = record._fields
 
-        def __init__(self, *values):
-            for name, value in zip(self._fields, values):
-                object.__setattr__(self, name, value)
-
-    return Twin(*record._values(record))
+    return Twin(*(record._values(record) if values is None else values))
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -124,6 +123,23 @@ def test_assignment_raises(cls):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert record == cls(*CASES[cls][0])
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_wrong_number_of_values_is_refused(cls):
+    """Too few or too many positional values never build a record, whether
+    the class keeps a constructor of its own or uses the base's."""
+    args = CASES[cls][0]
+    record = cls(*args)
+    for wrong in ((), args[:1], args + (None,)):
+        with pytest.raises((TypeError, ValueError)):
+            cls(*wrong)
+    values = record._values(record)
+    for wrong in ((), values[:-1], values + (None,)):
+        with pytest.raises(ValueError):
+            twin(record, wrong)
+    same = twin(record, values)
+    assert same._values(same) == values
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
