@@ -2,14 +2,8 @@
 generating polynomials of restricted paths and their alternating Weyl-sum
 evaluations, all in exact integer arithmetic."""
 
-from .bosonic import (
-    bosonic_report,
-    bosonic_via_straightening,
-    commutation_hypothesis_warnings,
-    level_one_identity,
-    level_zero_identity,
-    level_zero_pairing,
-)
+from . import bosonic
+from .bosonic import bosonic_report, commutation_hypothesis_warnings
 from .kostka import (
     CrystalSpec,
     kostka_classical,
@@ -46,3 +40,10 @@ __all__ = [
     "parse_path",
     "parse_tableau",
 ]
+
+
+def __getattr__(name: str):
+    """The names of bosonic.MOVED, which bosonic imports on first use."""
+    if name not in bosonic.MOVED:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(bosonic, name)

@@ -20,12 +20,7 @@ import re
 import sys
 from typing import Optional
 
-from .bosonic import (
-    commutation_hypothesis_warnings,
-    fibre_sums,
-    level_zero_identity,
-    level_zero_pairing,
-)
+from .bosonic import commutation_hypothesis_warnings, fibre_sums
 from .kostka import CrystalSpec, kostka_classical, kostka_level
 from .laurent import LaurentPoly
 from .signature import CertificateError
@@ -181,6 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_verify_zero(args) -> int:
+    from .pairing import level_zero_identity, level_zero_pairing
+
     shapes = parse_shapes(args.shapes)
     report = level_zero_identity(args.n, shapes)
     payload = {

@@ -29,7 +29,7 @@ path grows, leftmost factor first (:func:`grade`, one step per factor of
 :func:`carry_plan`): R is the identity on B_s (x) B_s, so the k_s factors
 of shape s placed so far reach the next factor z as one carried element
 c_s; appending z adds sum_s k_s H(c_s (x) z), then carries each c_s past z
-by R.  The path scan of kostka and the level-zero pairing of bosonic grade
+by R.  The path scan (kostka) and the level-zero pairing (pairing) grade
 this way, and no module but this one reads a table's lists.
 """
 

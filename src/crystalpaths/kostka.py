@@ -29,7 +29,9 @@ and peels off leading terms, never touching crystal operators.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import tableaux
@@ -42,6 +44,7 @@ from .weights import LevelWeight, guard_code, pack
 
 
 FACTOR_LIMIT = 5000  # the most elements of a factor crystal; B(7x1) at rank 14 has 3432, built in 0.7 s
+TABLE_LIMIT = 10 ** 6  # the most pairs of one local table, 24 MB in lists; 2x3 (x) 2x3 at rank 6 has 240100
 
 
 def factor_size(n: int, s: RectShape) -> int:
@@ -63,6 +66,16 @@ def factor_size(n: int, s: RectShape) -> int:
     return size
 
 
+def check_tables(n: int, shapes: Sequence[RectShape]) -> None:
+    """ValueError for a factor that factor_size refuses, or when the largest
+    local table that grading a path of these factors builds (energy.carry_plan:
+    each factor against every shape left of it) holds over TABLE_LIMIT pairs."""
+    sizes = [factor_size(n, s) for s in shapes]
+    pairs = max(map(operator.mul, itertools.accumulate(sizes, max), sizes[1:]), default=0)
+    if pairs > TABLE_LIMIT:
+        raise ValueError("a local table would hold %d pairs, over TABLE_LIMIT = %d" % (pairs, TABLE_LIMIT))
+
+
 class CrystalSpec(Record):
     """Rank, ordered factor shapes (leftmost first), and optional level data."""
 
@@ -81,13 +94,13 @@ class CrystalSpec(Record):
                          None if b0_shape is None else RectShape(*b0_shape))
 
     def validate(self, lam_required: bool = False):
-        """ValueError for the first fault in a factor, level or weight, or no Lambda if lam_required."""
+        """ValueError for the first fault in a factor, level or weight, no Lambda if lam_required,
+        or a local table of the factors and the b0 tail that check_tables refuses."""
         if self.n < 2:
             raise ValueError("rank must be at least 2, got %d" % self.n)
         if self.level is not None and self.level < 1:
             raise ValueError("level must be at least 1, got %d" % self.level)
         for s in self.shapes:
-            factor_size(self.n, s)
             if self.level is not None and s.cols > self.level:
                 raise ValueError("factor %s has level %d exceeding the spec level %d"
                                  % (s, s.cols, self.level))
@@ -112,6 +125,8 @@ class CrystalSpec(Record):
             if self.b0_shape.cols != self.level:
                 raise ValueError("b0 shape %s must have width equal to the level %d"
                                  % (self.b0_shape, self.level))
+        check_tables(self.n, self.shapes + (() if self.lam is None or self.is_vacuum()
+                                            else (self.resolved_b0_shape(),)))  # the b0 tail
 
     def total_boxes(self) -> int:
         return sum(s.rows * s.cols for s in self.shapes)

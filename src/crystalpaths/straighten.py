@@ -12,12 +12,18 @@ collide modulo m, and otherwise to a unique dominant representative whose
 sign is a permutation parity and whose q-power is recovered from the
 translation part of the normalizing group element.  normalize computes
 that representative in closed form; the tests hold the literal rewrites.
+
+The bridge to the alternating sum (:func:`bosonic_via_straightening`)
+re-derives it by normalizing one symbol per dominant content.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from .bosonic import _dominant_contents
+from .kostka import CrystalSpec, scan_plan, schur_product
+from .laurent import LaurentPoly
 from .signature import CertificateError, Record
 from .weights import (
     LevelWeight,
@@ -110,3 +116,22 @@ def pi_on_character(level: int, alpha: Vector) -> Optional[tuple[int, int, Level
         return None
     sign, qpow, beta = nf
     return sign, qpow, LevelWeight(level, beta, 0)
+
+
+def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:
+    """Re-derive the alternating sum by normalizing one Schur symbol per
+    dominant content, independently of the residue walk of
+    bosonic._fiber_points: the sum of pi(Lambda + c) times the classical
+    fibre X_c over the dominant c whose image is LambdaPrime."""
+    spec.validate(lam_required=True)
+    lam_prime = spec.resolved_lam_prime()
+    scan = scan_plan(spec.n, spec.shapes, spec.lam, False, spec.b0_tail())
+    total = LaurentPoly.zero()
+    for content in _dominant_contents(spec.lam, schur_product(spec.n, tuple(sorted(spec.shapes)))):
+        image = pi_on_character(spec.level, vadd(spec.lam.finite, content))
+        if image is None:
+            continue
+        sign, qpow, produced = image
+        if produced.same_classical_weight(lam_prime):
+            total = total + LaurentPoly.q_power(qpow, sign) * scan(content)
+    return total

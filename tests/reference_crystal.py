@@ -9,7 +9,7 @@ below, and weight changes through simple_root.
 The program reads the signature rule of a tensor product in single passes
 (signature.raising_index, lowering_index), and the level-zero pairing moves
 a path of column factors by one bracket pass over their signs
-(bosonic._column_move).  The references at the end are the rule as first
+(pairing._column_move).  The references at the end are the rule as first
 written: the two-factor combination folded into a list of prefix
 statistics, the crystal reflection recursing on the mirrored product when
 eps > phi, and the level-zero pairing's move as a raising followed by a

@@ -15,13 +15,7 @@ from reference_paths import enumerate_paths, level_restricted_paths
 from reference_straighten import normalize_by_steps
 from reference_weights import theta_vector
 
-from crystalpaths.bosonic import (
-    bosonic_report,
-    bosonic_via_straightening,
-    level_one_identity,
-    level_zero_identity,
-    level_zero_pairing,
-)
+from crystalpaths.bosonic import bosonic_report
 from crystalpaths.energy import local_table
 from crystalpaths.kostka import (
     CrystalSpec,
@@ -30,8 +24,9 @@ from crystalpaths.kostka import (
     multiplicity_oracle,
 )
 from crystalpaths.laurent import LaurentPoly
+from crystalpaths.pairing import level_one_identity, level_zero_identity, level_zero_pairing
 from crystalpaths.paths import Path, parse_path
-from crystalpaths.straighten import SchurSymbol, normalize
+from crystalpaths.straighten import SchurSymbol, bosonic_via_straightening, normalize
 from crystalpaths.tableaux import RectShape, enumerate_tableaux
 from crystalpaths.weights import LevelWeight, vadd, vsub
 

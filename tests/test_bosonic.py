@@ -16,26 +16,23 @@ from reference_paths import enumerate_paths, reflect_path
 from reference_weights import AffineWeylElement, perm_apply, perm_inverse, vscale
 from test_acceptance import criterion_one_grid
 
-from crystalpaths import bosonic, energy, kostka, tableaux
+from crystalpaths import bosonic, energy, kostka, pairing, straighten, tableaux
 from crystalpaths.bosonic import (
-    PAIRING_LIMIT,
     _dominant_contents,
     _fiber_points,
     _orbit,
     bosonic_report,
-    bosonic_via_straightening,
     commutation_hypothesis_warnings,
     fibre_sums,
-    level_one_identity,
-    level_zero_identity,
-    level_zero_pairing,
     truncation_bound,
 )
 from crystalpaths.cli import main
 from crystalpaths.kostka import CrystalSpec, kostka_level, scan_paths, schur_expand, schur_monomials, schur_product
 from crystalpaths.laurent import LaurentPoly
+from crystalpaths.pairing import PAIRING_LIMIT, level_one_identity, level_zero_identity, level_zero_pairing
 from crystalpaths.paths import Path, target_content
 from crystalpaths.signature import CertificateError
+from crystalpaths.straighten import bosonic_via_straightening
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import (
     LevelWeight,
@@ -131,7 +128,7 @@ def test_level_one_certificates_raise(monkeypatch):
     either raises CertificateError, also under python -O."""
     spec = CrystalSpec(3, (S11, RectShape(2, 1)), level=1, lam=LevelWeight.vacuum(3, 1))
     assert level_one_identity(spec)["path_exists"]
-    monkeypatch.setattr(bosonic, "kostka_level", lambda spec: LaurentPoly.zero())
+    monkeypatch.setattr(pairing, "kostka_level", lambda spec: LaurentPoly.zero())
     with pytest.raises(CertificateError, match="counts 0 restricted paths"):
         level_one_identity(spec)
     monkeypatch.undo()
@@ -294,8 +291,9 @@ def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
     monkeypatch.setattr(bosonic, "scan_plan", counting(bosonic.scan_plan))
     # the pairing's walk starts from the Schur product and the carry plan, and grades each step
     monkeypatch.setattr(bosonic, "schur_product", counting(bosonic.schur_product))
-    monkeypatch.setattr(bosonic, "carry_plan", counting(bosonic.carry_plan))
-    monkeypatch.setattr(bosonic, "grade", counting(bosonic.grade))
+    monkeypatch.setattr(pairing, "schur_product", counting(pairing.schur_product))
+    monkeypatch.setattr(pairing, "carry_plan", counting(pairing.carry_plan))
+    monkeypatch.setattr(pairing, "grade", counting(pairing.grade))
     shapes = (S11, S11)
     report = level_zero_identity(3, shapes)
     assert report["equal"] and report["summand_count"] == 0
@@ -303,6 +301,8 @@ def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
     assert cert["cancels"] and cert["summand_count"] == 0
     assert report["truncation_bound"] == cert["truncation_bound"] > 0
     assert calls == []
+    level_zero_pairing(3, (S11,) * 3)  # the spies see a walk that runs
+    assert {"schur_product", "carry_plan", "grade"} <= set(calls), calls
 
 
 def count_scans(monkeypatch) -> list:
@@ -319,8 +319,8 @@ def count_scans(monkeypatch) -> list:
             return scan(target)
         return counting_scan
 
-    monkeypatch.setattr(kostka, "scan_plan", counting_plan)
-    monkeypatch.setattr(bosonic, "scan_plan", counting_plan)
+    for module in (kostka, bosonic, straighten):
+        monkeypatch.setattr(module, "scan_plan", counting_plan)
     return calls
 
 
@@ -410,7 +410,7 @@ def reference_pairing(n, shapes):
     """Reference: the level-zero pairing on Tableau paths, graded with
     path_energy and moved with Path.e and the stepwise reflect_path; returns
     (summand -> exponent, list of (summand, image) pairs)."""
-    spec = bosonic._level_zero_spec(n, shapes)
+    spec = pairing._level_zero_spec(n, shapes)
     zero = spec.lam.finite
     bound = truncation_bound(n, 0, zero, zero, spec.shapes, 0)
     target = target_content(spec.lam, spec.lam, spec.total_boxes())
@@ -494,7 +494,7 @@ def walked_pairing(n, shapes):
         if image is not None:
             pairs.append((summand, image))
 
-    counts = bosonic._level_zero_certificate(bosonic._level_zero_spec(n, shapes), collect=collect)
+    counts = pairing._level_zero_certificate(pairing._level_zero_spec(n, shapes), collect=collect)
     return summands, pairs, counts
 
 
@@ -504,7 +504,7 @@ def test_pairing_matches_reference():
     agree with the pairing on Tableau paths."""
     for n, shapes in PAIRING_GRID:
         summands, pairs, (bound, count, size) = walked_pairing(n, shapes)
-        spec = bosonic._level_zero_spec(n, shapes)
+        spec = pairing._level_zero_spec(n, shapes)
         want_summands, want_pairs = rb.level_zero_certificate(spec)
         assert summands == want_summands, (n, shapes)
         assert {frozenset(pair) for pair in pairs} == {frozenset(pair) for pair in want_pairs}, (n, shapes)
@@ -529,7 +529,7 @@ def test_pairing_certificate_refuses_unequal_plus_and_minus_counts(monkeypatch):
     summands all pass their own checks, but no longer map onto the minus
     summands, and the certificate raises also under python -O."""
     n, shapes = 3, (S11, S11, S11)
-    spec = bosonic._level_zero_spec(n, shapes)
+    spec = pairing._level_zero_spec(n, shapes)
     product = schur_product(n, spec.shapes)
     bound = truncation_bound(n, 0, (0,) * n, (0,) * n, spec.shapes)
     points = list(_fiber_points(n, rho_vector(n), (1, 1, 1), bound, product))
@@ -542,7 +542,7 @@ def test_pairing_certificate_refuses_unequal_plus_and_minus_counts(monkeypatch):
         yield extra
 
     assert level_zero_pairing(n, shapes)["cancels"]
-    monkeypatch.setattr(bosonic, "_fiber_points", with_extra)
+    monkeypatch.setattr(pairing, "_fiber_points", with_extra)
     with pytest.raises(CertificateError, match="plus summands into"):
         level_zero_pairing(n, shapes)
 
@@ -556,7 +556,7 @@ def test_certificate_refuses_a_walk_short_of_the_schur_count(monkeypatch):
     product = schur_product(n, shapes)
     inflated = {**product, (1, 1, 1): product[(1, 1, 1)] + 1}
     summands = level_zero_pairing(n, shapes)["summand_count"]
-    monkeypatch.setattr(bosonic, "schur_product", lambda *args: inflated)
+    monkeypatch.setattr(pairing, "schur_product", lambda *args: inflated)
     with pytest.raises(CertificateError, match="walk met %d summands, the Schur product %d"
                        % (summands, summands + 1)):
         level_zero_pairing(n, shapes)
@@ -574,7 +574,7 @@ def plus_keys(n, shapes):
             content = functools.reduce(vadd, (c.content[x] for c, x in zip(crystals, path)))
             keys.append((content, rb.choice_index(crystals[-1], path[-1])))
 
-    bosonic._level_zero_certificate(bosonic._level_zero_spec(n, shapes), collect=collect)
+    pairing._level_zero_certificate(pairing._level_zero_spec(n, shapes), collect=collect)
     return keys
 
 
@@ -587,7 +587,7 @@ def test_certificate_checks_a_late_back_move(monkeypatch):
     keys = plus_keys(n, shapes)
     late = max(p for p, key in enumerate(keys) if key in keys[:p])
     assert late > len(set(keys)), (late, len(set(keys)))
-    calls, real = itertools.count(), bosonic._column_move
+    calls, real = itertools.count(), pairing._column_move
 
     def wrong_late_back_move(*args):
         found = real(*args)
@@ -595,23 +595,23 @@ def test_certificate_checks_a_late_back_move(monkeypatch):
             return list(args[-2]), found[1]  # the path it started from, not the one it moves to
         return found
 
-    monkeypatch.setattr(bosonic, "_column_move", wrong_late_back_move)
+    monkeypatch.setattr(pairing, "_column_move", wrong_late_back_move)
     with pytest.raises(CertificateError, match="pairing is not an involution"):
         level_zero_pairing(n, shapes)
 
 
 def certificate_locals(spec) -> dict:
-    """The local variables of bosonic._level_zero_certificate(spec) as it
+    """The local variables of pairing._level_zero_certificate(spec) as it
     returns, read by a profile hook."""
     seen, previous = {}, sys.getprofile()
 
     def hook(frame, event, arg):
-        if event == "return" and frame.f_code is bosonic._level_zero_certificate.__code__:
+        if event == "return" and frame.f_code is pairing._level_zero_certificate.__code__:
             seen.update(frame.f_locals)
 
     sys.setprofile(hook)
     try:
-        bosonic._level_zero_certificate(spec)
+        pairing._level_zero_certificate(spec)
     finally:
         sys.setprofile(previous)
     return seen
@@ -623,7 +623,7 @@ def test_pairing_walk_lists_children_of_reached_prefixes_only():
     20 and 32 that some suffix completes (all of which an eager table
     lists), and each list is the eager one."""
     shapes = (RectShape(3, 1), RectShape(3, 1), RectShape(2, 1))
-    seen = certificate_locals(bosonic._level_zero_spec(4, shapes))
+    seen = certificate_locals(pairing._level_zero_spec(4, shapes))
     kids, ends, codes = seen["kids"], seen["ends"], seen["codes"]
     assert [len(k) for k in kids] == [1, 4, 10]
     assert [len(e) for e in ends[:2]] == [20, 32]
@@ -643,12 +643,12 @@ def test_certificate_column_check_raises_again_on_a_second_call(n, shapes):
     spec = CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
     for _ in range(2):
         with pytest.raises(CertificateError, match="not a column crystal"):
-            bosonic._level_zero_certificate(spec)
+            pairing._level_zero_certificate(spec)
     width = guard_code(n, spec.total_boxes())[0]
     with pytest.raises(CertificateError, match="not a column crystal"):
-        bosonic._column_table(n, RectShape(1, 2), width)
-    column = bosonic._column_table(n, S11, width)
-    assert bosonic._column_table(n, S11, width) is column
+        pairing._column_table(n, RectShape(1, 2), width)
+    column = pairing._column_table(n, S11, width)
+    assert pairing._column_table(n, S11, width) is column
 
 
 def test_certificate_checks_the_image_of_a_late_key(monkeypatch):
@@ -658,13 +658,13 @@ def test_certificate_checks_the_image_of_a_late_key(monkeypatch):
     CertificateError, also under python -O."""
     n, shapes = 3, (S11,) * 6
     keys = plus_keys(n, shapes)
-    calls, real = [], bosonic.times_reflection
+    calls, real = [], pairing.times_reflection
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(bosonic, "times_reflection", counting)
+    monkeypatch.setattr(pairing, "times_reflection", counting)
     level_zero_pairing(n, shapes)
     # each key reflects its point to the image and the image back, once
     assert len(calls) == 2 * len(set(keys)) < 2 * len(keys), (len(calls), len(keys))
@@ -673,7 +673,7 @@ def test_certificate_checks_the_image_of_a_late_key(monkeypatch):
     def wrong_late_image(beta, tau, i):
         return (beta, tau) if next(seen) == late else real(beta, tau, i)
 
-    monkeypatch.setattr(bosonic, "times_reflection", wrong_late_image)
+    monkeypatch.setattr(pairing, "times_reflection", wrong_late_image)
     with pytest.raises(CertificateError, match="pairing image violates the weight condition"):
         level_zero_pairing(n, shapes)
 
@@ -681,7 +681,7 @@ def test_certificate_checks_the_image_of_a_late_key(monkeypatch):
 def schur_summands(n, shapes):
     """The summands of the level-zero pairing by the Schur count over the
     residue pass of every product content, without a walk."""
-    spec = bosonic._level_zero_spec(n, shapes)
+    spec = pairing._level_zero_spec(n, shapes)
     product = schur_product(n, tuple(sorted(spec.shapes)))
     return sum(product[c] for c in rb.full_residue_read(spec))
 
@@ -697,7 +697,9 @@ def test_pairing_refuses_an_oversized_product_before_the_walk(monkeypatch, capsy
     def never(*args):
         raise AssertionError("the pairing reached its walk")
 
-    monkeypatch.setattr(bosonic, "carry_plan", never)
+    monkeypatch.setattr(pairing, "carry_plan", never)
+    with pytest.raises(AssertionError, match="reached its walk"):  # the guard sees a walk that starts
+        level_zero_pairing(3, (S11,) * 3)
     with pytest.raises(ValueError, match="would walk %d summands" % total):
         level_zero_pairing(3, shapes)
     assert main(["verify-zero", "--n", "3", "--shapes", ",".join(["1x1"] * 18)]) == 2
@@ -740,7 +742,7 @@ def test_pairing_calls_no_per_path_reference(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the pairing called a per-path reference")
 
-    for module in (bosonic, energy):
+    for module in (bosonic, energy, pairing):
         monkeypatch.setattr(module, "path_energy", forbidden, raising=False)
     monkeypatch.setattr(Path, "e", forbidden, raising=False)
     got = level_zero_pairing(3, shapes)
@@ -857,7 +859,7 @@ def pairing_grid(monkeypatch, n, shapes):
     pass, the other orbit members' derived from them), and the (content ->
     (beta, tau)) of the summands its walk meets."""
     calls, met = [], {}
-    orbit_points = bosonic._orbit_points
+    orbit_points = pairing._orbit_points
 
     def recording(*args):
         calls.append(points := [])
@@ -873,9 +875,9 @@ def pairing_grid(monkeypatch, n, shapes):
         met[functools.reduce(vadd, (c.content[x] for c, x in zip(crystals, path)))] = (beta, tau)
 
     crystals = [tableaux.RectCrystal(n, s) for s in shapes]
-    monkeypatch.setattr(bosonic, "_orbit_points", recording)
+    monkeypatch.setattr(pairing, "_orbit_points", recording)
     try:
-        bosonic._level_zero_certificate(bosonic._level_zero_spec(n, shapes), collect=collect)
+        pairing._level_zero_certificate(pairing._level_zero_spec(n, shapes), collect=collect)
     finally:
         monkeypatch.undo()
     points = calls[-1] if calls else []
@@ -885,7 +887,7 @@ def pairing_grid(monkeypatch, n, shapes):
 
 
 def assert_pairing_grid_is_full(monkeypatch, n, shapes):
-    spec = bosonic._level_zero_spec(n, shapes)
+    spec = pairing._level_zero_spec(n, shapes)
     grid, met = pairing_grid(monkeypatch, n, shapes)
     want = rb.full_residue_read(spec)
     assert grid == want, (n, shapes)
@@ -920,7 +922,7 @@ def test_differential_level_zero_against_full_table_reference(case):
     full-table reference on random column products."""
     n, heights = case
     shapes = tuple(RectShape(k, 1) for k in heights)
-    spec = bosonic._level_zero_spec(n, shapes)
+    spec = pairing._level_zero_spec(n, shapes)
     want = rb.alternating_sum(n, spec.shapes, 0, spec.lam, spec.lam, rb.weight_energy_table(spec))
     report = level_zero_identity(n, shapes)
     got = (LaurentPoly(report["lhs_polynomial"]), report["summand_count"], report["truncation_bound"])

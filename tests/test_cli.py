@@ -219,7 +219,8 @@ def test_jobs_flag(capsys):
     assert json.loads(out)["path_count"] == 2
 
 
-LAZY_MODULES = ("dataclasses", "inspect", "logging", "hashlib", "threading", "crystalpaths.straighten")
+LAZY_MODULES = ("dataclasses", "inspect", "logging", "hashlib", "threading", "crystalpaths.straighten",
+                "crystalpaths.pairing")
 
 
 def test_cold_import_stays_lean():
@@ -231,3 +232,30 @@ def test_cold_import_stays_lean():
     out = cold("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ""
+
+
+MOVED = {"bosonic_via_straightening": "straighten", "level_one_identity": "pairing",
+         "level_zero_identity": "pairing", "level_zero_pairing": "pairing"}
+
+
+def test_moved_names_resolve_to_one_object():
+    """Each name that left bosonic is one object as crystalpaths.X, as
+    bosonic.X and in its module; bosonic imports that module and binds the
+    name on first use, not before, and other names stay missing."""
+    code = """if True:
+        import sys, crystalpaths, crystalpaths.bosonic as bosonic
+        def check(ok, what):  # not assert, which python -O strips
+            if not ok:
+                raise SystemExit(what)
+        moved = %r
+        check(bosonic.MOVED == moved and set(moved) <= set(crystalpaths.__all__), "MOVED")
+        check(not {"crystalpaths." + home for home in moved.values()} & set(sys.modules), "imported early")
+        for name, home in moved.items():
+            check(name not in vars(bosonic), name + " bound early")
+            found = getattr(bosonic, name)
+            check(vars(bosonic)[name] is found is getattr(crystalpaths, name), name + " differs")
+            check(found is getattr(sys.modules["crystalpaths." + home], name), name + " not its module's")
+        check(not hasattr(bosonic, "no_such_name") and not hasattr(crystalpaths, "no_such_name"), "shim")
+    """ % (MOVED,)
+    out = cold("-c", code)
+    assert out.returncode == 0, out.stderr

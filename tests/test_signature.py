@@ -2,7 +2,7 @@
 reference_crystal: the operator indices, the statistics of the product, the
 string move f_i^k / e_i^-k, and the level-zero pairing's move s_i e_i, both
 as the general string move of the reference and as the pairing's bracket
-pass over column factors (bosonic._column_move)."""
+pass over column factors (pairing._column_move)."""
 
 import itertools
 
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import pytest
 from test_bosonic import PAIRING_GRID
 
-from crystalpaths import bosonic, energy, tableaux
+from crystalpaths import bosonic, energy, pairing, tableaux
 from crystalpaths.kostka import CrystalSpec
 from crystalpaths.paths import Path
 from crystalpaths.signature import CertificateError, fold_stats, lowering_index, raising_index
@@ -138,7 +138,7 @@ def test_raise_and_reflect_exhaustive_on_mixed_products():
 
 def column_move_args(crystals, i):
     """The i-signs, f_i arrays and e_i arrays that the pairing hands
-    bosonic._column_move for these factor crystals."""
+    pairing._column_move for these factor crystals."""
     return ([tuple(p - e for e, p in zip(c.eps[i], c.phi[i])) for c in crystals],
             [c.f[i] for c in crystals], [c.e[i] for c in crystals])
 
@@ -167,7 +167,7 @@ def test_column_move_matches_string_steps_on_the_pairing_grid():
             content = path_content(crystals, path)
             for i in range(n):
                 k = content[i - 1] - content[i] + 1
-                got = bosonic._column_move(*args[i], path, k)
+                got = pairing._column_move(*args[i], path, k)
                 assert got == string_move(crystals, path, i, k), (n, shapes, path, i)
                 stats = [(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, path)]
                 assert got == rc.string_raise_and_reflect(crystals, path, i, stats, content)
@@ -195,7 +195,7 @@ def test_column_move_matches_string_steps_at_every_power(case):
     for i in range(crystals[0].n):
         eps, phi = rc.fold_stats([(c.eps[i][x], c.phi[i][x]) for c, x in zip(crystals, path)])
         for k in range(-eps - 1, phi + 2):
-            got = bosonic._column_move(*column_move_args(crystals, i), path, k)
+            got = pairing._column_move(*column_move_args(crystals, i), path, k)
             assert got == string_move(crystals, path, i, k), (path, i, k)
 
 
@@ -209,7 +209,7 @@ def test_column_move_precondition_refuses_a_row_factor(n, shapes):
     assert any(a + b == 2 for i in range(n) for a, b in zip(row.eps[i], row.phi[i]))
     spec = CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
     with pytest.raises(CertificateError, match="not a column crystal"):
-        bosonic._level_zero_certificate(spec)
+        pairing._level_zero_certificate(spec)
 
 
 def test_column_move_precondition_refuses_arrays_off_the_signs(monkeypatch):
@@ -219,10 +219,10 @@ def test_column_move_precondition_refuses_arrays_off_the_signs(monkeypatch):
     crystal = tableaux.RectCrystal(2, RectShape(1, 1))
     assert any(crystal.eps[1])
     monkeypatch.setattr(crystal, "e", [(-1, -1), (-1, -1)])
-    bosonic._column_table.cache_clear()  # so that the certificate checks the patched arrays
+    pairing._column_table.cache_clear()  # so that the certificate checks the patched arrays
     spec = CrystalSpec(2, (RectShape(1, 1),) * 2, level=0, lam=LevelWeight.vacuum(2, 0))
     with pytest.raises(CertificateError, match="not a column crystal"):
-        bosonic._level_zero_certificate(spec)
+        pairing._level_zero_certificate(spec)
 
 
 def test_commutation_warnings_match_literal_rule():
