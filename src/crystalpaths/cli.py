@@ -53,8 +53,7 @@ def parse_weight_selector(text: str, n: int, name: str = "weight") -> LevelWeigh
                 "%s selector %r uses node %d, outside 0..%d" % (name, text, index, n - 1)
             )
         level += coeff
-        for _ in range(coeff):
-            finite = vadd(finite, fundamental_vector(index, n))
+        finite = vadd(finite, tuple(coeff * x for x in fundamental_vector(index, n)))
     return LevelWeight(level, finite, 0)
 
 
@@ -117,32 +116,19 @@ def _build_spec(args) -> CrystalSpec:
 
 
 def cmd_kostka(args) -> int:
+    if not args.Lambda and not getattr(args, "lam", None):
+        raise ValueError("kostka needs either --lambda or --level with --Lambda")
+    spec = _build_spec(args)
+    payload = {"schema": SCHEMA_VERSION, "command": "kostka", "spec": _spec_json(spec)}
     if args.Lambda:
-        spec = _build_spec(args)
+        payload["mode"] = "level"
         poly = kostka_level(spec)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "kostka",
-            "mode": "level",
-            "spec": _spec_json(spec),
-            "polynomial": _poly_pairs(poly),
-            "path_count": poly(1),
-        }
     else:
-        if not getattr(args, "lam", None):
-            raise ValueError("kostka needs either --lambda or --level with --Lambda")
-        spec = _build_spec(args)
         target = parse_partition(args.lam)
+        payload["mode"], payload["lambda"] = "classical", list(target)
         poly = kostka_classical(spec, target)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "kostka",
-            "mode": "classical",
-            "spec": _spec_json(spec),
-            "lambda": list(target),
-            "polynomial": _poly_pairs(poly),
-            "path_count": poly(1),
-        }
+    payload["polynomial"] = _poly_pairs(poly)
+    payload["path_count"] = poly(1)
     _emit(payload, args.format)
     return 0
 

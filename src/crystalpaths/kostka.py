@@ -28,6 +28,7 @@ and peels off leading terms, never touching crystal operators.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -69,7 +70,12 @@ def factor_size(n: int, s: RectShape) -> int:
 def check_tables(n: int, shapes: Sequence[RectShape]) -> None:
     """ValueError for a factor that factor_size refuses, or when the largest
     local table that grading a path of these factors builds (energy.carry_plan:
-    each factor against every shape left of it) holds over TABLE_LIMIT pairs."""
+    each factor against every shape left of it) holds over TABLE_LIMIT pairs.
+    A rank over FACTOR_LIMIT is refused for any product, the empty one too: a
+    factor at rank n has at least n elements, and the sums over an empty
+    product take time quadratic in n."""
+    if n > FACTOR_LIMIT:
+        raise ValueError("rank %d is over FACTOR_LIMIT = %d" % (n, FACTOR_LIMIT))
     sizes = [factor_size(n, s) for s in shapes]
     pairs = max(map(operator.mul, itertools.accumulate(sizes, max), sizes[1:]), default=0)
     if pairs > TABLE_LIMIT:
@@ -251,43 +257,10 @@ def kostka_level(spec: CrystalSpec) -> LaurentPoly:
 # q = 1 oracle: Schur polynomial product expansion by leading-term peeling
 
 
-def _partition_of_shape(s: RectShape) -> tuple[int, ...]:
-    return (s.cols,) * s.rows
-
-
-@functools.lru_cache(maxsize=None)
 def schur_monomials(partition: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Monomial expansion of the Schur polynomial in n variables, computed by
-    enumerating column-strict fillings of the partition shape."""
-    partition = tuple(x for x in partition if x)
-    if any(partition[i] < partition[i + 1] for i in range(len(partition) - 1)):
-        raise ValueError("not a partition: %s" % (partition,))
-    if len(partition) > n:
-        return ()
-    counts: dict[tuple[int, ...], int] = {}
-    rows = [[0] * width for width in partition]
-
-    def fill(r: int, c: int):
-        if r == len(partition):
-            content = [0] * n
-            for row in rows:
-                for x in row:
-                    content[x - 1] += 1
-            key = tuple(content)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        nr, nc = (r, c + 1) if c + 1 < partition[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0 and c < partition[r - 1]:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for x in range(lo, n + 1):
-            rows[r][c] = x
-            fill(nr, nc)
-        rows[r][c] = 0
-
-    fill(0, 0)  # the empty partition has one filling, of content zero
+    """Monomial expansion of the Schur polynomial in n variables: the contents
+    of the column-strict fillings of the partition shape, counted."""
+    counts = collections.Counter(tableaux.filling_content(rows, n) for rows in tableaux.fillings(partition, n))
     return tuple(sorted(counts.items()))
 
 
@@ -327,7 +300,7 @@ def schur_product(n: int, shapes: tuple[RectShape, ...]) -> dict[tuple[int, ...]
     polynomials, which is symmetric in the content."""
     product = {(0,) * n: 1}
     for s in shapes:
-        product = _dict_product(product, dict(schur_monomials(_partition_of_shape(s), n)))
+        product = _dict_product(product, dict(schur_monomials((s.cols,) * s.rows, n)))
     return product
 
 

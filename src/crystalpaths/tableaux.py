@@ -7,13 +7,17 @@ the rank-n alphabet.  Each crystal B(shape) at rank n is built once, as
 integer arrays over its elements (RectCrystal), promotion and its inverse
 included, with -1 for an undefined operator result.  The program reads only
 those arrays; the signature rule and promotion themselves run only while a
-crystal is built.
+crystal is built.  The one enumeration of column-strict fillings
+(:func:`fillings`) serves any partition: its rectangles are the crystal's
+elements, and their contents the Schur polynomials of kostka's oracle.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Optional
+import itertools
+import operator
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .signature import CertificateError, Record, fold_stats, lowering_index, raising_index
 
@@ -73,12 +77,7 @@ class Tableau(Record):
         object.__setattr__(self, "shape", RectShape(len(rows), width))
 
     def content(self) -> tuple[int, ...]:
-        """Coordinate m counts the entries equal to m."""
-        counts = [0] * self.n
-        for r in self.rows:
-            for x in r:
-                counts[x - 1] += 1
-        return tuple(counts)
+        return filling_content(self.rows, self.n)
 
     def cells(self) -> tuple[int, ...]:
         """Cell word, bottom row to top row, each row left to right.
@@ -107,33 +106,43 @@ def highest_weight_tableau(shape: RectShape, n: int) -> Tableau:
     return Tableau(n, tuple((r + 1,) * shape.cols for r in range(shape.rows)))
 
 
-@functools.lru_cache(maxsize=None)
+def fillings(partition: tuple[int, ...], n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The column-strict fillings of a partition with entries in {1..n}, as
+    tuples of rows, in row-word lexicographic order: rows weakly increase,
+    columns strictly increase.  Zero parts are ignored; the empty partition
+    has one filling, and a partition of more than n parts none."""
+    partition = tuple(x for x in partition if x)
+    if any(a < b for a, b in zip(partition, partition[1:])):
+        raise ValueError("not a partition: %s" % (partition,))
+
+    def fill(rows: tuple[tuple[int, ...], ...]):
+        if len(rows) == len(partition):
+            yield rows
+            return
+        above = rows[-1] if rows else (0,)
+        # every entry is at least the first, which exceeds the entry above it
+        for row in itertools.combinations_with_replacement(range(above[0] + 1, n + 1), partition[len(rows)]):
+            if all(map(operator.lt, above, row)):
+                yield from fill(rows + (row,))
+
+    return fill(())
+
+
+def filling_content(rows: Iterable[Iterable[int]], n: int) -> tuple[int, ...]:
+    """Coordinate m counts the entries equal to m."""
+    counts = [0] * n
+    for r in rows:
+        for x in r:
+            counts[x - 1] += 1
+    return tuple(counts)
+
+
 def enumerate_tableaux(shape: RectShape, n: int) -> tuple[Tableau, ...]:
     """All column-strict fillings of the rectangle, in row-word lexicographic order."""
     shape = RectShape(*shape)
     if shape.rows >= n:
         raise ValueError("height %d must be below the rank %d" % (shape.rows, n))
-    k, l = shape
-    grid = [[0] * l for _ in range(k)]
-    out = []
-
-    def fill(pos: int):
-        if pos == k * l:
-            out.append(Tableau(n, tuple(tuple(r) for r in grid)))
-            return
-        r, c = divmod(pos, l)
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for x in range(lo, n + 1):
-            grid[r][c] = x
-            fill(pos + 1)
-        grid[r][c] = 0
-
-    fill(0)
-    return tuple(out)
+    return tuple(Tableau(n, rows) for rows in fillings((shape.cols,) * shape.rows, n))
 
 
 # ---------------------------------------------------------------------------

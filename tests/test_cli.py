@@ -10,8 +10,9 @@ from test_bosonic import count_scans
 from test_kostka import refuse_building
 
 import crystalpaths
+from crystalpaths import bosonic, cli, pairing
 from crystalpaths.cli import main, parse_weight_selector
-from crystalpaths.weights import LevelWeight
+from crystalpaths.weights import LevelWeight, vadd
 
 
 def run(capsys, *argv):
@@ -54,6 +55,20 @@ def test_weight_selector_parsing():
         parse_weight_selector("L5", 3)
 
 
+def test_weight_selector_adds_each_term_once(monkeypatch):
+    """A coefficient scales its fundamental vector: one vadd per term, however
+    large the coefficient."""
+    calls = []
+
+    def spy(a, b):
+        calls.append(b)
+        return vadd(a, b)
+
+    monkeypatch.setattr(cli, "vadd", spy)
+    assert parse_weight_selector("1000000000000L1+L2", 3) == LevelWeight(10 ** 12 + 1, (10 ** 12 + 1, 1, 0), 0)
+    assert calls == [(10 ** 12, 0, 0), (1, 1, 0)]
+
+
 def test_kostka_classical_json(capsys):
     code, out, _ = run(
         capsys, "kostka", "--n", "2", "--shapes", "1x1,1x1", "--lambda", "2,0"
@@ -81,6 +96,9 @@ def test_validation_exit_code(capsys):
     assert "height" in err
     code, _, err = run(capsys, "kostka", "--n", "2", "--shapes", "1x1")
     assert code == 2
+    # the missing mode is named before any fault of the spec
+    code, _, err = run(capsys, "kostka", "--n", "1", "--shapes", "3x1")
+    assert (code, err) == (2, "validation error: kostka needs either --lambda or --level with --Lambda\n")
 
 
 # inputs whose level checks CrystalSpec.validate alone makes: (argv, the weight named)
@@ -120,6 +138,25 @@ def test_oversized_factor_refusal_exit_code(argv, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "10x1 at rank 20 has at least 184756 elements, over FACTOR_LIMIT = 5000" in err
+
+
+HUGE_RANK = [
+    ["verify-zero", "--n", "1000000", "--shapes", ""],
+    ["verify", "--n", "1000000", "--shapes", "", "--level", "1", "--Lambda", "L0"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_RANK, ids=[" ".join(a) for a in HUGE_RANK])
+def test_huge_rank_refusal_exit_code(argv, capsys, monkeypatch):
+    """A rank over FACTOR_LIMIT exits 2 before any sum, also for the empty
+    product, whose sums would take time quadratic in the rank."""
+    def unreachable(*args):
+        raise AssertionError("an alternating sum ran for %s" % (args,))
+    for module in (bosonic, cli, pairing):
+        monkeypatch.setattr(module, "fibre_sums", unreachable)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "rank 1000000 is over FACTOR_LIMIT = 5000" in err
 
 
 def test_verify_command(capsys):

@@ -157,18 +157,23 @@ def test_validation_errors():
 
 def test_factor_size_counts_the_enumeration():
     """The hook-content count of |B(shape)| at rank n is the number of
-    tableaux the crystal enumerates."""
+    tableaux the crystal enumerates and the sum of the coefficients of the
+    rectangle's Schur polynomial, at every rank n <= 6 and width up to 4
+    (wider ones pass FACTOR_LIMIT at rank 6)."""
     assert [factor_size(n, RectShape(*s)) for n, s in ((2, (1, 1)), (3, (2, 1)), (3, (2, 2)), (6, (2, 3)))] \
         == [2, 3, 6, 490]
     for n in range(2, 7):
-        for shape in (RectShape(rows, cols) for rows in range(1, n) for cols in range(1, 4)):
-            assert factor_size(n, shape) == len(tableaux.enumerate_tableaux(shape, n))
+        for shape in (RectShape(rows, cols) for rows in range(1, n) for cols in range(1, 5)):
+            size = factor_size(n, shape)
+            assert size == len(tableaux.enumerate_tableaux(shape, n))
+            assert size == sum(c for _, c in schur_monomials((shape.cols,) * shape.rows, n))
 
 
 def refuse_building(monkeypatch):
     """Make building a factor crystal or a Schur polynomial raise."""
     def unreachable(*args):
         raise AssertionError("a crystal or Schur polynomial was built for %s" % (args,))
+    monkeypatch.setattr(tableaux, "fillings", unreachable)
     monkeypatch.setattr(tableaux, "enumerate_tableaux", unreachable)
     monkeypatch.setattr(kostka, "schur_monomials", unreachable)
 
@@ -177,7 +182,8 @@ def test_oversized_factor_refused_before_building(monkeypatch):
     """A factor over FACTOR_LIMIT elements (B(10x1) at rank 20 has 184756)
     is refused by every entry point before any crystal or Schur polynomial
     is built; far-off sizes are refused by the lower bounds n and rows *
-    cols + 1 without the product."""
+    cols + 1 without the product, and a rank over FACTOR_LIMIT for any
+    product, the empty one too."""
     refuse_building(monkeypatch)
     big = RectShape(10, 1)
     spec = CrystalSpec(20, (big,), level=1, lam=LevelWeight.vacuum(20, 1),
@@ -195,6 +201,10 @@ def test_oversized_factor_refused_before_building(monkeypatch):
         with pytest.raises(ValueError, match="has at least %d elements" % least):
             factor_size(n, shape)
     assert factor_size(14, RectShape(7, 1)) == 3432 <= FACTOR_LIMIT
+    for shapes in ((), (S11,)):  # a rank over the limit, the empty product included
+        with pytest.raises(ValueError, match="rank %d is over FACTOR_LIMIT = %d" % (FACTOR_LIMIT + 1, FACTOR_LIMIT)):
+            check_tables(FACTOR_LIMIT + 1, shapes)
+    check_tables(FACTOR_LIMIT, ())
 
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import reference_crystal as rc
 import reference_paths as rp
 from reference_crystal import (
@@ -12,6 +14,7 @@ from reference_crystal import (
     reflect,
     simple_root,
 )
+from reference_tableaux import brute_force_fillings
 from reference_weights import theta_vector
 
 from crystalpaths import tableaux as tx
@@ -19,6 +22,7 @@ from crystalpaths.tableaux import (
     RectShape,
     Tableau,
     enumerate_tableaux,
+    fillings,
     format_tableau,
     highest_weight_tableau,
     parse_tableau,
@@ -54,6 +58,33 @@ def test_enumeration_counts():
         ((1,), (3,)),
         ((2,), (3,)),
     }
+
+
+@st.composite
+def partitions(draw, cells: int = 7) -> tuple[int, ...]:
+    """A partition of at most `cells` cells, sometimes with zero parts."""
+    parts = []
+    while cells and draw(st.booleans()):
+        parts.append(draw(st.integers(1, min(cells, parts[-1] if parts else cells))))
+        cells -= parts[-1]
+    return tuple(parts) + (0,) * draw(st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(partitions(), st.integers(1, 5))
+@example((), 3)
+@example((1, 1, 1), 2)
+@example((2, 2), 5)
+def test_fillings_match_brute_force(partition, n):
+    """The one filler lists exactly the column-strict fillings, in sorted
+    (row-word lexicographic) order: one for the empty partition, none for
+    more parts than n."""
+    assert list(fillings(partition, n)) == brute_force_fillings(partition, n)
+
+
+def test_fillings_refuse_a_non_partition():
+    with pytest.raises(ValueError, match="not a partition"):
+        fillings((1, 2), 3)
 
 
 def test_enumeration_rejects_tall_shapes():
