@@ -22,7 +22,6 @@ from typing import Optional
 
 from .bosonic import commutation_hypothesis_warnings, fibre_sums
 from .kostka import CrystalSpec, kostka_classical, kostka_level
-from .laurent import LaurentPoly
 from .signature import CertificateError
 from .tableaux import RectShape
 from .weights import LevelWeight, fundamental_vector, vadd
@@ -66,10 +65,6 @@ def parse_shapes(text: str) -> tuple[RectShape, ...]:
 
 def parse_partition(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
-
-
-def _poly_pairs(poly: LaurentPoly) -> list[list[int]]:
-    return [[e, c] for e, c in poly.pairs()]
 
 
 def _spec_json(spec: CrystalSpec) -> dict:
@@ -127,7 +122,7 @@ def cmd_kostka(args) -> int:
         target = parse_partition(args.lam)
         payload["mode"], payload["lambda"] = "classical", list(target)
         poly = kostka_classical(spec, target)
-    payload["polynomial"] = _poly_pairs(poly)
+    payload["polynomial"] = list(poly.pairs())
     payload["path_count"] = poly(1)
     _emit(payload, args.format)
     return 0
@@ -143,8 +138,8 @@ def cmd_verify(args) -> int:
         "schema": SCHEMA_VERSION,
         "command": "verify",
         "spec": _spec_json(spec),
-        "lhs_polynomial": _poly_pairs(report.polynomial),
-        "rhs_polynomial": _poly_pairs(rhs),
+        "lhs_polynomial": list(report.polynomial.pairs()),
+        "rhs_polynomial": list(rhs.pairs()),
         "equal": report.polynomial == rhs,
         "summand_count": report.summand_count,
         "truncation_bound": report.truncation_bound,
@@ -186,6 +181,10 @@ def cmd_straighten(args) -> int:
         if "=" not in token:
             raise ValueError("straighten arguments look like n=3 l=2 alpha=1,0,-1")
         key, _, value = token.partition("=")
+        if key not in ("n", "l", "alpha"):
+            raise ValueError("straighten takes the keys n, l and alpha, not %r" % key)
+        if key in assignments:
+            raise ValueError("straighten key %r is given twice" % key)
         assignments[key] = value
     missing = {"n", "l", "alpha"} - set(assignments)
     if missing:

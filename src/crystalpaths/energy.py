@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 
-from .signature import CertificateError, Record, lowering_index, raising_index
+from .signature import CertificateError, Record, lowering_side, raising_side
 from .tableaux import RectCrystal, RectShape, Tableau, highest_weight_tableau
 from .weights import LevelWeight, vadd
 
@@ -90,8 +90,8 @@ class LocalIsoTable(Record):
         while raised:
             raised = False
             for i in range(1, self.n):
-                while (side := raising_index(((b2.eps[i][a], b2.phi[i][a]),
-                                              (b1.eps[i][b], b1.phi[i][b])))) is not None:
+                while (side := raising_side((b2.eps[i][a], b2.phi[i][a]),
+                                            (b1.eps[i][b], b1.phi[i][b]))) is not None:
                     a, b = (b2.move(a, i, -1), b) if side == 0 else (a, b1.move(b, i, -1))
                     ups.append(i)
                     raised = True
@@ -101,7 +101,7 @@ class LocalIsoTable(Record):
                                    % (self.shape1, self.shape2, nu))
         y, v = self._highest[nu], self._top
         for i in reversed(ups):
-            side = lowering_index(((b1.eps[i][y], b1.phi[i][y]), (b2.eps[i][v], b2.phi[i][v])))
+            side = lowering_side((b1.eps[i][y], b1.phi[i][y]), (b2.eps[i][v], b2.phi[i][v]))
             if side is None:
                 raise CertificateError("the components of content %s disagree at f_%d" % (nu, i))
             y, v = (b1.move(y, i, 1), v) if side == 0 else (y, b2.move(v, i, 1))
@@ -152,11 +152,11 @@ def zero_side_moves(n: int, shape: RectShape, tail_shape: RectShape, z: int) -> 
     left, right = RectCrystal(n, shape), RectCrystal(n, tail_shape)
     moved = []
     for x in range(len(left.elements)):
-        # e_0 acts on the left of a (x) b exactly when eps_0(a) > phi_0(b)
-        if left.eps[0][x] > right.phi[0][z]:
+        if raising_side((left.eps[0][x], left.phi[0][x]), (right.eps[0][z], right.phi[0][z])) == 0:
             k = x * table.width + z
             table.fill(k)
-            if right.eps[0][table.image1[k]] <= left.phi[0][table.image2[k]]:
+            y1, y2 = table.image1[k], table.image2[k]
+            if raising_side((right.eps[0][y1], right.phi[0][y1]), (left.eps[0][y2], left.phi[0][y2])) != 0:
                 moved.append(x)
     return moved
 

@@ -10,7 +10,7 @@ of the summands witnesses in a stream (:func:`level_zero_pairing`): a
 depth-first walk over the index paths of the orbits of the dominant read
 contents (:func:`_orbit_points`), graded as the scan grades (energy.grade),
 with per-shape sign tables (:func:`_column_table`), checks each pair at its
-plus summand, moving b to s_i e_i b by one bracket pass over its signs
+plus summand, moving b to s_i e_i b by one bracket of its signs
 (:func:`_column_move`), and must meet as many summands as the Schur product
 counts, at most PAIRING_LIMIT.
 """
@@ -27,7 +27,7 @@ from .energy import carry_plan, grade
 from .kostka import CrystalSpec, check_tables, kostka_level, schur_product
 from .laurent import LaurentPoly
 from .paths import Path, format_path, target_content
-from .signature import CertificateError
+from .signature import CertificateError, bracket
 from .tableaux import RectShape
 from .weights import LevelWeight, guard_code, pack, perm_sign, rho_vector, times_reflection, vadd
 
@@ -127,18 +127,10 @@ def level_zero_identity(n: int, shapes: Sequence[RectShape]) -> dict:
 def _column_move(signs, lower, raise_, path, k: int) -> Optional[tuple[list[int], list[int]]]:
     """(f_i^k b for k > 0 or e_i^-k b for k <= 0, the factors it moves) on a
     path b of column factors with i-signs signs[j][x] and f_i, e_i arrays
-    lower[j], raise_[j]; None when the string ends first.  A - cancels the
-    nearest free + to its right; f_i moves the rightmost free +, e_i the
+    lower[j], raise_[j]; None when the string ends first.  f_i^k moves the k
+    rightmost free + signs that signature.bracket finds, e_i^-k the -k
     leftmost free -.  s_i e_i b = f_i^(<h_i, content> + 1) b if eps_i(b) > 0."""
-    plus, minus = [], []  # the free + signs, the - signs no + has cancelled yet
-    for j, s in enumerate(map(operator.getitem, signs, path)):
-        if s:
-            if s < 0:
-                minus.append(j)
-            elif minus:
-                del minus[-1]
-            else:
-                plus.append(j)
+    plus, minus = bracket(map(operator.getitem, signs, path))
     if k > len(plus) or -k > len(minus):
         return None
     changed, ops = (plus[len(plus) - k:], lower) if k > 0 else (minus[:-k], raise_)
@@ -195,8 +187,8 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
              for i in range(n)]
     # ends[j]: the codes of the prefixes of j + 1 factors that some suffix completes to a read content
     ends = [set(read)]
-    for steps in reversed(codes[1:]):
-        ends.insert(0, {p - d for p in ends[0] for d in set(steps) if (p - d) & guard == guard})
+    for steps in map(set, reversed(codes[1:])):
+        ends.insert(0, {p - d for p in ends[0] for d in steps if (p - d) & guard == guard})
     kids, choice = [{} for _ in codes], choices[-1]  # kids[j][p]: filled when the walk first reaches p
 
     def children(j: int, p: int) -> list:  # (x, p + code of x) for each x of factor j keeping p in ends[j]

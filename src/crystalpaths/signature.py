@@ -1,15 +1,19 @@
 """Signature rule for tensor products of crystals.
 
-Factor lists are ordered leftmost first.  For a two-factor product with left
-factor y and right factor x the statistics combine as
+Factor lists are ordered leftmost first.  In signs a factor reads
++^phi -^eps, a - cancels the nearest free + to its right, e_i turns the
+leftmost free - into a + and f_i the rightmost free + into a -.  The program
+reads the rule in two forms.  :func:`bracket` pairs a word of unit signs, one
+per factor: the cells of a tableau, the column factors of a path.  For two
+factors, left factor y and right factor x, the statistics combine as
 
     phi(y (x) x) = phi(y) + max(0, phi(x) - eps(y))
     eps(y (x) x) = eps(x) + max(0, eps(y) - phi(x))
 
 and a raising operator acts on x when phi(x) >= eps(y), a lowering operator
-when phi(x) > eps(y); otherwise the action passes into y.  In signs: a
-factor reads +^phi -^eps, a - cancels the nearest free + to its right, e_i
-turns the leftmost free - into a + and f_i the rightmost free + into a -.
+when phi(x) > eps(y); otherwise the action passes into y
+(:func:`raising_side`, :func:`lowering_side`).  Nothing folds the
+statistics of a longer product.
 
 The module also holds what every other module shares: CertificateError, and
 Record, the immutable value base of the package's small classes.
@@ -18,7 +22,7 @@ Record, the immutable value base of the package's small classes.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 Stats = tuple[int, int]  # (eps, phi) of one factor for a fixed operator index
 
@@ -68,32 +72,35 @@ class Record:
             "%s=%r" % pair for pair in zip(self._fields, self._values(self))))
 
 
-def fold_stats(stats: Sequence[Stats]) -> Stats:
-    """(eps, phi) of the full tensor product; the empty product gives (0, 0)."""
-    eps = phi = 0
-    for e, p in stats:
-        phi += max(0, p - eps)
-        eps = e + max(0, eps - p)
-    return eps, phi
+def bracket(signs: Iterable[int]) -> tuple[list[int], list[int]]:
+    """(positions of the free + signs, positions of the free - signs) of a
+    word of signs +1, -1 and 0, leftmost factor first, each list in reading
+    order: a - cancels the nearest free + to its right.  The product has
+    phi = len(plus) and eps = len(minus); e_i acts at minus[0], f_i at
+    plus[-1]."""
+    plus, minus = [], []  # the free + signs, the - signs no + has cancelled yet
+    for j, s in enumerate(signs):
+        if s < 0:
+            minus.append(j)
+        elif s:
+            if minus:
+                del minus[-1]
+            else:
+                plus.append(j)
+    return plus, minus
 
 
-def raising_index(stats: Sequence[Stats]) -> Optional[int]:
-    """The factor holding the leftmost free - sign, where e_i acts; None if e_i kills."""
-    eps, pos = 0, 0  # eps of the prefix
-    for j, (e, p) in enumerate(stats):
-        if p >= eps:
-            eps, pos = e, j
-        else:
-            eps += e - p
-    return pos if eps else None
+def raising_side(left: Stats, right: Stats) -> Optional[int]:
+    """The factor of left (x) right that e_i acts on, 0 for the left and 1
+    for the right, from their (eps, phi); None if e_i kills the pair."""
+    if right[1] < left[0]:
+        return 0
+    return 1 if right[0] else None
 
 
-def lowering_index(stats: Sequence[Stats]) -> Optional[int]:
-    """The factor holding the rightmost free + sign, where f_i acts; None if f_i kills."""
-    eps, pos = 0, None  # eps of the prefix
-    for j, (e, p) in enumerate(stats):
-        if p > eps:
-            eps, pos = e, j
-        else:
-            eps += e - p
-    return pos
+def lowering_side(left: Stats, right: Stats) -> Optional[int]:
+    """The factor of left (x) right that f_i acts on, 0 for the left and 1
+    for the right, from their (eps, phi); None if f_i kills the pair."""
+    if right[1] > left[0]:
+        return 1
+    return 0 if left[1] else None

@@ -19,7 +19,7 @@ import itertools
 import operator
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .signature import CertificateError, Record, fold_stats, lowering_index, raising_index
+from .signature import CertificateError, Record, bracket
 
 
 class RectShape(NamedTuple):
@@ -236,14 +236,12 @@ class RectCrystal:
         return x
 
     def _signature_rule(self, t: Tableau, i: int, by_word: dict) -> tuple[int, int, int, int]:
-        """(eps_i, phi_i, e_i, f_i) of t, e_i changing the cell that the
-        signature rule points at from i+1 to i and f_i from i to i+1; by_word
+        """(eps_i, phi_i, e_i, f_i) of t from one bracket of its cell word,
+        a letter i reading + and a letter i+1 reading -: e_i changes the
+        leftmost free - to an i, f_i the rightmost free + to an i+1; by_word
         maps each element's cell word to its index."""
         cells = t.cells()
-        stats = [(int(x == i + 1), int(x == i)) for x in cells]
-        moved = []
-        for pos, old, new in ((raising_index(stats), i + 1, i), (lowering_index(stats), i, i + 1)):
-            if pos is not None and cells[pos] != old:
-                raise CertificateError("signature rule pointed at cell %d of %s, not a %d" % (pos, t, old))
-            moved.append(-1 if pos is None else by_word[cells[:pos] + (new,) + cells[pos + 1:]])
-        return (*fold_stats(stats), *moved)
+        plus, minus = bracket([(x == i) - (x == i + 1) for x in cells])
+        e = by_word[cells[:minus[0]] + (i,) + cells[minus[0] + 1:]] if minus else -1
+        f = by_word[cells[:plus[-1]] + (i + 1,) + cells[plus[-1] + 1:]] if plus else -1
+        return len(minus), len(plus), e, f

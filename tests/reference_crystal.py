@@ -6,17 +6,18 @@ the string moves as arrays over element indices.  The tests state
 properties of these maps on Tableau objects through the plain functions
 below, and weight changes through simple_root.
 
-The program reads the signature rule of a tensor product in single passes
-(signature.raising_index, lowering_index), and the level-zero pairing moves
-a path of column factors by one bracket pass over their signs
-(pairing._column_move).  The references at the end are the rule as first
-written: the two-factor combination folded into a list of prefix
-statistics, the crystal reflection recursing on the mirrored product when
-eps > phi, and the level-zero pairing's move as a raising followed by a
-separate reflection.  Between the two stand the general string move
-string_steps on any factors' (eps_i, phi_i) and the pairing's move built on
-it, string_raise_and_reflect, which the pairing used before it was
-restricted to columns.
+The program reads the signature rule in two forms: one bracket of a word of
+unit signs (signature.bracket: the cells of a tableau in RectCrystal, the
+column factors of a path in pairing._column_move), and the side an operator
+acts on in a two-factor product (signature.raising_side, lowering_side).
+The references at the end are the rule as first written: the two-factor
+combination folded into a list of prefix statistics (fold_stats,
+raising_index, lowering_index), the crystal reflection recursing on the
+mirrored product when eps > phi, and the level-zero pairing's move as a
+raising followed by a separate reflection.  Between the two stand the
+general string move string_steps on any factors' (eps_i, phi_i) and the
+pairing's move built on it, string_raise_and_reflect, which the pairing used
+before it was restricted to columns.
 """
 
 from itertools import accumulate

@@ -18,7 +18,7 @@ import reference_paths as rp
 from crystalpaths import tableaux
 from crystalpaths.energy import LocalIsoTable, local_table, phi_matching_element
 from crystalpaths.paths import Path
-from crystalpaths.signature import CertificateError, raising_index
+from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import RectCrystal, RectShape, Tableau
 from crystalpaths.weights import LevelWeight
 
@@ -46,7 +46,7 @@ def _classical_highest_pairs(n: int, shape2: RectShape, shape1: RectShape) -> di
 
 def _zero_side(pair: Pair) -> Optional[int]:
     """The factor e_0 acts on: 0 left, 1 right, None when undefined."""
-    return raising_index([(rc.eps(t, 0), rc.phi(t, 0)) for t in pair])
+    return rc.raising_index([(rc.eps(t, 0), rc.phi(t, 0)) for t in pair])
 
 
 def literal_local_table(n: int, shape2: RectShape, shape1: RectShape) -> tuple[dict, dict]:

@@ -227,6 +227,22 @@ def test_straighten_command(capsys):
     assert code == 2 and "missing l" in err
 
 
+def test_straighten_unknown_key_refusal(capsys):
+    """A key other than n, l and alpha exits 2 and names the key, where it
+    was once ignored."""
+    code, out, err = run(capsys, "straighten", "n=3", "l=2", "alpha=1,0,0", "beta=4")
+    assert (code, out) == (2, "")
+    assert "'beta'" in err
+
+
+def test_straighten_repeated_key_refusal(capsys):
+    """A key given twice exits 2 and names the key, where the last value
+    once won."""
+    code, out, err = run(capsys, "straighten", "n=3", "l=2", "alpha=1,0,0", "alpha=0,1,0")
+    assert (code, out) == (2, "")
+    assert "'alpha' is given twice" in err
+
+
 @pytest.mark.parametrize("argv, paths", [
     (["--n", "3", "--level", "2", "--shapes", ",".join(["1x1"] * 24), "--Lambda", "L0+L1"],
      75025),

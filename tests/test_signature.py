@@ -1,8 +1,8 @@
-"""The single-pass signature rule against the literal folds of
-reference_crystal: the operator indices, the statistics of the product, the
-string move f_i^k / e_i^-k, and the level-zero pairing's move s_i e_i, both
-as the general string move of the reference and as the pairing's bracket
-pass over column factors (pairing._column_move)."""
+"""The signature rule against the literal folds of reference_crystal: the
+bracket of unit signs and the two-factor sides, the string move
+f_i^k / e_i^-k, and the level-zero pairing's move s_i e_i, both as the
+general string move of the reference and as the pairing's bracket of
+column signs (pairing._column_move)."""
 
 import itertools
 
@@ -17,11 +17,12 @@ from test_bosonic import PAIRING_GRID
 from crystalpaths import bosonic, energy, pairing, tableaux
 from crystalpaths.kostka import CrystalSpec
 from crystalpaths.paths import Path
-from crystalpaths.signature import CertificateError, fold_stats, lowering_index, raising_index
+from crystalpaths.signature import CertificateError, bracket, lowering_side, raising_side
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import LevelWeight
 
 stat_lists = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6)
+unit_words = st.lists(st.sampled_from((1, -1, 0)), max_size=12)
 
 
 @st.composite
@@ -41,14 +42,32 @@ def as_path(crystals, path):
 
 
 @settings(max_examples=300, deadline=None, database=None)
+@given(unit_words)
+def test_bracket_matches_literal_folds(signs):
+    """On random words of up to twelve unit signs, each a factor with
+    (eps, phi) = (1, 0) for a -, (0, 1) for a + and (0, 0) for a 0, the
+    bracket finds as many free - and + signs as the folded eps and phi, the
+    leftmost free - where the literal fold raises and the rightmost free +
+    where it lowers, and exactly the signs that the whole string moves of
+    the reference change."""
+    stats = [(int(s < 0), int(s > 0)) for s in signs]
+    plus, minus = bracket(signs)
+    assert (len(minus), len(plus)) == rc.fold_stats(stats)
+    assert (minus[0] if minus else None) == rc.raising_index(stats)
+    assert (plus[-1] if plus else None) == rc.lowering_index(stats)
+    assert plus == [j for j, step in enumerate(rc.string_steps(stats, len(plus))) if step]
+    assert minus == [j for j, step in enumerate(rc.string_steps(stats, -len(minus))) if step]
+
+
+@settings(max_examples=300, deadline=None, database=None)
 @given(stat_lists)
 def test_index_folds_match_literal_folds(stats):
-    """raising_index, lowering_index and fold_stats equal the accumulate
-    folds, and the string move to the mirror point equals the literal
-    reflection, on random statistics of up to six factors."""
-    assert raising_index(stats) == rc.raising_index(stats)
-    assert lowering_index(stats) == rc.lowering_index(stats)
-    assert fold_stats(stats) == rc.fold_stats(stats)
+    """raising_side and lowering_side equal the accumulate folds on every
+    two adjacent factors, and the string move to the mirror point equals
+    the literal reflection, on random statistics of up to six factors."""
+    for left, right in zip(stats, stats[1:]):
+        assert raising_side(left, right) == rc.raising_index([left, right])
+        assert lowering_side(left, right) == rc.lowering_index([left, right])
     eps, phi = rc.fold_stats(stats)
     assert rc.string_steps(stats, phi - eps) == rc.reflection_steps(stats)
 
@@ -227,7 +246,7 @@ def test_column_move_precondition_refuses_arrays_off_the_signs(monkeypatch):
 
 def test_commutation_warnings_match_literal_rule():
     """commutation_hypothesis_warnings reads the side e_0 acts on from
-    eps_0(a) > phi_0(b); the literal two-factor fold gives the same
+    signature.raising_side; the literal two-factor fold gives the same
     warnings, and some are raised."""
     total = 0
     for n, ell in ((2, 1), (3, 1), (3, 2), (4, 1)):
