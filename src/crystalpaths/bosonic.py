@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import importlib
 import operator
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import tableaux
 from .energy import zero_side_moves
@@ -142,6 +142,26 @@ def _orbit(product: dict, target, lamp_rho, content) -> list[tuple[int, ...]]:
     for b in base:  # (prefix, the entries of v not yet placed)
         level = [(p + (b + y,), rest - {y}) for p, rest in level for y in rest if b + y >= 0]
     return [p for p, _ in level if p in product]
+
+
+def identity_report(spec: CrystalSpec, rhs: LaurentPoly, widen_check: bool = False) -> dict:
+    """Both sides of the identity for the validated spec (rhs the right one),
+    their equality, summand count and box radius; with widen_check also the
+    radius widened by 2 and whether the sum is stable there (same scans)."""
+    result, *widened = fibre_sums(spec, (0, 2) if widen_check else (0,))
+    report = {
+        "lhs_polynomial": list(result.polynomial.pairs()),
+        "rhs_polynomial": list(rhs.pairs()),
+        "equal": result.polynomial == rhs,
+        "summand_count": result.summand_count,
+        "truncation_bound": result.truncation_bound,
+    }
+    if widen_check:
+        report["widen_certificate"] = {
+            "widened_bound": widened[0].truncation_bound,
+            "stable": widened[0].polynomial == result.polynomial,
+        }
+    return report
 
 
 def bosonic_report(spec: CrystalSpec, widen: int = 0) -> AlternatingSumResult:

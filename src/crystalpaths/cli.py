@@ -18,9 +18,8 @@ import argparse
 import json
 import re
 import sys
-from typing import Optional
 
-from .bosonic import commutation_hypothesis_warnings, fibre_sums
+from .bosonic import commutation_hypothesis_warnings, identity_report
 from .kostka import CrystalSpec, kostka_classical, kostka_level
 from .signature import CertificateError
 from .tableaux import RectShape
@@ -56,11 +55,20 @@ def parse_weight_selector(text: str, n: int, name: str = "weight") -> LevelWeigh
     return LevelWeight(level, finite, 0)
 
 
+def _read(name: str, form: str, parse, text: str):
+    """parse(text), with a ValueError reworded to name the option or key and its form."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError("%s must be %s, got %r" % (name, form, text)) from None
+
+
 def parse_shapes(text: str) -> tuple[RectShape, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(RectShape.parse(part) for part in text.split(","))
+    form = "KxL with positive integers K and L"
+    return tuple(_read("--shapes", form, RectShape.parse, part) for part in text.split(","))
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
@@ -71,13 +79,9 @@ def _spec_json(spec: CrystalSpec) -> dict:
     out = {"n": spec.n, "shapes": [[s.rows, s.cols] for s in spec.shapes]}
     if spec.level is not None:
         out["level"] = spec.level
-    if spec.lam is not None:
-        out["Lambda"] = {"level": spec.lam.level, "finite": list(spec.lam.finite)}
-    if spec.lam_prime is not None:
-        out["LambdaPrime"] = {
-            "level": spec.lam_prime.level,
-            "finite": list(spec.lam_prime.finite),
-        }
+    for key, weight in (("Lambda", spec.lam), ("LambdaPrime", spec.lam_prime)):
+        if weight is not None:
+            out[key] = {"level": weight.level, "finite": list(weight.finite)}
     if spec.b0_shape is not None:
         out["b0"] = [spec.b0_shape.rows, spec.b0_shape.cols]
     return out
@@ -104,7 +108,7 @@ def _emit(payload: dict, fmt: str):
 def _build_spec(args) -> CrystalSpec:
     lam = parse_weight_selector(args.Lambda, args.n, "Lambda") if args.Lambda else None
     lam_prime = parse_weight_selector(args.LambdaPrime, args.n, "LambdaPrime") if args.LambdaPrime else None
-    b0 = RectShape.parse(args.b0) if args.b0 else None
+    b0 = _read("--b0", "KxL with positive integers K and L", RectShape.parse, args.b0) if args.b0 else None
     spec = CrystalSpec(args.n, parse_shapes(args.shapes), args.level, lam, lam_prime, b0)
     spec.validate()
     return spec
@@ -113,13 +117,15 @@ def _build_spec(args) -> CrystalSpec:
 def cmd_kostka(args) -> int:
     if not args.Lambda and not getattr(args, "lam", None):
         raise ValueError("kostka needs either --lambda or --level with --Lambda")
+    if args.Lambda is not None and args.lam is not None:
+        raise ValueError("kostka takes --lambda (classical) or --Lambda (level-restricted), not both")
     spec = _build_spec(args)
     payload = {"schema": SCHEMA_VERSION, "command": "kostka", "spec": _spec_json(spec)}
     if args.Lambda:
         payload["mode"] = "level"
         poly = kostka_level(spec)
     else:
-        target = parse_partition(args.lam)
+        target = _read("--lambda", "comma-separated integers", parse_partition, args.lam)
         payload["mode"], payload["lambda"] = "classical", list(target)
         poly = kostka_classical(spec, target)
     payload["polynomial"] = list(poly.pairs())
@@ -130,42 +136,27 @@ def cmd_kostka(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _build_spec(args)
-    # one scan of each fibre serves the base and the widened truncation radius
-    report, *widened = fibre_sums(spec, (0, 2) if args.widen_check else (0,))
-    rhs = kostka_level(spec)
-    warnings = commutation_hypothesis_warnings(spec)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
         "spec": _spec_json(spec),
-        "lhs_polynomial": list(report.polynomial.pairs()),
-        "rhs_polynomial": list(rhs.pairs()),
-        "equal": report.polynomial == rhs,
-        "summand_count": report.summand_count,
-        "truncation_bound": report.truncation_bound,
-        "warnings": warnings,
+        **identity_report(spec, kostka_level(spec), args.widen_check),
+        "warnings": commutation_hypothesis_warnings(spec),
     }
-    if args.widen_check:
-        payload["widen_certificate"] = {
-            "widened_bound": widened[0].truncation_bound,
-            "stable": widened[0].polynomial == report.polynomial,
-        }
     _emit(payload, args.format)
-    if args.widen_check and not payload["widen_certificate"]["stable"]:
-        return 1
-    return 0 if payload["equal"] else 1
+    stable = not args.widen_check or payload["widen_certificate"]["stable"]
+    return 0 if payload["equal"] and stable else 1
 
 
 def cmd_verify_zero(args) -> int:
     from .pairing import level_zero_identity, level_zero_pairing
 
     shapes = parse_shapes(args.shapes)
-    report = level_zero_identity(args.n, shapes)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "verify-zero",
-        "spec": {"n": args.n, "shapes": [[s.rows, s.cols] for s in shapes]},
-        **report,
+        "spec": _spec_json(CrystalSpec(args.n, shapes)),
+        **level_zero_identity(args.n, shapes),
     }
     if shapes:
         pairing = level_zero_pairing(args.n, shapes)
@@ -189,9 +180,9 @@ def cmd_straighten(args) -> int:
     missing = {"n", "l", "alpha"} - set(assignments)
     if missing:
         raise ValueError("straighten is missing %s" % ", ".join(sorted(missing)))
-    n = int(assignments["n"])
-    level = int(assignments["l"])
-    alpha = tuple(int(x) for x in assignments["alpha"].split(","))
+    n = _read("n", "an integer", int, assignments["n"])
+    level = _read("l", "an integer", int, assignments["l"])
+    alpha = _read("alpha", "comma-separated integers", parse_partition, assignments["alpha"])
     if len(alpha) != n:
         raise ValueError("alpha has %d entries, expected n=%d" % (len(alpha), n))
     from .straighten import SchurSymbol, normalize
@@ -262,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:

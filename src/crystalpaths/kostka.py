@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Callable, Iterable, Optional, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from . import tableaux
 from .energy import carry_plan, grade, phi_matching_element
@@ -88,14 +88,14 @@ class CrystalSpec(Record):
     __slots__ = _fields = ("n", "shapes", "level", "lam", "lam_prime", "b0_shape")
     n: int
     shapes: tuple[RectShape, ...]
-    level: Optional[int]
-    lam: Optional[LevelWeight]
-    lam_prime: Optional[LevelWeight]
-    b0_shape: Optional[RectShape]
+    level: int | None
+    lam: LevelWeight | None
+    lam_prime: LevelWeight | None
+    b0_shape: RectShape | None
 
-    def __init__(self, n: int, shapes: Sequence[RectShape], level: Optional[int] = None,
-                 lam: Optional[LevelWeight] = None, lam_prime: Optional[LevelWeight] = None,
-                 b0_shape: Optional[RectShape] = None):
+    def __init__(self, n: int, shapes: Sequence[RectShape], level: int | None = None,
+                 lam: LevelWeight | None = None, lam_prime: LevelWeight | None = None,
+                 b0_shape: RectShape | None = None):
         super().__init__(n, tuple(RectShape(*s) for s in shapes), level, lam, lam_prime,
                          None if b0_shape is None else RectShape(*b0_shape))
 
@@ -137,7 +137,7 @@ class CrystalSpec(Record):
     def total_boxes(self) -> int:
         return sum(s.rows * s.cols for s in self.shapes)
 
-    def resolved_lam_prime(self) -> Optional[LevelWeight]:
+    def resolved_lam_prime(self) -> LevelWeight | None:
         return self.lam_prime if self.lam_prime is not None else self.lam
 
     def resolved_b0_shape(self) -> RectShape:

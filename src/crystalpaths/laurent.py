@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
 
 
 class LaurentPoly:
@@ -16,7 +16,7 @@ class LaurentPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]], None] = None):
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
         data: dict[int, int] = {}
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs

@@ -9,7 +9,7 @@ kostka.scan_plan and kostka.scan_paths alone restrict and grade paths.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from . import tableaux
 from .signature import Record
@@ -70,7 +70,7 @@ def normalize_content(lam: Iterable[int], n: int) -> tuple[int, ...]:
     return v + (0,) * (n - len(v))
 
 
-def target_content(lam: LevelWeight, lam_out: LevelWeight, boxes: int) -> Optional[tuple[int, ...]]:
+def target_content(lam: LevelWeight, lam_out: LevelWeight, boxes: int) -> tuple[int, ...] | None:
     """The one content c of a path with the given box count for which lam + c
     is lam_out modulo the all-ones vector, or None when n does not divide
     boxes - |lam_out| + |lam|, so that no path of that box count has it."""

@@ -22,7 +22,7 @@ Record, the immutable value base of the package's small classes.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 Stats = tuple[int, int]  # (eps, phi) of one factor for a fixed operator index
 
@@ -90,7 +90,7 @@ def bracket(signs: Iterable[int]) -> tuple[list[int], list[int]]:
     return plus, minus
 
 
-def raising_side(left: Stats, right: Stats) -> Optional[int]:
+def raising_side(left: Stats, right: Stats) -> int | None:
     """The factor of left (x) right that e_i acts on, 0 for the left and 1
     for the right, from their (eps, phi); None if e_i kills the pair."""
     if right[1] < left[0]:
@@ -98,7 +98,7 @@ def raising_side(left: Stats, right: Stats) -> Optional[int]:
     return 1 if right[0] else None
 
 
-def lowering_side(left: Stats, right: Stats) -> Optional[int]:
+def lowering_side(left: Stats, right: Stats) -> int | None:
     """The factor of left (x) right that f_i acts on, 0 for the left and 1
     for the right, from their (eps, phi); None if f_i kills the pair."""
     if right[1] > left[0]:

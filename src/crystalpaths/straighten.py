@@ -19,8 +19,6 @@ re-derives it by normalizing one symbol per dominant content.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .bosonic import _dominant_contents
 from .kostka import CrystalSpec, scan_plan, schur_product
 from .laurent import LaurentPoly
@@ -61,7 +59,7 @@ class SchurSymbol(Record):
         return len(self.alpha)
 
 
-def normalize(sym: SchurSymbol) -> Optional[NormalForm]:
+def normalize(sym: SchurSymbol) -> NormalForm | None:
     """Closed-form normal form: None when the symbol vanishes, else the
     (sign, q-power, dominant alpha) of its unique reduced representative.
 
@@ -108,7 +106,7 @@ def normalize(sym: SchurSymbol) -> Optional[NormalForm]:
     )
 
 
-def pi_on_character(level: int, alpha: Vector) -> Optional[tuple[int, int, LevelWeight]]:
+def pi_on_character(level: int, alpha: Vector) -> tuple[int, int, LevelWeight] | None:
     """Image of one exponential under the level-shifted projection: None when
     it vanishes, else (sign, q-power, dominant affine weight)."""
     nf = normalize(SchurSymbol(tuple(alpha), level))

@@ -14,17 +14,17 @@ elements, and their contents the Schur polynomials of kostka's oracle.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
-from typing import Iterable, Iterator, NamedTuple, Optional
+from collections.abc import Iterable, Iterator
 
 from .signature import CertificateError, Record, bracket
 
 
-class RectShape(NamedTuple):
-    rows: int
-    cols: int
+class RectShape(collections.namedtuple("RectShape", "rows cols")):
+    __slots__ = ()
 
     def __str__(self):
         return "%dx%d" % (self.rows, self.cols)
@@ -161,7 +161,7 @@ def _promote(t: Tableau) -> Tableau:
     """
     n = t.n
     k, l = t.shape
-    grid: list[list[Optional[int]]] = [list(row) for row in t.rows]
+    grid: list[list[int | None]] = [list(row) for row in t.rows]
     holes = [c for c in range(l) if grid[k - 1][c] == n]
     if any(grid[r][c] == n for r in range(k - 1) for c in range(l)):
         raise CertificateError("maximal letters must lie in the bottom row of a rectangle")

@@ -843,6 +843,31 @@ def test_differential_orbit_against_permutations(tail, data):
         assert sum(product[c] for c in orbit) == rb.permutation_count(product, target, lamp_rho, content)
 
 
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_factor_order_leaves_both_sides_unchanged(data):
+    """Permuting the factors leaves the level polynomial, the alternating
+    sum and its summand count unchanged, for n in {3, 4}, levels 2 and 3,
+    three to five factors of height <= 2 and width <= min(level, 2), and
+    dominant Lambda and LambdaPrime with a target content under the default
+    b0 (with a taller b0 the identity itself fails on some specs: ROADMAP
+    item 3)."""
+    n, ell = data.draw(st.sampled_from((3, 4))), data.draw(st.sampled_from((2, 3)))
+    kinds = [RectShape(r, c) for r in (1, 2) for c in range(1, min(ell, 2) + 1)]
+    shapes = tuple(data.draw(st.lists(st.sampled_from(kinds), min_size=3, max_size=5)))
+    boxes = sum(r * c for r, c in shapes)
+    weights = list(dominant_weights(n, ell))
+    lam, lam_prime = data.draw(st.sampled_from(
+        [(a, b) for a in weights for b in weights if target_content(a, b, boxes) is not None]))
+    sides = []
+    for order in (shapes, tuple(data.draw(st.permutations(shapes)))):
+        spec = CrystalSpec(n, order, level=ell, lam=lam, lam_prime=lam_prime)
+        report = bosonic_report(spec)
+        sides.append((kostka_level(spec), report.polynomial, report.summand_count))
+    assert sides[0] == sides[1], (n, ell, lam, lam_prime, shapes)
+
+
 def test_dominant_contents_with_and_without_a_finite_weight():
     """The dominant contents are those c with Lambda + c weakly decreasing,
     for a zero and a nonzero finite part of Lambda."""

@@ -12,6 +12,8 @@ from test_kostka import refuse_building
 import crystalpaths
 from crystalpaths import bosonic, cli, pairing
 from crystalpaths.cli import main, parse_weight_selector
+from crystalpaths.kostka import CrystalSpec
+from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import LevelWeight, vadd
 
 
@@ -101,6 +103,44 @@ def test_validation_exit_code(capsys):
     assert (code, err) == (2, "validation error: kostka needs either --lambda or --level with --Lambda\n")
 
 
+def test_kostka_both_modes_refusal(capsys):
+    """--lambda together with --Lambda exits 2 and names both, where the
+    level mode once won silently; like the missing mode, before any fault
+    of the spec."""
+    refused = (2, "", "validation error: kostka takes --lambda (classical) or --Lambda "
+               "(level-restricted), not both\n")
+    assert run(capsys, "kostka", "--n", "3", "--shapes", "1x1,1x1", "--lambda", "1,1",
+               "--Lambda", "L0", "--level", "1") == refused
+    assert run(capsys, "kostka", "--n", "1", "--shapes", "3x1", "--lambda", "1", "--Lambda", "L0") == refused
+
+
+# integer inputs that int() refuses: (argv, the option or key and the form the message names)
+INTEGER_REFUSALS = [
+    (["straighten", "n=x", "l=2", "alpha=1,0,0"], "n must be an integer, got 'x'"),
+    (["straighten", "n=3", "l=x", "alpha=1,0,0"], "l must be an integer, got 'x'"),
+    (["straighten", "n=3", "l=2", "alpha="], "alpha must be comma-separated integers, got ''"),
+    (["straighten", "n=3", "l=2", "alpha=1,,0"], "alpha must be comma-separated integers, got '1,,0'"),
+    (["kostka", "--n", "3", "--shapes", "1x1,1x1", "--lambda", "2,x"],
+     "--lambda must be comma-separated integers, got '2,x'"),
+    (["kostka", "--n", "3", "--shapes", "1x1,1x1", "--lambda", ","],
+     "--lambda must be comma-separated integers, got ','"),
+    (["kostka", "--n", "3", "--shapes", "1xa", "--lambda", "1"],
+     "--shapes must be KxL with positive integers K and L, got '1xa'"),
+    (["verify-zero", "--n", "3", "--shapes", "1x1,2x"],
+     "--shapes must be KxL with positive integers K and L, got '2x'"),
+    (["verify", "--n", "3", "--shapes", "1x1", "--level", "1", "--Lambda", "L1", "--b0", "1xz"],
+     "--b0 must be KxL with positive integers K and L, got '1xz'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INTEGER_REFUSALS, ids=[" ".join(a) for a, _ in INTEGER_REFUSALS])
+def test_integer_parse_refusal_exit_code(argv, message, capsys):
+    """An integer input that does not parse exits 2 with a message naming
+    its option or key and the form it must have, where Python's bare
+    int() message once named neither."""
+    assert run(capsys, *argv) == (2, "", "validation error: %s\n" % message)
+
+
 # inputs whose level checks CrystalSpec.validate alone makes: (argv, the weight named)
 LEVEL_REFUSALS = [
     (["kostka", "--n", "3", "--shapes", "1x1", "--Lambda", "L0"], "Lambda"),
@@ -152,8 +192,7 @@ def test_huge_rank_refusal_exit_code(argv, capsys, monkeypatch):
     product, whose sums would take time quadratic in the rank."""
     def unreachable(*args):
         raise AssertionError("an alternating sum ran for %s" % (args,))
-    for module in (bosonic, cli, pairing):
-        monkeypatch.setattr(module, "fibre_sums", unreachable)
+    monkeypatch.setattr(bosonic, "fibre_sums", unreachable)  # every sum runs through bosonic's
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "rank 1000000 is over FACTOR_LIMIT = 5000" in err
@@ -169,6 +208,18 @@ def test_verify_command(capsys):
     assert payload["equal"] is True
     assert payload["widen_certificate"]["stable"] is True
     assert payload["warnings"] == []
+
+
+def test_verify_and_level_one_identity_report_alike(capsys):
+    """verify and level_one_identity build the report of the identity in one
+    place: on a level-one column spec its five fields agree."""
+    code, out, _ = run(capsys, "verify", "--n", "3", "--level", "1", "--shapes", "1x1,2x1,1x1,2x1", "--Lambda", "L0")
+    spec = CrystalSpec(3, (RectShape(1, 1), RectShape(2, 1)) * 2, level=1, lam=LevelWeight.vacuum(3, 1))
+    report = pairing.level_one_identity(spec)
+    fields = ("lhs_polynomial", "rhs_polynomial", "equal", "summand_count", "truncation_bound")
+    payload = json.loads(out)
+    assert code == 0 and payload["summand_count"] > 0 and report["path_exists"]
+    assert {key: payload[key] for key in fields} == json.loads(json.dumps({key: report[key] for key in fields}))
 
 
 def test_verify_widen_check_scans_each_fibre_once(capsys, monkeypatch):
@@ -272,7 +323,7 @@ def test_jobs_flag(capsys):
     assert json.loads(out)["path_count"] == 2
 
 
-LAZY_MODULES = ("dataclasses", "inspect", "logging", "hashlib", "threading", "crystalpaths.straighten",
+LAZY_MODULES = ("dataclasses", "inspect", "logging", "hashlib", "threading", "typing", "crystalpaths.straighten",
                 "crystalpaths.pairing")
 
 
