@@ -12,11 +12,13 @@ when the identity point's content (:func:`paths.target_content`) does not
 exist, and the contents of one beta form an S_n orbit, which :func:`_orbit`
 walks once.  An orbit that meets the product holds its dominant member, the
 c with Lambda + c weakly decreasing, so a sum reads only those (the
-Brauer-Klimyk form): the term of c is sign(tau) q^exponent times the scan of
-content c restricted classically against Lambda (one kostka.scan_plan per
-sum), and the summand count adds kostka.schur_product over the orbit.  One
-scan per fibre read in the widest box (:func:`truncation_bound`) serves
-every radius.
+Brauer-Klimyk form).  :func:`read_fibres` is the one read map: each fibre's
+grid point, its orbit's count of paths in kostka.schur_product and its
+members, each with its tau.  The sum's term of a fibre is sign(tau)
+q^exponent times the scan of its dominant content restricted classically
+against Lambda (one kostka.scan_plan per sum), and the summand count adds
+the orbit's count; the level-zero pairing reads every member.  One scan per fibre read in the
+widest box (:func:`truncation_bound`) serves every radius.
 
 The closed evaluations at level one and level zero, with the level-zero
 pairing, live in pairing, and the straightening form of the sum in
@@ -94,30 +96,53 @@ def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
         yield tau, perm_sign(tau), beta, content, dot(lamp_rho, beta) - m * norm2(beta) // 2
 
 
+def read_fibres(spec: CrystalSpec, bound: int):
+    """Yield (tau, sign, beta, content, exponent, paths, members) for each
+    fibre that a sum over the validated spec (maybe of level 0) reads in the
+    box of radius bound: the grid point of its dominant content, as
+    _fiber_points yields it; the paths of the fibre's S_n orbit, counted by
+    the Schur product; and an iterator over (tau, sign, content) of each
+    product content of the orbit, labelled when it is reached (_labelled)."""
+    n, lam, lam_prime = spec.n, spec.lam, spec.resolved_lam_prime()
+    m, lamp_rho = spec.level + n, vadd(lam_prime.finite, rho_vector(n))
+    if len({x % m for x in lamp_rho}) < n:
+        raise ValueError("LambdaPrime + rho = %s has entries congruent mod %d" % (lamp_rho, m))
+    target = target_content(lam, lam_prime, spec.total_boxes())
+    if target is None:  # every fiber is empty
+        return
+    product = schur_product(n, tuple(sorted(spec.shapes)))
+    base = [t - x for t, x in zip(target, lamp_rho)]
+    for point in _fiber_points(m, lamp_rho, target, bound, _dominant_contents(lam, product)):
+        tau, _, _, top, _ = point
+        orbit = _orbit(product, target, lamp_rho, top)
+        yield *point, sum(map(product.__getitem__, orbit)), _labelled(tau, top, base, orbit)
+
+
+def _labelled(tau, top, base, orbit):
+    """(tau', sign, c) for each c of the orbit of top: the orbit keeps beta
+    and exponent, and tau' labels each entry of c - base as tau labels it
+    in top - base (base = target - lamp_rho)."""
+    label = dict(zip(map(operator.sub, top, base), tau))
+    for c in orbit:
+        t = tuple(map(label.__getitem__, map(operator.sub, c, base)))
+        yield t, perm_sign(t), c
+
+
 def fibre_sums(spec: CrystalSpec, widens: Sequence[int]) -> tuple[AlternatingSumResult, ...]:
     """The alternating sum of the level polynomial at each truncation
     widening, scanning each fibre read once.  The spec is taken as
     validated, and may have level 0."""
-    n, ell, lam, lam_prime = spec.n, spec.level, spec.lam, spec.resolved_lam_prime()
-    m = ell + n
-    lamp_rho = vadd(lam_prime.finite, rho_vector(n))
-    if len({x % m for x in lamp_rho}) < n:
-        raise ValueError("LambdaPrime + rho = %s has entries congruent mod %d" % (lamp_rho, m))
-    bounds = [truncation_bound(n, ell, lam.finite, lam_prime.finite, spec.shapes, w) for w in widens]
-    totals, counts = [LaurentPoly.zero()] * len(bounds), [0] * len(bounds)
-    target = target_content(lam, lam_prime, spec.total_boxes())
-    if target is not None:  # else every fiber is empty
-        product = schur_product(n, tuple(sorted(spec.shapes)))
-        scan = scan_plan(n, spec.shapes, lam, False, spec.b0_tail())
-        points = _fiber_points(m, lamp_rho, target, max(bounds), _dominant_contents(lam, product))
-        for _, sign, beta, content, exponent in points:
-            term = LaurentPoly.q_power(exponent, sign) * scan(content)
-            paths = sum(map(product.__getitem__, _orbit(product, target, lamp_rho, content)))
-            radius = max(map(abs, beta))
-            for k, bound in enumerate(bounds):
-                if radius <= bound:
-                    totals[k] += term
-                    counts[k] += paths
+    lam, lam_prime = spec.lam, spec.resolved_lam_prime()
+    bounds = [truncation_bound(spec.n, spec.level, lam.finite, lam_prime.finite, spec.shapes, w) for w in widens]
+    totals, counts, scan = [LaurentPoly.zero()] * len(bounds), [0] * len(bounds), None
+    for _, sign, beta, content, exponent, paths, _ in read_fibres(spec, max(bounds)):
+        scan = scan or scan_plan(spec.n, spec.shapes, lam, False, spec.b0_tail())
+        term = LaurentPoly.q_power(exponent, sign) * scan(content)
+        radius = max(map(abs, beta))
+        for k, bound in enumerate(bounds):
+            if radius <= bound:
+                totals[k] += term
+                counts[k] += paths
     return tuple(map(AlternatingSumResult, totals, counts, bounds))
 
 

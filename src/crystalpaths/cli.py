@@ -109,9 +109,7 @@ def _build_spec(args) -> CrystalSpec:
     lam = parse_weight_selector(args.Lambda, args.n, "Lambda") if args.Lambda else None
     lam_prime = parse_weight_selector(args.LambdaPrime, args.n, "LambdaPrime") if args.LambdaPrime else None
     b0 = _read("--b0", "KxL with positive integers K and L", RectShape.parse, args.b0) if args.b0 else None
-    spec = CrystalSpec(args.n, parse_shapes(args.shapes), args.level, lam, lam_prime, b0)
-    spec.validate()
-    return spec
+    return CrystalSpec(args.n, parse_shapes(args.shapes), args.level, lam, lam_prime, b0)
 
 
 def cmd_kostka(args) -> int:
@@ -120,6 +118,7 @@ def cmd_kostka(args) -> int:
     if args.Lambda is not None and args.lam is not None:
         raise ValueError("kostka takes --lambda (classical) or --Lambda (level-restricted), not both")
     spec = _build_spec(args)
+    spec.validate()  # before --lambda is read, so a fault of the spec is reported first
     payload = {"schema": SCHEMA_VERSION, "command": "kostka", "spec": _spec_json(spec)}
     if args.Lambda:
         payload["mode"] = "level"

@@ -53,24 +53,11 @@ class LaurentPoly:
         """(exponent, coefficient) pairs sorted by exponent."""
         return tuple(sorted(self._coeffs.items()))
 
-    def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
     def is_monomial(self) -> bool:
         return len(self._coeffs) == 1
-
-    def min_degree(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return min(self._coeffs)
-
-    def max_degree(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self._coeffs)
 
     @staticmethod
     def _coerce(other) -> "LaurentPoly":
@@ -95,23 +82,6 @@ class LaurentPoly:
         object.__setattr__(result, "_coeffs", data)
         return result
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -127,20 +97,6 @@ class LaurentPoly:
                     del data[exp]
         result = LaurentPoly()
         object.__setattr__(result, "_coeffs", data)
-        return result
-
-    __rmul__ = __mul__
-
-    def __pow__(self, power: int):
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = LaurentPoly.one()
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
         return result
 
     def __call__(self, value: int) -> int:
@@ -173,24 +129,3 @@ class LaurentPoly:
 
     def __repr__(self):
         return "LaurentPoly(%r)" % (dict(self.pairs()),)
-
-    def __str__(self):
-        if not self._coeffs:
-            return "0"
-        terms = []
-        for exp, c in self.pairs():
-            if exp == 0:
-                terms.append(str(c))
-                continue
-            if c == 1:
-                lead = ""
-            elif c == -1:
-                lead = "-"
-            else:
-                lead = "%d*" % c
-            if exp == 1:
-                terms.append("%sq" % lead)
-            else:
-                terms.append("%sq^%d" % (lead, exp))
-        out = " + ".join(terms)
-        return out.replace("+ -", "- ")

@@ -7,8 +7,8 @@ phi_i(suffix (x) u) admits only equality, and a right-to-left walk from
 phi(u) = Lambda fixes each factor in turn.  At the formal level zero the sum
 vanishes unless the tensor product is empty, which a sign-reversing pairing
 of the summands witnesses in a stream (:func:`level_zero_pairing`): a
-depth-first walk over the index paths of the orbits of the dominant read
-contents (:func:`_orbit_points`), graded as the scan grades (energy.grade),
+depth-first walk over the index paths of the contents that the sum's read
+map (bosonic.read_fibres) places, graded as the scan grades (energy.grade),
 with per-shape sign tables (:func:`_column_table`), checks each pair at its
 plus summand, moving b to s_i e_i b by one bracket of its signs
 (:func:`_column_move`), and must meet as many summands as the Schur product
@@ -22,30 +22,14 @@ import operator
 from collections.abc import Sequence
 
 from . import tableaux
-from .bosonic import _dominant_contents, _fiber_points, _orbit, identity_report, truncation_bound
+from .bosonic import identity_report, read_fibres, truncation_bound
 from .energy import carry_plan, grade
-from .kostka import CrystalSpec, check_tables, kostka_level, schur_product
+from .kostka import CrystalSpec, check_tables, kostka_level
 from .laurent import LaurentPoly
 from .paths import Path, format_path, target_content
 from .signature import CertificateError, bracket
 from .tableaux import RectShape
-from .weights import LevelWeight, guard_code, pack, perm_sign, rho_vector, times_reflection, vadd
-
-
-def _orbit_points(n: int, target, bound: int, lam: LevelWeight, product: dict):
-    """Yield (tau, sign, beta, content, exponent) of the level-zero grid point
-    reading each content in the S_n orbit of a dominant read content: the
-    residue pass's at the dominant member; at another the same beta and
-    exponent, tau labelling each entry of v = content - target + rho alike."""
-    rho, dominant = rho_vector(n), _dominant_contents(lam, product)
-    base = [t - x for t, x in zip(target, rho)]
-    for tau, sign, beta, top, exponent in _fiber_points(n, rho, target, bound, dominant):
-        yield tau, sign, beta, top, exponent
-        label = dict(zip(map(operator.sub, top, base), tau))
-        for c in _orbit(product, target, rho, top):
-            if c != top:
-                t = tuple(map(label.__getitem__, map(operator.sub, c, base)))
-                yield t, perm_sign(t), beta, c, exponent
+from .weights import LevelWeight, guard_code, pack, times_reflection, vadd
 
 
 def _level_one_walk(crystals, lam: LevelWeight) -> tuple[int, ...]:
@@ -158,15 +142,15 @@ def _level_zero_certificate(spec: CrystalSpec, collect=None) -> tuple[int, int, 
     summand (beta, tau, path), image None at a minus summand."""
     n, shapes, zero = spec.n, spec.shapes, spec.lam.finite
     bound = truncation_bound(n, 0, zero, zero, shapes)
-    target = target_content(spec.lam, spec.lam, spec.total_boxes())
-    if target is None:  # every fiber is empty and the certificate holds vacuously
-        return bound, 0, 0
     # contents in the guard-bit code: the prefix p - d is nonnegative when no guard bit clears
     width, guard = guard_code(n, spec.total_boxes())
-    product = schur_product(n, tuple(sorted(shapes)))
-    read = {guard + pack(c, width): ((beta, tau), sign, exponent, c)
-            for tau, sign, beta, c, exponent in _orbit_points(n, target, bound, spec.lam, product)}
-    total = sum(product[entry[3]] for entry in read.values())  # the summands, by the Schur product
+    read, total = {}, 0  # total: the summands, by the Schur product
+    for _, _, beta, _, exponent, paths, members in read_fibres(spec, bound):
+        total += paths
+        for tau, sign, c in members:
+            read[guard + pack(c, width)] = ((beta, tau), sign, exponent, c)
+    if not read:  # every fiber is empty and the certificate holds vacuously
+        return bound, 0, 0
     if total > PAIRING_LIMIT:
         raise ValueError("the pairing would walk %d summands (about %d s), over its limit of %d"
                          % (total, total * SUMMAND_US // 10 ** 6, PAIRING_LIMIT))

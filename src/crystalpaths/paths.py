@@ -31,9 +31,6 @@ class Path(Record):
                 raise ValueError("factor rank %d does not match path rank %d" % (t.n, n))
         super().__init__(n, factors)
 
-    def __len__(self):
-        return len(self.factors)
-
     @property
     def shapes(self) -> tuple[RectShape, ...]:
         return tuple(t.shape for t in self.factors)

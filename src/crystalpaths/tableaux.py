@@ -31,12 +31,12 @@ class RectShape(collections.namedtuple("RectShape", "rows cols")):
 
     @classmethod
     def parse(cls, text: str) -> "RectShape":
-        parts = text.lower().split("x")
-        if len(parts) != 2:
-            raise ValueError("shape must look like KxL, got %r" % text)
-        k, l = int(parts[0]), int(parts[1])
+        try:
+            k, l = map(int, text.lower().split("x"))
+        except ValueError:
+            k = l = 0
         if k < 1 or l < 1:
-            raise ValueError("shape dimensions must be positive, got %r" % text)
+            raise ValueError("shape must be KxL with positive integers K and L, got %r" % text)
         return cls(k, l)
 
 

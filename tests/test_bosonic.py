@@ -1,3 +1,4 @@
+import ast
 import collections
 import functools
 import itertools
@@ -289,9 +290,9 @@ def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
 
     monkeypatch.setattr(kostka, "scan_plan", counting(kostka.scan_plan))
     monkeypatch.setattr(bosonic, "scan_plan", counting(bosonic.scan_plan))
-    # the pairing's walk starts from the Schur product and the carry plan, and grades each step
+    # both read the Schur product through bosonic.read_fibres; the pairing's walk
+    # starts from the carry plan and grades each step
     monkeypatch.setattr(bosonic, "schur_product", counting(bosonic.schur_product))
-    monkeypatch.setattr(pairing, "schur_product", counting(pairing.schur_product))
     monkeypatch.setattr(pairing, "carry_plan", counting(pairing.carry_plan))
     monkeypatch.setattr(pairing, "grade", counting(pairing.grade))
     shapes = (S11, S11)
@@ -524,6 +525,46 @@ def test_pairing_matches_reference():
             frozenset(pair) for pair in tableau_pairs}, (n, shapes)
 
 
+def test_sums_and_pairing_read_one_read_map_per_call(monkeypatch):
+    """fibre_sums (for every report and identity) and the level-zero
+    certificate take their fibres, orbits and Schur counts from one
+    bosonic.read_fibres call each per call."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(spec, bound):
+            calls.append((spec, bound))
+            return fn(spec, bound)
+        return wrapper
+
+    monkeypatch.setattr(bosonic, "read_fibres", counting(bosonic.read_fibres))
+    monkeypatch.setattr(pairing, "read_fibres", counting(pairing.read_fibres))
+    spec = vacuum_spec(3, (S11, RectShape(2, 1), S11), 2)
+    fibre_sums(spec, (0, 2))
+    assert calls == [(spec, truncation_bound(3, 2, (0,) * 3, (0,) * 3, spec.shapes, 2))]
+    shapes = (S11, RectShape(2, 1), S11, RectShape(2, 1))
+    for run in (level_zero_identity, level_zero_pairing):
+        calls.clear()
+        assert run(3, shapes)["summand_count"] > 0
+        assert len(calls) == 1 and calls[0][0].shapes == shapes, (run, calls)
+
+
+def test_pairing_imports_no_private_name_of_bosonic():
+    """pairing reads the sums' read map through bosonic.read_fibres alone:
+    it imports no _-prefixed name of bosonic, reads none as an attribute,
+    and never names schur_product."""
+    tree = ast.parse(open(pairing.__file__, encoding="utf-8").read())
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert ("bosonic", "read_fibres") in imported
+    assert not [name for module, name in imported if module == "bosonic" and name.startswith("_")]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attributes = {(node.value.id, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    assert not [a for owner, a in attributes if owner == "bosonic" and a.startswith("_")]
+    assert "schur_product" not in names | {a for _, a in attributes} | {name for _, name in imported}
+
+
 def test_pairing_certificate_refuses_unequal_plus_and_minus_counts(monkeypatch):
     """A minus summand outside every pair breaks the count check: the plus
     summands all pass their own checks, but no longer map onto the minus
@@ -534,15 +575,17 @@ def test_pairing_certificate_refuses_unequal_plus_and_minus_counts(monkeypatch):
     bound = truncation_bound(n, 0, (0,) * n, (0,) * n, spec.shapes)
     points = list(_fiber_points(n, rho_vector(n), (1, 1, 1), bound, product))
     unread = next(c for c in product if c not in {p[3] for p in points})
-    # the unread content, at a grid point of odd permutation that no pair reaches
-    extra = ((2, 1, 3), -1, (9, 0, -9), unread, 0)
+    # the unread content, a fibre of its own at a grid point of odd permutation that no pair reaches
+    tau, beta = (2, 1, 3), (9, 0, -9)
+    extra = (tau, -1, beta, unread, 0, product[unread], [(tau, -1, unread)])
+    read_fibres = bosonic.read_fibres
 
     def with_extra(*args):
-        yield from _fiber_points(*args)
+        yield from read_fibres(*args)
         yield extra
 
     assert level_zero_pairing(n, shapes)["cancels"]
-    monkeypatch.setattr(pairing, "_fiber_points", with_extra)
+    monkeypatch.setattr(pairing, "read_fibres", with_extra)
     with pytest.raises(CertificateError, match="plus summands into"):
         level_zero_pairing(n, shapes)
 
@@ -556,7 +599,7 @@ def test_certificate_refuses_a_walk_short_of_the_schur_count(monkeypatch):
     product = schur_product(n, shapes)
     inflated = {**product, (1, 1, 1): product[(1, 1, 1)] + 1}
     summands = level_zero_pairing(n, shapes)["summand_count"]
-    monkeypatch.setattr(pairing, "schur_product", lambda *args: inflated)
+    monkeypatch.setattr(bosonic, "schur_product", lambda *args: inflated)
     with pytest.raises(CertificateError, match="walk met %d summands, the Schur product %d"
                        % (summands, summands + 1)):
         level_zero_pairing(n, shapes)
@@ -880,27 +923,25 @@ def test_dominant_contents_with_and_without_a_finite_weight():
 
 def pairing_grid(monkeypatch, n, shapes):
     """content -> (tau, sign, beta, exponent) of the points from which the
-    pairing builds its read map (the dominant members' from the residue
-    pass, the other orbit members' derived from them), and the (content ->
-    (beta, tau)) of the summands its walk meets."""
+    pairing builds its read map (the orbit members of bosonic.read_fibres:
+    the dominant members' from the residue pass, the others' derived from
+    them), and the (content -> (beta, tau)) of the summands its walk meets."""
     calls, met = [], {}
-    orbit_points = pairing._orbit_points
+    read_fibres = bosonic.read_fibres
 
     def recording(*args):
         calls.append(points := [])
-
-        def walk():
-            for point in orbit_points(*args):
-                points.append(point)
-                yield point
-        return walk()
+        for *point, paths, members in read_fibres(*args):
+            members = list(members)
+            points.extend((tau, sign, point[2], c, point[4]) for tau, sign, c in members)
+            yield (*point, paths, members)
 
     def collect(summand, exponent, image):
         beta, tau, path = summand
         met[functools.reduce(vadd, (c.content[x] for c, x in zip(crystals, path)))] = (beta, tau)
 
     crystals = [tableaux.RectCrystal(n, s) for s in shapes]
-    monkeypatch.setattr(pairing, "_orbit_points", recording)
+    monkeypatch.setattr(pairing, "read_fibres", recording)
     try:
         pairing._level_zero_certificate(pairing._level_zero_spec(n, shapes), collect=collect)
     finally:

@@ -96,6 +96,9 @@ def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "kostka", "--n", "3", "--shapes", "3x1", "--lambda", "1,1,1")
     assert code == 2
     assert "height" in err
+    # a fault of the spec is named before a malformed --lambda
+    assert run(capsys, "kostka", "--n", "3", "--shapes", "3x1", "--lambda", "x") == (
+        2, "", "validation error: factor height 3 must lie in 1..2 (below the rank)\n")
     code, _, err = run(capsys, "kostka", "--n", "2", "--shapes", "1x1")
     assert code == 2
     # the missing mode is named before any fault of the spec
@@ -238,6 +241,28 @@ def test_verify_widen_check_scans_each_fibre_once(capsys, monkeypatch):
     affine = [args[2] for args in calls if args[4]]
     assert affine == [(3, 3, 3)]
     assert len(classical) == len(set(classical)) > 1
+
+
+def test_verify_and_kostka_validate_their_spec_twice(capsys, monkeypatch):
+    """verify validates its spec in its two library entry points,
+    kostka_level and commutation_hypothesis_warnings, and kostka in the
+    command (before --lambda is read) and in kostka_level or
+    kostka_classical: twice each, where verify once did it three times."""
+    calls, validate = [], CrystalSpec.validate
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec)
+        return validate(spec, *args, **kwargs)
+
+    monkeypatch.setattr(CrystalSpec, "validate", counting)
+    for argv in (["verify", "--n", "3", "--level", "2", "--shapes", "1x1,2x1", "--Lambda", "L0+L1", "--b0", "1x2",
+                  "--widen-check"],
+                 ["kostka", "--n", "3", "--level", "1", "--shapes", "1x1,2x1", "--Lambda", "L0"],
+                 ["kostka", "--n", "3", "--shapes", "1x1,2x1", "--lambda", "2,1"]):
+        calls.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out), argv
+        assert len(calls) == 2 and calls[0] is calls[1], argv
 
 
 def test_verify_zero_command(capsys):

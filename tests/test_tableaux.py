@@ -299,3 +299,18 @@ def test_tensor_square_connected_under_all_operators():
                                 seen.add(move)
                                 frontier.append(move)
                 assert len(seen) == len(elements)
+
+
+@pytest.mark.parametrize("text", ["1xa", "x1", "1x", "0x1", "2x-1", "1x2x3", "12", ""])
+def test_shape_parse_names_the_text_and_the_form(text):
+    """Every malformed shape raises one message naming the text and the
+    form KxL, where a non-integer side once raised Python's bare int()
+    message."""
+    with pytest.raises(ValueError) as refused:
+        RectShape.parse(text)
+    assert str(refused.value) == "shape must be KxL with positive integers K and L, got %r" % text
+
+
+def test_shape_parse_reads_either_case_and_int_spacing():
+    assert RectShape.parse("2X3") == RectShape(2, 3)
+    assert RectShape.parse(" 2x1") == RectShape.parse("2 x 1 ") == RectShape(2, 1)
