@@ -37,48 +37,42 @@ from __future__ import annotations
 
 import functools
 
-from .signature import CertificateError, Record, lowering_side, raising_side
+from .signature import CertificateError, lowering_side, raising_side
 from .tableaux import RectCrystal, RectShape, Tableau, highest_weight_tableau
 from .weights import LevelWeight, vadd
 
 
-class LocalIsoTable(Record):
+@functools.cache
+class LocalIsoTable:
     """R: B2 (x) B1 -> B1 (x) B2 and H as flat lists over the pairs met so
-    far, elements indexed as in tableaux.RectCrystal.
+    far, elements indexed as in tableaux.RectCrystal; one table per
+    (n, shape2, shape1) in this process, whose entries every caller fills
+    and reuses.
 
     Entry a*width + b, with width = |B1|, describes a (x) b: ``energy``
     holds H(a (x) b), and R(a (x) b) = b1' (x) b2' with b1' = ``image1``
     in B1 and b2' = ``image2`` in B2; all three are None until
-    :meth:`fill` computes the entry.  The filled entries are fixed by the
-    fields, so tables with equal fields are equal.
+    :meth:`fill` computes the entry.
     """
 
-    _fields = ("n", "shape2", "shape1")
-    __slots__ = _fields + ("width", "energy", "image1", "image2", "_crystals", "_top", "_highest")
-    n: int
-    shape2: RectShape
-    shape1: RectShape
+    __slots__ = ("n", "shape2", "shape1", "width", "energy", "image1", "image2",
+                 "_crystals", "_top", "_highest")
 
     def __init__(self, n: int, shape2: RectShape, shape1: RectShape):
-        shape2, shape1 = RectShape(*shape2), RectShape(*shape1)
-        b2, b1 = RectCrystal(n, shape2), RectCrystal(n, shape1)
-        size = len(b2.elements) * len(b1.elements)
-        top = b2.index[highest_weight_tableau(shape2, n)]
-        highest = {}  # content -> y with y (x) top classically highest in B1 (x) B2
+        self.n, self.shape2, self.shape1 = n, RectShape(*shape2), RectShape(*shape1)
+        b2, b1 = self._crystals = RectCrystal(n, self.shape2), RectCrystal(n, self.shape1)
+        self.width = len(b1.elements)
+        size = len(b2.elements) * self.width
+        self.energy, self.image1, self.image2 = [None] * size, [None] * size, [None] * size
+        self._top = top = b2.index[highest_weight_tableau(self.shape2, n)]
+        self._highest = highest = {}  # content -> y with y (x) top classically highest in B1 (x) B2
         for y, content in enumerate(b1.content):
             if all(b1.eps[i][y] <= b2.phi[i][top] for i in range(1, n)):
                 nu = vadd(content, b2.content[top])
                 if nu in highest:
-                    raise ValueError("component matching ambiguous for shapes %s, %s" % (shape1, shape2))
+                    raise ValueError("component matching ambiguous for shapes %s, %s"
+                                     % (self.shape1, self.shape2))
                 highest[nu] = y
-        super().__init__(n, shape2, shape1)
-        object.__setattr__(self, "width", len(b1.elements))
-        object.__setattr__(self, "energy", [None] * size)
-        object.__setattr__(self, "image1", [None] * size)
-        object.__setattr__(self, "image2", [None] * size)
-        object.__setattr__(self, "_crystals", (b2, b1))
-        object.__setattr__(self, "_top", top)
-        object.__setattr__(self, "_highest", highest)
 
     def fill(self, at: int) -> int:
         """H at entry ``at``, computing it and R there on first use."""
@@ -110,20 +104,13 @@ class LocalIsoTable(Record):
         return h
 
 
-@functools.cache
-def local_table(n: int, shape2: RectShape, shape1: RectShape) -> LocalIsoTable:
-    """The one table of B(shape2) (x) B(shape1) at rank n in this process,
-    whose entries every caller fills and reuses."""
-    return LocalIsoTable(n, shape2, shape1)
-
-
 def carry_plan(n: int, shapes) -> tuple[int, list]:
     """The number of kinds (shapes, in order of first appearance) and, per
     factor x, its grading step: its kind and [(kind of s, k_s, table of
     s (x) x)] over the shapes s left of x, k_s of them."""
     kinds = list(dict.fromkeys(shapes))
     return len(kinds), [
-        (kinds.index(x), [(kinds.index(s), shapes[:j].count(s), local_table(n, s, x))
+        (kinds.index(x), [(kinds.index(s), shapes[:j].count(s), LocalIsoTable(n, s, x))
                           for s in dict.fromkeys(shapes[:j])])
         for j, x in enumerate(shapes)]
 
@@ -148,7 +135,7 @@ def grade(step, x: int, carried: tuple) -> tuple[int, tuple]:
 def zero_side_moves(n: int, shape: RectShape, tail_shape: RectShape, z: int) -> list[int]:
     """The elements x of B(shape) such that e_0 acts on the left of x (x) z,
     z an element of B(tail_shape), and on the right of R(x (x) z)."""
-    table = local_table(n, shape, tail_shape)
+    table = LocalIsoTable(n, shape, tail_shape)
     left, right = RectCrystal(n, shape), RectCrystal(n, tail_shape)
     moved = []
     for x in range(len(left.elements)):

@@ -56,9 +56,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def is_monomial(self) -> bool:
-        return len(self._coeffs) == 1
-
     @staticmethod
     def _coerce(other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):

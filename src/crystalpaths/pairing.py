@@ -58,8 +58,6 @@ def level_one_identity(spec: CrystalSpec) -> dict:
     spec.validate(lam_required=True)
     if spec.level != 1:
         raise ValueError("level-one identity needs level 1, got %s" % spec.level)
-    if any(s.cols != 1 for s in spec.shapes):
-        raise ValueError("level-one identity needs column factors")
     lam_prime = spec.resolved_lam_prime()
     crystals = [tableaux.RectCrystal(spec.n, s) for s in spec.shapes]
     path = _level_one_walk(crystals, spec.lam)

@@ -35,9 +35,10 @@ class CertificateError(AssertionError):
 class Record:
     """Immutable value with slots.  The base constructor sets the fields a
     subclass lists in ``_fields`` from exactly as many values; a subclass's
-    ``__init__`` normalizes and checks, calls it, then sets any derived slot by
-    ``object.__setattr__``.  Equality and hashing are field-wise and hold only
-    within one class, so a record never equals a tuple; assignment raises."""
+    ``__init__`` normalizes and checks, calls it, then sets any derived slot
+    (``Tableau.shape``) by ``object.__setattr__``.  Equality and hashing are
+    field-wise and hold only within one class, so a record never equals a
+    tuple; assignment raises."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

@@ -78,8 +78,6 @@ def normalize(sym: SchurSymbol) -> NormalForm | None:
         return None
     ascending = sorted(residues)
     shift_total = sum(mu) - sum(residues)
-    if shift_total % m:
-        raise CertificateError("residues of %s do not sum to its total modulo %d" % (mu, m))
     blocks, extra = divmod(shift_total // m, n)
     bumped = set(ascending[:extra])
     nu = tuple(

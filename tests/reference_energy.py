@@ -16,7 +16,7 @@ import reference_crystal as rc
 import reference_paths as rp
 
 from crystalpaths import tableaux
-from crystalpaths.energy import LocalIsoTable, local_table, phi_matching_element
+from crystalpaths.energy import LocalIsoTable, phi_matching_element
 from crystalpaths.paths import Path
 from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import RectCrystal, RectShape, Tableau
@@ -120,7 +120,7 @@ def as_dicts(table: LocalIsoTable) -> tuple[dict, dict]:
 def _entry(b2: Tableau, b1: Tableau) -> tuple[LocalIsoTable, int]:
     """The registered table of b2 (x) b1 and the flat index of the pair,
     filled."""
-    table = local_table(b2.n, b2.shape, b1.shape)
+    table = LocalIsoTable(b2.n, b2.shape, b1.shape)
     k = RectCrystal(b2.n, b2.shape).index[b2] * table.width + RectCrystal(b1.n, b1.shape).index[b1]
     table.fill(k)
     return table, k
@@ -154,7 +154,7 @@ def path_energy(p: Path) -> int:
     for j in range(2, length + 1):
         x = xs[length - j]
         for i in range(j - 1, 0, -1):
-            table = local_table(p.n, fs[length - j].shape, fs[length - i].shape)
+            table = LocalIsoTable(p.n, fs[length - j].shape, fs[length - i].shape)
             k = x * table.width + xs[length - i]
             total += table.fill(k)
             x = table.image2[k]

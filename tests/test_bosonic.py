@@ -148,6 +148,15 @@ def test_level_one_identity_validation():
         )
 
 
+def test_level_one_identity_refuses_wide_factors():
+    """A factor wider than one column is refused by the spec's own level
+    check before the level-one walk starts."""
+    for shape in (RectShape(1, 2), RectShape(2, 2)):
+        spec = CrystalSpec(3, (S11, shape), level=1, lam=LevelWeight.vacuum(3, 1))
+        with pytest.raises(ValueError, match="factor %s has level 2 exceeding the spec level 1" % (shape,)):
+            level_one_identity(spec)
+
+
 def test_level_zero_identity_values():
     assert level_zero_identity(2, ())["equal"]
     assert level_zero_identity(2, ())["lhs_polynomial"] == [(0, 1)]

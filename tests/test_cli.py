@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,19 @@ def cold(*args: str) -> subprocess.CompletedProcess:
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+
+
+def test_readme_commands_run(capsys):
+    """Every ``crystalpaths ...`` line of the README's Command line block
+    exits 0 and prints schema-1 JSON, and the block shows every subcommand."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("crystalpaths ")]
+    assert {argv[0] for argv in commands} == {"kostka", "verify", "verify-zero", "straighten"}
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert json.loads(out)["schema"] == 1, argv
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])

@@ -15,7 +15,9 @@ from reference_energy import (
 from reference_paths import enumerate_paths
 
 from crystalpaths.cli import main
-from crystalpaths.energy import LocalIsoTable, local_table, phi_matching_element
+from crystalpaths.energy import LocalIsoTable, carry_plan, phi_matching_element, zero_side_moves
+from crystalpaths.kostka import scan_paths
+from crystalpaths.pairing import level_zero_pairing
 from crystalpaths.paths import Path, parse_path
 from crystalpaths.tableaux import RectShape, Tableau, enumerate_tableaux, highest_weight_tableau
 from crystalpaths.weights import LevelWeight
@@ -32,13 +34,13 @@ def shapes_for(n):
 def test_equal_shapes_give_identity():
     for n in (2, 3):
         for shape in shapes_for(n):
-            iso, _ = as_dicts(local_table(n, shape, shape))
+            iso, _ = as_dicts(LocalIsoTable(n, shape, shape))
             for key, value in iso.items():
                 assert key == value
 
 
 def test_mixed_shape_bijection_n2():
-    iso, _ = as_dicts(local_table(2, S12, S11))
+    iso, _ = as_dicts(LocalIsoTable(2, S12, S11))
     expected = {
         ("1,1", "1"): ("1", "1,1"),
         ("1,1", "2"): ("1", "1,2"),
@@ -56,7 +58,7 @@ def test_mixed_shape_bijection_n2():
 def test_iso_commutes_with_all_operators():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            iso, _ = as_dicts(local_table(n, s2, s1))
+            iso, _ = as_dicts(LocalIsoTable(n, s2, s1))
             for (a, b), (c, d) in iso.items():
                 src = Path(n, (a, b))
                 img = Path(n, (c, d))
@@ -76,8 +78,8 @@ def test_iso_commutes_with_all_operators():
 def test_iso_reverse_is_identity():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            forward, _ = as_dicts(local_table(n, s2, s1))
-            backward, _ = as_dicts(local_table(n, s1, s2))
+            forward, _ = as_dicts(LocalIsoTable(n, s2, s1))
+            backward, _ = as_dicts(LocalIsoTable(n, s1, s2))
             for key, value in forward.items():
                 assert backward[value] == key
 
@@ -104,11 +106,11 @@ def test_yang_baxter():
 def test_local_energy_normalization_and_values():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            _, energy = as_dicts(local_table(n, s2, s1))
+            _, energy = as_dicts(LocalIsoTable(n, s2, s1))
             u = (highest_weight_tableau(s2, n), highest_weight_tableau(s1, n))
             assert energy[u] == 0
     # two-value example: H is 0 on the highest component and -1 on the other
-    _, energy = as_dicts(local_table(2, S11, S11))
+    _, energy = as_dicts(LocalIsoTable(2, S11, S11))
     values = {(str(k[0]), str(k[1])): v for k, v in energy.items()}
     assert values == {("1", "1"): 0, ("1", "2"): 0, ("2", "2"): 0, ("2", "1"): -1}
     assert set(values.values()) == {0, -1}
@@ -117,7 +119,7 @@ def test_local_energy_normalization_and_values():
 def test_local_energy_constant_along_classical_strings():
     for n in (2, 3):
         for s2, s1 in itertools.product(shapes_for(n), repeat=2):
-            _, energy = as_dicts(local_table(n, s2, s1))
+            _, energy = as_dicts(LocalIsoTable(n, s2, s1))
             for (a, b), h in energy.items():
                 src = Path(n, (a, b))
                 for i in range(1, n):
@@ -127,7 +129,7 @@ def test_local_energy_constant_along_classical_strings():
 
 
 def test_zero_string_steps_change_energy_by_one():
-    _, energy = as_dicts(local_table(2, S11, S11))
+    _, energy = as_dicts(LocalIsoTable(2, S11, S11))
     x = (Tableau(2, ((2,),)), Tableau(2, ((1,),)))
     up = rp.e(Path(2, x), 0)
     assert up is not None
@@ -147,7 +149,7 @@ def test_homogeneous_energy_closed_form():
     # for equal factors the sweep reduces to sum (L - i) H(b_{i+1}, b_i)
     for n in (2, 3):
         for length in (2, 3, 4):
-            _, energy = as_dicts(local_table(n, S11, S11))
+            _, energy = as_dicts(LocalIsoTable(n, S11, S11))
             for p in enumerate_paths(n, (S11,) * length):
                 fs = p.factors
                 expected = 0
@@ -264,12 +266,36 @@ def test_on_demand_rh_matches_literal_builder_on_rectangle_pairs():
 def test_on_demand_fills_under_one_percent_of_a_wide_product(capsys):
     """verify on n=6, 2x3,2x3,1x3,1x3, level 3 computes R and H for fewer
     than 1% of the 270676 pairs of the three tables its scans meet."""
-    local_table.cache_clear()
+    LocalIsoTable.cache_clear()
     assert main(["verify", "--n", "6", "--level", "3", "--shapes", "2x3,2x3,1x3,1x3", "--Lambda", "3L0"]) == 0
     assert json.loads(capsys.readouterr().out)["equal"]
     s23, s13 = RectShape(2, 3), RectShape(1, 3)
-    tables = [local_table(6, s23, s23), local_table(6, s23, s13), local_table(6, s13, s13)]
-    assert local_table.cache_info().currsize == 3  # no table but these three was made
+    tables = [LocalIsoTable(6, s23, s23), LocalIsoTable(6, s23, s13), LocalIsoTable(6, s13, s13)]
+    assert LocalIsoTable.cache_info().currsize == 3  # no table but these three was made
     assert sum(len(t.energy) for t in tables) == 270676
     filled = sum(h is not None for t in tables for h in t.energy)
     assert 0 < filled < 2706
+
+
+def test_one_local_table_per_pair():
+    """LocalIsoTable keeps one table per (n, shape2, shape1) in the process:
+    a carry plan holds it, and the scan, the level-zero pairing and
+    zero_side_moves all fill that instance and build no other."""
+    LocalIsoTable.cache_clear()
+    table = LocalIsoTable(3, S21, S11)
+    assert LocalIsoTable(3, S21, S11) is table and LocalIsoTable(3, S11, S21) is not table
+    _, plan = carry_plan(3, (S21, S11, S21))
+    assert [held for _, meets in plan for _, _, held in meets] == [
+        table, LocalIsoTable(3, S21, S21), LocalIsoTable(3, S11, S21)]
+    LocalIsoTable.cache_clear()
+    table = LocalIsoTable(3, S21, S11)
+    filled = [sum(h is not None for h in table.energy)]
+    for use in (lambda: scan_paths(3, (S21, S11), (1, 1, 1), LevelWeight.vacuum(3, 1), False),
+                lambda: level_zero_pairing(3, (S21, S11)),
+                lambda: [zero_side_moves(3, S21, S11, z) for z in range(3)]):
+        use()
+        filled.append(sum(h is not None for h in table.energy))
+        assert LocalIsoTable.cache_info().misses == 1  # each use found the one table
+    assert filled[0] < filled[1] < filled[2] < filled[3], filled
+    with pytest.raises(ValueError):
+        LocalIsoTable(3, RectShape(3, 1), S11)  # no 3-row rectangle at rank 3

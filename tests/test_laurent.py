@@ -28,8 +28,8 @@ def test_rejects_non_integers():
 
 def test_monomials_and_degrees():
     m = LaurentPoly.q_power(-3, 4)
-    assert m.is_monomial() and m.pairs() == ((-3, 4),)
-    assert not LaurentPoly.zero().is_monomial()
+    assert len(m.pairs()) == 1 and m.pairs() == ((-3, 4),)
+    assert len(LaurentPoly.zero().pairs()) != 1
 
 
 def test_int_equality_and_hash():

@@ -22,7 +22,6 @@ from crystalpaths.weights import LevelWeight
 
 S11, S12 = RectShape(1, 1), RectShape(1, 2)
 T1, T2 = Tableau(2, ((1,),)), Tableau(2, ((2,),))
-TABLE = LocalIsoTable(3, S12, S11)
 
 
 # class -> (constructor arguments, the same value spelled with lists where
@@ -33,12 +32,6 @@ CASES = {
         (LaurentPoly({0: 1, 2: -1}), 3, 2),
         (LaurentPoly({0: 1, 2: -1}), 3, 3),
         [],
-    ),
-    LocalIsoTable: (
-        (3, S12, S11),
-        (3, [1, 2], (1, 1)),
-        (3, S11, S12),
-        [(3, (3, 1), S11)],
     ),
     CrystalSpec: (
         (2, (S11, S11), 1, LevelWeight(1, (0, 0)), None, S11),
@@ -155,8 +148,9 @@ def test_defaults_and_derived_slots():
     assert CrystalSpec(2, ()) == CrystalSpec(2, (), None, None, None, None)
     assert Tableau(3, ((1, 2), (2, 3))).shape == RectShape(2, 2)
     assert Tableau(4, ((1,), (2,), (4,))).shape == RectShape(3, 1)
-    assert TABLE.width == len(RectCrystal(3, S11).elements) == 3
-    assert TABLE.shape2 == S12 and type(LocalIsoTable(3, [1, 2], (1, 1)).shape2) is RectShape
-    assert TABLE.energy == TABLE.image1 == TABLE.image2 == [None] * (len(RectCrystal(3, S12).elements) * 3)
-    assert TABLE.fill(0) == 0 and TABLE.energy[0] == 0  # 1,1 (x) 1 is the highest pair
-    assert LocalIsoTable(3, S12, S11) == TABLE  # filled entries do not enter equality
+    LocalIsoTable.cache_clear()
+    table = LocalIsoTable(3, S12, S11)
+    assert table.width == len(RectCrystal(3, S11).elements) == 3
+    assert table.shape2 == S12 and type(LocalIsoTable(3, (1, 2), (1, 1)).shape2) is RectShape
+    assert table.energy == table.image1 == table.image2 == [None] * (len(RectCrystal(3, S12).elements) * 3)
+    assert table.fill(0) == 0 and table.energy[0] == 0  # 1,1 (x) 1 is the highest pair

@@ -271,7 +271,7 @@ def literal_commutation_warnings(spec):
     z = tail.index[b0]
     warnings = []
     for shape in sorted(set(spec.shapes)):
-        table = energy.local_table(spec.n, shape, tail.shape)
+        table = energy.LocalIsoTable(spec.n, shape, tail.shape)
         crystal = tableaux.RectCrystal(spec.n, shape)
         for x, b in enumerate(crystal.elements):
             if rc.raising_index([(crystal.eps[0][x], crystal.phi[0][x]), (tail.eps[0][z], tail.phi[0][z])]) != 0:
