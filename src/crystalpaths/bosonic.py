@@ -36,7 +36,6 @@ from . import tableaux
 from .energy import zero_side_moves
 from .kostka import CrystalSpec, scan_plan, schur_product
 from .laurent import LaurentPoly
-from .paths import target_content
 from .signature import Record
 from .weights import LevelWeight, dot, norm2, perm_sign, rho_vector, spread, vadd
 
@@ -98,16 +97,13 @@ def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
 
 def read_fibres(spec: CrystalSpec, bound: int):
     """Yield (tau, sign, beta, content, exponent, paths, members) for each
-    fibre that a sum over the validated spec (maybe of level 0) reads in the
+    fibre that a sum over the spec (maybe of level 0) reads in the
     box of radius bound: the grid point of its dominant content, as
     _fiber_points yields it; the paths of the fibre's S_n orbit, counted by
     the Schur product; and an iterator over (tau, sign, content) of each
     product content of the orbit, labelled when it is reached (_labelled)."""
-    n, lam, lam_prime = spec.n, spec.lam, spec.resolved_lam_prime()
-    m, lamp_rho = spec.level + n, vadd(lam_prime.finite, rho_vector(n))
-    if len({x % m for x in lamp_rho}) < n:
-        raise ValueError("LambdaPrime + rho = %s has entries congruent mod %d" % (lamp_rho, m))
-    target = target_content(lam, lam_prime, spec.total_boxes())
+    n, lam, target = spec.n, spec.lam, spec.target()
+    m, lamp_rho = spec.level + n, vadd(spec.resolved_lam_prime().finite, rho_vector(n))
     if target is None:  # every fiber is empty
         return
     product = schur_product(n, tuple(sorted(spec.shapes)))
@@ -130,8 +126,7 @@ def _labelled(tau, top, base, orbit):
 
 def fibre_sums(spec: CrystalSpec, widens: Sequence[int]) -> tuple[AlternatingSumResult, ...]:
     """The alternating sum of the level polynomial at each truncation
-    widening, scanning each fibre read once.  The spec is taken as
-    validated, and may have level 0."""
+    widening, scanning each fibre read once.  The spec may have level 0."""
     lam, lam_prime = spec.lam, spec.resolved_lam_prime()
     bounds = [truncation_bound(spec.n, spec.level, lam.finite, lam_prime.finite, spec.shapes, w) for w in widens]
     totals, counts, scan = [LaurentPoly.zero()] * len(bounds), [0] * len(bounds), None
@@ -170,7 +165,7 @@ def _orbit(product: dict, target, lamp_rho, content) -> list[tuple[int, ...]]:
 
 
 def identity_report(spec: CrystalSpec, rhs: LaurentPoly, widen_check: bool = False) -> dict:
-    """Both sides of the identity for the validated spec (rhs the right one),
+    """Both sides of the identity for the spec (rhs the right one),
     their equality, summand count and box radius; with widen_check also the
     radius widened by 2 and whether the sum is stable there (same scans)."""
     result, *widened = fibre_sums(spec, (0, 2) if widen_check else (0,))
@@ -190,8 +185,10 @@ def identity_report(spec: CrystalSpec, rhs: LaurentPoly, widen_check: bool = Fal
 
 
 def bosonic_report(spec: CrystalSpec, widen: int = 0) -> AlternatingSumResult:
-    """Alternating-sum value of the level polynomial of the spec."""
-    spec.validate(lam_required=True)
+    """Alternating-sum value of the level polynomial of the spec, in the box
+    widened by widen >= 0: a narrower box drops fibres that are not empty."""
+    if widen < 0:
+        raise ValueError("widen must be at least 0, got %d" % widen)
     return fibre_sums(spec, (widen,))[0]
 
 
@@ -200,7 +197,6 @@ def commutation_hypothesis_warnings(spec: CrystalSpec) -> list[str]:
     the left of b (x) b0 still acts on the left after the local isomorphism
     (energy.zero_side_moves).  Needed only for non-vacuum restriction
     weights; violations are reported, not assumed absent."""
-    spec.validate()
     tail = spec.b0_tail()
     if not tail:
         return []

@@ -117,8 +117,7 @@ def cmd_kostka(args) -> int:
         raise ValueError("kostka needs either --lambda or --level with --Lambda")
     if args.Lambda is not None and args.lam is not None:
         raise ValueError("kostka takes --lambda (classical) or --Lambda (level-restricted), not both")
-    spec = _build_spec(args)
-    spec.validate()  # before --lambda is read, so a fault of the spec is reported first
+    spec = _build_spec(args)  # checked before --lambda is read, so a fault of the spec is reported first
     payload = {"schema": SCHEMA_VERSION, "command": "kostka", "spec": _spec_json(spec)}
     if args.Lambda:
         payload["mode"] = "level"

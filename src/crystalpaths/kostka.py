@@ -48,6 +48,7 @@ FACTOR_LIMIT = 5000  # the most elements of a factor crystal; B(7x1) at rank 14 
 TABLE_LIMIT = 10 ** 6  # the most pairs of one local table, 24 MB in lists; 2x3 (x) 2x3 at rank 6 has 240100
 
 
+@functools.cache
 def factor_size(n: int, s: RectShape) -> int:
     """|B(s)| at rank n, unbuilt: at least n and rows * cols + 1, and under those
     bounds the hook-content product over the cells (i, j) of (n + j - i) / hook,
@@ -96,64 +97,66 @@ class CrystalSpec(Record):
     def __init__(self, n: int, shapes: Sequence[RectShape], level: int | None = None,
                  lam: LevelWeight | None = None, lam_prime: LevelWeight | None = None,
                  b0_shape: RectShape | None = None):
+        """ValueError for the first fault in a factor, level or weight, or a
+        local table of the factors and the b0 tail that check_tables refuses.
+        Level 0 is the formal level zero, of column factors alone; there a
+        dominant Lambda or LambdaPrime is 0 modulo the all-ones vector."""
         super().__init__(n, tuple(RectShape(*s) for s in shapes), level, lam, lam_prime,
                          None if b0_shape is None else RectShape(*b0_shape))
-
-    def validate(self, lam_required: bool = False):
-        """ValueError for the first fault in a factor, level or weight, no Lambda if lam_required,
-        or a local table of the factors and the b0 tail that check_tables refuses."""
-        if self.n < 2:
-            raise ValueError("rank must be at least 2, got %d" % self.n)
-        if self.level is not None and self.level < 1:
-            raise ValueError("level must be at least 1, got %d" % self.level)
-        for s in self.shapes:
-            if self.level is not None and s.cols > self.level:
-                raise ValueError("factor %s has level %d exceeding the spec level %d"
-                                 % (s, s.cols, self.level))
-        if lam_required and self.lam is None:
-            raise ValueError("Lambda, the restriction weight, is required")
-        for name, w in (("Lambda", self.lam), ("LambdaPrime", self.lam_prime)):
+        if n < 2:
+            raise ValueError("rank must be at least 2, got %d" % n)
+        if level == 0:
+            if any(s.cols != 1 for s in self.shapes):
+                raise ValueError("level-zero identity needs column factors")
+        elif level is not None:
+            if level < 1:
+                raise ValueError("level must be at least 1, got %d" % level)
+            for s in self.shapes:
+                if s.cols > level:
+                    raise ValueError("factor %s has level %d exceeding the spec level %d" % (s, s.cols, level))
+        for name, w in (("Lambda", lam), ("LambdaPrime", lam_prime)):
             if w is None:
                 continue
-            if self.level is None:
+            if level is None:
                 raise ValueError("%s given without a level" % name)
-            if w.rank != self.n:
-                raise ValueError("%s has rank %d, expected %d" % (name, w.rank, self.n))
-            if w.level != self.level:
-                raise ValueError("%s has level %d, expected %d" % (name, w.level, self.level))
+            if w.rank != n:
+                raise ValueError("%s has rank %d, expected %d" % (name, w.rank, n))
+            if w.level != level:
+                raise ValueError("%s has level %d, expected %d" % (name, w.level, level))
             if not w.is_dominant():
                 raise ValueError("%s is not dominant" % name)
         if self.b0_shape is not None:
-            if self.level is None:
+            if level is None:
                 raise ValueError("b0 shape given without a level")
-            if not 1 <= self.b0_shape.rows <= self.n - 1:
+            if not 1 <= self.b0_shape.rows <= n - 1:
                 raise ValueError("b0 height %d must be below the rank" % self.b0_shape.rows)
-            if self.b0_shape.cols != self.level:
-                raise ValueError("b0 shape %s must have width equal to the level %d"
-                                 % (self.b0_shape, self.level))
-        check_tables(self.n, self.shapes + (() if self.lam is None or self.is_vacuum()
-                                            else (self.resolved_b0_shape(),)))  # the b0 tail
+            if self.b0_shape.cols != level:
+                raise ValueError("b0 shape %s must have width equal to the level %d" % (self.b0_shape, level))
+        check_tables(n, self.shapes + (() if lam is None or self.is_vacuum()
+                                       else (self.resolved_b0_shape(),)))  # the b0 tail
 
     def total_boxes(self) -> int:
         return sum(s.rows * s.cols for s in self.shapes)
 
-    def resolved_lam_prime(self) -> LevelWeight | None:
+    def resolved_lam_prime(self) -> LevelWeight:
+        """LambdaPrime, which defaults to Lambda; ValueError without Lambda."""
+        if self.lam is None:
+            raise ValueError("Lambda, the restriction weight, is required")
         return self.lam_prime if self.lam_prime is not None else self.lam
 
+    def target(self) -> tuple[int, ...] | None:
+        """The content of the paths that produce LambdaPrime from Lambda
+        (paths.target_content); ValueError without Lambda."""
+        return target_content(self.lam, self.resolved_lam_prime(), self.total_boxes())
+
     def resolved_b0_shape(self) -> RectShape:
-        if self.b0_shape is not None:
-            return self.b0_shape
-        if self.level is None:
-            raise ValueError("no level from which to build a default row crystal")
-        return RectShape(1, self.level)
+        return self.b0_shape if self.b0_shape is not None else RectShape(1, self.level)
 
     def is_vacuum(self) -> bool:
         """True when the restriction weight is the level multiple of the
-        node-0 fundamental weight."""
-        return (
-            self.lam is not None
-            and self.lam.same_classical_weight(LevelWeight.vacuum(self.n, self.level))
-        )
+        node-0 fundamental weight: as Lambda has the spec's level, when its
+        entries are all equal."""
+        return self.lam is not None and len(set(self.lam.finite)) == 1
 
     def b0_tail(self) -> tuple[Tableau, ...]:
         """The factors appended on the right of every path before it is
@@ -237,7 +240,6 @@ def scan_paths(n: int, shapes: Sequence[RectShape], target: tuple[int, ...], lam
 def kostka_classical(spec: CrystalSpec, lam: Iterable[int]) -> LaurentPoly:
     """Sum of q^(path energy) over classically restricted paths of content
     lam: the classical scan against the zero weight."""
-    spec.validate()
     target = normalize_content(lam, spec.n)
     return scan_paths(spec.n, spec.shapes, target, LevelWeight.vacuum(spec.n, 0), False)
 
@@ -246,8 +248,7 @@ def kostka_level(spec: CrystalSpec) -> LaurentPoly:
     """Sum of q^(energy) over level-restricted paths producing LambdaPrime:
     the restricted paths of the one content c with Lambda + c equal to
     LambdaPrime modulo the all-ones vector."""
-    spec.validate(lam_required=True)
-    target = target_content(spec.lam, spec.resolved_lam_prime(), spec.total_boxes())
+    target = spec.target()
     if target is None:  # no path has a content that produces LambdaPrime
         return LaurentPoly.zero()
     return scan_paths(spec.n, spec.shapes, target, spec.lam, True, spec.b0_tail())
@@ -307,6 +308,5 @@ def schur_product(n: int, shapes: tuple[RectShape, ...]) -> dict[tuple[int, ...]
 def multiplicity_oracle(spec: CrystalSpec, lam: Iterable[int]) -> int:
     """Multiplicity of the irreducible of highest weight lam in the product
     of the factor representations, via plain polynomial algebra."""
-    spec.validate()
     target = normalize_content(lam, spec.n)
     return schur_expand(schur_product(spec.n, tuple(sorted(spec.shapes))), spec.n).get(target, 0)

@@ -24,9 +24,9 @@ from collections.abc import Sequence
 from . import tableaux
 from .bosonic import identity_report, read_fibres, truncation_bound
 from .energy import carry_plan, grade
-from .kostka import CrystalSpec, check_tables, kostka_level
+from .kostka import CrystalSpec, kostka_level
 from .laurent import LaurentPoly
-from .paths import Path, format_path, target_content
+from .paths import Path, format_path
 from .signature import CertificateError, bracket
 from .tableaux import RectShape
 from .weights import LevelWeight, guard_code, pack, times_reflection, vadd
@@ -55,14 +55,13 @@ def level_one_identity(spec: CrystalSpec) -> dict:
     """At level one with column factors the restricted path set has at most
     one element, found by a walk without enumeration; the alternating sum
     must equal its single monomial."""
-    spec.validate(lam_required=True)
+    target = spec.target()
     if spec.level != 1:
         raise ValueError("level-one identity needs level 1, got %s" % spec.level)
-    lam_prime = spec.resolved_lam_prime()
     crystals = [tableaux.RectCrystal(spec.n, s) for s in spec.shapes]
     path = _level_one_walk(crystals, spec.lam)
     content = functools.reduce(vadd, (c.content[x] for c, x in zip(crystals, path)), (0,) * spec.n)
-    exists = content == target_content(spec.lam, lam_prime, spec.total_boxes())
+    exists = content == target
     rhs = kostka_level(spec)
     if rhs(1) != exists:
         raise CertificateError("the level polynomial counts %d restricted paths at level one, the walk %d"
@@ -80,11 +79,7 @@ def level_one_identity(spec: CrystalSpec) -> dict:
 
 def _level_zero_spec(n: int, shapes: Sequence[RectShape]) -> CrystalSpec:
     """The tensor product of column factors with Lambda = LambdaPrime = 0 at
-    the formal level 0, which :meth:`CrystalSpec.validate` refuses."""
-    shapes = tuple(RectShape(*s) for s in shapes)
-    check_tables(n, shapes)
-    if any(s.cols != 1 for s in shapes):
-        raise ValueError("level-zero identity needs column factors")
+    the formal level 0."""
     return CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
 
 

@@ -62,7 +62,7 @@ def normalize_content(lam: Iterable[int], n: int) -> tuple[int, ...]:
     v = tuple(int(x) for x in lam)
     if len(v) > n:
         if any(v[n:]):
-            raise ValueError("weight %s has more than %d nonzero parts" % (v, n))
+            raise ValueError("weight %s has a nonzero entry past position %d" % (v, n))
         return v[:n]
     return v + (0,) * (n - len(v))
 

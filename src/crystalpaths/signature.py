@@ -35,7 +35,8 @@ class CertificateError(AssertionError):
 class Record:
     """Immutable value with slots.  The base constructor sets the fields a
     subclass lists in ``_fields`` from exactly as many values; a subclass's
-    ``__init__`` normalizes and checks, calls it, then sets any derived slot
+    ``__init__`` normalizes and checks (``CrystalSpec`` after the call,
+    through its own methods), calls it, then sets any derived slot
     (``Tableau.shape``) by ``object.__setattr__``.  Equality and hashing are
     field-wise and hold only within one class, so a record never equals a
     tuple; assignment raises."""

@@ -119,7 +119,6 @@ def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:
     dominant content, independently of the residue walk of
     bosonic._fiber_points: the sum of pi(Lambda + c) times the classical
     fibre X_c over the dominant c whose image is LambdaPrime."""
-    spec.validate(lam_required=True)
     lam_prime = spec.resolved_lam_prime()
     scan = scan_plan(spec.n, spec.shapes, spec.lam, False, spec.b0_tail())
     total = LaurentPoly.zero()

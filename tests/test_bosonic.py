@@ -77,6 +77,16 @@ def test_alternating_sum_nonvacuum_weight():
     assert bosonic_report(spec_b).polynomial == kostka_level(spec_b)
 
 
+def test_bosonic_report_refuses_a_negative_widening():
+    """A box narrower than the truncation bound drops fibres that are not
+    empty (widen=-3 here once summed 11 terms for the 9 of the level
+    polynomial), so a negative widening is refused."""
+    spec = CrystalSpec(3, (S11,) * 6, level=2, lam=LevelWeight(2, (1, 0, 0), 0))
+    assert len(bosonic_report(spec).polynomial.pairs()) == len(kostka_level(spec).pairs()) == 9
+    with pytest.raises(ValueError, match="widen must be at least 0, got -3"):
+        bosonic_report(spec, widen=-3)
+
+
 def test_widening_certificate():
     for spec in (
         vacuum_spec(2, (S11,) * 4, 1),
@@ -150,11 +160,10 @@ def test_level_one_identity_validation():
 
 def test_level_one_identity_refuses_wide_factors():
     """A factor wider than one column is refused by the spec's own level
-    check before the level-one walk starts."""
+    check, when the spec is made, so no level-one walk can start."""
     for shape in (RectShape(1, 2), RectShape(2, 2)):
-        spec = CrystalSpec(3, (S11, shape), level=1, lam=LevelWeight.vacuum(3, 1))
         with pytest.raises(ValueError, match="factor %s has level 2 exceeding the spec level 1" % (shape,)):
-            level_one_identity(spec)
+            CrystalSpec(3, (S11, shape), level=1, lam=LevelWeight.vacuum(3, 1))
 
 
 def test_level_zero_identity_values():
@@ -164,6 +173,18 @@ def test_level_zero_identity_values():
         for length in (1, 2, 3):
             report = level_zero_identity(n, ((1, 1),) * length)
             assert report["equal"] and report["lhs_polynomial"] == []
+
+
+def test_level_zero_spec_sums_like_the_level_zero_identity():
+    """The formal level 0 is a level of the spec for column products: there
+    kostka_level and the alternating sum both equal level_zero_identity's
+    value, 1 on the empty product and 0 on any other."""
+    for n, shapes in ((2, ()), (3, ()), (2, (S11,) * 3), (3, (S11, RectShape(2, 1))),
+                      (4, (RectShape(2, 1),) * 2), (3, (S11,) * 4)):
+        spec = CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
+        value = level_zero_identity(n, shapes)["rhs_polynomial"]
+        assert value == ([(0, 1)] if not shapes else [])
+        assert list(kostka_level(spec).pairs()) == list(bosonic_report(spec).polynomial.pairs()) == value
 
 
 def test_level_zero_pairing_certificate():
@@ -274,18 +295,23 @@ def test_fiber_walk_matches_grid():
     assert read > 0
 
 
-def test_alternating_sum_rejects_congruent_lambda_prime(monkeypatch):
-    # fibre_sums takes its spec as validated; it still refuses, before any
-    # scan is planned, a LambdaPrime that validation would refuse as not dominant
-    monkeypatch.setattr(bosonic, "scan_plan", None)
+def test_alternating_sum_rejects_congruent_lambda_prime():
+    """No sum is made over a LambdaPrime whose LambdaPrime + rho has entries
+    congruent mod l + n: the spec refuses it as not dominant when it is
+    made, and a dominant one, at every level from the formal 0 up, has
+    entries distinct mod l + n, as _fiber_points needs."""
     # (0, 1) + rho = (1, 1) at rank two
     lam = LevelWeight.vacuum(2, 1)
-    with pytest.raises(ValueError, match="congruent"):
-        fibre_sums(CrystalSpec(2, (S11, S11), level=1, lam=lam, lam_prime=LevelWeight(1, (0, 1), 0)), (0,))
+    with pytest.raises(ValueError, match="LambdaPrime is not dominant"):
+        CrystalSpec(2, (S11, S11), level=1, lam=lam, lam_prime=LevelWeight(1, (0, 1), 0))
     # at rank three and level one, (0, 0, 2) + rho = (2, 1, 2)
     lam3 = LevelWeight.vacuum(3, 1)
-    with pytest.raises(ValueError, match="congruent"):
-        fibre_sums(CrystalSpec(3, (S11,) * 3, level=1, lam=lam3, lam_prime=LevelWeight(1, (0, 0, 2), 0)), (0,))
+    with pytest.raises(ValueError, match="LambdaPrime is not dominant"):
+        CrystalSpec(3, (S11,) * 3, level=1, lam=lam3, lam_prime=LevelWeight(1, (0, 0, 2), 0))
+    for n in (2, 3, 4):
+        for ell in range(4):
+            for w in dominant_weights(n, ell):
+                assert len({x % (ell + n) for x in vadd(w.finite, rho_vector(n))}) == n, (n, w)
 
 
 def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
@@ -692,13 +718,12 @@ def test_certificate_column_check_raises_again_on_a_second_call(n, shapes):
     the certificate raise CertificateError on every call, also under python
     -O, while the table of a column factor is built once and kept."""
     shapes = tuple(RectShape.parse(s) for s in shapes)
-    spec = CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
+    with pytest.raises(ValueError, match="level-zero identity needs column factors"):
+        CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
+    width = guard_code(n, sum(s.rows * s.cols for s in shapes))[0]
     for _ in range(2):
         with pytest.raises(CertificateError, match="not a column crystal"):
-            pairing._level_zero_certificate(spec)
-    width = guard_code(n, spec.total_boxes())[0]
-    with pytest.raises(CertificateError, match="not a column crystal"):
-        pairing._column_table(n, RectShape(1, 2), width)
+            pairing._column_table(n, RectShape(1, 2), width)
     column = pairing._column_table(n, S11, width)
     assert pairing._column_table(n, S11, width) is column
 

@@ -11,7 +11,7 @@ from test_bosonic import count_scans
 from test_kostka import refuse_building
 
 import crystalpaths
-from crystalpaths import bosonic, cli, pairing
+from crystalpaths import bosonic, cli, kostka, pairing
 from crystalpaths.cli import main, parse_weight_selector
 from crystalpaths.kostka import CrystalSpec
 from crystalpaths.tableaux import RectShape
@@ -113,6 +113,9 @@ def test_validation_exit_code(capsys):
     # a fault of the spec is named before a malformed --lambda
     assert run(capsys, "kostka", "--n", "3", "--shapes", "3x1", "--lambda", "x") == (
         2, "", "validation error: factor height 3 must lie in 1..2 (below the rank)\n")
+    # a nonzero entry past position n
+    assert run(capsys, "kostka", "--n", "3", "--shapes", "1x1", "--lambda", "1,0,0,1") == (
+        2, "", "validation error: weight (1, 0, 0, 1) has a nonzero entry past position 3\n")
     code, _, err = run(capsys, "kostka", "--n", "2", "--shapes", "1x1")
     assert code == 2
     # the missing mode is named before any fault of the spec
@@ -158,7 +161,7 @@ def test_integer_parse_refusal_exit_code(argv, message, capsys):
     assert run(capsys, *argv) == (2, "", "validation error: %s\n" % message)
 
 
-# inputs whose level checks CrystalSpec.validate alone makes: (argv, the weight named)
+# inputs whose level checks the CrystalSpec alone makes: (argv, the weight named)
 LEVEL_REFUSALS = [
     (["kostka", "--n", "3", "--shapes", "1x1", "--Lambda", "L0"], "Lambda"),
     (["kostka", "--n", "3", "--shapes", "1x1", "--level", "2", "--Lambda", "L0"], "Lambda"),
@@ -174,7 +177,7 @@ LEVEL_REFUSALS = [
 @pytest.mark.parametrize("argv, name", LEVEL_REFUSALS, ids=[" ".join(a) for a, _ in LEVEL_REFUSALS])
 def test_level_refusal_exit_code(argv, name, capsys):
     """A weight without a level, or of another level than --level, exits 2
-    with the validator's message naming it."""
+    with the spec's message naming it."""
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("validation error: ") and re.search(r"\b%s\b" % name, err)
@@ -257,26 +260,47 @@ def test_verify_widen_check_scans_each_fibre_once(capsys, monkeypatch):
     assert len(classical) == len(set(classical)) > 1
 
 
-def test_verify_and_kostka_validate_their_spec_twice(capsys, monkeypatch):
-    """verify validates its spec in its two library entry points,
-    kostka_level and commutation_hypothesis_warnings, and kostka in the
-    command (before --lambda is read) and in kostka_level or
-    kostka_classical: twice each, where verify once did it three times."""
-    calls, validate = [], CrystalSpec.validate
+def test_verify_and_kostka_check_their_spec_once(capsys, monkeypatch):
+    """verify, kostka --Lambda and kostka --lambda each make one spec, which
+    checks itself when it is made: one check of the local tables per
+    command, where verify once checked its spec twice."""
+    made, checked, init, check = [], [], CrystalSpec.__init__, kostka.check_tables
 
-    def counting(spec, *args, **kwargs):
-        calls.append(spec)
-        return validate(spec, *args, **kwargs)
+    def making(spec, *args, **kwargs):
+        made.append(spec)
+        return init(spec, *args, **kwargs)
 
-    monkeypatch.setattr(CrystalSpec, "validate", counting)
+    def checking(*args):
+        checked.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(CrystalSpec, "__init__", making)
+    monkeypatch.setattr(kostka, "check_tables", checking)
     for argv in (["verify", "--n", "3", "--level", "2", "--shapes", "1x1,2x1", "--Lambda", "L0+L1", "--b0", "1x2",
                   "--widen-check"],
                  ["kostka", "--n", "3", "--level", "1", "--shapes", "1x1,2x1", "--Lambda", "L0"],
                  ["kostka", "--n", "3", "--shapes", "1x1,2x1", "--lambda", "2,1"]):
-        calls.clear()
+        made.clear()
+        checked.clear()
         code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out), argv
-        assert len(calls) == 2 and calls[0] is calls[1], argv
+        assert len(made) == len(checked) == 1, argv
+
+
+def test_level_zero_spec_runs_the_formal_identity(capsys):
+    """verify at --level 0 with --Lambda 0L0 runs the formal level-zero
+    identity on column factors: both sides vanish on a nonempty product and
+    are 1 on the empty one; a row factor exits 2."""
+    argv = ["verify", "--n", "3", "--level", "0", "--Lambda", "0L0"]
+    for shapes, value in (("1x1,1x1", []), ("", [[0, 1]])):
+        code, out, err = run(capsys, *argv, "--shapes", shapes)
+        payload = json.loads(out)
+        assert (code, err) == (0, ""), shapes
+        assert payload["lhs_polynomial"] == payload["rhs_polynomial"] == value, shapes
+    assert run(capsys, *argv, "--shapes", "1x2") == (
+        2, "", "validation error: level-zero identity needs column factors\n")
+    assert run(capsys, "verify-zero", "--n", "1", "--shapes", "1x1") == (
+        2, "", "validation error: rank must be at least 2, got 1\n")
 
 
 def test_verify_zero_command(capsys):

@@ -15,7 +15,7 @@ from reference_paths import (
 from test_acceptance import criterion_one_grid
 from test_bosonic import dominant_weights as dominant_level_weights
 
-from crystalpaths import bosonic, energy, kostka, pairing, paths, straighten, tableaux
+from crystalpaths import energy, kostka, pairing, paths, tableaux
 from crystalpaths.bosonic import bosonic_report
 from crystalpaths.cli import main
 from crystalpaths.kostka import (
@@ -140,18 +140,16 @@ def test_schur_expansion_internals():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        CrystalSpec(3, (RectShape(3, 1),)).validate()
+        CrystalSpec(3, (RectShape(3, 1),))
     with pytest.raises(ValueError):
-        CrystalSpec(2, (RectShape(1, 2),), level=1, lam=LevelWeight.vacuum(2, 1)).validate()
+        CrystalSpec(2, (RectShape(1, 2),), level=1, lam=LevelWeight.vacuum(2, 1))
     with pytest.raises(ValueError):
-        CrystalSpec(2, (S11,), level=2, lam=LevelWeight.vacuum(2, 1)).validate()
+        CrystalSpec(2, (S11,), level=2, lam=LevelWeight.vacuum(2, 1))
     with pytest.raises(ValueError):
-        CrystalSpec(2, (S11,), level=1, lam=LevelWeight(1, (0, 2), 0)).validate()
+        CrystalSpec(2, (S11,), level=1, lam=LevelWeight(1, (0, 2), 0))
     with pytest.raises(ValueError):
-        CrystalSpec(
-            2, (S11,), level=2, lam=LevelWeight.vacuum(2, 2), b0_shape=RectShape(1, 1)
-        ).validate()
-    with pytest.raises(ValueError):
+        CrystalSpec(2, (S11,), level=2, lam=LevelWeight.vacuum(2, 2), b0_shape=RectShape(1, 1))
+    with pytest.raises(ValueError, match="Lambda, the restriction weight, is required"):
         kostka_level(CrystalSpec(2, (S11,)))
 
 
@@ -180,18 +178,16 @@ def refuse_building(monkeypatch):
 
 def test_oversized_factor_refused_before_building(monkeypatch):
     """A factor over FACTOR_LIMIT elements (B(10x1) at rank 20 has 184756)
-    is refused by every entry point before any crystal or Schur polynomial
-    is built; far-off sizes are refused by the lower bounds n and rows *
-    cols + 1 without the product, and a rank over FACTOR_LIMIT for any
-    product, the empty one too."""
+    is refused when a spec of it is made, so before any entry point runs
+    and any crystal or Schur polynomial is built, and so is the level-zero
+    spec of both level-zero entry points; far-off sizes are refused by the
+    lower bounds n and rows * cols + 1 without the product, and a rank over
+    FACTOR_LIMIT for any product, the empty one too."""
     refuse_building(monkeypatch)
     big = RectShape(10, 1)
-    spec = CrystalSpec(20, (big,), level=1, lam=LevelWeight.vacuum(20, 1),
-                       lam_prime=LevelWeight.fundamental(10, 20))
-    calls = [lambda: kostka_level(spec), lambda: kostka_classical(spec, (1,) * 10),
-             lambda: multiplicity_oracle(spec, (1,) * 10), lambda: bosonic_report(spec),
-             lambda: straighten.bosonic_via_straightening(spec), lambda: pairing.level_one_identity(spec),
-             lambda: bosonic.commutation_hypothesis_warnings(spec),
+    calls = [lambda: CrystalSpec(20, (big,)),
+             lambda: CrystalSpec(20, (big,), level=1, lam=LevelWeight.vacuum(20, 1),
+                                 lam_prime=LevelWeight.fundamental(10, 20)),
              lambda: pairing.level_zero_identity(20, (big,)), lambda: pairing.level_zero_pairing(20, (big,))]
     for call in calls:
         with pytest.raises(ValueError, match="10x1 at rank 20 has at least 184756 elements, over FACTOR_LIMIT"):
@@ -211,19 +207,16 @@ def test_oversized_factor_refused_before_building(monkeypatch):
 def test_oversized_table_refused_before_building(monkeypatch):
     """Two factors under FACTOR_LIMIT whose local table would hold over
     TABLE_LIMIT pairs (B(6x1) (x) B(7x1) at rank 14, 3003 * 3432) are refused
-    by every entry point and by the CLI with exit 2 before any crystal or
-    Schur polynomial is built, also apart or with a b0 tail of that size,
-    and so is a b0 crystal over FACTOR_LIMIT; one such factor alone, and
-    the largest product the tests run, pass."""
+    when a spec of them is made and by the CLI with exit 2, before any
+    crystal or Schur polynomial is built, also apart or with a b0 tail of
+    that size, and so is a b0 crystal over FACTOR_LIMIT; one such factor
+    alone, and the largest product the tests run, pass."""
     refuse_building(monkeypatch)
     shapes = (RectShape(6, 1), RectShape(7, 1))
-    spec = CrystalSpec(14, shapes, level=1, lam=LevelWeight.vacuum(14, 1))
-    tailed = CrystalSpec(14, shapes[1:], level=1, lam=LevelWeight.fundamental(3, 14), b0_shape=shapes[0])
-    calls = [lambda: kostka_level(spec), lambda: kostka_classical(spec, (1,) * 13),
-             lambda: multiplicity_oracle(spec, (1,) * 13), lambda: bosonic_report(spec),
-             lambda: straighten.bosonic_via_straightening(spec), lambda: pairing.level_one_identity(spec),
-             lambda: bosonic.commutation_hypothesis_warnings(spec), lambda: kostka_level(tailed),
-             lambda: pairing.level_zero_identity(14, shapes), lambda: pairing.level_zero_pairing(14, (shapes[1], RectShape(1, 1), shapes[0]))]
+    calls = [lambda: CrystalSpec(14, shapes), lambda: CrystalSpec(14, shapes, level=1, lam=LevelWeight.vacuum(14, 1)),
+             lambda: CrystalSpec(14, shapes[1:], level=1, lam=LevelWeight.fundamental(3, 14), b0_shape=shapes[0]),
+             lambda: pairing.level_zero_identity(14, shapes),
+             lambda: pairing.level_zero_pairing(14, (shapes[1], RectShape(1, 1), shapes[0]))]
     for call in calls:
         with pytest.raises(ValueError, match="would hold 10306296 pairs, over TABLE_LIMIT = %d" % TABLE_LIMIT):
             call()
@@ -231,8 +224,8 @@ def test_oversized_table_refused_before_building(monkeypatch):
         assert main([*argv, "--n", "14", "--shapes", "6x1,7x1"]) == 2
     # the b0 crystal is a factor too: B(1x6) at rank 12 has 12376 elements
     with pytest.raises(ValueError, match="1x6 at rank 12 has at least 12376 elements, over FACTOR_LIMIT"):
-        kostka_level(CrystalSpec(12, (RectShape(1, 1),), level=6, lam=LevelWeight(6, (1,) + (0,) * 11, 0)))
-    CrystalSpec(14, shapes[1:], level=1, lam=LevelWeight.vacuum(14, 1), b0_shape=shapes[0]).validate()
+        CrystalSpec(12, (RectShape(1, 1),), level=6, lam=LevelWeight(6, (1,) + (0,) * 11, 0))
+    CrystalSpec(14, shapes[1:], level=1, lam=LevelWeight.vacuum(14, 1), b0_shape=shapes[0])
     check_tables(6, (RectShape(2, 3),) * 2)
     assert factor_size(6, RectShape(2, 3)) ** 2 == 240100 <= TABLE_LIMIT
 

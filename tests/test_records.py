@@ -37,7 +37,7 @@ CASES = {
         (2, (S11, S11), 1, LevelWeight(1, (0, 0)), None, S11),
         (2, [[1, 1], (1, 1)], 1, LevelWeight(1, [0, 0]), None, [1, 1]),
         (2, (S11, S11), 1, LevelWeight(1, (0, 0)), LevelWeight(1, (1, 0)), S11),
-        [],
+        [(1, ()), (2, (S12,), 1), (2, (S12,), 0), (2, (), 1, LevelWeight(1, (0, 1))), (2, (), None, None, None, S11)],
     ),
     Path: (
         (2, (T1, T2)),

@@ -19,7 +19,7 @@ from crystalpaths.kostka import CrystalSpec
 from crystalpaths.paths import Path
 from crystalpaths.signature import CertificateError, bracket, lowering_side, raising_side
 from crystalpaths.tableaux import RectShape
-from crystalpaths.weights import LevelWeight
+from crystalpaths.weights import LevelWeight, guard_code
 
 stat_lists = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6)
 unit_words = st.lists(st.sampled_from((1, -1, 0)), max_size=12)
@@ -221,14 +221,16 @@ def test_column_move_matches_string_steps_at_every_power(case):
 @pytest.mark.parametrize("n, shapes", [(2, ("1x2",)), (3, ("1x1", "1x2"))])
 def test_column_move_precondition_refuses_a_row_factor(n, shapes):
     """A 1x2 factor has elements with eps_i + phi_i = 2, two signs where the
-    bracket pass reads one: the certificate refuses it at setup with
-    CertificateError, also under python -O."""
+    bracket pass reads one: a level-zero spec refuses it when it is made,
+    and the certificate's column table refuses it with CertificateError,
+    also under python -O."""
     shapes = tuple(RectShape.parse(s) for s in shapes)
     row = tableaux.RectCrystal(n, RectShape(1, 2))
     assert any(a + b == 2 for i in range(n) for a, b in zip(row.eps[i], row.phi[i]))
-    spec = CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
+    with pytest.raises(ValueError, match="level-zero identity needs column factors"):
+        CrystalSpec(n, shapes, level=0, lam=LevelWeight.vacuum(n, 0))
     with pytest.raises(CertificateError, match="not a column crystal"):
-        pairing._level_zero_certificate(spec)
+        pairing._column_table(n, RectShape(1, 2), guard_code(n, sum(s.rows * s.cols for s in shapes))[0])
 
 
 def test_column_move_precondition_refuses_arrays_off_the_signs(monkeypatch):
