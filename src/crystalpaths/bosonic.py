@@ -131,7 +131,7 @@ def fibre_sums(spec: CrystalSpec, widens: Sequence[int]) -> tuple[AlternatingSum
     bounds = [truncation_bound(spec.n, spec.level, lam.finite, lam_prime.finite, spec.shapes, w) for w in widens]
     totals, counts, scan = [LaurentPoly.zero()] * len(bounds), [0] * len(bounds), None
     for _, sign, beta, content, exponent, paths, _ in read_fibres(spec, max(bounds)):
-        scan = scan or scan_plan(spec.n, spec.shapes, lam, False, spec.b0_tail())
+        scan = scan or scan_plan(spec.n, spec.shapes, lam, False, spec.b0())
         term = LaurentPoly.q_power(exponent, sign) * scan(content)
         radius = max(map(abs, beta))
         for k, bound in enumerate(bounds):
@@ -197,14 +197,14 @@ def commutation_hypothesis_warnings(spec: CrystalSpec) -> list[str]:
     the left of b (x) b0 still acts on the left after the local isomorphism
     (energy.zero_side_moves).  Needed only for non-vacuum restriction
     weights; violations are reported, not assumed absent."""
-    tail = spec.b0_tail()
-    if not tail:
+    b0 = spec.b0()
+    if b0 is None:
         return []
-    (b0,) = tail
-    z = tableaux.RectCrystal(spec.n, b0.shape).index[b0]
+    b0_shape, z = b0
+    shown = tableaux.RectCrystal(spec.n, b0_shape).elements[z]  # b0 as a tableau, for the message only
     warnings = []
     for shape in sorted(set(spec.shapes)):
         elements = tableaux.RectCrystal(spec.n, shape).elements
         warnings += ["0-raising side is not preserved through the local isomorphism at %s (x) %s"
-                     % (elements[x], b0) for x in zero_side_moves(spec.n, shape, b0.shape, z)]
+                     % (elements[x], shown) for x in zero_side_moves(spec.n, shape, b0_shape, z)]
     return warnings

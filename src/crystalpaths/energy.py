@@ -38,8 +38,8 @@ from __future__ import annotations
 import functools
 
 from .signature import CertificateError, lowering_side, raising_side
-from .tableaux import RectCrystal, RectShape, Tableau, highest_weight_tableau
-from .weights import LevelWeight, vadd
+from .tableaux import RectCrystal, RectShape, highest_weight_tableau
+from .weights import vadd
 
 
 @functools.cache
@@ -146,24 +146,3 @@ def zero_side_moves(n: int, shape: RectShape, tail_shape: RectShape, z: int) -> 
             if raising_side((right.eps[0][y1], right.phi[0][y1]), (left.eps[0][y2], left.phi[0][y2])) != 0:
                 moved.append(x)
     return moved
-
-
-def phi_matching_element(n: int, shape: RectShape, lam: LevelWeight) -> Tableau:
-    """The element b0 of the rectangle crystal with phi(b0) = lam.
-
-    Existence and uniqueness hold when the crystal is perfect of the weight's
-    level; both are checked by enumeration."""
-    crystal = RectCrystal(n, RectShape(*shape))
-    matches = [
-        t
-        for x, t in enumerate(crystal.elements)
-        if all(crystal.phi[i][x] == lam.pairing(i) for i in range(n))
-    ]
-    if not matches:
-        raise ValueError("no element of B^%s has phi equal to %s" % (crystal.shape, lam))
-    if len(matches) > 1:
-        raise ValueError(
-            "phi = %s is matched by %d elements of B^%s; crystal is not perfect"
-            % (lam, len(matches), crystal.shape)
-        )
-    return matches[0]

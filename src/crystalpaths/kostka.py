@@ -36,11 +36,11 @@ import operator
 from collections.abc import Callable, Iterable, Sequence
 
 from . import tableaux
-from .energy import carry_plan, grade, phi_matching_element
+from .energy import carry_plan, grade
 from .laurent import LaurentPoly
 from .paths import normalize_content, target_content
 from .signature import Record
-from .tableaux import RectShape, Tableau
+from .tableaux import RectShape
 from .weights import LevelWeight, guard_code, pack
 
 
@@ -158,13 +158,16 @@ class CrystalSpec(Record):
         entries are all equal."""
         return self.lam is not None and len(set(self.lam.finite)) == 1
 
-    def b0_tail(self) -> tuple[Tableau, ...]:
-        """The factors appended on the right of every path before it is
-        graded: none for a vacuum (or absent) restriction weight, else the
-        element b0 of the grading crystal with phi(b0) = Lambda."""
+    def b0(self) -> tuple[RectShape, int] | None:
+        """The factor appended on the right of every path before it is
+        graded, as (shape, element index): None for a vacuum (or absent)
+        restriction weight, else the element b0 of the grading crystal with
+        phi(b0) = Lambda."""
         if self.lam is None or self.is_vacuum():
-            return ()
-        return (phi_matching_element(self.n, self.resolved_b0_shape(), self.lam),)
+            return None
+        shape = self.resolved_b0_shape()
+        crystal = tableaux.RectCrystal(self.n, shape)
+        return shape, crystal.unique(crystal.phi, map(self.lam.pairing, range(self.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +185,12 @@ def _scan_table(n: int, shape: RectShape, affine: bool, width: int) -> tuple:
 
 
 def scan_plan(n: int, shapes: Sequence[RectShape], lam: LevelWeight, affine: bool,
-              b0_tail: tuple[Tableau, ...] = ()) -> Callable[[tuple[int, ...]], LaurentPoly]:
+              b0: tuple[RectShape, int] | None = None) -> Callable[[tuple[int, ...]], LaurentPoly]:
     """The scan of one product set up once, as a function of the target
-    content: the sum of q^(energy of the path followed by b0_tail, at most
-    one factor) over the paths of that content whose tensor with the highest
-    vector of lam is highest, killed by every e_i when affine, by the
-    classical e_i (i = 1..n-1) otherwise.  The state int H packs R = target
+    content: the sum of q^(energy of the path followed by b0, if given, the
+    element b0[1] of B(b0[0])) over the paths of that content whose tensor
+    with the highest vector of lam is highest, killed by every e_i when
+    affine, by the classical e_i (i = 1..n-1) otherwise.  The state int H packs R = target
     - prefix content and D_i = R_i-1 - R_i + <h_i, lam> per restricted i
     (R_-1 = R_n-1).  Element x of content c passes iff no field of H - N_x
     is negative, N_x = (c, eps_i(x) + c_i-1 - c_i), and leads to H - M_x,
@@ -195,17 +198,15 @@ def scan_plan(n: int, shapes: Sequence[RectShape], lam: LevelWeight, affine: boo
     boxes + <h_i, lam>], of the first state within boxes + |<h_i, lam>| of
     0, of N_x in [-cells, 2 cells]: the code's bound, which no target moves."""
     shapes = tuple(RectShape(*s) for s in shapes)
-    if len(b0_tail) > 1:
-        raise ValueError("the scan appends at most one tail factor")
     boxes = sum(s.rows * s.cols for s in shapes)
     indices = range(0 if affine else 1, n)
     lam_i = list(map(lam.pairing, indices))
     width, guard = guard_code(n + len(indices), boxes + max(map(abs, lam_i), default=0)
                               + 2 * max((s.rows * s.cols for s in shapes), default=0))
     steps = [(guard, _scan_table(n, shape, affine, width)) for shape in shapes]
-    for b0 in b0_tail:  # graded against, but neither counted nor restricted: no guard bit tested
-        steps.append((0, [(tableaux.RectCrystal(n, b0.shape).index[b0], 0, 0)]))
-    kinds, plan = carry_plan(n, shapes + tuple(b0.shape for b0 in b0_tail))
+    if b0 is not None:  # graded against, but neither counted nor restricted: no guard bit tested
+        steps.append((0, [(b0[1], 0, 0)]))
+    kinds, plan = carry_plan(n, shapes + (() if b0 is None else (b0[0],)))
 
     def scan(target: tuple[int, ...]) -> LaurentPoly:
         if min(target) < 0 or sum(target) != boxes:
@@ -232,9 +233,9 @@ def scan_plan(n: int, shapes: Sequence[RectShape], lam: LevelWeight, affine: boo
 
 
 def scan_paths(n: int, shapes: Sequence[RectShape], target: tuple[int, ...], lam: LevelWeight,
-               affine: bool, b0_tail: tuple[Tableau, ...] = ()) -> LaurentPoly:
+               affine: bool, b0: tuple[RectShape, int] | None = None) -> LaurentPoly:
     """The scan of one target content (:func:`scan_plan`)."""
-    return scan_plan(n, shapes, lam, affine, b0_tail)(target)
+    return scan_plan(n, shapes, lam, affine, b0)(target)
 
 
 def kostka_classical(spec: CrystalSpec, lam: Iterable[int]) -> LaurentPoly:
@@ -251,7 +252,7 @@ def kostka_level(spec: CrystalSpec) -> LaurentPoly:
     target = spec.target()
     if target is None:  # no path has a content that produces LambdaPrime
         return LaurentPoly.zero()
-    return scan_paths(spec.n, spec.shapes, target, spec.lam, True, spec.b0_tail())
+    return scan_paths(spec.n, spec.shapes, target, spec.lam, True, spec.b0())
 
 
 # ---------------------------------------------------------------------------

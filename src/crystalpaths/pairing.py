@@ -37,17 +37,11 @@ def _level_one_walk(crystals, lam: LevelWeight) -> tuple[int, ...]:
     restricted against the level-one weight lam: walking right to left, the
     factor x is the one element with eps(x) = phi of everything right of it,
     starting from phi(u) = lam."""
-    indices = range(lam.rank)
-    need = tuple(map(lam.pairing, indices))
-    path = []
+    need, path = map(lam.pairing, range(lam.rank)), []  # need: phi of the suffix tensored with u
     for crystal in reversed(crystals):
-        matches = [x for x in range(len(crystal.elements))
-                   if all(crystal.eps[i][x] == need[i] for i in indices)]
-        if len(matches) != 1:
-            raise CertificateError("%d elements of B^%s have eps = %s; it is not perfect of level one"
-                                   % (len(matches), crystal.shape, need))
-        path.append(matches[0])
-        need = tuple(crystal.phi[i][matches[0]] for i in indices)
+        x = crystal.unique(crystal.eps, need)
+        path.append(x)
+        need = (phi[x] for phi in crystal.phi)
     return tuple(reversed(path))
 
 

@@ -23,16 +23,7 @@ from .bosonic import _dominant_contents
 from .kostka import CrystalSpec, scan_plan, schur_product
 from .laurent import LaurentPoly
 from .signature import CertificateError, Record
-from .weights import (
-    LevelWeight,
-    Vector,
-    dot,
-    norm2,
-    perm_sign,
-    rho_vector,
-    vadd,
-    vsub,
-)
+from .weights import Vector, dot, equal_mod_ones, norm2, perm_sign, rho_vector, vadd, vsub
 
 NormalForm = tuple[int, int, Vector]  # (sign, q-power, dominant vector)
 
@@ -104,29 +95,20 @@ def normalize(sym: SchurSymbol) -> NormalForm | None:
     )
 
 
-def pi_on_character(level: int, alpha: Vector) -> tuple[int, int, LevelWeight] | None:
-    """Image of one exponential under the level-shifted projection: None when
-    it vanishes, else (sign, q-power, dominant affine weight)."""
-    nf = normalize(SchurSymbol(tuple(alpha), level))
-    if nf is None:
-        return None
-    sign, qpow, beta = nf
-    return sign, qpow, LevelWeight(level, beta, 0)
-
-
 def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:
     """Re-derive the alternating sum by normalizing one Schur symbol per
     dominant content, independently of the residue walk of
-    bosonic._fiber_points: the sum of pi(Lambda + c) times the classical
-    fibre X_c over the dominant c whose image is LambdaPrime."""
+    bosonic._fiber_points: the sum of the normal form sign q^qpow of the
+    symbol Lambda + c times the classical fibre X_c over the dominant c whose
+    normal form's vector is LambdaPrime modulo the all-ones vector."""
     lam_prime = spec.resolved_lam_prime()
-    scan = scan_plan(spec.n, spec.shapes, spec.lam, False, spec.b0_tail())
+    scan = scan_plan(spec.n, spec.shapes, spec.lam, False, spec.b0())
     total = LaurentPoly.zero()
     for content in _dominant_contents(spec.lam, schur_product(spec.n, tuple(sorted(spec.shapes)))):
-        image = pi_on_character(spec.level, vadd(spec.lam.finite, content))
+        image = normalize(SchurSymbol(vadd(spec.lam.finite, content), spec.level))
         if image is None:
             continue
-        sign, qpow, produced = image
-        if produced.same_classical_weight(lam_prime):
+        sign, qpow, beta = image
+        if equal_mod_ones(beta, lam_prime.finite):
             total = total + LaurentPoly.q_power(qpow, sign) * scan(content)
     return total

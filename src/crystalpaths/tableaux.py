@@ -235,6 +235,17 @@ class RectCrystal:
             x = table[x]
         return x
 
+    def unique(self, stats, values) -> int:
+        """The one element x with stats[i][x] == values[i] for every i, stats
+        being eps or phi; CertificateError unless exactly one matches, as in a
+        crystal perfect of the values' level."""
+        values = tuple(values)
+        matches = [x for x in range(len(self.elements)) if all(s[x] == v for s, v in zip(stats, values))]
+        if len(matches) != 1:
+            raise CertificateError("%d elements of B^%s have string lengths %s; it is not perfect of their level"
+                                   % (len(matches), self.shape, values))
+        return matches[0]
+
     def _signature_rule(self, t: Tableau, i: int, by_word: dict) -> tuple[int, int, int, int]:
         """(eps_i, phi_i, e_i, f_i) of t from one bracket of its cell word,
         a letter i reading + and a letter i+1 reading -: e_i changes the

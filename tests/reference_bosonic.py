@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 import reference_crystal as rc
 import reference_paths as rp
-from reference_energy import path_energy
+from reference_energy import b0_tail, path_energy
 from reference_weights import AffineWeylElement
 
 from crystalpaths import straighten, tableaux
@@ -47,7 +47,7 @@ from crystalpaths.kostka import CrystalSpec, schur_product
 from crystalpaths.laurent import LaurentPoly
 from crystalpaths.paths import Path, target_content
 from crystalpaths.signature import CertificateError
-from crystalpaths.weights import LevelWeight, perm_sign, rho_vector, vadd
+from crystalpaths.weights import LevelWeight, equal_mod_ones, perm_sign, rho_vector, vadd
 
 
 def choice_index(crystal, x: int) -> int:
@@ -66,7 +66,7 @@ def literal_content_table(spec: CrystalSpec, stream: Optional[Iterable[Path]] = 
         stream = rp.enumerate_paths(spec.n, spec.shapes)
     table = {}
     for p in stream:
-        exp = path_energy(Path(spec.n, p.factors + spec.b0_tail()))
+        exp = path_energy(Path(spec.n, p.factors + b0_tail(spec.n, spec.b0())))
         table[p.weight()] = table.get(p.weight(), LaurentPoly.zero()) + LaurentPoly.q_power(exp)
     return table
 
@@ -115,11 +115,11 @@ def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:
     lam_prime = spec.resolved_lam_prime()
     total = LaurentPoly.zero()
     for content, fiber in weight_energy_table(spec).items():
-        image = straighten.pi_on_character(spec.level, vadd(spec.lam.finite, content))
+        image = straighten.normalize(straighten.SchurSymbol(vadd(spec.lam.finite, content), spec.level))
         if image is None:
             continue
-        sign, qpow, produced = image
-        if produced.same_classical_weight(lam_prime):
+        sign, qpow, beta = image
+        if equal_mod_ones(beta, lam_prime.finite):
             total = total + LaurentPoly.q_power(qpow, sign) * fiber
     return total
 

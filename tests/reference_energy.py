@@ -16,7 +16,7 @@ import reference_crystal as rc
 import reference_paths as rp
 
 from crystalpaths import tableaux
-from crystalpaths.energy import LocalIsoTable, phi_matching_element
+from crystalpaths.energy import LocalIsoTable
 from crystalpaths.paths import Path
 from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import RectCrystal, RectShape, Tableau
@@ -161,8 +161,15 @@ def path_energy(p: Path) -> int:
     return total
 
 
+def b0_tail(n: int, b0) -> tuple[Tableau, ...]:
+    """A b0 as CrystalSpec.b0 gives it, (shape, element index) or None, as
+    the factors a literal Path appends: the one tableau, or none."""
+    return () if b0 is None else (RectCrystal(n, b0[0]).elements[b0[1]],)
+
+
 def augmented_energy(p: Path, lam: LevelWeight, b0_shape: RectShape) -> int:
     """Energy of the path extended on the right by the element b0 with
     phi(b0) = lam."""
-    b0 = phi_matching_element(p.n, b0_shape, lam)
+    crystal = RectCrystal(p.n, b0_shape)
+    b0 = crystal.elements[crystal.unique(crystal.phi, map(lam.pairing, range(p.n)))]
     return path_energy(Path(p.n, p.factors + (b0,)))

@@ -10,7 +10,7 @@ import itertools
 import reference_crystal as rc
 import reference_paths as rp
 from reference_crystal import combine, promotion, reflect
-from reference_energy import as_dicts, local_iso, path_energy
+from reference_energy import as_dicts, b0_tail, local_iso, path_energy
 from reference_paths import enumerate_paths, level_restricted_paths
 from reference_straighten import normalize_by_steps
 from reference_weights import theta_vector
@@ -92,7 +92,7 @@ def assert_level_one_matches_literal(spec, report, restricted):
     assert len(restricted) <= 1, (spec, restricted)
     rhs = LaurentPoly.zero()
     if restricted:
-        rhs = LaurentPoly.q_power(path_energy(Path(spec.n, restricted[0].factors + spec.b0_tail())))
+        rhs = LaurentPoly.q_power(path_energy(Path(spec.n, restricted[0].factors + b0_tail(spec.n, spec.b0()))))
     lhs = LaurentPoly(report["lhs_polynomial"])
     want = {
         "path_exists": bool(restricted),

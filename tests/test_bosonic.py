@@ -343,15 +343,15 @@ def test_level_zero_sum_skips_scan_when_n_does_not_divide(monkeypatch):
 
 def count_scans(monkeypatch) -> list:
     """Spy on kostka.scan_plan wherever it is called: the list it returns
-    receives (n, shapes, target, lam, affine, b0_tail) per target scanned
+    receives (n, shapes, target, lam, affine, b0) per target scanned
     through a plan, scan_paths included."""
     calls, plan = [], kostka.scan_plan
 
-    def counting_plan(n, shapes, lam, affine, b0_tail=()):
-        scan = plan(n, shapes, lam, affine, b0_tail)
+    def counting_plan(n, shapes, lam, affine, b0=None):
+        scan = plan(n, shapes, lam, affine, b0)
 
         def counting_scan(target):
-            calls.append((n, shapes, target, lam, affine, b0_tail))
+            calls.append((n, shapes, target, lam, affine, b0))
             return scan(target)
         return counting_scan
 
@@ -859,7 +859,7 @@ def tailed_specs(draw, tail, max_n=4):
     b0 = RectShape(draw(st.integers(1, n - 1)), ell) if tail else None
     spec = CrystalSpec(n, tuple(shapes), level=ell, lam=lam,
                        lam_prime=draw(st.sampled_from(weights)), b0_shape=b0)
-    assert bool(spec.b0_tail()) == tail
+    assert (spec.b0() is not None) == tail
     return spec
 
 
@@ -1055,7 +1055,7 @@ def test_fibre_at_q1_is_tensor_multiplicity():
                 weight = vadd(lam.finite, content)
                 if any(a < b for a, b in zip(weight, weight[1:])):
                     continue
-                fibre = scan_paths(n, shapes, content, lam, False, spec.b0_tail())
+                fibre = scan_paths(n, shapes, content, lam, False, spec.b0())
                 assert fibre(1) == multiplicity.get(weight, 0), (n, shapes, lam, content)
                 checked += bool(fibre)
     assert checked > 100

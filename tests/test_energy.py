@@ -15,7 +15,7 @@ from reference_energy import (
 from reference_paths import enumerate_paths
 
 from crystalpaths.cli import main
-from crystalpaths.energy import LocalIsoTable, carry_plan, phi_matching_element, zero_side_moves
+from crystalpaths.energy import LocalIsoTable, carry_plan, zero_side_moves
 from crystalpaths.kostka import scan_paths
 from crystalpaths.pairing import level_zero_pairing
 from crystalpaths.paths import Path, parse_path
@@ -209,16 +209,6 @@ def test_zero_raising_drops_energy_for_vacuum_applicable_edges():
                 if rp.eps(p, 0) > ell:
                     up = rp.e(p, 0)
                     assert path_energy(up) == path_energy(p) - 1
-
-
-def test_phi_matching_element():
-    assert phi_matching_element(2, S11, LevelWeight.vacuum(2, 1)) == Tableau(2, ((2,),))
-    assert phi_matching_element(2, S11, LevelWeight.fundamental(1, 2)) == Tableau(2, ((1,),))
-    assert phi_matching_element(3, RectShape(1, 2), LevelWeight.vacuum(3, 2)) == Tableau(
-        3, ((3, 3),)
-    )
-    with pytest.raises(ValueError):
-        phi_matching_element(2, S11, LevelWeight.vacuum(2, 2))
 
 
 def test_augmented_energy_constant_shift_for_vacuum():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import reference_paths as rp
-from reference_energy import augmented_energy, path_energy
+from reference_energy import augmented_energy, b0_tail, path_energy
 from reference_bosonic import literal_content_table
 from reference_paths import (
     classical_dimension,
@@ -231,12 +231,14 @@ def test_oversized_table_refused_before_building(monkeypatch):
 
 def test_grading_selection():
     vac = vacuum_spec(2, (S11,), 1)
-    assert vac.b0_tail() == ()
-    assert CrystalSpec(2, (S11,)).b0_tail() == ()
+    assert vac.b0() is None
+    assert CrystalSpec(2, (S11,)).b0() is None
     other = CrystalSpec(2, (S11,), level=1, lam=LevelWeight.fundamental(1, 2))
-    (b0,) = other.b0_tail()
-    assert b0.shape == RectShape(1, 1)
-    assert b0 == energy.phi_matching_element(2, RectShape(1, 1), other.lam)
+    shape, x = other.b0()
+    assert shape == RectShape(1, 1)
+    crystal = tableaux.RectCrystal(2, shape)
+    assert [crystal.phi[i][x] for i in range(2)] == [0, 1] == [other.lam.pairing(i) for i in range(2)]
+    assert str(crystal.elements[x]) == "1"
 
 
 def test_scan_reads_each_table_once_per_pair():
@@ -262,15 +264,8 @@ def test_polynomial_type():
 
 
 def test_level_scan_resolves_b0_once(monkeypatch):
-    calls = []
-    resolve = energy.phi_matching_element
-
-    def counting_resolve(*args):
-        calls.append(args)
-        return resolve(*args)
-
-    monkeypatch.setattr(energy, "phi_matching_element", counting_resolve)
-    monkeypatch.setattr(kostka, "phi_matching_element", counting_resolve)
+    calls, crystal = [], tableaux.RectCrystal.__wrapped__  # the class that the cache wraps
+    monkeypatch.setattr(crystal, "unique", counting(crystal.unique, calls))
     lam = LevelWeight(2, (1, 0, 0), 0)
     spec = CrystalSpec(3, (S11,) * 3, level=2, lam=lam)
     assert not spec.is_vacuum()
@@ -319,14 +314,14 @@ def test_walk_leaves_are_the_literal_restricted_paths(monkeypatch):
     for module in (paths, energy, kostka):
         monkeypatch.setattr(module, "is_level_restricted", forbidden, raising=False)
         monkeypatch.setattr(module, "path_energy", forbidden, raising=False)
-    scanned = {c: kostka.scan_paths(3, spec.shapes, c, lam, True, spec.b0_tail()) for c in literal}
+    scanned = {c: kostka.scan_paths(3, spec.shapes, c, lam, True, spec.b0()) for c in literal}
     poly = kostka_level(spec)
     monkeypatch.undo()
     assert scanned == literal
     assert sum(map(bool, literal.values())) > 1
     assert poly == graded_stream(target, spec) == literal[(2, 2, 2)]
     with pytest.raises(TypeError):
-        kostka.scan_paths(3, spec.shapes, None, lam, True, spec.b0_tail())
+        kostka.scan_paths(3, spec.shapes, None, lam, True, spec.b0())
 
 
 def graded_stream(stream, spec):
@@ -374,14 +369,14 @@ def assert_classical_fibres_match_literal(spec):
     of the product equals the literal table of the paths p with p (x)
     u_Lambda classically highest, and the classical scan against a weight
     that restricts nothing equals the literal table of every path."""
-    n, shapes, tail = spec.n, spec.shapes, spec.b0_tail()
+    n, shapes, b0 = spec.n, spec.shapes, spec.b0()
     literal = literal_content_table(
         spec, (p for p in enumerate_paths(n, shapes) if rp.is_classically_restricted(p, spec.lam)))
     full = literal_content_table(spec)
     wide = unrestricting_weight(n, spec.total_boxes())
     for c in kostka.schur_product(n, tuple(sorted(shapes))):
-        assert kostka.scan_paths(n, shapes, c, spec.lam, False, tail) == literal.get(c, 0), (spec, c)
-        assert kostka.scan_paths(n, shapes, c, wide, False, tail) == full[c], (spec, c)
+        assert kostka.scan_paths(n, shapes, c, spec.lam, False, b0) == literal.get(c, 0), (spec, c)
+        assert kostka.scan_paths(n, shapes, c, wide, False, b0) == full[c], (spec, c)
     assert literal
 
 
@@ -444,7 +439,8 @@ def test_scan_matches_literal_reference_on_random_specs(spec):
     kostka_level, equal the literal reference:
     enumerate_paths, path_energy of the path followed by the b0 tail, and
     the literal restriction tests and streams."""
-    n, shapes, tail = spec.n, spec.shapes, spec.b0_tail()
+    n, shapes, b0 = spec.n, spec.shapes, spec.b0()
+    tail = b0_tail(n, b0)
     zero_weight, wide = LevelWeight.vacuum(n, 0), unrestricting_weight(n, spec.total_boxes())
     full, level, fibre, classical = {}, {}, {}, {}
     for p in enumerate_paths(n, shapes):
@@ -456,9 +452,9 @@ def test_scan_matches_literal_reference_on_random_specs(spec):
         classical[c] = classical.get(c, zero) + (
             LaurentPoly.q_power(path_energy(p)) if rp.is_classically_restricted(p) else 0)
     for c in level:
-        assert kostka.scan_paths(n, shapes, c, spec.lam, True, tail) == level[c]
-        assert kostka.scan_paths(n, shapes, c, spec.lam, False, tail) == fibre[c]
-        assert kostka.scan_paths(n, shapes, c, wide, False, tail) == full[c]
+        assert kostka.scan_paths(n, shapes, c, spec.lam, True, b0) == level[c]
+        assert kostka.scan_paths(n, shapes, c, spec.lam, False, b0) == fibre[c]
+        assert kostka.scan_paths(n, shapes, c, wide, False, b0) == full[c]
         assert kostka.scan_paths(n, shapes, c, zero_weight, False) == classical[c]
     want = graded_stream(level_restricted_paths(n, shapes, spec.lam, spec.resolved_lam_prime()), spec)
     assert kostka_level(spec) == want
@@ -482,15 +478,15 @@ def width_edge_scans(draw):
     spec = CrystalSpec(n, tuple(shapes), level=ell, lam=LevelWeight(ell, (ell,) * k + (0,) * (n - k), 0))
     wide = draw(st.booleans())
     affine = not wide and draw(st.booleans())
-    tail = spec.b0_tail() if draw(st.booleans()) else ()
-    return spec, wide, affine, tail
+    b0 = spec.b0() if draw(st.booleans()) else None
+    return spec, wide, affine, b0
 
 
-def literal_scan(spec, wide, affine, tail):
+def literal_scan(spec, wide, affine, b0):
     """(restriction weight, content -> the literal sum of q^energy over the
-    restricted paths of that content, every path tensored with the tail) for
-    a scan drawn by width_edge_scans."""
-    n, boxes = spec.n, spec.total_boxes()
+    restricted paths of that content, every path tensored with b0 if given)
+    for a scan drawn by width_edge_scans."""
+    n, boxes, tail = spec.n, spec.total_boxes(), b0_tail(spec.n, b0)
     lam = unrestricting_weight(n, boxes) if wide else spec.lam
     literal, zero = {}, LaurentPoly.zero()
     for p in enumerate_paths(n, spec.shapes):
@@ -508,15 +504,15 @@ def test_scan_matches_literal_at_width_edges(scan):
     product, at a content with all boxes on one entry (often outside the
     product, and the first state's most negative difference field), and
     is zero at a content with a negative entry or a wrong box count."""
-    spec, wide, affine, tail = scan
+    spec, wide, affine, b0 = scan
     n, shapes, boxes = spec.n, spec.shapes, spec.total_boxes()
-    lam, literal = literal_scan(spec, wide, affine, tail)
+    lam, literal = literal_scan(spec, wide, affine, b0)
     ends = [tuple(boxes if j == i else 0 for j in range(n)) for i in range(n)]
     for c in [*literal, *ends]:
-        assert kostka.scan_paths(n, shapes, c, lam, affine, tail) == literal.get(c, 0), (spec, wide, c)
+        assert kostka.scan_paths(n, shapes, c, lam, affine, b0) == literal.get(c, 0), (spec, wide, c)
     for c in ((boxes + 1,) + (0,) * (n - 1), (boxes + 1, -1) + (0,) * (n - 2), (1,) * n):
         if sum(c) != boxes or min(c) < 0:
-            assert kostka.scan_paths(n, shapes, c, lam, affine, tail) == 0, (spec, wide, c)
+            assert kostka.scan_paths(n, shapes, c, lam, affine, b0) == 0, (spec, wide, c)
 
 
 @settings(max_examples=100, deadline=None, database=None,
@@ -528,10 +524,10 @@ def test_one_scan_plan_matches_literal_at_every_target(scan, random):
     the product, each all-boxes-on-one-entry content, and (zero there) the
     zero content, contents with a negative entry and wrong box counts; the
     guard code, element tables and carry plan it shares hold no target."""
-    spec, wide, affine, tail = scan
+    spec, wide, affine, b0 = scan
     n, boxes = spec.n, spec.total_boxes()
-    lam, literal = literal_scan(spec, wide, affine, tail)
-    plan = kostka.scan_plan(n, spec.shapes, lam, affine, tail)
+    lam, literal = literal_scan(spec, wide, affine, b0)
+    plan = kostka.scan_plan(n, spec.shapes, lam, affine, b0)
     ends = [tuple(boxes if j == i else 0 for j in range(n)) for i in range(n)]
     off = [(0,) * n, (boxes + 1,) + (0,) * (n - 1), (boxes + 1, -1) + (0,) * (n - 2),
            (-1,) + (0,) * (n - 2) + (boxes + 1,), (1,) * n]
@@ -558,5 +554,5 @@ def test_scan_grades_only_pairs_the_literal_rule_keeps(monkeypatch):
         assert kostka_level(spec)
         assert len(calls) == level_calls, spec
         calls.clear()
-        assert kostka.scan_paths(spec.n, spec.shapes, content, spec.lam, False, spec.b0_tail())
+        assert kostka.scan_paths(spec.n, spec.shapes, content, spec.lam, False, spec.b0())
         assert len(calls) == fibre_calls, spec

@@ -268,9 +268,9 @@ def test_commutation_warnings_match_literal_rule():
 def literal_commutation_warnings(spec):
     """The commutation check with the side of each 0-raising read from the
     literal fold rc.raising_index."""
-    (b0,) = spec.b0_tail()
-    tail = tableaux.RectCrystal(spec.n, spec.resolved_b0_shape())
-    z = tail.index[b0]
+    shape, z = spec.b0()
+    tail = tableaux.RectCrystal(spec.n, shape)
+    b0 = tail.elements[z]
     warnings = []
     for shape in sorted(set(spec.shapes)):
         table = energy.LocalIsoTable(spec.n, shape, tail.shape)

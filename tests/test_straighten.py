@@ -5,7 +5,7 @@ import pytest
 
 from reference_straighten import is_normal, normalize_by_steps, straighten_step
 
-from crystalpaths.straighten import SchurSymbol, normalize, pi_on_character
+from crystalpaths.straighten import SchurSymbol, normalize
 from crystalpaths.weights import LevelWeight, rho_vector, vadd
 
 
@@ -99,10 +99,13 @@ def test_level_validation():
 
 
 def test_pi_on_character():
-    assert pi_on_character(1, (0, 0)) == (1, 0, LevelWeight(1, (0, 0), 0))
-    assert pi_on_character(1, (1, 2)) is None
-    sign, qpow, weight = pi_on_character(2, (-1, 1, 0))
-    assert sign == -1 and weight.level == 2 and weight.is_dominant()
+    """The level-shifted projection pi of one exponential, as normalize
+    computes it: the identity on a dominant weight of the level, zero on a
+    collision modulo l + n, and a dominant weight with a sign otherwise."""
+    assert normalize(SchurSymbol((0, 0), 1)) == (1, 0, (0, 0))
+    assert normalize(SchurSymbol((1, 2), 1)) is None
+    sign, qpow, beta = normalize(SchurSymbol((-1, 1, 0), 2))
+    assert sign == -1 and LevelWeight(2, beta, 0).is_dominant()
 
 
 def test_dominant_window_bound():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,9 @@ from reference_tableaux import brute_force_fillings
 from reference_weights import theta_vector
 
 from crystalpaths import tableaux as tx
+from crystalpaths.signature import CertificateError
 from crystalpaths.tableaux import (
+    RectCrystal,
     RectShape,
     Tableau,
     enumerate_tableaux,
@@ -27,7 +30,7 @@ from crystalpaths.tableaux import (
     highest_weight_tableau,
     parse_tableau,
 )
-from crystalpaths.weights import vsub
+from crystalpaths.weights import LevelWeight, vsub
 
 SMALL_GRID = [
     (n, RectShape(k, l))
@@ -241,6 +244,46 @@ def test_rect_crystal_matches_literal_rules():
                 assert arrays[0] == (eps0, phi0, unpromoted(up), unpromoted(down)), (t, 0)
                 for i in range(1, n):
                     assert arrays[i] == literal_signature_rule(t, i), (t, i)
+
+
+def test_unique_finds_the_perfect_element():
+    """RectCrystal.unique gives the one element whose phi (or eps) equals
+    the pairings of a weight, read from any iterable, and refuses values
+    that no element or several elements have."""
+    for n, shape, lam, stats, rows in [
+        (2, (1, 1), LevelWeight.vacuum(2, 1), "phi", ((2,),)),
+        (2, (1, 1), LevelWeight.fundamental(1, 2), "phi", ((1,),)),
+        (3, (1, 2), LevelWeight.vacuum(3, 2), "phi", ((3, 3),)),
+        (2, (1, 1), LevelWeight.fundamental(1, 2), "eps", ((2,),)),
+    ]:
+        crystal = RectCrystal(n, shape)
+        x = crystal.unique(getattr(crystal, stats), map(lam.pairing, range(n)))
+        assert crystal.elements[x] == Tableau(n, rows)
+    crystal = RectCrystal(2, (1, 1))
+    with pytest.raises(CertificateError, match="0 elements of B\\^1x1 have string lengths \\(2, 0\\)"):
+        crystal.unique(crystal.phi, map(LevelWeight.vacuum(2, 2).pairing, range(2)))
+    crystal = RectCrystal(3, (1, 1))
+    with pytest.raises(CertificateError, match="2 elements of B\\^1x1"):
+        crystal.unique(crystal.phi[1:2], (0,))
+
+
+def test_rectangles_are_perfect():
+    """B(r x l) is perfect of level l at rank n <= 5 and l <= 3: for every
+    dominant weight of level l (its pairings, l split into n parts) exactly
+    one element has phi equal to it, and exactly one has eps equal to it.
+    So no b0 and no level-one walk in that range meets unique's refusal."""
+    checks = 0
+    for n, ell in itertools.product(range(2, 6), range(1, 4)):
+        weights = [p for p in itertools.product(range(ell + 1), repeat=n) if sum(p) == ell]
+        for rows in range(1, n):
+            crystal = RectCrystal(n, (rows, ell))
+            for pairings, stats in itertools.product(weights, (crystal.phi, crystal.eps)):
+                matches = [x for x in range(len(crystal.elements))
+                           if all(s[x] == v for s, v in zip(stats, pairings))]
+                assert len(matches) == 1, (n, rows, ell, pairings)
+                assert crystal.unique(stats, pairings) == matches[0]
+                checks += 1
+    assert checks == 738
 
 
 def test_reflection():
