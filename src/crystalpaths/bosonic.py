@@ -9,15 +9,16 @@ paths b whose content is congruent, modulo the all-ones vector, to
 
 A content is read by at most one grid point (:func:`_fiber_points`), none
 when the identity point's content (:func:`paths.target_content`) does not
-exist, and the contents of one beta form an S_n orbit, which :func:`_orbit`
-walks once.  An orbit that meets the product holds its dominant member, the
-c with Lambda + c weakly decreasing, so a sum reads only those (the
-Brauer-Klimyk form).  :func:`read_fibres` is the one read map: each fibre's
-grid point, its orbit's count of paths in kostka.schur_product and its
-members, each with its tau.  The sum's term of a fibre is sign(tau)
-q^exponent times the scan of its dominant content restricted classically
-against Lambda (one kostka.scan_plan per sum), and the summand count adds
-the orbit's count; the level-zero pairing reads every member.  One scan per fibre read in the
+exist, and the contents of one beta form an S_n orbit: the c whose c -
+target + Lambda' + rho share their entries.  :func:`read_fibres` is the one
+read map.  It groups the contents of kostka.schur_product by orbit in one
+pass and reads each orbit at its dominant member, the c with Lambda + c
+weakly decreasing (the Brauer-Klimyk form), when that is a product content:
+each fibre's grid point, its orbit's count of paths and its members, each
+with its tau.  The sum's term of a fibre is sign(tau) q^exponent times the
+scan of its dominant content restricted classically against Lambda (one
+kostka.scan_plan per sum), and the summand count adds the orbit's count;
+the level-zero pairing reads every member.  One scan per fibre read in the
 widest box (:func:`truncation_bound`) serves every radius.
 
 The closed evaluations at level one and level zero, with the level-zero
@@ -37,7 +38,7 @@ from .energy import zero_side_moves
 from .kostka import CrystalSpec, scan_plan, schur_product
 from .laurent import LaurentPoly
 from .signature import Record
-from .weights import LevelWeight, dot, norm2, perm_sign, rho_vector, spread, vadd
+from .weights import dot, norm2, perm_sign, rho_vector, spread, vadd
 
 MOVED = {"level_one_identity": "pairing", "level_zero_identity": "pairing",
          "level_zero_pairing": "pairing", "bosonic_via_straightening": "straighten"}
@@ -101,16 +102,25 @@ def read_fibres(spec: CrystalSpec, bound: int):
     box of radius bound: the grid point of its dominant content, as
     _fiber_points yields it; the paths of the fibre's S_n orbit, counted by
     the Schur product; and an iterator over (tau, sign, content) of each
-    product content of the orbit, labelled when it is reached (_labelled)."""
-    n, lam, target = spec.n, spec.lam, spec.target()
+    product content of the orbit, labelled when it is reached (_labelled).
+
+    One pass over the product groups its contents by orbit: c lies in the
+    orbit keyed by the entries of v = c - base sorted decreasing (base =
+    target - lamp_rho), whose dominant member is base + key.  Only a key of
+    distinct entries can be read, as tau is then a permutation."""
+    n, target = spec.n, spec.target()
     m, lamp_rho = spec.level + n, vadd(spec.resolved_lam_prime().finite, rho_vector(n))
     if target is None:  # every fiber is empty
         return
     product = schur_product(n, tuple(sorted(spec.shapes)))
     base = [t - x for t, x in zip(target, lamp_rho)]
-    for point in _fiber_points(m, lamp_rho, target, bound, _dominant_contents(lam, product)):
+    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for c in product:
+        orbits.setdefault(tuple(sorted(map(operator.sub, c, base), reverse=True)), []).append(c)
+    tops = {tuple(map(operator.add, base, key)): orbit for key, orbit in orbits.items() if len(set(key)) == n}
+    for point in _fiber_points(m, lamp_rho, target, bound, filter(product.__contains__, tops)):
         tau, _, _, top, _ = point
-        orbit = _orbit(product, target, lamp_rho, top)
+        orbit = tops[top]
         yield *point, sum(map(product.__getitem__, orbit)), _labelled(tau, top, base, orbit)
 
 
@@ -139,29 +149,6 @@ def fibre_sums(spec: CrystalSpec, widens: Sequence[int]) -> tuple[AlternatingSum
                 totals[k] += term
                 counts[k] += paths
     return tuple(map(AlternatingSumResult, totals, counts, bounds))
-
-
-def _dominant_contents(lam: LevelWeight, product: dict) -> list[tuple[int, ...]]:
-    """The contents c of the product with lam + c weakly decreasing."""
-    weights = ((vadd(lam.finite, c), c) for c in product) if any(lam.finite) else zip(product, product)
-    return [c for w, c in weights if all(map(operator.ge, w, w[1:]))]
-
-
-def _orbit(product: dict, target, lamp_rho, content) -> list[tuple[int, ...]]:
-    """The product contents target - lamp_rho + w v, w in S_n, of the fibre
-    read at content, v = content - target + lamp_rho with distinct entries:
-    v's entries are placed one position at a time, cutting every prefix with
-    a negative entry.  The fibre holds the dominant member c, v decreasing,
-    if it holds any product content d: swapping v_i < v_j at positions i < j
-    moves d by (v_j - v_i)(e_i - e_j), less than d_j - d_i = v_j - v_i +
-    (Lambda + rho)_i - (Lambda + rho)_j, onto a weight of the product again,
-    its weight set being saturated.  As target - lamp_rho is a multiple of
-    the all-ones vector minus Lambda + rho, Lambda + c weakly decreases."""
-    base = [t - x for t, x in zip(target, lamp_rho)]
-    level = [((), frozenset(map(operator.sub, content, base)))]
-    for b in base:  # (prefix, the entries of v not yet placed)
-        level = [(p + (b + y,), rest - {y}) for p, rest in level for y in rest if b + y >= 0]
-    return [p for p, _ in level if p in product]
 
 
 def identity_report(spec: CrystalSpec, rhs: LaurentPoly, widen_check: bool = False) -> dict:

@@ -86,7 +86,8 @@ def check_tables(n: int, shapes: Sequence[RectShape]) -> None:
 class CrystalSpec(Record):
     """Rank, ordered factor shapes (leftmost first), and optional level data."""
 
-    __slots__ = _fields = ("n", "shapes", "level", "lam", "lam_prime", "b0_shape")
+    _fields = ("n", "shapes", "level", "lam", "lam_prime", "b0_shape")
+    __slots__ = _fields + ("_b0",)
     n: int
     shapes: tuple[RectShape, ...]
     level: int | None
@@ -132,8 +133,13 @@ class CrystalSpec(Record):
                 raise ValueError("b0 height %d must be below the rank" % self.b0_shape.rows)
             if self.b0_shape.cols != level:
                 raise ValueError("b0 shape %s must have width equal to the level %d" % (self.b0_shape, level))
-        check_tables(n, self.shapes + (() if lam is None or self.is_vacuum()
-                                       else (self.resolved_b0_shape(),)))  # the b0 tail
+        shape = None if lam is None or self.is_vacuum() else self.resolved_b0_shape()  # of the b0 tail
+        check_tables(n, self.shapes + (() if shape is None else (shape,)))
+        b0 = None
+        if shape is not None:  # after every check, so a refused spec builds no crystal
+            crystal = tableaux.RectCrystal(n, shape)
+            b0 = shape, crystal.unique(crystal.phi, map(lam.pairing, range(n)))
+        object.__setattr__(self, "_b0", b0)
 
     def total_boxes(self) -> int:
         return sum(s.rows * s.cols for s in self.shapes)
@@ -162,12 +168,8 @@ class CrystalSpec(Record):
         """The factor appended on the right of every path before it is
         graded, as (shape, element index): None for a vacuum (or absent)
         restriction weight, else the element b0 of the grading crystal with
-        phi(b0) = Lambda."""
-        if self.lam is None or self.is_vacuum():
-            return None
-        shape = self.resolved_b0_shape()
-        crystal = tableaux.RectCrystal(self.n, shape)
-        return shape, crystal.unique(crystal.phi, map(self.lam.pairing, range(self.n)))
+        phi(b0) = Lambda, found when the spec was made."""
+        return self._b0
 
 
 # ---------------------------------------------------------------------------

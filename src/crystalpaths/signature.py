@@ -37,9 +37,9 @@ class Record:
     subclass lists in ``_fields`` from exactly as many values; a subclass's
     ``__init__`` normalizes and checks (``CrystalSpec`` after the call,
     through its own methods), calls it, then sets any derived slot
-    (``Tableau.shape``) by ``object.__setattr__``.  Equality and hashing are
-    field-wise and hold only within one class, so a record never equals a
-    tuple; assignment raises."""
+    (``Tableau.shape``, ``CrystalSpec``'s b0) by ``object.__setattr__``.
+    Equality and hashing are field-wise and hold only within one class, so
+    a record never equals a tuple; assignment raises."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

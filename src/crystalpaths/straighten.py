@@ -19,11 +19,12 @@ re-derives it by normalizing one symbol per dominant content.
 
 from __future__ import annotations
 
-from .bosonic import _dominant_contents
+import operator
+
 from .kostka import CrystalSpec, scan_plan, schur_product
 from .laurent import LaurentPoly
 from .signature import CertificateError, Record
-from .weights import Vector, dot, equal_mod_ones, norm2, perm_sign, rho_vector, vadd, vsub
+from .weights import LevelWeight, Vector, dot, equal_mod_ones, norm2, perm_sign, rho_vector, vadd, vsub
 
 NormalForm = tuple[int, int, Vector]  # (sign, q-power, dominant vector)
 
@@ -93,6 +94,12 @@ def normalize(sym: SchurSymbol) -> NormalForm | None:
         sym.qpow + qpow,
         vsub(nu, rho),
     )
+
+
+def _dominant_contents(lam: LevelWeight, product: dict) -> list[tuple[int, ...]]:
+    """The contents c of the product with lam + c weakly decreasing."""
+    weights = ((vadd(lam.finite, c), c) for c in product) if any(lam.finite) else zip(product, product)
+    return [c for w, c in weights if all(map(operator.ge, w, w[1:]))]
 
 
 def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:

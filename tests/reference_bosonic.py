@@ -18,9 +18,9 @@ point's r_i through the validated reference_weights.AffineWeylElement.  It
 grades with energy.grade, as the program does; the Tableau-path pairing of
 test_bosonic checks every exponent against path_energy instead.
 
-The program walks the S_n orbit of each dominant fibre once, placing one
-entry at a time: the summand count of the sums adds the Schur product over
-it, and the pairing takes its grid points from it.  The references are the
+The program groups the product's contents by S_n orbit in one pass and
+reads the orbit of each dominant fibre: the summand count of the sums adds
+the Schur product over it, and the pairing takes its grid points from it.  The references are the
 literal forms: the n! permutations of the fibre, the count added over every
 content the fibre walk reads, and the residue pass over every content of
 the product.

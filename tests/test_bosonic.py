@@ -10,7 +10,7 @@ import pytest
 import reference_bosonic as rb
 import reference_crystal as rc
 import reference_paths as rp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from reference_energy import path_energy
 from reference_paths import enumerate_paths, reflect_path
@@ -19,9 +19,7 @@ from test_acceptance import criterion_one_grid
 
 from crystalpaths import bosonic, energy, kostka, pairing, straighten, tableaux
 from crystalpaths.bosonic import (
-    _dominant_contents,
     _fiber_points,
-    _orbit,
     bosonic_report,
     commutation_hypothesis_warnings,
     fibre_sums,
@@ -33,7 +31,7 @@ from crystalpaths.laurent import LaurentPoly
 from crystalpaths.pairing import PAIRING_LIMIT, level_one_identity, level_zero_identity, level_zero_pairing
 from crystalpaths.paths import Path, target_content
 from crystalpaths.signature import CertificateError
-from crystalpaths.straighten import bosonic_via_straightening
+from crystalpaths.straighten import _dominant_contents, bosonic_via_straightening
 from crystalpaths.tableaux import RectShape
 from crystalpaths.weights import (
     LevelWeight,
@@ -600,6 +598,20 @@ def test_pairing_imports_no_private_name_of_bosonic():
     assert "schur_product" not in names | {a for _, a in attributes} | {name for _, name in imported}
 
 
+def test_straightening_bridge_imports_nothing_from_bosonic():
+    """The straightening bridge stays an independent route to the sum:
+    straighten imports neither crystalpaths.bosonic nor any name of it."""
+    tree = ast.parse(open(straighten.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert "kostka" in imported
+    assert not [name for name in imported if "bosonic" in name.split(".")], imported
+
+
 def test_pairing_certificate_refuses_unequal_plus_and_minus_counts(monkeypatch):
     """A minus summand outside every pair breaks the count check: the plus
     summands all pass their own checks, but no longer map onto the minus
@@ -840,11 +852,12 @@ def test_corrupted_crystal_fails_the_certificate(monkeypatch, capsys):
 
 
 @st.composite
-def tailed_specs(draw, tail, max_n=4):
+def tailed_specs(draw, tail, max_n=4, distinct=False):
     """A random spec with n <= max_n, level <= 3, one to five factors of
     mixed shapes up to 2 columns (cut off once the product would exceed 1000
     paths), a random dominant LambdaPrime, and a vacuum Lambda (no b0 tail)
-    or a non-vacuum one with a b0 crystal of random height."""
+    or a non-vacuum one with a b0 crystal of random height.  With distinct,
+    LambdaPrime differs from Lambda and has a target content."""
     n, ell = draw(st.integers(2, max_n)), draw(st.integers(1, 3))
     kinds = [RectShape(r, c) for r in range(1, n) for c in range(1, min(ell, 2) + 1)]
     shapes, size = [], 1
@@ -857,6 +870,10 @@ def tailed_specs(draw, tail, max_n=4):
     vacuum = LevelWeight.vacuum(n, ell)
     lam = draw(st.sampled_from([w for w in weights if (w == vacuum) != tail]))
     b0 = RectShape(draw(st.integers(1, n - 1)), ell) if tail else None
+    if distinct:
+        boxes = sum(r * c for r, c in shapes)
+        weights = [w for w in weights if w != lam and target_content(lam, w, boxes) is not None]
+        assume(weights)
     spec = CrystalSpec(n, tuple(shapes), level=ell, lam=lam,
                        lam_prime=draw(st.sampled_from(weights)), b0_shape=b0)
     assert (spec.b0() is not None) == tail
@@ -900,24 +917,49 @@ def test_differential_summand_count_against_one_pass_count(tail, data):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_differential_orbit_against_permutations(tail, data):
-    """On every dominant fibre that the sums read at widen 2, for random
-    specs with n <= 5, the orbit walk meets each product content among the
-    fibre's n! permutations once, and adds the Schur product over them to
-    the literal permutation count."""
+    """For random specs with n <= 5, read_fibres at widen 2 reads exactly the
+    grid points of the dominant contents (_fiber_points over
+    straighten._dominant_contents); each fibre's members are the product
+    contents among the n! permutations of its dominant member, once each,
+    and its path count is the literal permutation count."""
     spec = data.draw(tailed_specs(tail, max_n=5))
     n, lam, lam_prime = spec.n, spec.lam, spec.resolved_lam_prime()
     lamp_rho = vadd(lam_prime.finite, rho_vector(n))
-    target = target_content(lam, lam_prime, spec.total_boxes())
+    bound = truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes, 2)
+    fibres = list(bosonic.read_fibres(spec, bound))
+    target = spec.target()
     if target is None:
+        assert fibres == [], spec
         return
     product = schur_product(n, tuple(sorted(spec.shapes)))
-    bound = truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes, 2)
     dominant = _dominant_contents(lam, product)
-    for *_, content, _ in _fiber_points(spec.level + n, lamp_rho, target, bound, dominant):
-        orbit = _orbit(product, target, lamp_rho, content)
-        assert content in orbit and len(set(orbit)) == len(orbit), (spec, content)
+    want = list(_fiber_points(spec.level + n, lamp_rho, target, bound, dominant))
+    assert sorted(fibre[:5] for fibre in fibres) == sorted(want), spec
+    for *point, paths, members in fibres:
+        content, orbit = point[3], [c for _, _, c in members]
+        assert len(set(orbit)) == len(orbit), (spec, content)
         assert set(orbit) == rb.literal_orbit(product, target, lamp_rho, content), (spec, content)
-        assert sum(product[c] for c in orbit) == rb.permutation_count(product, target, lamp_rho, content)
+        assert paths == rb.permutation_count(product, target, lamp_rho, content), (spec, content)
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["vacuum", "b0_tail"])
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_differential_members_against_their_own_grid_points(tail, data):
+    """For random specs with n <= 5, level <= 3 and LambdaPrime != Lambda,
+    every member that read_fibres yields at widen 2 carries the (tau, sign)
+    that _fiber_points computes for that content alone, and the beta and
+    exponent of its fibre's dominant member."""
+    spec = data.draw(tailed_specs(tail, max_n=5, distinct=True))
+    n, lam, lam_prime = spec.n, spec.lam, spec.resolved_lam_prime()
+    assert lam_prime != lam and spec.target() is not None
+    lamp_rho = vadd(lam_prime.finite, rho_vector(n))
+    bound = truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes, 2)
+    for _, _, beta, _, exponent, _, members in bosonic.read_fibres(spec, bound):
+        for tau, sign, c in members:
+            alone = list(_fiber_points(spec.level + n, lamp_rho, spec.target(), bound, [c]))
+            assert alone == [(tau, sign, beta, c, exponent)], (spec, c)
 
 
 @settings(max_examples=100, deadline=None, database=None,

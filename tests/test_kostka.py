@@ -16,7 +16,7 @@ from test_acceptance import criterion_one_grid
 from test_bosonic import dominant_weights as dominant_level_weights
 
 from crystalpaths import energy, kostka, pairing, paths, tableaux
-from crystalpaths.bosonic import bosonic_report
+from crystalpaths.bosonic import bosonic_report, commutation_hypothesis_warnings
 from crystalpaths.cli import main
 from crystalpaths.kostka import (
     FACTOR_LIMIT,
@@ -264,17 +264,43 @@ def test_polynomial_type():
 
 
 def test_level_scan_resolves_b0_once(monkeypatch):
+    """The spec finds b0 once, when it is made: the scans, the alternating
+    sum and the commutation check read it from the spec."""
     calls, crystal = [], tableaux.RectCrystal.__wrapped__  # the class that the cache wraps
     monkeypatch.setattr(crystal, "unique", counting(crystal.unique, calls))
     lam = LevelWeight(2, (1, 0, 0), 0)
     spec = CrystalSpec(3, (S11,) * 3, level=2, lam=lam)
     assert not spec.is_vacuum()
-    # once per scan, not once per restricted path
-    assert kostka_level(spec)(1) > 1
     assert len(calls) == 1
-    calls.clear()
-    # once per alternating sum, not once per fibre it scans
+    assert kostka_level(spec)(1) > 1
     assert bosonic_report(spec).polynomial
+    assert commutation_hypothesis_warnings(spec) == []
+    assert spec.b0() == spec.b0() is not None
+    assert len(calls) == 1
+    # a vacuum spec has no b0 and looks none up
+    calls.clear()
+    assert vacuum_spec(3, (S11,) * 3, 2).b0() is None and calls == []
+
+
+def test_oversized_b0_is_refused_before_any_crystal_is_built(monkeypatch):
+    """The spec looks b0 up only after every check: a b0 crystal over
+    FACTOR_LIMIT is refused without building a crystal."""
+    def built(*args):
+        raise AssertionError("a crystal was built for %s" % (args,))
+
+    monkeypatch.setattr(tableaux, "RectCrystal", built)
+    with pytest.raises(ValueError, match="1x6 at rank 12 has at least 12376 elements, over FACTOR_LIMIT"):
+        CrystalSpec(12, (S11,), level=6, lam=LevelWeight(6, (1,) + (0,) * 11, 0))
+
+
+def test_verify_looks_b0_up_once(monkeypatch, capsys):
+    """crystalpaths verify makes one b0 lookup for its spec, with the
+    widened box and the commutation warnings too."""
+    calls, crystal = [], tableaux.RectCrystal.__wrapped__
+    monkeypatch.setattr(crystal, "unique", counting(crystal.unique, calls))
+    assert main(["verify", "--n", "3", "--level", "2", "--shapes", "1x1,2x1,1x2,1x1",
+                 "--Lambda", "L0+L1", "--b0", "2x2", "--widen-check"]) == 0
+    capsys.readouterr()
     assert len(calls) == 1
 
 

@@ -148,6 +148,10 @@ def test_defaults_and_derived_slots():
     assert CrystalSpec(2, ()) == CrystalSpec(2, (), None, None, None, None)
     assert Tableau(3, ((1, 2), (2, 3))).shape == RectShape(2, 2)
     assert Tableau(4, ((1,), (2,), (4,))).shape == RectShape(3, 1)
+    spec = CrystalSpec(2, (S11,), 1, LevelWeight(1, (1, 0)))
+    shape, x = spec.b0()
+    assert shape == S11 and str(RectCrystal(2, S11).elements[x]) == "1"
+    assert [clone(spec).b0() for clone in (copy.copy, copy.deepcopy)] == [spec.b0()] * 2
     LocalIsoTable.cache_clear()
     table = LocalIsoTable(3, S12, S11)
     assert table.width == len(RectCrystal(3, S11).elements) == 3
