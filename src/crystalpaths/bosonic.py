@@ -18,8 +18,10 @@ each fibre's grid point, its orbit's count of paths and its members, each
 with its tau.  The sum's term of a fibre is sign(tau) q^exponent times the
 scan of its dominant content restricted classically against Lambda (one
 kostka.scan_plan per sum), and the summand count adds the orbit's count;
-the level-zero pairing reads every member.  One scan per fibre read in the
-widest box (:func:`truncation_bound`) serves every radius.
+the level-zero pairing reads every member.  Every product content lies in
+the box of radius :func:`truncation_bound`; the read map checks this on
+every content it reads and raises CertificateError where it fails, so one
+sum per spec serves the box and every wider one.
 
 The closed evaluations at level one and level zero, with the level-zero
 pairing, live in pairing, and the straightening form of the sum in
@@ -31,13 +33,12 @@ from __future__ import annotations
 
 import importlib
 import operator
-from collections.abc import Sequence
 
 from . import tableaux
 from .energy import zero_side_moves
 from .kostka import CrystalSpec, scan_plan, schur_product
 from .laurent import LaurentPoly
-from .signature import Record
+from .signature import CertificateError, Record
 from .weights import dot, norm2, perm_sign, rho_vector, spread, vadd
 
 MOVED = {"level_one_identity": "pairing", "level_zero_identity": "pairing",
@@ -59,7 +60,7 @@ class AlternatingSumResult(Record):
     truncation_bound: int
 
 
-def truncation_bound(n: int, ell: int, lam_finite, lam_prime_finite, shapes, widen: int = 0) -> int:
+def truncation_bound(n: int, ell: int, lam_finite, lam_prime_finite, shapes) -> int:
     """Box radius outside which every content fiber is empty.
 
     A content vector of the tensor product has coordinate spread at most the
@@ -67,14 +68,15 @@ def truncation_bound(n: int, ell: int, lam_finite, lam_prime_finite, shapes, wid
     of the shifted restriction weights only on empty fibers."""
     rho, boxes = rho_vector(n), sum(s[0] * s[1] for s in shapes)
     reach = boxes + spread(vadd(lam_finite, rho)) + spread(vadd(lam_prime_finite, rho))
-    return -(-reach // (ell + n)) + widen
+    return -(-reach // (ell + n))
 
 
 def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
     """Yield (tau, sign, beta, content, exponent) for the one grid point of
-    the alternating sum at level m - n that reads each given content vector,
-    when it lies in the box of radius bound.  target is the content read at
-    the identity point, tau = id and beta = 0.
+    the alternating sum at level m - n that reads each given content vector;
+    CertificateError for a point outside the box of radius bound, which
+    truncation_bound rules out for a product content.  target is the content
+    read at the identity point, tau = id and beta = 0.
 
     The point reads c when v = c - target + lamp_rho has v_i = lamp_rho_tau(i)
     - m beta_tau(i); the entries of lamp_rho are distinct modulo m, so the
@@ -90,9 +92,10 @@ def _fiber_points(m: int, lamp_rho, target, bound: int, contents):
         beta = [0] * n
         for x, j in zip(v, tau):
             beta[j - 1] = (lamp_rho[j - 1] - x) // m
-        if max(map(abs, beta)) > bound:
-            continue
         beta = tuple(beta)
+        if max(map(abs, beta)) > bound:
+            raise CertificateError("content %s is read at beta = %s, outside the box of radius %d"
+                                   % (content, beta, bound))
         yield tau, perm_sign(tau), beta, content, dot(lamp_rho, beta) - m * norm2(beta) // 2
 
 
@@ -107,7 +110,10 @@ def read_fibres(spec: CrystalSpec, bound: int):
     One pass over the product groups its contents by orbit: c lies in the
     orbit keyed by the entries of v = c - base sorted decreasing (base =
     target - lamp_rho), whose dominant member is base + key.  Only a key of
-    distinct entries can be read, as tau is then a permutation."""
+    distinct entries can be read, as tau is then a permutation.  The
+    dominant member is itself a product content: each dot-reflection toward
+    it stays on an alpha_i-string between a weight of the orbit and its
+    reflection."""
     n, target = spec.n, spec.target()
     m, lamp_rho = spec.level + n, vadd(spec.resolved_lam_prime().finite, rho_vector(n))
     if target is None:  # every fiber is empty
@@ -118,7 +124,7 @@ def read_fibres(spec: CrystalSpec, bound: int):
     for c in product:
         orbits.setdefault(tuple(sorted(map(operator.sub, c, base), reverse=True)), []).append(c)
     tops = {tuple(map(operator.add, base, key)): orbit for key, orbit in orbits.items() if len(set(key)) == n}
-    for point in _fiber_points(m, lamp_rho, target, bound, filter(product.__contains__, tops)):
+    for point in _fiber_points(m, lamp_rho, target, bound, tops):
         tau, _, _, top, _ = point
         orbit = tops[top]
         yield *point, sum(map(product.__getitem__, orbit)), _labelled(tau, top, base, orbit)
@@ -134,28 +140,31 @@ def _labelled(tau, top, base, orbit):
         yield t, perm_sign(t), c
 
 
-def fibre_sums(spec: CrystalSpec, widens: Sequence[int]) -> tuple[AlternatingSumResult, ...]:
-    """The alternating sum of the level polynomial at each truncation
-    widening, scanning each fibre read once.  The spec may have level 0."""
+def bosonic_report(spec: CrystalSpec, widen: int = 0) -> AlternatingSumResult:
+    """Alternating-sum value of the level polynomial of the spec (maybe of
+    level 0), one scan per fibre read in the box of radius truncation_bound
+    widened by widen >= 0.  Every product content lies in the unwidened
+    box (_fiber_points checks the box it reads), so widening moves only the
+    reported radius."""
+    if widen < 0:
+        raise ValueError("widen must be at least 0, got %d" % widen)
     lam, lam_prime = spec.lam, spec.resolved_lam_prime()
-    bounds = [truncation_bound(spec.n, spec.level, lam.finite, lam_prime.finite, spec.shapes, w) for w in widens]
-    totals, counts, scan = [LaurentPoly.zero()] * len(bounds), [0] * len(bounds), None
-    for _, sign, beta, content, exponent, paths, _ in read_fibres(spec, max(bounds)):
+    bound = truncation_bound(spec.n, spec.level, lam.finite, lam_prime.finite, spec.shapes) + widen
+    total, count, scan = LaurentPoly.zero(), 0, None
+    for _, sign, _, content, exponent, paths, _ in read_fibres(spec, bound):
         scan = scan or scan_plan(spec.n, spec.shapes, lam, False, spec.b0())
-        term = LaurentPoly.q_power(exponent, sign) * scan(content)
-        radius = max(map(abs, beta))
-        for k, bound in enumerate(bounds):
-            if radius <= bound:
-                totals[k] += term
-                counts[k] += paths
-    return tuple(map(AlternatingSumResult, totals, counts, bounds))
+        total += LaurentPoly.q_power(exponent, sign) * scan(content)
+        count += paths
+    return AlternatingSumResult(total, count, bound)
 
 
 def identity_report(spec: CrystalSpec, rhs: LaurentPoly, widen_check: bool = False) -> dict:
     """Both sides of the identity for the spec (rhs the right one),
     their equality, summand count and box radius; with widen_check also the
-    radius widened by 2 and whether the sum is stable there (same scans)."""
-    result, *widened = fibre_sums(spec, (0, 2) if widen_check else (0,))
+    radius widened by 2, where the sum is stable: no fibre read lies outside
+    the narrower box (_fiber_points checks it), so a wider one reads the
+    same fibres."""
+    result = bosonic_report(spec)
     report = {
         "lhs_polynomial": list(result.polynomial.pairs()),
         "rhs_polynomial": list(rhs.pairs()),
@@ -164,19 +173,8 @@ def identity_report(spec: CrystalSpec, rhs: LaurentPoly, widen_check: bool = Fal
         "truncation_bound": result.truncation_bound,
     }
     if widen_check:
-        report["widen_certificate"] = {
-            "widened_bound": widened[0].truncation_bound,
-            "stable": widened[0].polynomial == result.polynomial,
-        }
+        report["widen_certificate"] = {"widened_bound": result.truncation_bound + 2, "stable": True}
     return report
-
-
-def bosonic_report(spec: CrystalSpec, widen: int = 0) -> AlternatingSumResult:
-    """Alternating-sum value of the level polynomial of the spec, in the box
-    widened by widen >= 0: a narrower box drops fibres that are not empty."""
-    if widen < 0:
-        raise ValueError("widen must be at least 0, got %d" % widen)
-    return fibre_sums(spec, (widen,))[0]
 
 
 def commutation_hypothesis_warnings(spec: CrystalSpec) -> list[str]:

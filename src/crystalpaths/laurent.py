@@ -68,33 +68,14 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        data = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            total = data.get(exp, 0) + c
-            if total:
-                data[exp] = total
-            else:
-                del data[exp]
-        result = LaurentPoly()
-        object.__setattr__(result, "_coeffs", data)
-        return result
+        return LaurentPoly([*self._coeffs.items(), *other._coeffs.items()])
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        data: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                exp = e1 + e2
-                total = data.get(exp, 0) + c1 * c2
-                if total:
-                    data[exp] = total
-                elif exp in data:
-                    del data[exp]
-        result = LaurentPoly()
-        object.__setattr__(result, "_coeffs", data)
-        return result
+        return LaurentPoly([(e1 + e2, c1 * c2) for e1, c1 in self._coeffs.items()
+                            for e2, c2 in other._coeffs.items()])
 
     def __call__(self, value: int) -> int:
         """Evaluate at an integer point; q=1 gives the coefficient sum."""

@@ -90,7 +90,7 @@ def alternating_sum(
     lamp_rho = vadd(lam_prime.finite, rho_vector(n))
     if len({x % m for x in lamp_rho}) < n:
         raise ValueError("LambdaPrime + rho = %s has entries congruent mod %d" % (lamp_rho, m))
-    bound = truncation_bound(n, ell, lam.finite, lam_prime.finite, shapes, widen)
+    bound = truncation_bound(n, ell, lam.finite, lam_prime.finite, shapes) + widen
     target = target_content(lam, lam_prime, sum(s[0] * s[1] for s in shapes))
     if target is None:  # every fiber is empty
         return AlternatingSumResult(LaurentPoly.zero(), 0, bound)
@@ -124,23 +124,18 @@ def bosonic_via_straightening(spec: CrystalSpec) -> LaurentPoly:
     return total
 
 
-def one_pass_counts(spec: CrystalSpec, widens) -> list[int]:
-    """The summand count of the sums at each widening, in one pass: the
-    Schur product added over every product content, dominant or not, that
-    the fibre walk maps into the box."""
+def one_pass_count(spec: CrystalSpec, widen: int = 0) -> int:
+    """The summand count of the sum at a widening, in one pass: the Schur
+    product added over every product content, dominant or not, that the
+    fibre walk reads in the box."""
     n, lam, lam_prime = spec.n, spec.lam, spec.resolved_lam_prime()
     lamp_rho = vadd(lam_prime.finite, rho_vector(n))
-    bounds = [truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes, w) for w in widens]
-    counts = [0] * len(bounds)
+    bound = truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes) + widen
     target = target_content(lam, lam_prime, spec.total_boxes())
     if target is None:
-        return counts
+        return 0
     product = schur_product(n, tuple(sorted(spec.shapes)))
-    for _, _, beta, content, _ in _fiber_points(spec.level + n, lamp_rho, target, max(bounds), product):
-        for k, bound in enumerate(bounds):
-            if max(map(abs, beta)) <= bound:
-                counts[k] += product[content]
-    return counts
+    return sum(product[point[3]] for point in _fiber_points(spec.level + n, lamp_rho, target, bound, product))
 
 
 def literal_orbit(product: dict, target, lamp_rho, content) -> set[tuple[int, ...]]:
@@ -192,7 +187,7 @@ def level_zero_certificate(spec: CrystalSpec):
     fails."""
     n, shapes = spec.n, spec.shapes
     zero = spec.lam.finite
-    bound = truncation_bound(n, 0, zero, zero, shapes, 0)
+    bound = truncation_bound(n, 0, zero, zero, shapes)
     target = target_content(spec.lam, spec.lam, spec.total_boxes())
     crystals = [tableaux.RectCrystal(n, s) for s in shapes]
 

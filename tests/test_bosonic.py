@@ -2,6 +2,7 @@ import ast
 import collections
 import functools
 import itertools
+import pathlib
 import sys
 import tracemalloc
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from crystalpaths.bosonic import (
     _fiber_points,
     bosonic_report,
     commutation_hypothesis_warnings,
-    fibre_sums,
+    identity_report,
     truncation_bound,
 )
 from crystalpaths.cli import main
@@ -83,6 +84,20 @@ def test_bosonic_report_refuses_a_negative_widening():
     assert len(bosonic_report(spec).polynomial.pairs()) == len(kostka_level(spec).pairs()) == 9
     with pytest.raises(ValueError, match="widen must be at least 0, got -3"):
         bosonic_report(spec, widen=-3)
+
+
+def test_a_short_truncation_bound_fails_the_radius_certificate(monkeypatch):
+    """A truncation bound that leaves a product content outside the box is
+    a failed certificate in the sums and in the level-zero pairing, not a
+    sum cut short."""
+    for module in (bosonic, pairing):
+        monkeypatch.setattr(module, "truncation_bound", lambda *args: 0)
+    spec = CrystalSpec(3, (S11,) * 6, level=2, lam=LevelWeight(2, (1, 0, 0), 0))
+    outside = r"^content \(.*\) is read at beta = \(.*\), outside the box of radius 0$"
+    with pytest.raises(CertificateError, match=outside):
+        bosonic_report(spec)
+    with pytest.raises(CertificateError, match=outside):
+        level_zero_pairing(3, (S11,) * 6)
 
 
 def test_widening_certificate():
@@ -253,25 +268,31 @@ def dominant_weights(n, ell):
 def assert_walk_matches_grid(n, ell, lam, lam_prime, shapes, widen, contents):
     """The fiber walk over the contents present yields exactly the grid
     points that read them; over every content the grid one step wider
-    reads, it yields exactly the grid points inside the radius."""
+    reads, it yields that grid at the wider radius, and at the radius
+    itself raises CertificateError when that grid holds a point outside
+    the box."""
     m = ell + n
     rho = rho_vector(n)
     lam_rho, lamp_rho = vadd(lam.finite, rho), vadd(lam_prime.finite, rho)
     boxes = sum(s[0] * s[1] for s in shapes)
-    bound = truncation_bound(n, ell, lam.finite, lam_prime.finite, shapes, widen)
+    bound = truncation_bound(n, ell, lam.finite, lam_prime.finite, shapes) + widen
     grid = list(weyl_grid(n, m, lam_rho, lamp_rho, boxes, bound))
     target = target_content(lam, lam_prime, boxes)
     if target is None:
         assert grid == []
         return 0
-    wider = {point[3] for point in weyl_grid(n, m, lam_rho, lamp_rho, boxes, bound + 1)}
+    wider_grid = list(weyl_grid(n, m, lam_rho, lamp_rho, boxes, bound + 1))
+    wider = {point[3] for point in wider_grid}
 
-    def walk(contents):
-        return collections.Counter(_fiber_points(m, lamp_rho, target, bound, contents))
+    def walk(contents, radius=bound):
+        return collections.Counter(_fiber_points(m, lamp_rho, target, radius, contents))
 
     case = (n, ell, lam, lam_prime, shapes, widen)
     assert walk(contents) == collections.Counter(p for p in grid if p[3] in contents), case
-    assert walk(wider) == collections.Counter(grid), case
+    assert walk(wider, bound + 1) == collections.Counter(wider_grid), case
+    assert len(wider_grid) > len(grid), case
+    with pytest.raises(CertificateError, match=r"is read at beta = .*, outside the box of radius %d$" % bound):
+        walk(wider)
     return sum(1 for p in grid if p[3] in contents)
 
 
@@ -369,7 +390,7 @@ def vacuum_coordinate_sum(spec, widen=0):
     table = rb.weight_energy_table(spec)
     boxes = spec.total_boxes()
     zero = (0,) * n
-    bound = truncation_bound(n, ell, zero, zero, spec.shapes, widen)
+    bound = truncation_bound(n, ell, zero, zero, spec.shapes) + widen
     total = LaurentPoly.zero()
     for tau in itertools.permutations(range(1, n + 1)):
         sign = perm_sign(tau)
@@ -446,7 +467,7 @@ def reference_pairing(n, shapes):
     (summand -> exponent, list of (summand, image) pairs)."""
     spec = pairing._level_zero_spec(n, shapes)
     zero = spec.lam.finite
-    bound = truncation_bound(n, 0, zero, zero, spec.shapes, 0)
+    bound = truncation_bound(n, 0, zero, zero, spec.shapes)
     target = target_content(spec.lam, spec.lam, spec.total_boxes())
 
     by_content = {}
@@ -559,7 +580,8 @@ def test_pairing_matches_reference():
 
 
 def test_sums_and_pairing_read_one_read_map_per_call(monkeypatch):
-    """fibre_sums (for every report and identity) and the level-zero
+    """bosonic_report (for every report and identity, the widened
+    certificate included, which reads at widening 0) and the level-zero
     certificate take their fibres, orbits and Schur counts from one
     bosonic.read_fibres call each per call."""
     calls = []
@@ -573,8 +595,10 @@ def test_sums_and_pairing_read_one_read_map_per_call(monkeypatch):
     monkeypatch.setattr(bosonic, "read_fibres", counting(bosonic.read_fibres))
     monkeypatch.setattr(pairing, "read_fibres", counting(pairing.read_fibres))
     spec = vacuum_spec(3, (S11, RectShape(2, 1), S11), 2)
-    fibre_sums(spec, (0, 2))
-    assert calls == [(spec, truncation_bound(3, 2, (0,) * 3, (0,) * 3, spec.shapes, 2))]
+    report = identity_report(spec, kostka_level(spec), widen_check=True)
+    bound = truncation_bound(3, 2, (0,) * 3, (0,) * 3, spec.shapes)
+    assert calls == [(spec, bound)]
+    assert report["widen_certificate"] == {"widened_bound": bound + 2, "stable": True}
     shapes = (S11, RectShape(2, 1), S11, RectShape(2, 1))
     for run in (level_zero_identity, level_zero_pairing):
         calls.clear()
@@ -586,7 +610,7 @@ def test_pairing_imports_no_private_name_of_bosonic():
     """pairing reads the sums' read map through bosonic.read_fibres alone:
     it imports no _-prefixed name of bosonic, reads none as an attribute,
     and never names schur_product."""
-    tree = ast.parse(open(pairing.__file__, encoding="utf-8").read())
+    tree = ast.parse(pathlib.Path(pairing.__file__).read_text(encoding="utf-8"))
     imported = {(node.module, alias.name) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert ("bosonic", "read_fibres") in imported
@@ -601,7 +625,7 @@ def test_pairing_imports_no_private_name_of_bosonic():
 def test_straightening_bridge_imports_nothing_from_bosonic():
     """The straightening bridge stays an independent route to the sum:
     straighten imports neither crystalpaths.bosonic nor any name of it."""
-    tree = ast.parse(open(straighten.__file__, encoding="utf-8").read())
+    tree = ast.parse(pathlib.Path(straighten.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -892,10 +916,8 @@ def test_differential_sums_against_full_table_reference(tail, data):
     spec = data.draw(tailed_specs(tail))
     table = rb.weight_energy_table(spec)
     lam_prime = spec.resolved_lam_prime()
-    got = fibre_sums(spec, (0, 2))
-    for widen, result in zip((0, 2), got):
+    for widen in (0, 2):
         want = rb.alternating_sum(spec.n, spec.shapes, spec.level, spec.lam, lam_prime, table, widen)
-        assert result == want, (spec, widen)
         assert bosonic_report(spec, widen) == want, (spec, widen)
     assert bosonic_via_straightening(spec) == rb.bosonic_via_straightening(spec), spec
 
@@ -908,8 +930,8 @@ def test_differential_summand_count_against_one_pass_count(tail, data):
     """The summand count over the S_n orbit of each dominant fibre equals
     the count added over every read product content, at widen 0 and 2."""
     spec = data.draw(tailed_specs(tail))
-    got = [result.summand_count for result in fibre_sums(spec, (0, 2))]
-    assert got == rb.one_pass_counts(spec, (0, 2)), spec
+    for widen in (0, 2):
+        assert bosonic_report(spec, widen).summand_count == rb.one_pass_count(spec, widen), (spec, widen)
 
 
 @pytest.mark.parametrize("tail", [False, True], ids=["vacuum", "b0_tail"])
@@ -919,13 +941,13 @@ def test_differential_summand_count_against_one_pass_count(tail, data):
 def test_differential_orbit_against_permutations(tail, data):
     """For random specs with n <= 5, read_fibres at widen 2 reads exactly the
     grid points of the dominant contents (_fiber_points over
-    straighten._dominant_contents); each fibre's members are the product
+    straighten._dominant_contents), each a product content; each fibre's members are the product
     contents among the n! permutations of its dominant member, once each,
     and its path count is the literal permutation count."""
     spec = data.draw(tailed_specs(tail, max_n=5))
     n, lam, lam_prime = spec.n, spec.lam, spec.resolved_lam_prime()
     lamp_rho = vadd(lam_prime.finite, rho_vector(n))
-    bound = truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes, 2)
+    bound = truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes) + 2
     fibres = list(bosonic.read_fibres(spec, bound))
     target = spec.target()
     if target is None:
@@ -937,6 +959,7 @@ def test_differential_orbit_against_permutations(tail, data):
     assert sorted(fibre[:5] for fibre in fibres) == sorted(want), spec
     for *point, paths, members in fibres:
         content, orbit = point[3], [c for _, _, c in members]
+        assert content in product, (spec, content)
         assert len(set(orbit)) == len(orbit), (spec, content)
         assert set(orbit) == rb.literal_orbit(product, target, lamp_rho, content), (spec, content)
         assert paths == rb.permutation_count(product, target, lamp_rho, content), (spec, content)
@@ -955,7 +978,7 @@ def test_differential_members_against_their_own_grid_points(tail, data):
     n, lam, lam_prime = spec.n, spec.lam, spec.resolved_lam_prime()
     assert lam_prime != lam and spec.target() is not None
     lamp_rho = vadd(lam_prime.finite, rho_vector(n))
-    bound = truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes, 2)
+    bound = truncation_bound(n, spec.level, lam.finite, lam_prime.finite, spec.shapes) + 2
     for _, _, beta, _, exponent, _, members in bosonic.read_fibres(spec, bound):
         for tau, sign, c in members:
             alone = list(_fiber_points(spec.level + n, lamp_rho, spec.target(), bound, [c]))

@@ -213,7 +213,7 @@ def test_huge_rank_refusal_exit_code(argv, capsys, monkeypatch):
     product, whose sums would take time quadratic in the rank."""
     def unreachable(*args):
         raise AssertionError("an alternating sum ran for %s" % (args,))
-    monkeypatch.setattr(bosonic, "fibre_sums", unreachable)  # every sum runs through bosonic's
+    monkeypatch.setattr(bosonic, "bosonic_report", unreachable)  # every sum runs through bosonic's
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "rank 1000000 is over FACTOR_LIMIT = 5000" in err
@@ -229,6 +229,26 @@ def test_verify_command(capsys):
     assert payload["equal"] is True
     assert payload["widen_certificate"]["stable"] is True
     assert payload["warnings"] == []
+
+
+RADIUS_FAULTS = [
+    ["verify", "--n", "3", "--level", "2", "--shapes", ",".join(["1x1"] * 6), "--Lambda", "L0+L1", "--widen-check"],
+    ["verify-zero", "--n", "3", "--shapes", ",".join(["1x1"] * 6)],
+]
+
+
+@pytest.mark.parametrize("argv", RADIUS_FAULTS, ids=[" ".join(a) for a in RADIUS_FAULTS])
+def test_a_short_truncation_bound_is_a_certificate_failure(argv, capsys, monkeypatch):
+    """Every sum checks that each content it reads lies in the box: with a
+    truncation bound of 0, verify and verify-zero exit 1 naming a content
+    read outside it, where a silently truncated sum would report an unequal
+    identity or a broken pairing."""
+    for module in (bosonic, pairing):
+        monkeypatch.setattr(module, "truncation_bound", lambda *args: 0)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"certificate failed: content \(.*\) is read at beta = \(.*\), "
+                        r"outside the box of radius 0\n", err), err
 
 
 def test_verify_and_level_one_identity_report_alike(capsys):

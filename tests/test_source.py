@@ -34,3 +34,40 @@ def test_unused_imports_are_found():
 def test_no_unused_imports(path):
     """Every name a module of the package imports at module level is used there."""
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the constructors that set an immutable object's slots; everything else is made through them
+SETTERS = {"Record.__init__", "Tableau.__init__", "CrystalSpec.__init__", "LaurentPoly.__init__"}
+
+
+def setattr_callers(source: str) -> list[str]:
+    """The qualified name (Class.method, or <module>) of each place that
+    calls object.__setattr__."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"):
+            found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_setattr_callers_are_found():
+    source = ("object.__setattr__(x, 'a', 1)\nclass A:\n    def __init__(self):\n"
+              "        object.__setattr__(self, 'a', 1)\n    def f(self):\n        setattr(self, 'b', 2)\n")
+    assert setattr_callers(source) == ["<module>", "A.__init__"]
+
+
+def test_one_way_in():
+    """An immutable object's slots are set only by its constructor: every
+    other operation returns an object that a constructor made."""
+    package = sorted(Path(crystalpaths.__file__).parent.glob("*.py"))
+    outside = ["%s: %s" % (path.name, name) for path in package
+               for name in setattr_callers(path.read_text(encoding="utf-8")) if name not in SETTERS]
+    assert outside == []
